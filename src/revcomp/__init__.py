@@ -10,6 +10,7 @@ from .asymptotic import (
     AsymptoticSweep,
     ConjectureRow,
     GammaKResult,
+    closed_form_letter_partition,
     conjecture_report,
     delta_estimate,
     gamma_k,

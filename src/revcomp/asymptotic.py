@@ -17,7 +17,9 @@ import numpy as np
 from .channels import ClassicalChannel, reverse_fidelity_matrix
 from .errors import ExactSolverCapError, ValidationError
 from .partition import (
+    IndistinguishabilityGraph,
     Partition,
+    _block_certificates,
     compressibility,
     default_exact_cap,
     graph_from_fidelity_matrix,
@@ -73,19 +75,50 @@ class GammaKResult:
                 "blocks": self.block_count}
 
 
+def _kfold_product(value: float, k: int) -> float:
+    # Left to right from 1.0, the order in which product_fidelity_matrix
+    # multiplies its per-letter factors.
+    result = 1.0
+    for _ in range(k):
+        result *= value
+    return result
+
+
+def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: int,
+                                 exact_cap: int | None = None) -> Partition:
+    """Single-letter partition whose ``k``-fold product covers length-``k`` sequences.
+
+    Per the factorization, letters merged at per-letter fidelity
+    ``>= (1 - eps)^(1/k)`` keep length-``k`` sequences within ``1 - eps``.
+    That threshold is rounded, so the partition is certified in the
+    library's own arithmetic: its worst in-block fidelity ``c``, multiplied
+    ``k`` times left to right as :func:`product_fidelity_matrix` does, must
+    reach ``1 - epsilon``.  Float multiplication is monotone, so this one
+    product bounds every in-block sequence pair.  When it falls short, the
+    threshold steps just past ``c`` with ``np.nextafter`` and the letters
+    are partitioned again.
+    """
+    if exact_cap is None:
+        exact_cap = default_exact_cap()
+    # One minus the tightened epsilon, rounded as graph_from_fidelity_matrix
+    # rounds ``1 - epsilon``.
+    threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
+    fid = reverse_fidelity_matrix(channel)
+    while True:
+        graph = IndistinguishabilityGraph(fid >= threshold)
+        if graph.size <= exact_cap:
+            single = solve_exact(graph, cap=exact_cap)
+        else:
+            single = solve_greedy(graph)
+        worst = min(_block_certificates(single, fid))
+        if _kfold_product(worst, k) >= 1.0 - epsilon:
+            return single
+        threshold = float(np.nextafter(worst, 2.0))
+
+
 def _closed_form_result(channel: ClassicalChannel, epsilon: float, k: int,
                         exact_cap: int) -> GammaKResult:
-    # Per the factorization, letters merged at per-letter fidelity
-    # >= (1 - eps)^(1/k) keep length-k sequences within 1 - eps, so the
-    # k-fold product of a single-shot partition at the tightened threshold
-    # is a valid partition of the sequence space.
-    tightened = 1.0 - (1.0 - epsilon) ** (1.0 / k)
-    fid = reverse_fidelity_matrix(channel)
-    graph = graph_from_fidelity_matrix(fid, tightened)
-    if graph.size <= exact_cap:
-        single = solve_exact(graph, cap=exact_cap)
-    else:
-        single = solve_greedy(graph)
+    single = closed_form_letter_partition(channel, epsilon, k, exact_cap)
     blocks = single.num_blocks ** k
     total = channel.num_inputs ** k
     gamma = 1.0 if total == 1 else float(Fraction(total - blocks, total - 1))

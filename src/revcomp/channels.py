@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,6 +69,9 @@ def _validated_masses(masses: np.ndarray, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a vector, got shape {masses.shape}")
     if masses.size == 0:
         raise ValidationError(f"{what} must have at least one entry")
+    if not np.isfinite(masses).all():
+        i = int(np.flatnonzero(~np.isfinite(masses))[0])
+        raise ValidationError(f"{what} entry {i} is {float(masses[i])!r}, not a finite number")
     if np.min(masses) < -STOCHASTIC_TOL or np.max(masses) > 1.0 + STOCHASTIC_TOL:
         raise ValidationError(f"{what} has entries outside [0, 1]: min {np.min(masses)!r}, max {np.max(masses)!r}")
     total = float(np.sum(masses))
@@ -107,14 +110,16 @@ class Distribution:
 def _fidelity_masses(p: np.ndarray, q: np.ndarray) -> float:
     """Fidelity of two mass vectors on the same alphabet.
 
-    Squared Bhattacharyya overlap.  Entrywise-equal vectors (within
-    ``EQUALITY_TOL``) return exactly 1.0; everything else is clamped into
-    [0, 1].  The element order is fixed, so the value is bitwise symmetric
-    in its arguments.
+    Squared Bhattacharyya overlap.  The ``sqrt(p * q)`` terms are added in
+    output order (``cumsum`` adds strictly left to right), the order in
+    which :func:`reverse_fidelity_matrix` accumulates its columns, so both
+    give the same bits.  Entrywise-equal vectors (within ``EQUALITY_TOL``)
+    return exactly 1.0; everything else is clamped into [0, 1].  Every term
+    is symmetric in its arguments, so the value is bitwise symmetric.
     """
     if np.max(np.abs(p - q)) <= EQUALITY_TOL:
         return 1.0
-    overlap = float(np.sum(np.sqrt(p * q)))
+    overlap = float(np.cumsum(np.sqrt(p * q))[-1])
     return min(1.0, overlap * overlap)
 
 
@@ -149,6 +154,12 @@ class ClassicalChannel:
             raise DimensionMismatchError(
                 f"channel matrix shape {m.shape} does not match alphabets "
                 f"({self.input.size} inputs, {self.output.size} outputs)"
+            )
+        if not np.isfinite(m).all():
+            i, j = (int(v) for v in np.argwhere(~np.isfinite(m))[0])
+            raise ValidationError(
+                f"channel entry at row {i} ({self.input.labels[i]!r}), column {j} "
+                f"({self.output.labels[j]!r}) is {float(m[i, j])!r}, not a finite number"
             )
         if np.min(m) < -STOCHASTIC_TOL or np.max(m) > 1.0 + STOCHASTIC_TOL:
             i, j = np.unravel_index(int(np.argmin(m)) if np.min(m) < -STOCHASTIC_TOL else int(np.argmax(m)), m.shape)
@@ -193,18 +204,36 @@ def reverse_fidelity(channel: ClassicalChannel, x: str, xhat: str) -> float:
 def reverse_fidelity_matrix(channel: ClassicalChannel) -> np.ndarray:
     """All pairwise reverse fidelities of a channel.
 
-    Each off-diagonal pair is evaluated once with the same kernel as
-    :func:`reverse_fidelity` and mirrored, so the matrix is exactly
-    symmetric with unit diagonal.
+    Vectorized over pairs and looped over output columns: column ``j`` adds
+    ``sqrt(P[x, j] * P[xhat, j])`` to the overlap of every pair, in the
+    order :func:`reverse_fidelity` adds its terms, so every entry equals
+    the scalar query bit for bit.  The running entrywise gap decides the
+    ``EQUALITY_TOL`` snap.  The upper triangle is mirrored and the diagonal
+    set to 1.0, so the matrix is exactly symmetric with unit diagonal.
+    Peak memory is about three n-by-n float arrays.
     """
-    n = channel.num_inputs
-    out = np.ones((n, n))
     rows = channel.matrix
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = _fidelity_masses(rows[i], rows[j])
-    out.flags.writeable = False
-    return out
+    n = channel.num_inputs
+    overlap = np.zeros((n, n))
+    gap = np.zeros((n, n))
+    scratch = np.empty((n, n))
+    for col in rows.T:
+        a, b = col[:, None], col[None, :]
+        np.multiply(a, b, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        overlap += scratch
+        np.subtract(a, b, out=scratch)
+        np.abs(scratch, out=scratch)
+        np.maximum(gap, scratch, out=gap)
+    del scratch
+    np.square(overlap, out=overlap)
+    np.minimum(overlap, 1.0, out=overlap)
+    np.copyto(overlap, 1.0, where=gap <= EQUALITY_TOL)
+    del gap
+    np.copyto(overlap, overlap.T, where=np.tri(n, k=-1, dtype=bool))
+    np.fill_diagonal(overlap, 1.0)
+    overlap.flags.writeable = False
+    return overlap
 
 
 def compose(first: ClassicalChannel, then: ClassicalChannel) -> ClassicalChannel:
@@ -332,10 +361,6 @@ class ProductChannel:
     def output_size(self) -> int:
         return self.base.num_outputs ** self.uses
 
-    def index_tuples(self) -> Iterator[tuple[int, ...]]:
-        """All input sequences as base-index tuples, lexicographic order."""
-        return itertools.product(range(self.base.num_inputs), repeat=self.uses)
-
     def label_separator(self) -> str:
         labels = self.base.input.labels + self.base.output.labels
         return "" if all(len(l) == 1 for l in labels) else ","
@@ -449,8 +474,3 @@ def erasure_max_mergeable_differences(eta: float, epsilon: float, limit: int) ->
         else:
             break
     return best
-
-
-def iter_sequences(size: int, k: int) -> Iterable[tuple[int, ...]]:
-    """Lexicographic index tuples of length ``k`` over ``range(size)``."""
-    return itertools.product(range(size), repeat=k)

@@ -7,6 +7,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -32,15 +33,69 @@ def _require(data: dict, field: str, what: str) -> Any:
     return data[field]
 
 
+def _int_field(data: dict, field: str, what: str) -> int:
+    value = _require(data, field, what)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"field {field!r} of {what} must be an integer, got {value!r}")
+    return value
+
+
+def _finite_number(value: Any) -> float | None:
+    """``value`` as a float if it is a finite number (not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _number_field(data: dict, field: str, what: str) -> float:
+    value = _require(data, field, what)
+    number = _finite_number(value)
+    if number is None:
+        raise ValidationError(f"field {field!r} of {what} must be a finite number, got {value!r}")
+    return number
+
+
+def _list_field(data: dict, field: str, what: str, required: bool = True) -> list | None:
+    if not required and field not in data:
+        return None
+    value = _require(data, field, what)
+    if not isinstance(value, list):
+        raise ValidationError(f"field {field!r} of {what} must be a list, got {value!r}")
+    return value
+
+
+def _numbers_field(data: dict, field: str, what: str, required: bool = True) -> list[float] | None:
+    values = _list_field(data, field, what, required)
+    if values is None:
+        return None
+    numbers = [_finite_number(v) for v in values]
+    if None in numbers:
+        raise ValidationError(f"field {field!r} of {what} must contain finite numbers only")
+    return numbers
+
+
 def load_json(path: str | Path) -> Any:
+    """Decoded JSON file; the literals ``NaN``, ``Infinity`` and ``-Infinity``
+    are rejected.  A number literal that overflows to infinity is left to
+    the validators of the object it ends up in."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+
+    def reject(literal: str) -> float:
+        raise ValidationError(f"{path} contains {literal}, which is not a finite number")
+
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=reject)
+    except ValidationError:
+        raise
+    except ValueError as exc:  # malformed text, or an integer literal too long to convert
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -58,15 +113,18 @@ def _matrix_from_data(raw: Any, what: str) -> np.ndarray:
     lengths = {len(row) for row in raw}
     if len(lengths) > 1:
         raise ValidationError(f"field 'matrix' of {what} has rows of unequal length")
+    kinds = {type(v) for row in raw for v in row}
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in kinds):
+        raise ValidationError(f"field 'matrix' of {what} must contain numbers")
     try:
         return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"field 'matrix' of {what} must contain numbers") from None
+    except OverflowError:
+        raise ValidationError(f"field 'matrix' of {what} must contain finite numbers") from None
 
 
 def _classical_from_data(data: dict) -> ClassicalChannel:
-    inp = _require(data, "input_labels", "channel file")
-    out = _require(data, "output_labels", "channel file")
+    inp = _list_field(data, "input_labels", "channel file")
+    out = _list_field(data, "output_labels", "channel file")
     matrix = _matrix_from_data(_require(data, "matrix", "channel file"), "channel file")
     return ClassicalChannel(Alphabet(tuple(inp)), Alphabet(tuple(out)), matrix)
 
@@ -74,17 +132,21 @@ def _classical_from_data(data: dict) -> ClassicalChannel:
 def _shorthand_from_data(data: dict) -> ClassicalChannel:
     kind = data["type"]
     if kind == "identity":
-        return make_identity(int(_require(data, "n", "identity shorthand")))
+        return make_identity(_int_field(data, "n", "identity shorthand"))
     if kind == "constant":
-        n = int(_require(data, "n", "constant shorthand"))
-        return make_constant(n, data.get("masses"), data.get("output_labels"))
+        what = "constant shorthand"
+        return make_constant(_int_field(data, "n", what),
+                             _numbers_field(data, "masses", what, required=False),
+                             _list_field(data, "output_labels", what, required=False))
     if kind == "erasure":
-        return make_erasure(int(_require(data, "r", "erasure shorthand")),
-                            float(_require(data, "eta", "erasure shorthand")))
+        return make_erasure(_int_field(data, "r", "erasure shorthand"),
+                            _number_field(data, "eta", "erasure shorthand"))
     if kind == "generalized_erasure":
-        blocks = _require(data, "blocks", "generalized erasure shorthand")
-        etas = _require(data, "etas", "generalized erasure shorthand")
-        return make_generalized_erasure(blocks, [float(e) for e in etas])
+        what = "generalized erasure shorthand"
+        blocks = _list_field(data, "blocks", what)
+        if not all(isinstance(block, list) for block in blocks):
+            raise ValidationError(f"field 'blocks' of {what} must be a list of label lists")
+        return make_generalized_erasure(blocks, _numbers_field(data, "etas", what))
     raise ValidationError(f"unknown channel type {kind!r}, expected one of {SHORTHAND_TYPES}")
 
 
@@ -145,8 +207,8 @@ def density_matrix_to_data(rho: DensityMatrix) -> dict:
 
 
 def parse_kraus_data(data: dict) -> KrausChannel:
-    in_dim = int(_require(data, "in_dim", "Kraus channel file"))
-    out_dim = int(_require(data, "out_dim", "Kraus channel file"))
+    in_dim = _int_field(data, "in_dim", "Kraus channel file")
+    out_dim = _int_field(data, "out_dim", "Kraus channel file")
     raw_ops = _require(data, "kraus", "Kraus channel file")
     if not isinstance(raw_ops, list) or len(raw_ops) == 0:
         raise ValidationError("field 'kraus' must be a nonempty list of operators")

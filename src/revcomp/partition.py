@@ -74,17 +74,12 @@ class IndistinguishabilityGraph:
         return bool(self.adjacency[i, j])
 
     def _masks(self) -> list[int]:
-        """Adjacency as bitmasks, self-loops removed."""
-        n = self.size
-        masks = []
-        for i in range(n):
-            m = 0
-            row = self.adjacency[i]
-            for j in range(n):
-                if j != i and row[j]:
-                    m |= 1 << j
-            masks.append(m)
-        return masks
+        """Adjacency as bitmasks, self-loops removed: bit ``j`` of mask ``i``
+        is set when ``i != j`` are adjacent."""
+        adj = self.adjacency.copy()
+        np.fill_diagonal(adj, False)
+        packed = np.packbits(adj, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def graph_from_fidelity_matrix(fidelities: np.ndarray, epsilon: float) -> IndistinguishabilityGraph:

@@ -40,6 +40,10 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            i, j = (int(v) for v in np.argwhere(~np.isfinite(m))[0])
+            raise ValidationError(f"density matrix entry ({i}, {j}) is {complex(m[i, j])!r}, "
+                                  "not a finite number")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > HERMITIAN_TOL:
             raise ValidationError(f"density matrix deviates from Hermitian by {herm_dev:.3e}")
@@ -103,6 +107,10 @@ class KrausChannel:
             k = np.asarray(k, dtype=complex)
             if k.ndim != 2:
                 raise ValidationError(f"Kraus operator {i} must be a matrix, got shape {k.shape}")
+            if not np.isfinite(k).all():
+                r, c = (int(v) for v in np.argwhere(~np.isfinite(k))[0])
+                raise ValidationError(f"Kraus operator {i} entry ({r}, {c}) is "
+                                      f"{complex(k[r, c])!r}, not a finite number")
             if shape is None:
                 shape = k.shape
             elif k.shape != shape:

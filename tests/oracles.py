@@ -15,8 +15,14 @@ from revcomp import Alphabet, ClassicalChannel
 
 
 def plain_fidelity(p, q) -> float:
-    """Scalar evaluation of the squared Bhattacharyya overlap."""
-    bc = sum(math.sqrt(a * b) for a, b in zip(p, q))
+    """Scalar evaluation of the squared Bhattacharyya overlap.
+
+    Terms are added one at a time, left to right; the builtin ``sum`` is
+    avoided because it adds floats with compensation from Python 3.12 on.
+    """
+    bc = 0.0
+    for a, b in zip(p, q):
+        bc += math.sqrt(a * b)
     return bc * bc
 
 
@@ -35,6 +41,32 @@ def joint_conditional(channel: ClassicalChannel, xs) -> list[float]:
 def joint_reverse_fidelity(channel: ClassicalChannel, xs, xhats) -> float:
     """Reverse fidelity through the explicit joint distributions."""
     return plain_fidelity(joint_conditional(channel, xs), joint_conditional(channel, xhats))
+
+
+def adjacency_bitmasks(adjacency) -> list[int]:
+    """Adjacency rows as integer bitmasks, self-loops removed, bit by bit."""
+    adj = np.asarray(adjacency, dtype=bool)
+    n = adj.shape[0]
+    masks = []
+    for i in range(n):
+        m = 0
+        for j in range(n):
+            if j != i and adj[i, j]:
+                m |= 1 << j
+        masks.append(m)
+    return masks
+
+
+def product_partition(letter_blocks, alphabet_size: int, k: int) -> list[tuple[int, ...]]:
+    """Blocks of the ``k``-fold product of a letter partition, as indices of
+    lexicographically ordered length-``k`` sequences."""
+    blocks = []
+    for choice in itertools.product(letter_blocks, repeat=k):
+        blocks.append(tuple(
+            sum(x * alphabet_size ** (k - 1 - j) for j, x in enumerate(seq))
+            for seq in itertools.product(*choice)
+        ))
+    return blocks
 
 
 def min_clique_cover_brute(adjacency) -> int:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revcomp import (
     ExactSolverCapError,
+    Partition,
     ProductChannel,
     ValidationError,
+    closed_form_letter_partition,
     compress,
     compressibility,
     conjecture_report,
@@ -21,12 +25,13 @@ from revcomp import (
     partition_is_clique_cover,
     product_fidelity_matrix,
     product_reverse_fidelity,
+    reverse_fidelity_matrix,
     s_bound_partition,
     solve_exact,
 )
 from revcomp.asymptotic import _observed_trend
 
-from oracles import random_channel
+from oracles import product_partition, random_channel
 
 
 def hamming_graph(n, k, s):
@@ -281,3 +286,42 @@ class TestGeneralizedErasureBound:
         assert exact2.gamma == 0.6
         assert exact2.block_count == 7
         assert exact2.gamma > generalized_erasure_gamma_bound((2, 2), 2)
+
+
+class TestClosedFormCertificate:
+    """The k-fold product of the closed-form letter partition is a clique
+    cover of the sequence graph in the library's own arithmetic."""
+
+    @staticmethod
+    def assert_product_is_clique_cover(ch, eps, k):
+        letter = closed_form_letter_partition(ch, eps, k)
+        product = Partition(tuple(product_partition(letter.blocks, ch.num_inputs, k)))
+        fid = product_fidelity_matrix(ch, k, max_sequences=ch.num_inputs ** k)
+        assert partition_is_clique_cover(product, graph_from_fidelity_matrix(fid, eps))
+        got = gamma_k(ch, eps, k, solver="closed_form")
+        assert got.block_count == product.num_blocks == letter.num_blocks ** k
+
+    def test_one_ulp_below_the_boundary_is_not_merged(self):
+        ch = make_erasure(2, 0.9554650330615831)
+        eps = 0.5979352879761461
+        self.assert_product_is_clique_cover(ch, eps, 10)
+        assert gamma_k(ch, eps, 10, solver="closed_form").block_count == 1024
+
+    def test_clear_margin_still_merges(self):
+        got = gamma_k(make_erasure(2, 0.9554650330615831), 0.6, 10, solver="closed_form")
+        assert got.block_count == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(2, 2), (2, 5), (2, 8), (3, 2), (3, 4)]),
+           st.booleans(), st.integers(-3, 3))
+    def test_boundary_epsilons(self, seed, shape, erasure, ulps):
+        n, k = shape
+        rng = np.random.default_rng(seed)
+        ch = make_erasure(n, float(rng.uniform(0.5, 1.0))) if erasure else random_channel(rng, n, 3)
+        letter_fid = float(reverse_fidelity_matrix(ch)[0, 1])
+        target = 1.0
+        for _ in range(k):
+            target *= letter_fid
+        for _ in range(abs(ulps)):
+            target = float(np.nextafter(target, 2.0 if ulps > 0 else 0.0))
+        self.assert_product_is_clique_cover(ch, 1.0 - target, k)

@@ -341,3 +341,16 @@ class TestErasureClosedForms:
         assert hamming_distance((), ()) == 0
         with pytest.raises(ValidationError):
             hamming_distance(("1",), ("1", "2"))
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_channel_entry(self, bad):
+        with pytest.raises(ValidationError, match=r"row 1 \('2'\), column 0 \('1'\).*not a finite"):
+            ClassicalChannel(Alphabet.numbered(2), Alphabet.numbered(2),
+                             np.array([[0.5, 0.5], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_distribution_entry(self, bad):
+        with pytest.raises(ValidationError, match="entry 0 .*not a finite"):
+            Distribution(Alphabet.numbered(2), np.array([bad, 1.0]))

@@ -372,3 +372,78 @@ class TestCliQuantum:
     def test_negative_probes_exits_2(self, capsys):
         assert main(["quantum-verify", "--dim", "2", "--eta", "0.5",
                      "--epsilon", "0.5", "--probes", "-1"]) == 2
+
+
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+class TestCliMalformedInput:
+    """Malformed files exit 2 with a message naming the field or literal."""
+
+    MATRIX = '{"input_labels": ["a", "b"], "output_labels": ["u", "v"], "matrix": [[%s, 1.0], [0.5, 0.5]]}'
+
+    @pytest.mark.parametrize("literal, shown", [
+        ("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
+        ("1e400", "row 0 ('a'), column 0 ('u') is inf"),
+    ])
+    def test_non_finite_matrix_entry(self, tmp_path, capsys, literal, shown):
+        path = write_text(tmp_path, "ch.json", self.MATRIX % literal)
+        code = main(["compress", "--channel", path, "--epsilon", "0.2", "--format", "json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not a finite number" in err and shown in err
+
+    def test_overflowing_shorthand_number(self, tmp_path, capsys):
+        path = write_text(tmp_path, "ch.json", '{"type": "erasure", "r": 2, "eta": 1e400}')
+        assert main(["compress", "--channel", path, "--epsilon", "0.2"]) == 2
+        assert "'eta'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, field", [
+        ({"type": "erasure", "r": 2.7, "eta": 0.9}, "'r'"),
+        ({"type": "erasure", "r": "abc", "eta": 0.9}, "'r'"),
+        ({"type": "erasure", "r": True, "eta": 0.9}, "'r'"),
+        ({"type": "erasure", "r": 2, "eta": "0.9"}, "'eta'"),
+        ({"type": "erasure", "r": 2, "eta": False}, "'eta'"),
+        ({"type": "identity", "n": 3.0}, "'n'"),
+        ({"type": "identity", "n": True}, "'n'"),
+        ({"type": "constant", "n": "2"}, "'n'"),
+        ({"type": "constant", "n": 2, "masses": ["0.5", "0.5"]}, "'masses'"),
+        ({"type": "generalized_erasure", "blocks": [["1"], ["2"]], "etas": [0.5, "x"]}, "'etas'"),
+        ({"type": "generalized_erasure", "blocks": [["1"], ["2"]], "etas": 0.5}, "'etas'"),
+        ({"type": "generalized_erasure", "blocks": 5, "etas": [0.5]}, "'blocks'"),
+        ({"input_labels": "ab", "output_labels": ["u"], "matrix": [[1.0], [1.0]]},
+         "'input_labels'"),
+        ({"input_labels": ["a"], "output_labels": ["u", "v"], "matrix": [[True, False]]},
+         "'matrix'"),
+        ({"input_labels": ["a"], "output_labels": ["u", "v"], "matrix": [["0.5", "0.5"]]},
+         "'matrix'"),
+    ])
+    def test_mistyped_channel_field(self, tmp_path, capsys, data, field):
+        path = write_json(tmp_path, "ch.json", data)
+        code = main(["compress", "--channel", path, "--epsilon", "0.2", "--format", "json"])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("in_dim", "2"), ("in_dim", 2.0), ("out_dim", True), ("out_dim", 3.5),
+    ])
+    def test_mistyped_kraus_dimension(self, tmp_path, capsys, field, value):
+        data = io.kraus_to_data(make_quantum_erasure(2, 0.5))
+        data[field] = value
+        path = write_json(tmp_path, "q.json", data)
+        assert main(["quantum-compress", "--kraus", path, "--format", "json"]) == 2
+        assert repr(field) in capsys.readouterr().err
+
+    def test_non_finite_kraus_entry(self, tmp_path, capsys):
+        text = json.dumps(io.kraus_to_data(make_quantum_erasure(2, 0.5)))
+        path = write_text(tmp_path, "q.json", text.replace("0.0", "NaN", 1))
+        assert main(["quantum-compress", "--kraus", path, "--format", "json"]) == 2
+        assert "NaN" in capsys.readouterr().err
+
+    def test_overlong_integer_literal(self, tmp_path, capsys):
+        path = write_text(tmp_path, "ch.json", '{"type": "identity", "n": %s}' % ("9" * 5000))
+        assert main(["compress", "--channel", path, "--epsilon", "0.2"]) == 2
+        assert "not valid JSON" in capsys.readouterr().err

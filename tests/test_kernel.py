@@ -1,0 +1,92 @@
+"""Properties of the vectorized reverse-fidelity kernel and the bitmask build."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from revcomp import (
+    Alphabet,
+    ClassicalChannel,
+    IndistinguishabilityGraph,
+    reverse_fidelity,
+    reverse_fidelity_matrix,
+)
+from revcomp.channels import EQUALITY_TOL
+
+from oracles import adjacency_bitmasks, plain_fidelity, random_adjacency
+
+
+@st.composite
+def kernel_channels(draw):
+    """Random channels with duplicate rows, rows within 1e-13 of each other,
+    all-zero columns, sparse rows and disjoint supports."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    matrix = rng.random((n, m)) ** draw(st.sampled_from([1, 4, 16]))
+    live = np.ones(m, dtype=bool)
+    live[rng.permutation(m)[:draw(st.integers(0, m - 1))]] = False
+    cols = np.flatnonzero(live)
+    if draw(st.booleans()) and cols.size >= 2:
+        # odd rows live on the first half of the columns, even rows on the rest
+        half = cols.size // 2
+        live_rows = np.tile(live, (n, 1))
+        live_rows[1::2, cols[half:]] = False
+        live_rows[0::2, cols[:half]] = False
+    else:
+        live_rows = np.tile(live, (n, 1))
+    live_rows &= rng.random((n, m)) >= draw(st.sampled_from([0.0, 0.5, 0.9]))
+    matrix[~live_rows] = 0.0
+    for i in np.flatnonzero(matrix.sum(axis=1) == 0):
+        matrix[i, rng.choice(np.flatnonzero(live))] = 1.0
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    for _ in range(draw(st.integers(0, n))):
+        src, dst = rng.integers(n, size=2)
+        matrix[dst] = matrix[src]
+    for _ in range(draw(st.integers(0, n))):
+        src, dst = rng.integers(n, size=2)
+        matrix[dst] = matrix[src] * (1.0 + rng.uniform(-1e-13, 1e-13, m))
+    return ClassicalChannel(Alphabet.numbered(n), Alphabet.numbered(m), matrix)
+
+
+class TestFidelityKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_channels())
+    def test_matrix_properties(self, ch):
+        fid = reverse_fidelity_matrix(ch)
+        rows, labels = ch.matrix, ch.input.labels
+        n = ch.num_inputs
+        assert np.array_equal(fid, fid.T)
+        assert np.all(np.diag(fid) == 1.0)
+        assert np.all((fid >= 0.0) & (fid <= 1.0))
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                assert fid[i, j] == reverse_fidelity(ch, labels[i], labels[j])
+                if np.max(np.abs(rows[i] - rows[j])) <= EQUALITY_TOL:
+                    assert fid[i, j] == 1.0
+                else:
+                    assert fid[i, j] == min(1.0, plain_fidelity(rows[i], rows[j]))
+
+    def test_near_duplicate_rows_snap_to_one(self):
+        base = np.array([0.2, 0.3, 0.5])
+        matrix = np.vstack([base, base * (1 + 1e-13), [0.5, 0.5, 0.0]])
+        fid = reverse_fidelity_matrix(ClassicalChannel(Alphabet.numbered(3),
+                                                       Alphabet.numbered(3), matrix))
+        assert fid[0, 1] == fid[1, 0] == 1.0
+        assert fid[0, 2] < 1.0
+
+    def test_matrix_is_read_only(self):
+        fid = reverse_fidelity_matrix(ClassicalChannel(Alphabet.numbered(2), Alphabet.numbered(2),
+                                                       np.eye(2)))
+        with pytest.raises(ValueError):
+            fid[0, 1] = 0.5
+
+
+class TestBitmasks:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 65])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+    def test_packbits_masks_match_bit_loop(self, n, p):
+        adj = random_adjacency(np.random.default_rng(n * 100 + int(p * 10)), n, p)
+        assert IndistinguishabilityGraph(adj)._masks() == adjacency_bitmasks(adj)

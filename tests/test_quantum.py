@@ -449,3 +449,17 @@ class TestClassicalQuantumAgreement:
             )
             want = erasure_output_fidelity(eta, min(1.0, plain_fidelity(p, q)))
             assert got == pytest.approx(want, abs=1e-8)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_matrix_entry(self, bad):
+        with pytest.raises(ValidationError, match=r"entry \(1, 1\).*not a finite"):
+            DensityMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
+    def test_kraus_operator_entry(self, bad):
+        op = np.eye(2, dtype=complex)
+        op[0, 1] = bad
+        with pytest.raises(ValidationError, match=r"Kraus operator 0 entry \(0, 1\).*not a finite"):
+            KrausChannel((op,))
