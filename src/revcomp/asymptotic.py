@@ -20,11 +20,11 @@ from .partition import (
     IndistinguishabilityGraph,
     Partition,
     _block_certificates,
+    _cover,
     compressibility,
     default_exact_cap,
     graph_from_fidelity_matrix,
     solve_exact,
-    solve_greedy,
 )
 
 # Above this many sequences the pairwise product-fidelity matrix is not built.
@@ -35,8 +35,9 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int,
                             max_sequences: int = DEFAULT_GRAPH_CAP) -> np.ndarray:
     """Pairwise reverse fidelities of all length-``k`` input sequences.
 
-    Accumulates one per-letter factor at a time in letter order, so each
-    entry matches the letterwise product computed sequence by sequence.
+    Multiplies in one per-letter factor at a time in letter order, as a
+    Kronecker product with the letter matrix, so each entry matches the
+    letterwise product computed sequence by sequence.
     """
     if k < 1:
         raise ValidationError(f"sequence length must be >= 1, got {k}")
@@ -47,11 +48,9 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int,
             f"{total} sequences exceed the pairwise-matrix cap {max_sequences}"
         )
     base = reverse_fidelity_matrix(channel)
-    seqs = np.array(list(itertools.product(range(n), repeat=k)), dtype=int).reshape(total, k)
-    fid = np.ones((total, total))
-    for j in range(k):
-        col = seqs[:, j]
-        fid *= base[col[:, None], col[None, :]]
+    fid = np.ones((1, 1))
+    for _ in range(k):
+        fid = np.kron(fid, base)
     return fid
 
 
@@ -105,11 +104,7 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
     fid = reverse_fidelity_matrix(channel)
     while True:
-        graph = IndistinguishabilityGraph(fid >= threshold)
-        if graph.size <= exact_cap:
-            single = solve_exact(graph, cap=exact_cap)
-        else:
-            single = solve_greedy(graph)
+        single, _ = _cover(IndistinguishabilityGraph(fid >= threshold), "auto", exact_cap)
         worst = min(_block_certificates(single, fid))
         if _kfold_product(worst, k) >= 1.0 - epsilon:
             return single
@@ -150,22 +145,15 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int, solver: str = "au
         raise ExactSolverCapError(
             f"{total} sequences exceed the exact cap {exact_cap} for k={k}"
         )
-    if solver in ("exact", "auto") and total <= exact_cap:
-        fid = product_fidelity_matrix(channel, k, max_sequences=max(total, 1))
-        graph = graph_from_fidelity_matrix(fid, epsilon)
-        part = solve_exact(graph, cap=exact_cap)
-        return GammaKResult(k=k, block_count=part.num_blocks,
-                            gamma=compressibility(total, part.num_blocks), method="exact")
-    if total > graph_cap:
+    if solver == "greedy" and total > graph_cap:
         raise ValidationError(
             f"{total} sequences exceed the graph cap {graph_cap} for the greedy solver"
         )
-    fid = product_fidelity_matrix(channel, k, max_sequences=graph_cap)
-    graph = graph_from_fidelity_matrix(fid, epsilon)
-    part = solve_greedy(graph)
+    fid = product_fidelity_matrix(channel, k, max_sequences=total)
+    part, optimal = _cover(graph_from_fidelity_matrix(fid, epsilon), solver, exact_cap)
     return GammaKResult(k=k, block_count=part.num_blocks,
                         gamma=compressibility(total, part.num_blocks),
-                        method="greedy_lower_bound")
+                        method="exact" if optimal else "greedy_lower_bound")
 
 
 @dataclass(frozen=True)
@@ -215,6 +203,15 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
 # structured partitions of erasure-channel sequence spaces
 # ---------------------------------------------------------------------------
 
+def _check_s_bound_args(alphabet_size: int, k: int, s: int) -> None:
+    if alphabet_size < 1:
+        raise ValidationError(f"alphabet size must be >= 1, got {alphabet_size}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if not 0 <= s <= k:
+        raise ValidationError(f"s must lie in [0, {k}], got {s}")
+
+
 def s_bound_partition(alphabet_size: int, k: int, s: int) -> Partition:
     """Group length-``k`` sequences by their first ``k - s`` letters.
 
@@ -222,12 +219,7 @@ def s_bound_partition(alphabet_size: int, k: int, s: int) -> Partition:
     most ``s`` positions, so for an erasure channel every in-block pair has
     reverse fidelity at least ``eta ** (2 * s)``.
     """
-    if alphabet_size < 1:
-        raise ValidationError(f"alphabet size must be >= 1, got {alphabet_size}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if not 0 <= s <= k:
-        raise ValidationError(f"s must lie in [0, {k}], got {s}")
+    _check_s_bound_args(alphabet_size, k, s)
     block_size = alphabet_size ** s
     num_blocks = alphabet_size ** (k - s)
     return Partition(tuple(
@@ -239,43 +231,19 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
                                  max_sequences: int = 10) -> int:
     """Minimum block count over all partitions with Hamming diameter <= s.
 
-    Exhaustive branch-and-bound over set partitions in restricted-growth
-    order, pruning blocks that would exceed the diameter and branches that
-    cannot beat the best count found.  Starts from the prefix-grouping
-    construction, which is always achievable.
+    A minimum clique cover of the graph joining length-``k`` sequences at
+    Hamming distance ``<= s``, solved by :func:`solve_exact`.  The cap is
+    checked before anything of size ``alphabet_size ** k`` is built.
     """
-    construction = s_bound_partition(alphabet_size, k, s)
+    _check_s_bound_args(alphabet_size, k, s)
     total = alphabet_size ** k
     if total > max_sequences:
         raise ValidationError(
             f"{total} sequences exceed the exhaustive-search cap {max_sequences}"
         )
-    seqs = list(itertools.product(range(alphabet_size), repeat=k))
-    dist = [[sum(1 for a, b in zip(x, y) if a != b) for y in seqs] for x in seqs]
-
-    best = construction.num_blocks
-    blocks: list[list[int]] = []
-
-    def place(i: int) -> None:
-        nonlocal best
-        if len(blocks) >= best:
-            return
-        if i == total:
-            best = len(blocks)
-            return
-        row = dist[i]
-        for block in blocks:
-            if all(row[j] <= s for j in block):
-                block.append(i)
-                place(i + 1)
-                block.pop()
-        if len(blocks) + 1 < best:
-            blocks.append([i])
-            place(i + 1)
-            blocks.pop()
-
-    place(0)
-    return best
+    seqs = np.array(list(itertools.product(range(alphabet_size), repeat=k))).reshape(total, k)
+    dist = (seqs[:, None, :] != seqs[None, :, :]).sum(axis=2)
+    return solve_exact(IndistinguishabilityGraph(dist <= s), cap=total).num_blocks
 
 
 @dataclass(frozen=True)
@@ -299,8 +267,9 @@ def conjecture_report(alphabet_size: int, k: int, s_values: Sequence[int] | None
                       max_sequences: int = 10) -> list[ConjectureRow]:
     """Compare exhaustive minima against ``alphabet_size ** (k - s)``.
 
-    The equality is conjectured, not proven; a row with ``equal=False``
-    would be a counterexample and is reported as data, never raised.
+    The equality is conjectured, not proven; a row with ``equal=False`` is a
+    counterexample and is reported as data, never raised.  Equality fails at
+    ``alphabet_size=2, k=5, s=2``, where the minimum is 7 rather than 8.
     """
     if s_values is None:
         s_values = range(k + 1)

@@ -1,14 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation failure, 3 exact solve refused for
-size, 1 anything else.  JSON output is deterministic: the same config and
+size, 1 anything else.  JSON output is deterministic: the same arguments and
 seed give byte-identical reports.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import asymptotic, io, partition, quantum
@@ -31,36 +30,6 @@ ERASURE_THRESHOLD_NOTE = (
     "0.85 sometimes quoted for that case disagrees with the closed form and is "
     "flagged here rather than reproduced"
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and range-checked invocation of one subcommand."""
-
-    command: str
-    format: str = "table"
-    out: str | None = None
-    channel_path: str | None = None
-    epsilon: float | None = None
-    solver: str = "auto"
-    x: str | None = None
-    xhat: str | None = None
-    xs: tuple[str, ...] = ()
-    xhats: tuple[str, ...] = ()
-    r: int | None = None
-    eta: float | None = None
-    etas: tuple[float, ...] = ()
-    label_blocks: tuple[tuple[str, ...], ...] = ()
-    index_blocks: tuple[tuple[int, ...], ...] = ()
-    k_max: int | None = None
-    k: int | None = None
-    alphabet_size: int | None = None
-    max_sequences: int = 10
-    max_differences: int = 5
-    dim: int | None = None
-    kraus_path: str | None = None
-    seed: int = 0
-    probes: int = 1000
 
 
 def _parse_int(raw: str, what: str) -> int:
@@ -132,94 +101,99 @@ def _report_table(data: dict) -> str:
 # command payloads: (json_data, table_text)
 # ---------------------------------------------------------------------------
 
-def _cmd_compress(cfg: RunConfig):
-    channel = _classical_channel(cfg.channel_path)
-    report = partition.compress(channel, cfg.epsilon, solver=cfg.solver)
+def _cmd_compress(args: argparse.Namespace):
+    channel = _classical_channel(args.channel)
+    report = partition.compress(channel, args.epsilon, solver=args.solver)
     data = report.to_json_dict()
     return data, _report_table(data)
 
 
-def _cmd_fidelity(cfg: RunConfig):
-    channel = _classical_channel(cfg.channel_path)
-    value = reverse_fidelity(channel, cfg.x, cfg.xhat)
-    data = {"x": cfg.x, "xhat": cfg.xhat, "reverse_fidelity": value}
+def _cmd_fidelity(args: argparse.Namespace):
+    channel = _classical_channel(args.channel)
+    value = reverse_fidelity(channel, args.x, args.xhat)
+    data = {"x": args.x, "xhat": args.xhat, "reverse_fidelity": value}
     return data, _kv_table(list(data.items()))
 
 
-def _cmd_product(cfg: RunConfig):
-    channel = _classical_channel(cfg.channel_path)
-    if len(cfg.xs) != len(cfg.xhats):
+def _cmd_product(args: argparse.Namespace):
+    xs, xhats = _split_csv(args.xs), _split_csv(args.xhats)
+    channel = _classical_channel(args.channel)
+    if len(xs) != len(xhats):
         raise ValidationError(
-            f"sequences have different lengths {len(cfg.xs)} and {len(cfg.xhats)}"
+            f"sequences have different lengths {len(xs)} and {len(xhats)}"
         )
-    prod = ProductChannel(channel, len(cfg.xs))
-    value = product_reverse_fidelity(prod, cfg.xs, cfg.xhats)
-    data = {"k": len(cfg.xs), "xs": list(cfg.xs), "xhats": list(cfg.xhats),
+    prod = ProductChannel(channel, len(xs))
+    value = product_reverse_fidelity(prod, xs, xhats)
+    data = {"k": len(xs), "xs": list(xs), "xhats": list(xhats),
             "reverse_fidelity": value}
-    table = _kv_table([("k", data["k"]), ("xs", ",".join(cfg.xs)),
-                       ("xhats", ",".join(cfg.xhats)), ("reverse_fidelity", value)])
+    table = _kv_table([("k", data["k"]), ("xs", ",".join(xs)),
+                       ("xhats", ",".join(xhats)), ("reverse_fidelity", value)])
     return data, table
 
 
-def _cmd_erasure(cfg: RunConfig):
-    channel = make_erasure(cfg.r, cfg.eta)
+def _cmd_erasure(args: argparse.Namespace):
+    if args.max_differences < 0:
+        raise ValidationError(f"--max-differences must be >= 0, got {args.max_differences}")
+    channel = make_erasure(args.r, args.eta)
     thresholds = [
         {"differences": s,
-         "fidelity": erasure_sequence_fidelity(cfg.eta, s),
-         "epsilon_threshold": erasure_epsilon_threshold(cfg.eta, s)}
-        for s in range(cfg.max_differences + 1)
+         "fidelity": erasure_sequence_fidelity(args.eta, s),
+         "epsilon_threshold": erasure_epsilon_threshold(args.eta, s)}
+        for s in range(args.max_differences + 1)
     ]
     data = {
-        "r": cfg.r,
-        "eta": cfg.eta,
+        "r": args.r,
+        "eta": args.eta,
         "channel": io.channel_to_data(channel),
         "thresholds": thresholds,
         "notes": [ERASURE_THRESHOLD_NOTE],
     }
-    if cfg.epsilon is not None:
-        data["epsilon"] = cfg.epsilon
+    if args.epsilon is not None:
+        data["epsilon"] = args.epsilon
         data["max_mergeable_differences"] = erasure_max_mergeable_differences(
-            cfg.eta, cfg.epsilon, cfg.max_differences)
+            args.eta, args.epsilon, args.max_differences)
     rows = [[str(t["differences"]), repr(t["fidelity"]), repr(t["epsilon_threshold"])]
             for t in thresholds]
     table = _rows_table(["differences", "fidelity", "epsilon_threshold"], rows)
-    if cfg.epsilon is not None:
-        table += f"\nmax mergeable differences at epsilon={cfg.epsilon}: " \
+    if args.epsilon is not None:
+        table += f"\nmax mergeable differences at epsilon={args.epsilon}: " \
                  f"{data['max_mergeable_differences']}"
     table += "\nnote: " + ERASURE_THRESHOLD_NOTE
     return data, table
 
 
-def _cmd_gen_erasure(cfg: RunConfig):
-    channel = make_generalized_erasure(cfg.label_blocks, list(cfg.etas))
+def _cmd_gen_erasure(args: argparse.Namespace):
+    etas = [_parse_float(e, "--etas entry") for e in _split_csv(args.etas)]
+    label_blocks = _split_blocks(args.blocks)
+    channel = make_generalized_erasure(label_blocks, etas)
     data = {
-        "blocks": [list(b) for b in cfg.label_blocks],
-        "etas": list(cfg.etas),
+        "blocks": [list(b) for b in label_blocks],
+        "etas": etas,
         "channel": io.channel_to_data(channel),
     }
     lines = [f"generalized erasure on {channel.num_inputs} inputs, "
-             f"{len(cfg.label_blocks)} blocks"]
-    if cfg.epsilon is not None:
-        report = partition.compress(channel, cfg.epsilon, solver=cfg.solver)
+             f"{len(label_blocks)} blocks"]
+    if args.epsilon is not None:
+        report = partition.compress(channel, args.epsilon, solver=args.solver)
         data["report"] = report.to_json_dict()
         lines.append(_report_table(data["report"]))
-    if cfg.k_max is not None:
-        sizes = [len(b) for b in cfg.label_blocks]
+    if args.k_max is not None:
+        sizes = [len(b) for b in label_blocks]
         data["gamma_bound"] = [
             {"k": k, "bound": asymptotic.generalized_erasure_gamma_bound(sizes, k)}
-            for k in range(1, cfg.k_max + 1)
+            for k in range(1, args.k_max + 1)
         ]
         rows = [[str(e["k"]), repr(e["bound"])] for e in data["gamma_bound"]]
         lines.append(_rows_table(["k", "gamma_bound"], rows))
     return data, "\n".join(lines)
 
 
-def _cmd_conjecture(cfg: RunConfig):
-    rows = asymptotic.conjecture_report(cfg.alphabet_size, cfg.k,
-                                        max_sequences=cfg.max_sequences)
+def _cmd_conjecture(args: argparse.Namespace):
+    rows = asymptotic.conjecture_report(args.alphabet_size, args.k,
+                                        max_sequences=args.max_sequences)
     data = {
-        "alphabet_size": cfg.alphabet_size,
-        "k": cfg.k,
+        "alphabet_size": args.alphabet_size,
+        "k": args.k,
         "rows": [r.to_json_dict() for r in rows],
     }
     table = _rows_table(
@@ -229,9 +203,9 @@ def _cmd_conjecture(cfg: RunConfig):
     return data, table
 
 
-def _cmd_asymptotic(cfg: RunConfig):
-    channel = _classical_channel(cfg.channel_path)
-    sweep = asymptotic.delta_estimate(channel, cfg.epsilon, cfg.k_max, solver=cfg.solver)
+def _cmd_asymptotic(args: argparse.Namespace):
+    channel = _classical_channel(args.channel)
+    sweep = asymptotic.delta_estimate(channel, args.epsilon, args.k_max, solver=args.solver)
     data = sweep.to_json_data()
     table = _rows_table(
         ["k", "gamma", "method", "blocks"],
@@ -241,29 +215,36 @@ def _cmd_asymptotic(cfg: RunConfig):
     return data, table
 
 
-def _cmd_quantum_compress(cfg: RunConfig):
-    if cfg.kraus_path is not None:
-        channel = io.parse_kraus_file(cfg.kraus_path)
+def _cmd_quantum_compress(args: argparse.Namespace):
+    if (args.kraus is None) == (args.dim is None or args.blocks is None):
+        raise ValidationError(
+            "quantum-compress needs either --kraus, or both --dim and --blocks"
+        )
+    blocks = None if args.blocks is None else tuple(
+        tuple(_parse_int(i, "--blocks entry") for i in b) for b in _split_blocks(args.blocks))
+    if args.kraus is not None:
+        channel = io.parse_kraus_file(args.kraus)
         kernel_dim, _ = quantum.vector_kernel(channel)
         gamma = quantum.quantum_compressibility(channel, channel.in_dim)
         data = {"in_dim": channel.in_dim, "out_dim": channel.out_dim,
                 "kernel_dim": kernel_dim, "compressibility": gamma}
         return data, _kv_table(list(data.items()))
-    blocks = tuple(tuple(int(i) for i in b) for b in cfg.index_blocks)
     part = partition.Partition(blocks)
-    graining = quantum.make_coarse_graining(part, cfg.dim, embed_dim=cfg.dim)
-    gamma = quantum.quantum_compressibility(graining, cfg.dim)
-    data = {"dim": cfg.dim, "blocks": [list(b) for b in part.blocks],
+    graining = quantum.make_coarse_graining(part, args.dim, embed_dim=args.dim)
+    gamma = quantum.quantum_compressibility(graining, args.dim)
+    data = {"dim": args.dim, "blocks": [list(b) for b in part.blocks],
             "kernel_dim": graining.kernel_dim, "compressibility": gamma}
-    pairs = [("dim", cfg.dim),
+    pairs = [("dim", args.dim),
              ("blocks", " | ".join("{" + ", ".join(str(i) for i in b) + "}" for b in part.blocks)),
              ("kernel_dim", graining.kernel_dim), ("compressibility", gamma)]
     return data, _kv_table(pairs)
 
 
-def _cmd_quantum_verify(cfg: RunConfig):
-    verdict = quantum.verify_erasure_theorem(cfg.dim, cfg.eta, cfg.epsilon,
-                                             seed=cfg.seed, n_random=cfg.probes)
+def _cmd_quantum_verify(args: argparse.Namespace):
+    if args.probes < 0:
+        raise ValidationError(f"--probes must be >= 0, got {args.probes}")
+    verdict = quantum.verify_erasure_theorem(args.dim, args.eta, args.epsilon,
+                                             seed=args.seed, n_random=args.probes)
     data = io.verdict_to_data(verdict)
     pairs = [
         ("dim", verdict.dim), ("eta", verdict.eta), ("epsilon", verdict.epsilon),
@@ -293,14 +274,14 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured command, writing its report; returns 0."""
-    data, table = _COMMANDS[config.command](config)
-    text = io.dump_json(data) if config.format == "json" else table + "\n"
-    if config.out is None:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command, writing its report; returns 0."""
+    data, table = _COMMANDS[args.command](args)
+    text = io.dump_json(data) if args.format == "json" else table + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(config.out).write_text(text)
+        Path(args.out).write_text(text)
     return 0
 
 
@@ -381,57 +362,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs: dict = {"command": args.command, "format": args.format, "out": args.out}
-    if args.command in ("compress", "fidelity", "product", "asymptotic"):
-        kwargs["channel_path"] = args.channel
-    if hasattr(args, "epsilon"):
-        kwargs["epsilon"] = args.epsilon
-    if hasattr(args, "solver"):
-        kwargs["solver"] = args.solver
-    if args.command == "fidelity":
-        kwargs.update(x=args.x, xhat=args.xhat)
-    if args.command == "product":
-        kwargs.update(xs=_split_csv(args.xs), xhats=_split_csv(args.xhats))
-    if args.command == "erasure":
-        if args.max_differences < 0:
-            raise ValidationError(f"--max-differences must be >= 0, got {args.max_differences}")
-        kwargs.update(r=args.r, eta=args.eta, max_differences=args.max_differences)
-    if args.command == "gen-erasure":
-        etas = tuple(_parse_float(e, "--etas entry") for e in _split_csv(args.etas))
-        kwargs.update(label_blocks=_split_blocks(args.blocks), etas=etas, k_max=args.k_max)
-    if args.command == "conjecture":
-        kwargs.update(alphabet_size=args.alphabet_size, k=args.k,
-                      max_sequences=args.max_sequences)
-    if args.command == "asymptotic":
-        kwargs["k_max"] = args.k_max
-    if args.command == "quantum-compress":
-        if (args.kraus is None) == (args.dim is None or args.blocks is None):
-            raise ValidationError(
-                "quantum-compress needs either --kraus, or both --dim and --blocks"
-            )
-        kwargs["kraus_path"] = args.kraus
-        if args.dim is not None:
-            kwargs["dim"] = args.dim
-        if args.blocks is not None:
-            kwargs["index_blocks"] = tuple(
-                tuple(_parse_int(i, "--blocks entry") for i in b)
-                for b in _split_blocks(args.blocks)
-            )
-    if args.command == "quantum-verify":
-        if args.probes < 0:
-            raise ValidationError(f"--probes must be >= 0, got {args.probes}")
-        kwargs.update(dim=args.dim, eta=args.eta, epsilon=args.epsilon,
-                      seed=args.seed, probes=args.probes)
-    return RunConfig(**kwargs)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        return run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

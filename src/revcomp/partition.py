@@ -210,6 +210,22 @@ def _greedy_coloring(masks: list[int], order: Sequence[int]) -> list[int]:
     return assign
 
 
+def _complement_masks(graph: IndistinguishabilityGraph) -> list[int]:
+    """Complement adjacency as bitmasks: bit ``j`` of mask ``i`` is set when
+    ``i != j`` are not adjacent, so a color class of the complement is a
+    clique of the graph."""
+    full = (1 << graph.size) - 1
+    return [full & ~(mask | (1 << v)) for v, mask in enumerate(graph._masks())]
+
+
+def _partition_from_colors(assign: Sequence[int]) -> Partition:
+    """One block per color, from the color of each vertex."""
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(assign):
+        groups.setdefault(c, []).append(v)
+    return Partition(tuple(tuple(g) for g in groups.values()))
+
+
 def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Partition:
     """Minimum clique cover, solved as exact coloring of the complement.
 
@@ -227,9 +243,7 @@ def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Par
             f"exact solver got {n} vertices, above the cap {cap}; "
             f"use the greedy solver or raise {EXACT_CAP_ENV}"
         )
-    full = (1 << n) - 1
-    adj_masks = graph._masks()
-    comp_masks = [full & ~(adj_masks[v] | (1 << v)) for v in range(n)]
+    comp_masks = _complement_masks(graph)
     order = sorted(range(n), key=lambda v: (-comp_masks[v].bit_count(), v))
 
     best_assign = _greedy_coloring(comp_masks, order)
@@ -265,10 +279,7 @@ def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Par
 
         bnb(0, 0)
 
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(best_assign):
-        groups.setdefault(c, []).append(v)
-    return Partition(tuple(tuple(g) for g in groups.values()))
+    return _partition_from_colors(best_assign)
 
 
 def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
@@ -277,19 +288,21 @@ def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
     Vertices are scanned in label order; each joins the first block it is
     adjacent to in full, otherwise it opens a new block.
     """
-    adj_masks = graph._masks()
-    blocks: list[list[int]] = []
-    members: list[int] = []
-    for v in range(graph.size):
-        for b in range(len(blocks)):
-            if members[b] & ~adj_masks[v] == 0:
-                blocks[b].append(v)
-                members[b] |= 1 << v
-                break
-        else:
-            blocks.append([v])
-            members.append(1 << v)
-    return Partition(tuple(tuple(b) for b in blocks))
+    return _partition_from_colors(
+        _greedy_coloring(_complement_masks(graph), range(graph.size)))
+
+
+def _cover(graph: IndistinguishabilityGraph, solver: str,
+           exact_cap: int) -> tuple[Partition, bool]:
+    """Clique cover by ``solver`` (``"exact"``, ``"greedy"`` or ``"auto"``)
+    and whether it is proved minimum.
+
+    ``"auto"`` solves exactly up to ``exact_cap`` vertices and by first fit
+    above; ``"exact"`` above the cap raises :class:`ExactSolverCapError`.
+    """
+    if solver == "exact" or (solver == "auto" and graph.size <= exact_cap):
+        return solve_exact(graph, cap=exact_cap), True
+    return solve_greedy(graph), False
 
 
 def compressibility(num_inputs: int, num_blocks: int) -> float:
@@ -366,15 +379,10 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto",
         exact_cap = default_exact_cap()
     fid = reverse_fidelity_matrix(channel)
     graph = graph_from_fidelity_matrix(fid, epsilon)
-    if solver == "exact" or (solver == "auto" and graph.size <= exact_cap):
-        partition = solve_exact(graph, cap=exact_cap)
-        used, optimal = "exact", True
-    else:
-        partition = solve_greedy(graph)
-        used, optimal = "greedy", False
+    partition, optimal = _cover(graph, solver, exact_cap)
     return CompressionReport(
         epsilon=float(epsilon),
-        solver=used,
+        solver="exact" if optimal else "greedy",
         optimal=optimal,
         partition=partition,
         representatives=partition.representatives(),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from revcomp import (
     ExactSolverCapError,
+    IndistinguishabilityGraph,
     Partition,
     ProductChannel,
     ValidationError,
@@ -27,11 +30,10 @@ from revcomp import (
     product_reverse_fidelity,
     reverse_fidelity_matrix,
     s_bound_partition,
-    solve_exact,
 )
 from revcomp.asymptotic import _observed_trend
 
-from oracles import product_partition, random_channel
+from oracles import min_clique_cover_brute, product_partition, random_channel
 
 
 def hamming_graph(n, k, s):
@@ -49,14 +51,14 @@ def hamming_graph(n, k, s):
 class TestProductFidelityMatrix:
     def test_matches_letterwise_queries_bitwise(self):
         rng = np.random.default_rng(20)
-        ch = random_channel(rng, 3, 4)
-        k = 2
-        fid = product_fidelity_matrix(ch, k, max_sequences=9)
-        prod = ProductChannel(ch, k)
-        seqs = list(prod.input_sequences())
-        for i, xs in enumerate(seqs):
-            for j, xhats in enumerate(seqs):
-                assert fid[i, j] == product_reverse_fidelity(prod, xs, xhats)
+        for n, k in [(3, 2), (2, 7)]:
+            ch = random_channel(rng, n, 4)
+            fid = product_fidelity_matrix(ch, k, max_sequences=n ** k)
+            prod = ProductChannel(ch, k)
+            seqs = list(prod.input_sequences())
+            for i, xs in enumerate(seqs):
+                for j, xhats in enumerate(seqs):
+                    assert fid[i, j] == product_reverse_fidelity(prod, xs, xhats)
 
     def test_sequence_cap(self):
         with pytest.raises(ValidationError):
@@ -197,21 +199,46 @@ class TestSBoundedPartitions:
         assert not partition_is_clique_cover(s_bound_partition(2, 3, 2), graph)
 
     def test_minimum_matches_exact_solver(self):
+        # solve_exact is the code under test, so the reference is the
+        # exhaustive set-partition oracle on an independently built graph.
         for n in range(2, 11):
-            for k in range(1, 4):
-                if n ** k > 10:
+            for k in range(1, 5):
+                if n ** k > 27:
                     continue
                 for s in range(k + 1):
-                    brute = min_s_bounded_partition_size(n, k, s)
-                    graph = graph_from_fidelity_matrix(
-                        hamming_graph(n, k, s).astype(float), 0.5
-                    )
-                    assert brute == solve_exact(graph).num_blocks
-                    assert brute == n ** (k - s)
+                    minimum = min_s_bounded_partition_size(n, k, s, max_sequences=27)
+                    assert minimum == min_clique_cover_brute(hamming_graph(n, k, s))
+                    assert minimum == n ** (k - s)
+
+    def test_prefix_bound_is_not_minimal_at_a2_k5_s2(self):
+        # Seven blocks of Hamming diameter <= 2 cover all 32 binary words of
+        # length 5, one fewer than the conjectured 2 ** (5 - 2).
+        words = [
+            "00000,00001,00010,00011",
+            "00100,00101,00110,01100,10100",
+            "00111,01011,01101,01110,01111,11111",
+            "01000,10000,11000,11001,11010,11100",
+            "01001,10001,11011,11101",
+            "01010,10010,11110",
+            "10011,10101,10110,10111",
+        ]
+        cover = Partition(tuple(tuple(int(w, 2) for w in b.split(",")) for b in words))
+        graph = IndistinguishabilityGraph(hamming_graph(2, 5, 2))
+        assert partition_is_clique_cover(cover, graph)
+        assert cover.num_blocks == 7 < 2 ** (5 - 2)
 
     def test_minimum_cap(self):
         with pytest.raises(ValidationError):
             min_s_bounded_partition_size(2, 4, 1)
+        # The cap is checked before anything of 2**16 entries is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError):
+                min_s_bounded_partition_size(2, 16, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_conjecture_rows_binary(self):
         rows = conjecture_report(2, 3)

@@ -447,3 +447,23 @@ class TestCliMalformedInput:
         path = write_text(tmp_path, "ch.json", '{"type": "identity", "n": %s}' % ("9" * 5000))
         assert main(["compress", "--channel", path, "--epsilon", "0.2"]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+class TestCliArgumentChecks:
+    @pytest.mark.parametrize("argv, message", [
+        (["erasure", "--r", "2", "--eta", "0.5", "--max-differences", "-1"],
+         "--max-differences must be >= 0, got -1"),
+        (["quantum-compress"],
+         "quantum-compress needs either --kraus, or both --dim and --blocks"),
+        (["product", "--channel", "CHANNEL", "--xs", ",", "--xhats", "1"],
+         "expected a comma-separated list, got ','"),
+        (["gen-erasure", "--blocks", ";", "--etas", "0.9"],
+         "expected semicolon-separated blocks, got ';'"),
+        (["quantum-compress", "--dim", "4", "--blocks", ";"],
+         "expected semicolon-separated blocks, got ';'"),
+    ])
+    def test_argument_error_exits_2(self, tmp_path, capsys, argv, message):
+        path = write_json(tmp_path, "ch.json", {"type": "identity", "n": 2})
+        argv = [path if a == "CHANNEL" else a for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
