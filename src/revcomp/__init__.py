@@ -72,7 +72,6 @@ from .quantum import (
     embed_density,
     erasure_compressor_suite,
     erasure_output_fidelity,
-    hermitian_basis,
     make_coarse_graining,
     make_quantum_erasure,
     partial_trace_coarse_graining,

@@ -46,18 +46,18 @@ def _parse_float(raw: str, what: str) -> float:
         raise ValidationError(f"{what} must be a number, got {raw!r}") from None
 
 
-def _split_csv(raw: str) -> tuple[str, ...]:
+def _split_csv(raw: str, flag: str) -> tuple[str, ...]:
     items = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not items:
-        raise ValidationError(f"expected a comma-separated list, got {raw!r}")
+        raise ValidationError(f"{flag}: expected a comma-separated list, got {raw!r}")
     return items
 
 
-def _split_blocks(raw: str) -> tuple[tuple[str, ...], ...]:
+def _split_blocks(raw: str, flag: str) -> tuple[tuple[str, ...], ...]:
     groups = [g for g in raw.split(";") if g.strip()]
     if not groups:
-        raise ValidationError(f"expected semicolon-separated blocks, got {raw!r}")
-    return tuple(_split_csv(g) for g in groups)
+        raise ValidationError(f"{flag}: expected semicolon-separated blocks, got {raw!r}")
+    return tuple(_split_csv(g, flag) for g in groups)
 
 
 def _classical_channel(path: str) -> ClassicalChannel:
@@ -116,7 +116,7 @@ def _cmd_fidelity(args: argparse.Namespace):
 
 
 def _cmd_product(args: argparse.Namespace):
-    xs, xhats = _split_csv(args.xs), _split_csv(args.xhats)
+    xs, xhats = _split_csv(args.xs, "--xs"), _split_csv(args.xhats, "--xhats")
     channel = _classical_channel(args.channel)
     if len(xs) != len(xhats):
         raise ValidationError(
@@ -163,8 +163,8 @@ def _cmd_erasure(args: argparse.Namespace):
 
 
 def _cmd_gen_erasure(args: argparse.Namespace):
-    etas = [_parse_float(e, "--etas entry") for e in _split_csv(args.etas)]
-    label_blocks = _split_blocks(args.blocks)
+    etas = [_parse_float(e, "--etas entry") for e in _split_csv(args.etas, "--etas")]
+    label_blocks = _split_blocks(args.blocks, "--blocks")
     channel = make_generalized_erasure(label_blocks, etas)
     data = {
         "blocks": [list(b) for b in label_blocks],
@@ -216,12 +216,17 @@ def _cmd_asymptotic(args: argparse.Namespace):
 
 
 def _cmd_quantum_compress(args: argparse.Namespace):
-    if (args.kraus is None) == (args.dim is None or args.blocks is None):
+    if args.kraus is not None:
+        for flag, value in (("--dim", args.dim), ("--blocks", args.blocks)):
+            if value is not None:
+                raise ValidationError(f"quantum-compress takes --kraus alone, not with {flag}")
+    elif args.dim is None or args.blocks is None:
         raise ValidationError(
             "quantum-compress needs either --kraus, or both --dim and --blocks"
         )
     blocks = None if args.blocks is None else tuple(
-        tuple(_parse_int(i, "--blocks entry") for i in b) for b in _split_blocks(args.blocks))
+        tuple(_parse_int(i, "--blocks entry") for i in b)
+        for b in _split_blocks(args.blocks, "--blocks"))
     if args.kraus is not None:
         channel = io.parse_kraus_file(args.kraus)
         kernel_dim, _ = quantum.vector_kernel(channel)

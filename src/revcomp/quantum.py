@@ -26,6 +26,42 @@ EIG_CLAMP = 1e-12
 KERNEL_TOL = 1e-9
 
 
+# Probes are pushed through the channels this many at a time, which bounds
+# the scratch memory of the probe loop whatever the probe count.
+PROBE_CHUNK = 128
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _checked_states(m: np.ndarray) -> np.ndarray:
+    """Validate a ``(P, d, d)`` stack of density matrices.
+
+    Each must be finite, Hermitian, positive semidefinite and of unit trace
+    within the module tolerances; the first violation found is raised.
+    Returns the stack symmetrized and trace normalized.
+    """
+    finite = np.isfinite(m)
+    if not finite.all():
+        p, i, j = (int(v) for v in np.argwhere(~finite)[0])
+        raise ValidationError(f"density matrix entry ({i}, {j}) is {complex(m[p, i, j])!r}, "
+                              "not a finite number")
+    adj = _adjoint(m)
+    herm_dev = float(np.max(np.abs(m - adj)))
+    if herm_dev > HERMITIAN_TOL:
+        raise ValidationError(f"density matrix deviates from Hermitian by {herm_dev:.3e}")
+    m = (m + adj) / 2.0
+    low = float(np.min(np.linalg.eigvalsh(m)[:, 0]))
+    if low < -PSD_TOL:
+        raise ValidationError(f"density matrix has negative eigenvalue {low:.3e}")
+    traces = np.real(np.trace(m, axis1=1, axis2=2))
+    worst = float(traces[np.argmax(np.abs(traces - 1.0))])
+    if abs(worst - 1.0) > TRACE_TOL:
+        raise ValidationError(f"density matrix has trace {worst!r}, outside {TRACE_TOL} of 1")
+    return m / traces[:, None, None]
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace complex matrix.
@@ -40,21 +76,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            i, j = (int(v) for v in np.argwhere(~np.isfinite(m))[0])
-            raise ValidationError(f"density matrix entry ({i}, {j}) is {complex(m[i, j])!r}, "
-                                  "not a finite number")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > HERMITIAN_TOL:
-            raise ValidationError(f"density matrix deviates from Hermitian by {herm_dev:.3e}")
-        m = (m + m.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(m)
-        if float(eigs[0]) < -PSD_TOL:
-            raise ValidationError(f"density matrix has negative eigenvalue {float(eigs[0]):.3e}")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density matrix has trace {tr!r}, outside {TRACE_TOL} of 1")
-        m = m / tr
+        m = _checked_states(m[None])[0]
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -143,31 +165,66 @@ class KrausChannel:
             raise DimensionMismatchError(
                 f"operator shape {m.shape} does not match channel input dimension {self.in_dim}"
             )
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ m @ k.conj().T
-        return out
+        return _apply_kraus(self, m[None])[0]
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state; the output is revalidated as a density matrix."""
         return DensityMatrix(self.apply_matrix(rho.matrix))
 
 
+def _apply_kraus(channel: KrausChannel, states: np.ndarray) -> np.ndarray:
+    """Channel outputs of a stack of ``(P, d, d)`` operators or of ``(P, d)``
+    pure vectors, as a ``(P, out_dim, out_dim)`` stack.
+
+    A vector ``v`` stands for the operator ``v v^dagger``; its output is
+    ``sum_i (K_i v)(K_i v)^dagger``, formed as one batched product per group
+    of at most ``out_dim`` Kraus operators.  Operators are taken one Kraus
+    operator at a time.  Either way the scratch memory does not grow with
+    the number of Kraus operators.
+    """
+    count, dim = states.shape[0], channel.out_dim
+    out = np.zeros((count, dim, dim), dtype=complex)
+    if states.ndim == 3:
+        for k in channel.kraus:
+            out += k @ states @ k.conj().T
+        return out
+    for start in range(0, len(channel.kraus), dim):
+        group = np.stack(channel.kraus[start:start + dim])
+        kv = (states @ group.reshape(-1, channel.in_dim).T).reshape(count, len(group), dim)
+        out += kv.swapaxes(1, 2) @ kv.conj()
+    return out
+
+
 def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
-    """Channel applying ``first`` and feeding its output into ``then``."""
+    """Channel applying ``first`` and feeding its output into ``then``.
+
+    Kraus products that are exactly zero are left out: they add exactly
+    zero to every output and to the completeness sum.
+    """
     if then.in_dim != first.out_dim:
         raise DimensionMismatchError(
             f"cannot compose: first output dimension {first.out_dim} "
             f"differs from second input dimension {then.in_dim}"
         )
-    return KrausChannel(tuple(b @ a for b in then.kraus for a in first.kraus))
+    products = (b @ a for b in then.kraus for a in first.kraus)
+    return KrausChannel(tuple(k for k in products if k.any()))
 
 
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Matrix square root via Hermitian eigendecomposition with clamping."""
-    w, v = np.linalg.eigh(m)
+def _fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Fidelities of two ``(P, d, d)`` stacks of validated states, pair by pair.
+
+    The squared trace of the square root of ``sqrt(rho) sigma sqrt(rho)``,
+    with eigenvalues below ``EIG_CLAMP`` treated as zero in both square roots
+    and each result clamped to at most 1.
+    """
+    w, v = np.linalg.eigh(rho)
     w = np.where(w < EIG_CLAMP, 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
+    s = (v * np.sqrt(w)[:, None, :]) @ _adjoint(v)
+    inner = s @ sigma @ s
+    w = np.linalg.eigvalsh((inner + _adjoint(inner)) / 2.0)
+    w = np.where(w < EIG_CLAMP, 0.0, w)
+    val = np.sum(np.sqrt(w), axis=1)
+    return np.minimum(1.0, val * val)
 
 
 def quantum_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -181,49 +238,23 @@ def quantum_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimensionMismatchError(
             f"states have different dimensions {rho.dim} and {sigma.dim}"
         )
-    s = _sqrt_psd(rho.matrix)
-    inner = s @ sigma.matrix @ s
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    w = np.where(w < EIG_CLAMP, 0.0, w)
-    val = float(np.sum(np.sqrt(w)))
-    return min(1.0, val * val)
-
-
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of the operators on a ``dim`` space."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
-    basis = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = inv_sqrt2
-            e[j, i] = inv_sqrt2
-            basis.append(e)
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1j * inv_sqrt2
-            e[j, i] = -1j * inv_sqrt2
-            basis.append(e)
-    return basis
+    return float(_fidelities(rho.matrix[None], sigma.matrix[None])[0])
 
 
 def vector_kernel(channel: KrausChannel) -> tuple[int, np.ndarray]:
     """Common null space of the channel's outputs, in the output space.
 
-    A vector is in the kernel when every output state annihilates it;
-    by linearity it is enough to check the images of a Hermitian operator
-    basis of the input space.  The images are stacked and the null space
-    extracted by SVD with singular-value threshold ``KERNEL_TOL``.
+    A vector ``v`` is annihilated by every output exactly when every Kraus
+    adjoint kills it: ``v^dagger Phi(I) v`` is the sum of the squared norms
+    of ``K_i^dagger v``, and ``Phi(rho) v`` is zero for all ``rho`` once
+    each ``K_i^dagger v`` is.  The adjoints are stacked and the null space
+    extracted by SVD with singular-value threshold ``KERNEL_TOL``; the SVD
+    is taken of the triangular QR factor of the stack, which has the same
+    singular values and right singular vectors but at most ``out_dim`` rows.
     Returns the kernel dimension and an orthonormal basis as columns.
     """
-    images = [channel.apply_matrix(b) for b in hermitian_basis(channel.in_dim)]
-    stacked = np.vstack(images)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    stacked = np.vstack([k.conj().T for k in channel.kraus])
+    _, svals, vh = np.linalg.svd(np.linalg.qr(stacked, mode="r"), full_matrices=True)
     rank = int(np.sum(svals > KERNEL_TOL))
     kernel = vh[rank:].conj().T
     return kernel.shape[1], kernel
@@ -361,10 +392,17 @@ def erasure_output_fidelity(eta: float, input_fidelity: float) -> float:
 # randomized probes and the erasure compressibility criterion
 # ---------------------------------------------------------------------------
 
+def _random_pure_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``(count, dim)`` normalized vectors; each draws its real parts, then
+    its imaginary parts, from ``rng``."""
+    g = rng.normal(size=(count, 2, dim))
+    v = g[:, 0] + 1j * g[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Normalized state vector, unitarily invariant in distribution."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    return _random_pure_states(1, dim, rng)[0]
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -385,23 +423,25 @@ def random_kraus_channel(in_dim: int, out_dim: int, num_ops: int,
     return KrausChannel(tuple(q[i * out_dim:(i + 1) * out_dim] for i in range(num_ops)))
 
 
+def _probe_vectors(dim: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit vectors of the probe family, one per row, in probe order."""
+    i, j = np.triu_indices(dim, 1)
+    pairs = np.zeros((len(i), 4, dim), dtype=complex)
+    rows = np.arange(len(i))
+    pairs[rows, :, i] = 1.0
+    pairs[rows, :, j] = (1.0, -1.0, 1j, -1j)
+    pairs = pairs.reshape(-1, dim) / np.sqrt(2.0)
+    return np.concatenate([np.eye(dim, dtype=complex), pairs,
+                           _random_pure_states(n_random, dim, rng)])
+
+
 def probe_states(dim: int, n_random: int, rng: np.random.Generator) -> list[DensityMatrix]:
     """Deterministic probe family plus seeded random pure states.
 
     Basis states, the four standard two-level superpositions of every
     basis pair, then ``n_random`` random pure states.
     """
-    probes = [DensityMatrix.basis_state(dim, i) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for amp in (1.0, -1.0, 1j, -1j):
-                v = np.zeros(dim, dtype=complex)
-                v[i] = 1.0
-                v[j] = amp
-                probes.append(DensityMatrix.pure(v))
-    for _ in range(n_random):
-        probes.append(DensityMatrix.pure(random_pure_state(dim, rng)))
-    return probes
+    return [DensityMatrix.pure(v) for v in _probe_vectors(dim, n_random, rng)]
 
 
 @dataclass(frozen=True)
@@ -424,23 +464,25 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
 
     The probe family is the deterministic set from :func:`probe_states`
     plus ``n_random`` seeded random pure states, so identical arguments
-    reproduce identical results.
+    reproduce identical results.  Probes go through the channels
+    ``PROBE_CHUNK`` at a time; every probe and every output is validated
+    as a density matrix.  The witness is the first probe, in probe order,
+    that attains the minimum.
     """
     if a.in_dim != b.in_dim or a.out_dim != b.out_dim:
         raise DimensionMismatchError(
             f"channels have different shapes ({a.in_dim}->{a.out_dim} vs {b.in_dim}->{b.out_dim})"
         )
-    rng = np.random.default_rng(seed)
-    probes = probe_states(a.in_dim, n_random, rng)
-    best = 2.0
-    witness = probes[0]
-    for p in probes:
-        f = quantum_fidelity(a.apply(p), b.apply(p))
-        if f < best:
-            best = f
-            witness = p
-    return ProbeResult(min_fidelity=best, witness=witness,
-                       probe_count=len(probes), seed=seed)
+    vectors = _probe_vectors(a.in_dim, n_random, np.random.default_rng(seed))
+    fids = np.empty(len(vectors))
+    for start in range(0, len(vectors), PROBE_CHUNK):
+        v = vectors[start:start + PROBE_CHUNK]
+        _checked_states(v[:, :, None] * v[:, None, :].conj())
+        fids[start:start + len(v)] = _fidelities(_checked_states(_apply_kraus(a, v)),
+                                                 _checked_states(_apply_kraus(b, v)))
+    best = int(np.argmin(fids))
+    return ProbeResult(min_fidelity=float(fids[best]), witness=DensityMatrix.pure(vectors[best]),
+                       probe_count=len(vectors), seed=seed)
 
 
 def erasure_compressor_suite(dim: int) -> list[CoarseGraining]:

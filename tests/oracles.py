@@ -2,7 +2,8 @@
 
 Deliberately written with different algorithms than the library: scalar
 loops instead of vectorized kernels, exhaustive enumeration instead of
-branch and bound, Kraus adjoints instead of operator-basis images.
+branch and bound, operator-basis images instead of Kraus adjoints, and one
+probe at a time with SVD nuclear norms instead of stacked eigendecompositions.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from revcomp import Alphabet, ClassicalChannel
+from revcomp import Alphabet, ClassicalChannel, probe_states
 
 
 def plain_fidelity(p, q) -> float:
@@ -102,17 +103,65 @@ def min_clique_cover_brute(adjacency) -> int:
     return best
 
 
-def kernel_via_kraus_adjoints(channel) -> tuple[int, np.ndarray]:
-    """Kernel as the common null space of the Kraus adjoints.
+def hermitian_basis(dim: int) -> list[np.ndarray]:
+    """Orthonormal Hermitian basis of the operators on a ``dim`` space."""
+    basis = []
+    for i in range(dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = inv_sqrt2
+            e[j, i] = inv_sqrt2
+            basis.append(e)
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = 1j * inv_sqrt2
+            e[j, i] = -1j * inv_sqrt2
+            basis.append(e)
+    return basis
 
-    A vector is annihilated by every channel output exactly when every
-    Kraus operator's adjoint kills it, which needs no operator basis.
+
+def kraus_sum(channel, m: np.ndarray) -> np.ndarray:
+    """Channel image of one operator, one Kraus term at a time."""
+    out = np.zeros((channel.out_dim, channel.out_dim), dtype=complex)
+    for k in channel.kraus:
+        out += k @ m @ k.conj().T
+    return out
+
+
+def kernel_via_operator_images(channel) -> tuple[int, np.ndarray]:
+    """Kernel as the common null space of the images of an operator basis.
+
+    A vector is annihilated by every channel output exactly when it is
+    annihilated by the image of every Hermitian basis operator, by
+    linearity; the images are stacked and the null space taken by SVD.
     """
-    stacked = np.vstack([k.conj().T for k in channel.kraus])
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=True)
+    stacked = np.vstack([kraus_sum(channel, b) for b in hermitian_basis(channel.in_dim)])
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(svals > 1e-9))
     basis = vh[rank:].conj().T
     return basis.shape[1], basis
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w = np.where(w < 1e-12, 0.0, w)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def jozsa_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Squared nuclear norm of ``sqrt(rho) sqrt(sigma)``, by SVD, clamped to 1."""
+    nuclear = float(np.sum(np.linalg.svd(_sqrt_psd(rho) @ _sqrt_psd(sigma), compute_uv=False)))
+    return min(1.0, nuclear * nuclear)
+
+
+def probe_fidelities(a, b, n_random: int, seed: int) -> list[float]:
+    """Output fidelity of the two channels on every probe, one probe at a time."""
+    probes = probe_states(a.in_dim, n_random, np.random.default_rng(seed))
+    return [jozsa_fidelity(kraus_sum(a, p.matrix), kraus_sum(b, p.matrix)) for p in probes]
 
 
 def random_channel(rng: np.random.Generator, n_in: int, n_out: int) -> ClassicalChannel:

@@ -456,14 +456,26 @@ class TestCliArgumentChecks:
         (["quantum-compress"],
          "quantum-compress needs either --kraus, or both --dim and --blocks"),
         (["product", "--channel", "CHANNEL", "--xs", ",", "--xhats", "1"],
-         "expected a comma-separated list, got ','"),
+         "--xs: expected a comma-separated list, got ','"),
         (["gen-erasure", "--blocks", ";", "--etas", "0.9"],
-         "expected semicolon-separated blocks, got ';'"),
+         "--blocks: expected semicolon-separated blocks, got ';'"),
         (["quantum-compress", "--dim", "4", "--blocks", ";"],
-         "expected semicolon-separated blocks, got ';'"),
+         "--blocks: expected semicolon-separated blocks, got ';'"),
+        (["product", "--channel", "CHANNEL", "--xs", "1", "--xhats", " , "],
+         "--xhats: expected a comma-separated list, got ' , '"),
+        (["gen-erasure", "--blocks", "1;2", "--etas", ","],
+         "--etas: expected a comma-separated list, got ','"),
+        (["gen-erasure", "--blocks", "1;,", "--etas", "0.9"],
+         "--blocks: expected a comma-separated list, got ','"),
+        (["quantum-compress", "--kraus", "KRAUS", "--blocks", "0,1"],
+         "quantum-compress takes --kraus alone, not with --blocks"),
+        (["quantum-compress", "--kraus", "KRAUS", "--dim", "2"],
+         "quantum-compress takes --kraus alone, not with --dim"),
     ])
     def test_argument_error_exits_2(self, tmp_path, capsys, argv, message):
-        path = write_json(tmp_path, "ch.json", {"type": "identity", "n": 2})
-        argv = [path if a == "CHANNEL" else a for a in argv]
+        files = {"CHANNEL": write_json(tmp_path, "ch.json", {"type": "identity", "n": 2}),
+                 "KRAUS": write_json(tmp_path, "q.json",
+                                     io.kraus_to_data(make_quantum_erasure(2, 0.5)))}
+        argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

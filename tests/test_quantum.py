@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from revcomp import (
     erasure_compressor_suite,
     erasure_output_fidelity,
     fidelity,
-    hermitian_basis,
     make_coarse_graining,
     make_quantum_erasure,
     partial_trace_coarse_graining,
@@ -30,7 +31,14 @@ from revcomp import (
     verify_erasure_theorem,
 )
 
-from oracles import kernel_via_kraus_adjoints, plain_fidelity
+from oracles import (
+    hermitian_basis,
+    jozsa_fidelity,
+    kernel_via_operator_images,
+    kraus_sum,
+    plain_fidelity,
+    probe_fidelities,
+)
 
 
 class TestDensityMatrix:
@@ -192,7 +200,7 @@ class TestHermitianBasis:
 
 
 class TestVectorKernel:
-    def test_matches_kraus_adjoint_route(self):
+    def test_matches_operator_image_oracle(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
             in_dim = int(rng.integers(2, 7))
@@ -202,7 +210,7 @@ class TestVectorKernel:
                 continue
             ch = random_kraus_channel(in_dim, out_dim, num, rng)
             dim_a, basis_a = vector_kernel(ch)
-            dim_b, basis_b = kernel_via_kraus_adjoints(ch)
+            dim_b, basis_b = kernel_via_operator_images(ch)
             assert dim_a == dim_b
             if dim_a:
                 pa = basis_a @ basis_a.conj().T
@@ -381,6 +389,32 @@ class TestProbes:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             channel_indistinguishability(make_quantum_erasure(2, 0.5), make_quantum_erasure(3, 0.5))
+
+    def test_matches_per_probe_oracle(self):
+        rng = np.random.default_rng(42)
+        for case in range(25):
+            in_dim = int(rng.integers(2, 7))
+            out_dim = int(rng.integers(2, 7))
+            nums = [int(rng.integers(-(-in_dim // out_dim), 5)) for _ in range(2)]
+            a, b = (random_kraus_channel(in_dim, out_dim, n, rng) for n in nums)
+            n_random = int(rng.integers(0, 301))
+            result = channel_indistinguishability(a, b, n_random=n_random, seed=case)
+            want = probe_fidelities(a, b, n_random, case)
+            assert result.probe_count == in_dim + 2 * in_dim * (in_dim - 1) + n_random
+            assert len(want) == result.probe_count
+            assert result.min_fidelity == pytest.approx(min(want), abs=1e-9)
+            w = result.witness.matrix
+            assert jozsa_fidelity(kraus_sum(a, w), kraus_sum(b, w)) == pytest.approx(
+                result.min_fidelity, abs=1e-9)
+
+    def test_probe_loop_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            verify_erasure_theorem(16, 0.9, 0.3, n_random=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestErasureCriterion:
