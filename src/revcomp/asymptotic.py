@@ -35,9 +35,12 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int,
                             max_sequences: int = DEFAULT_GRAPH_CAP) -> np.ndarray:
     """Pairwise reverse fidelities of all length-``k`` input sequences.
 
-    Multiplies in one per-letter factor at a time in letter order, as a
-    Kronecker product with the letter matrix, so each entry matches the
-    letterwise product computed sequence by sequence.
+    Multiplies in one per-letter factor at a time in letter order, so each
+    entry matches the letterwise product computed sequence by sequence.
+    Each step is the Kronecker product with the letter matrix, written as
+    one scalar multiply per letter pair ``(a, b)`` into the ``[:, a, :, b]``
+    slice of an ``(m, n, m, n)`` buffer: with ``n`` of 2-4 this is several
+    times faster than ``np.kron``'s broadcast, and the products are the same.
     """
     if k < 1:
         raise ValidationError(f"sequence length must be >= 1, got {k}")
@@ -50,7 +53,12 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int,
     base = reverse_fidelity_matrix(channel)
     fid = np.ones((1, 1))
     for _ in range(k):
-        fid = np.kron(fid, base)
+        m = fid.shape[0]
+        out = np.empty((m, n, m, n))
+        for a in range(n):
+            for b in range(n):
+                np.multiply(fid, base[a, b], out=out[:, a, :, b])
+        fid = out.reshape(m * n, m * n)
     return fid
 
 

@@ -7,6 +7,7 @@ seed give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -228,11 +229,11 @@ def _cmd_quantum_compress(args: argparse.Namespace):
         tuple(_parse_int(i, "--blocks entry") for i in b)
         for b in _split_blocks(args.blocks, "--blocks"))
     if args.kraus is not None:
-        channel = io.parse_kraus_file(args.kraus)
-        kernel_dim, _ = quantum.vector_kernel(channel)
-        gamma = quantum.quantum_compressibility(channel, channel.in_dim)
+        graining = quantum.CoarseGraining.of(io.parse_kraus_file(args.kraus))
+        channel = graining.channel
+        gamma = quantum.quantum_compressibility(graining, channel.in_dim)
         data = {"in_dim": channel.in_dim, "out_dim": channel.out_dim,
-                "kernel_dim": kernel_dim, "compressibility": gamma}
+                "kernel_dim": graining.kernel_dim, "compressibility": gamma}
         return data, _kv_table(list(data.items()))
     part = partition.Partition(blocks)
     graining = quantum.make_coarse_graining(part, args.dim, embed_dim=args.dim)
@@ -290,7 +291,9 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="revcomp",
         description="Reverse compression of classical and quantum channels.",

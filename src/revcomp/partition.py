@@ -41,6 +41,21 @@ def default_exact_cap() -> int:
     return cap
 
 
+# Side of the square tiles in which the symmetry check compares a matrix with
+# its transpose; a whole-matrix transposed comparison strides through memory.
+SYMMETRY_TILE = 256
+
+
+def _is_symmetric(adj: np.ndarray) -> bool:
+    """``adj == adj.T``, compared one tile pair at a time."""
+    n = adj.shape[0]
+    t = SYMMETRY_TILE
+    return all(
+        np.array_equal(adj[i:i + t, j:j + t], adj[j:j + t, i:i + t].T)
+        for i in range(0, n, t) for j in range(i, n, t)
+    )
+
+
 @dataclass(frozen=True)
 class IndistinguishabilityGraph:
     """Undirected reflexive graph on input indices.
@@ -53,12 +68,18 @@ class IndistinguishabilityGraph:
     epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        adj = np.asarray(self.adjacency, dtype=bool)
+        adj = np.asarray(self.adjacency)
+        if adj.dtype != bool:
+            binary = (adj == 0) | (adj == 1)
+            if not np.all(binary):
+                raise ValidationError(
+                    f"adjacency entries must be 0 or 1, got {adj[~binary][:1].tolist()[0]!r}")
+            adj = adj.astype(bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValidationError(f"adjacency must be square, got shape {adj.shape}")
         if adj.shape[0] == 0:
             raise ValidationError("graph must have at least one vertex")
-        if not np.array_equal(adj, adj.T):
+        if not _is_symmetric(adj):
             raise ValidationError("adjacency must be symmetric")
         if not np.all(np.diag(adj)):
             raise ValidationError("adjacency must be reflexive (unit diagonal)")
@@ -73,10 +94,14 @@ class IndistinguishabilityGraph:
     def are_adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i, j])
 
-    def _masks(self) -> list[int]:
+    def _masks(self, order: Sequence[int] | None = None) -> list[int]:
         """Adjacency as bitmasks, self-loops removed: bit ``j`` of mask ``i``
-        is set when ``i != j`` are adjacent."""
-        adj = self.adjacency.copy()
+        is set when ``i != j`` are adjacent.  With ``order``, of the graph
+        relabeled so that its vertex ``i`` is vertex ``order[i]`` here."""
+        if order is None:
+            adj = self.adjacency.copy()
+        else:
+            adj = self.adjacency[np.ix_(order, order)]
         np.fill_diagonal(adj, False)
         packed = np.packbits(adj, axis=1, bitorder="little")
         return [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -194,20 +219,31 @@ def _max_clique_size(masks: list[int], n: int) -> int:
     return best
 
 
-def _greedy_coloring(masks: list[int], order: Sequence[int]) -> list[int]:
-    """First-fit coloring along a fixed vertex order."""
-    assign = [-1] * len(masks)
-    color_members: list[int] = []
-    for v in order:
-        for c, members in enumerate(color_members):
-            if not (members & masks[v]):
-                assign[v] = c
-                color_members[c] |= 1 << v
-                break
-        else:
-            assign[v] = len(color_members)
-            color_members.append(1 << v)
-    return assign
+def _first_fit(masks: list[int]) -> list[list[int]]:
+    """First-fit clique cover in label order, built one block at a time.
+
+    ``masks`` are adjacency bitmasks without self-loops.  A block starts at
+    the lowest uncovered vertex and takes, in label order, every uncovered
+    vertex adjacent to all members so far: ``cand`` holds exactly those
+    vertices.  This is the partition of the vertex-major first fit (each
+    vertex joins the first block it is adjacent to in full), by induction
+    over the blocks: a vertex joins block ``c`` iff it misses blocks
+    ``0..c-1`` and is adjacent to every earlier member of ``c``.  It costs
+    O(n + blocks) big-integer steps instead of O(n * blocks).  Returns the
+    members of each block, ascending, blocks in order of their first member.
+    """
+    blocks = []
+    remaining = (1 << len(masks)) - 1
+    while remaining:
+        members = []
+        cand = remaining
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            members.append(v)
+            remaining ^= 1 << v
+            cand &= masks[v]
+        blocks.append(members)
+    return blocks
 
 
 def _complement_masks(graph: IndistinguishabilityGraph) -> list[int]:
@@ -246,7 +282,11 @@ def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Par
     comp_masks = _complement_masks(graph)
     order = sorted(range(n), key=lambda v: (-comp_masks[v].bit_count(), v))
 
-    best_assign = _greedy_coloring(comp_masks, order)
+    # First fit along ``order`` is first fit in label order on the relabeled graph.
+    best_assign = [-1] * n
+    for c, members in enumerate(_first_fit(graph._masks(order))):
+        for i in members:
+            best_assign[order[i]] = c
     best_count = max(best_assign) + 1
     lower = _max_clique_size(comp_masks, n)
 
@@ -286,10 +326,10 @@ def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
     """First-fit clique cover: linear-time upper bound, not optimal.
 
     Vertices are scanned in label order; each joins the first block it is
-    adjacent to in full, otherwise it opens a new block.
+    adjacent to in full, otherwise it opens a new block.  The blocks are
+    built one at a time by :func:`_first_fit`.
     """
-    return _partition_from_colors(
-        _greedy_coloring(_complement_masks(graph), range(graph.size)))
+    return Partition(tuple(tuple(b) for b in _first_fit(graph._masks())))
 
 
 def _cover(graph: IndistinguishabilityGraph, solver: str,

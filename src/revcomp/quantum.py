@@ -265,13 +265,22 @@ class CoarseGraining:
     """A compressor channel with its classical origin, if it has one.
 
     ``partition`` is the source partition for block coarse grainings and
-    ``None`` for general compressors.  ``kernel_dim`` caches the computed
-    vectorial-kernel dimension.
+    ``None`` for general compressors.  ``kernel`` holds the vectorial kernel
+    of the channel as orthonormal columns, computed once by :meth:`of`.
     """
 
     channel: KrausChannel
     partition: Partition | None
-    kernel_dim: int
+    kernel: np.ndarray
+
+    @classmethod
+    def of(cls, channel: KrausChannel, partition: Partition | None = None) -> "CoarseGraining":
+        """Wrap a compressor channel together with its kernel."""
+        return cls(channel, partition, vector_kernel(channel)[1])
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.kernel.shape[1]
 
     @property
     def kind(self) -> str:
@@ -303,7 +312,7 @@ def make_coarse_graining(partition: Partition, in_dim: int,
             k[z, x] = 1.0
             ops.append(k)
     channel = KrausChannel(tuple(ops))
-    return CoarseGraining(channel, partition, vector_kernel(channel)[0])
+    return CoarseGraining.of(channel, partition)
 
 
 def partial_trace_coarse_graining(dim_z: int, dim_w: int) -> CoarseGraining:
@@ -322,7 +331,7 @@ def partial_trace_coarse_graining(dim_z: int, dim_w: int) -> CoarseGraining:
         ops.append(np.kron(eye, bra))
     channel = KrausChannel(tuple(ops))
     blocks = tuple(tuple(z * dim_w + w for w in range(dim_w)) for z in range(dim_z))
-    return CoarseGraining(channel, Partition(blocks), vector_kernel(channel)[0])
+    return CoarseGraining.of(channel, Partition(blocks))
 
 
 def embed_density(rho: DensityMatrix, dim: int) -> DensityMatrix:
@@ -507,7 +516,7 @@ def erasure_compressor_suite(dim: int) -> list[CoarseGraining]:
     reset = np.zeros((dim, dim), dtype=complex)
     reset[0, dim - 1] = 1.0
     general = KrausChannel((project, reset))
-    suite.append(CoarseGraining(general, None, vector_kernel(general)[0]))
+    suite.append(CoarseGraining.of(general))
     return suite
 
 
@@ -568,8 +577,7 @@ def verify_erasure_theorem(dim: int, eta: float, epsilon: float,
     worst = 2.0
     witness = None
     for comp in erasure_compressor_suite(dim):
-        _, kernel = vector_kernel(comp.channel)
-        state = DensityMatrix.pure(kernel[:, 0])
+        state = DensityMatrix.pure(comp.kernel[:, 0])
         measured = quantum_fidelity(erasure.apply(state),
                                     erasure.apply(comp.channel.apply(state)))
         rejections.append(CompressorRejection(kind=comp.kind, kernel_dim=comp.kernel_dim,

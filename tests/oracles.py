@@ -2,8 +2,10 @@
 
 Deliberately written with different algorithms than the library: scalar
 loops instead of vectorized kernels, exhaustive enumeration instead of
-branch and bound, operator-basis images instead of Kraus adjoints, and one
-probe at a time with SVD nuclear norms instead of stacked eigendecompositions.
+branch and bound, vertex-major first fit instead of one block at a time,
+Kronecker powers instead of per-letter-pair multiplies, operator-basis
+images instead of Kraus adjoints, and one probe at a time with SVD nuclear
+norms instead of stacked eigendecompositions.
 """
 from __future__ import annotations
 
@@ -56,6 +58,44 @@ def adjacency_bitmasks(adjacency) -> list[int]:
                 m |= 1 << j
         masks.append(m)
     return masks
+
+
+def greedy_coloring(masks: list[int], order) -> list[int]:
+    """Vertex-major first fit: each vertex in ``order`` takes the first color
+    class it has no complement edge to, otherwise it opens a new class."""
+    assign = [-1] * len(masks)
+    color_members: list[int] = []
+    for v in order:
+        for c, members in enumerate(color_members):
+            if not (members & masks[v]):
+                assign[v] = c
+                color_members[c] |= 1 << v
+                break
+        else:
+            assign[v] = len(color_members)
+            color_members.append(1 << v)
+    return assign
+
+
+def first_fit_label_order(adjacency) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the first-fit clique cover in label order, vertex by vertex,
+    as coloring of the complement; blocks ordered by their first member."""
+    adj = np.asarray(adjacency, dtype=bool)
+    n = adj.shape[0]
+    full = (1 << n) - 1
+    comp = [full & ~(m | (1 << v)) for v, m in enumerate(adjacency_bitmasks(adj))]
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(greedy_coloring(comp, range(n))):
+        groups.setdefault(c, []).append(v)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def kron_chain(base: np.ndarray, k: int) -> np.ndarray:
+    """``k``-fold Kronecker power of a letter matrix, from a 1x1 one, left to right."""
+    fid = np.ones((1, 1))
+    for _ in range(k):
+        fid = np.kron(fid, base)
+    return fid
 
 
 def product_partition(letter_blocks, alphabet_size: int, k: int) -> list[tuple[int, ...]]:

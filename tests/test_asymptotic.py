@@ -31,9 +31,9 @@ from revcomp import (
     reverse_fidelity_matrix,
     s_bound_partition,
 )
-from revcomp.asymptotic import _observed_trend
+from revcomp.asymptotic import DEFAULT_GRAPH_CAP, _observed_trend
 
-from oracles import min_clique_cover_brute, product_partition, random_channel
+from oracles import kron_chain, min_clique_cover_brute, product_partition, random_channel
 
 
 def hamming_graph(n, k, s):
@@ -63,6 +63,19 @@ class TestProductFidelityMatrix:
     def test_sequence_cap(self):
         with pytest.raises(ValidationError):
             product_fidelity_matrix(make_identity(4), 10, max_sequences=100)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_kron_chain_bitwise(self, n):
+        rng = np.random.default_rng(21 + n)
+        for ch in (random_channel(rng, n, 4), make_identity(n)):
+            base = reverse_fidelity_matrix(ch)
+            k = 1
+            while n ** k <= DEFAULT_GRAPH_CAP and k <= 12:
+                got = product_fidelity_matrix(ch, k)
+                want = kron_chain(base, k)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                k += 1
 
 
 class TestGammaK:

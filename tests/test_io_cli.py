@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ from revcomp import (
     make_quantum_erasure,
     verify_erasure_theorem,
 )
-from revcomp import io
-from revcomp.cli import main
+from revcomp import io, quantum
+from revcomp.cli import _build_parser, main
 
 
 def write_json(tmp_path, name, data):
@@ -323,6 +327,20 @@ class TestCliQuantum:
         assert data == {"in_dim": 2, "out_dim": 3, "kernel_dim": 0,
                         "compressibility": 0.0}
 
+    def test_kraus_route_computes_one_kernel(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = quantum.vector_kernel
+
+        def counting(channel):
+            calls.append(channel)
+            return original(channel)
+
+        monkeypatch.setattr(quantum, "vector_kernel", counting)
+        path = write_json(tmp_path, "q.json", io.kraus_to_data(make_quantum_erasure(3, 1.0)))
+        assert main(["quantum-compress", "--kraus", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kernel_dim"] == 3
+        assert len(calls) == 1
+
     def test_needs_exactly_one_route(self, tmp_path, capsys):
         assert main(["quantum-compress", "--dim", "4"]) == 2
         path = write_json(tmp_path, "q.json", io.kraus_to_data(make_quantum_erasure(2, 0.5)))
@@ -479,3 +497,40 @@ class TestCliArgumentChecks:
         argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestCliInProcess:
+    """``main`` called repeatedly in one process, as the benchmark and library
+    callers do, behaves as separate runs of the command."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_main_matches_separate_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        channel = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 2, "eta": 0.9})
+        runs = [
+            ["compress", "--channel", channel, "--epsilon", "0.2", "--format", "json"],
+            ["erasure", "--r", "2"],
+            ["asymptotic", "--channel", channel, "--epsilon", "0.2", "--k-max", "3"],
+            ["quantum-compress", "--dim", "4"],
+            ["compress", "--channel", channel, "--epsilon", "0.2", "--format", "json"],
+        ]
+        in_process = []
+        for argv in runs:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+        separate = {}
+        for argv in map(tuple, runs):
+            if argv not in separate:
+                proc = subprocess.run([sys.executable, "-m", "revcomp.cli", *argv],
+                                      capture_output=True, text=True, env=env, timeout=60)
+                separate[argv] = (proc.returncode, proc.stdout, proc.stderr)
+        assert in_process == [separate[tuple(argv)] for argv in runs]
+        assert [code for code, _, _ in in_process] == [0, 2, 0, 2, 0]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from revcomp import (
     ExactSolverCapError,
@@ -27,7 +29,14 @@ from revcomp import (
 )
 from revcomp.channels import Distribution
 
-from oracles import min_clique_cover_brute, random_adjacency, random_channel
+from oracles import (
+    adjacency_bitmasks,
+    first_fit_label_order,
+    greedy_coloring,
+    min_clique_cover_brute,
+    random_adjacency,
+    random_channel,
+)
 
 
 def graph_from_edges(n, edges):
@@ -47,6 +56,33 @@ class TestGraph:
             IndistinguishabilityGraph(bad)
         with pytest.raises(ValidationError):
             IndistinguishabilityGraph(np.zeros((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("entries", [
+        [[1.0, 0.3], [0.3, 1.0]],
+        [[2, 0], [0, 5]],
+        [[1.0, float("nan")], [float("nan"), 1.0]],
+    ])
+    def test_entries_other_than_zero_or_one_rejected(self, entries):
+        with pytest.raises(ValidationError, match="must be 0 or 1"):
+            IndistinguishabilityGraph(entries)
+
+    def test_zero_one_numbers_accepted(self):
+        g = IndistinguishabilityGraph([[1, 0], [0, 1]])
+        assert g.adjacency.dtype == bool and not g.are_adjacent(0, 1)
+        assert IndistinguishabilityGraph(np.ones((3, 3))).are_adjacent(0, 2)
+
+    @pytest.mark.parametrize("n", [257, 513])
+    @pytest.mark.parametrize("where", [
+        (255, 256), (256, 255), (254, 255), (0, 256), (256, 0),
+        (0, -1), (-1, 0), (-2, -1), (-1, -2), (-1, 1), (1, -1),
+    ])
+    def test_asymmetry_on_tile_edges_rejected(self, n, where):
+        adj = random_adjacency(np.random.default_rng(n), n, 0.5)
+        IndistinguishabilityGraph(adj)
+        i, j = (w % n for w in where)
+        adj[i, j] = not adj[i, j]
+        with pytest.raises(ValidationError, match="symmetric"):
+            IndistinguishabilityGraph(adj)
 
     def test_threshold_rule(self):
         rng = np.random.default_rng(0)
@@ -142,6 +178,41 @@ class TestSolvers:
             greedy = solve_greedy(g)
             assert partition_is_clique_cover(greedy, g)
             assert greedy.num_blocks >= exact.num_blocks
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([1, 63, 64, 65, 256, 257]), st.integers(1, 600)),
+           p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, p=0.5, seed=0)
+    @example(n=63, p=0.0, seed=1)
+    @example(n=64, p=1.0, seed=2)
+    @example(n=65, p=0.9, seed=3)
+    @example(n=256, p=0.5, seed=4)
+    @example(n=257, p=0.97, seed=5)
+    def test_greedy_is_first_fit_in_label_order(self, n, p, seed):
+        adj = random_adjacency(np.random.default_rng(seed), n, p)
+        assert solve_greedy(IndistinguishabilityGraph(adj)).blocks == first_fit_label_order(adj)
+
+    def test_exact_starts_from_first_fit_in_search_order(self):
+        # When first fit along the search order (descending complement degree,
+        # ties by index) is already minimum, the search keeps that partition.
+        rng = np.random.default_rng(15)
+        checked = 0
+        for trial in range(150):
+            n = int(rng.integers(1, 9))
+            adj = random_adjacency(rng, n, float(rng.uniform(0.2, 0.8)))
+            full = (1 << n) - 1
+            comp = [full & ~(m | (1 << v)) for v, m in enumerate(adjacency_bitmasks(adj))]
+            order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
+            colors = greedy_coloring(comp, order)
+            if max(colors) + 1 != min_clique_cover_brute(adj):
+                continue
+            blocks = {}
+            for v, c in enumerate(colors):
+                blocks.setdefault(c, []).append(v)
+            expected = Partition(tuple(tuple(b) for b in blocks.values()))
+            assert solve_exact(IndistinguishabilityGraph(adj)).blocks == expected.blocks
+            checked += 1
+        assert checked >= 100
 
     def test_greedy_can_be_suboptimal(self):
         # first-fit merges 0 with 1 and then strands 2 and 3

@@ -31,6 +31,8 @@ from revcomp import (
     verify_erasure_theorem,
 )
 
+from revcomp import quantum
+
 from oracles import (
     hermitian_basis,
     jozsa_fidelity,
@@ -261,6 +263,14 @@ class TestCoarseGraining:
         assert pair.kernel_dim == 1
         assert quantum_compressibility(pair, 4) == 1 / 3
 
+    def test_kernel_is_kept_with_the_channel(self):
+        comp = make_coarse_graining(Partition(((0, 1, 2),)), 3, embed_dim=3)
+        dim, basis = vector_kernel(comp.channel)
+        assert comp.kernel_dim == dim == 2
+        assert np.array_equal(comp.kernel, basis)
+        general = CoarseGraining.of(make_quantum_erasure(2, 1.0))
+        assert general.kind == "general" and general.kernel_dim == 2
+
     def test_must_cover_input(self):
         with pytest.raises(ValidationError):
             make_coarse_graining(Partition(((0, 1),)), 3)
@@ -453,6 +463,18 @@ class TestErasureCriterion:
             assert rej.kernel_dim >= 1
             assert rej.witness_fidelity == pytest.approx(0.25, abs=1e-8)
         assert verdict.witness is not None
+
+    def test_rejecting_branch_computes_one_kernel_per_compressor(self, monkeypatch):
+        calls = []
+
+        def counting(channel):
+            calls.append(channel)
+            return vector_kernel(channel)
+
+        monkeypatch.setattr(quantum, "vector_kernel", counting)
+        verdict = verify_erasure_theorem(5, 0.5, 0.5)
+        assert len(verdict.rejections) == 4
+        assert len(calls) == 4
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
