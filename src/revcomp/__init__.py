@@ -24,7 +24,6 @@ from .channels import (
     Alphabet,
     ClassicalChannel,
     Distribution,
-    ProductChannel,
     compose,
     erasure_epsilon_threshold,
     erasure_max_mergeable_differences,

@@ -8,6 +8,7 @@ they say so in their method tags.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,12 +28,12 @@ from .partition import (
     solve_exact,
 )
 
-# Above this many sequences the pairwise product-fidelity matrix is not built.
+# Above this many sequences the pairwise product-fidelity matrix is not built,
+# whichever solver asks for it.
 DEFAULT_GRAPH_CAP = 2048
 
 
-def product_fidelity_matrix(channel: ClassicalChannel, k: int,
-                            max_sequences: int = DEFAULT_GRAPH_CAP) -> np.ndarray:
+def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     """Pairwise reverse fidelities of all length-``k`` input sequences.
 
     Multiplies in one per-letter factor at a time in letter order, so each
@@ -41,14 +42,15 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int,
     one scalar multiply per letter pair ``(a, b)`` into the ``[:, a, :, b]``
     slice of an ``(m, n, m, n)`` buffer: with ``n`` of 2-4 this is several
     times faster than ``np.kron``'s broadcast, and the products are the same.
+    Above ``DEFAULT_GRAPH_CAP`` sequences it raises before allocating.
     """
     if k < 1:
         raise ValidationError(f"sequence length must be >= 1, got {k}")
     n = channel.num_inputs
     total = n ** k
-    if total > max_sequences:
+    if total > DEFAULT_GRAPH_CAP:
         raise ValidationError(
-            f"{total} sequences exceed the pairwise-matrix cap {max_sequences}"
+            f"{total} sequences exceed the graph cap {DEFAULT_GRAPH_CAP} for k={k}"
         )
     base = reverse_fidelity_matrix(channel)
     fid = np.ones((1, 1))
@@ -82,15 +84,6 @@ class GammaKResult:
                 "blocks": self.block_count}
 
 
-def _kfold_product(value: float, k: int) -> float:
-    # Left to right from 1.0, the order in which product_fidelity_matrix
-    # multiplies its per-letter factors.
-    result = 1.0
-    for _ in range(k):
-        result *= value
-    return result
-
-
 def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: int,
                                  exact_cap: int | None = None) -> Partition:
     """Single-letter partition whose ``k``-fold product covers length-``k`` sequences.
@@ -114,7 +107,8 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     while True:
         single, _ = _cover(IndistinguishabilityGraph(fid >= threshold), "auto", exact_cap)
         worst = min(_block_certificates(single, fid))
-        if _kfold_product(worst, k) >= 1.0 - epsilon:
+        # Left to right from 1, as product_fidelity_matrix multiplies.
+        if math.prod([worst] * k) >= 1.0 - epsilon:
             return single
         threshold = float(np.nextafter(worst, 2.0))
 
@@ -128,39 +122,49 @@ def _closed_form_result(channel: ClassicalChannel, epsilon: float, k: int,
     return GammaKResult(k=k, block_count=blocks, gamma=gamma, method="closed_form")
 
 
-def gamma_k(channel: ClassicalChannel, epsilon: float, k: int, solver: str = "auto",
-            exact_cap: int | None = None, graph_cap: int = DEFAULT_GRAPH_CAP) -> GammaKResult:
-    """Compressibility of ``k`` independent uses of a channel.
-
-    ``solver="auto"`` picks the exact solver while the sequence count fits
-    the exact cap, first-fit on the materialized graph up to ``graph_cap``,
-    and the closed-form product construction beyond that.  Requesting
-    ``"exact"`` above the cap raises :class:`ExactSolverCapError`.
-    """
+def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver: str,
+                       exact_cap: int) -> bool:
+    """Check one :func:`gamma_k` row's arguments and caps; True for the closed form."""
     if solver not in ("auto", "exact", "greedy", "closed_form"):
         raise ValidationError(f"unknown solver {solver!r}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if exact_cap is None:
-        exact_cap = default_exact_cap()
     total = channel.num_inputs ** k
-
-    if solver == "closed_form" or (solver == "auto" and total > graph_cap):
-        return _closed_form_result(channel, epsilon, k, exact_cap)
+    if solver == "closed_form" or (solver == "auto" and total > DEFAULT_GRAPH_CAP):
+        return True
     if solver == "exact" and total > exact_cap:
         raise ExactSolverCapError(
             f"{total} sequences exceed the exact cap {exact_cap} for k={k}"
         )
-    if solver == "greedy" and total > graph_cap:
+    if total > DEFAULT_GRAPH_CAP:
         raise ValidationError(
-            f"{total} sequences exceed the graph cap {graph_cap} for the greedy solver"
+            f"{total} sequences exceed the graph cap {DEFAULT_GRAPH_CAP} for k={k}"
         )
-    fid = product_fidelity_matrix(channel, k, max_sequences=total)
+    return False
+
+
+def gamma_k(channel: ClassicalChannel, epsilon: float, k: int, solver: str = "auto",
+            exact_cap: int | None = None) -> GammaKResult:
+    """Compressibility of ``k`` independent uses of a channel.
+
+    ``solver="auto"`` picks the exact solver while the sequence count fits
+    the exact cap, first-fit on the materialized graph up to
+    ``DEFAULT_GRAPH_CAP``, and the closed-form product construction beyond
+    that.  Requesting ``"exact"`` above the exact cap raises
+    :class:`ExactSolverCapError`; requesting ``"exact"`` or ``"greedy"``
+    above the graph cap raises :class:`ValidationError`, whatever the
+    exact cap.
+    """
+    if exact_cap is None:
+        exact_cap = default_exact_cap()
+    if _closed_form_route(channel, epsilon, k, solver, exact_cap):
+        return _closed_form_result(channel, epsilon, k, exact_cap)
+    fid = product_fidelity_matrix(channel, k)
     part, optimal = _cover(graph_from_fidelity_matrix(fid, epsilon), solver, exact_cap)
     return GammaKResult(k=k, block_count=part.num_blocks,
-                        gamma=compressibility(total, part.num_blocks),
+                        gamma=compressibility(fid.shape[0], part.num_blocks),
                         method="exact" if optimal else "greedy_lower_bound")
 
 
@@ -191,16 +195,19 @@ def _observed_trend(gammas: Sequence[float]) -> str:
 
 
 def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
-                   solver: str = "auto", exact_cap: int | None = None,
-                   graph_cap: int = DEFAULT_GRAPH_CAP) -> AsymptoticSweep:
+                   solver: str = "auto", exact_cap: int | None = None) -> AsymptoticSweep:
     """Finite-k sweep of compressibility values for 1 <= k <= k_max.
 
     Evidence about the many-use limit; no extrapolation is performed.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    if exact_cap is None:
+        exact_cap = default_exact_cap()
+    for k in range(1, k_max + 1):  # a capped sweep fails before any row runs
+        _closed_form_route(channel, epsilon, k, solver, exact_cap)
     results = tuple(
-        gamma_k(channel, epsilon, k, solver=solver, exact_cap=exact_cap, graph_cap=graph_cap)
+        gamma_k(channel, epsilon, k, solver=solver, exact_cap=exact_cap)
         for k in range(1, k_max + 1)
     )
     return AsymptoticSweep(epsilon=float(epsilon), results=results,

@@ -7,9 +7,8 @@ construction in this library thresholds on.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,24 +102,41 @@ class Distribution:
             )
         object.__setattr__(self, "masses", masses)
 
-    def mass(self, label: str) -> float:
-        return float(self.masses[self.alphabet.index(label)])
 
+def _fidelity_kernel(rows: np.ndarray) -> np.ndarray:
+    """Pairwise fidelities of an ``(n, m)`` stack of mass vectors.
 
-def _fidelity_masses(p: np.ndarray, q: np.ndarray) -> float:
-    """Fidelity of two mass vectors on the same alphabet.
-
-    Squared Bhattacharyya overlap.  The ``sqrt(p * q)`` terms are added in
-    output order (``cumsum`` adds strictly left to right), the order in
-    which :func:`reverse_fidelity_matrix` accumulates its columns, so both
-    give the same bits.  Entrywise-equal vectors (within ``EQUALITY_TOL``)
-    return exactly 1.0; everything else is clamped into [0, 1].  Every term
-    is symmetric in its arguments, so the value is bitwise symmetric.
+    Squared Bhattacharyya overlap, vectorized over pairs and looped over
+    the ``m`` columns: column ``j`` adds ``sqrt(p[j] * q[j])`` to the
+    overlap of every pair, strictly left to right.  The running entrywise
+    gap decides the ``EQUALITY_TOL`` snap: pairs equal within it get
+    exactly 1.0, everything else is clamped into [0, 1].  Every term is
+    symmetric in its two rows; the upper triangle is mirrored and the
+    diagonal set to 1.0, so the result is exactly symmetric with unit
+    diagonal.  This is the only fidelity kernel: a single pair is this
+    routine on two rows.  Peak memory is about three n-by-n float arrays.
     """
-    if np.max(np.abs(p - q)) <= EQUALITY_TOL:
-        return 1.0
-    overlap = float(np.cumsum(np.sqrt(p * q))[-1])
-    return min(1.0, overlap * overlap)
+    n = rows.shape[0]
+    overlap = np.zeros((n, n))
+    gap = np.zeros((n, n))
+    scratch = np.empty((n, n))
+    for col in rows.T:
+        a, b = col[:, None], col[None, :]
+        np.multiply(a, b, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        overlap += scratch
+        np.subtract(a, b, out=scratch)
+        np.abs(scratch, out=scratch)
+        np.maximum(gap, scratch, out=gap)
+    del scratch
+    np.square(overlap, out=overlap)
+    np.minimum(overlap, 1.0, out=overlap)
+    np.copyto(overlap, 1.0, where=gap <= EQUALITY_TOL)
+    del gap
+    np.copyto(overlap, overlap.T, where=np.tri(n, k=-1, dtype=bool))
+    np.fill_diagonal(overlap, 1.0)
+    overlap.flags.writeable = False
+    return overlap
 
 
 def fidelity(p: Distribution, q: Distribution) -> float:
@@ -131,7 +147,7 @@ def fidelity(p: Distribution, q: Distribution) -> float:
     """
     if p.alphabet.labels != q.alphabet.labels:
         raise DimensionMismatchError("fidelity requires distributions on the same alphabet")
-    return _fidelity_masses(p.masses, q.masses)
+    return float(_fidelity_kernel(np.stack((p.masses, q.masses)))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -192,48 +208,16 @@ class ClassicalChannel:
         """Output mass vector conditioned on the given input symbol."""
         return self.matrix[self.input.index(label)]
 
-    def row_distribution(self, label: str) -> Distribution:
-        return Distribution(self.output, self.row(label))
-
 
 def reverse_fidelity(channel: ClassicalChannel, x: str, xhat: str) -> float:
     """Fidelity of the output distributions of inputs ``x`` and ``xhat``."""
-    return _fidelity_masses(channel.row(x), channel.row(xhat))
+    rows = channel.matrix[[channel.input.index(x), channel.input.index(xhat)]]
+    return float(_fidelity_kernel(rows)[0, 1])
 
 
 def reverse_fidelity_matrix(channel: ClassicalChannel) -> np.ndarray:
-    """All pairwise reverse fidelities of a channel.
-
-    Vectorized over pairs and looped over output columns: column ``j`` adds
-    ``sqrt(P[x, j] * P[xhat, j])`` to the overlap of every pair, in the
-    order :func:`reverse_fidelity` adds its terms, so every entry equals
-    the scalar query bit for bit.  The running entrywise gap decides the
-    ``EQUALITY_TOL`` snap.  The upper triangle is mirrored and the diagonal
-    set to 1.0, so the matrix is exactly symmetric with unit diagonal.
-    Peak memory is about three n-by-n float arrays.
-    """
-    rows = channel.matrix
-    n = channel.num_inputs
-    overlap = np.zeros((n, n))
-    gap = np.zeros((n, n))
-    scratch = np.empty((n, n))
-    for col in rows.T:
-        a, b = col[:, None], col[None, :]
-        np.multiply(a, b, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        overlap += scratch
-        np.subtract(a, b, out=scratch)
-        np.abs(scratch, out=scratch)
-        np.maximum(gap, scratch, out=gap)
-    del scratch
-    np.square(overlap, out=overlap)
-    np.minimum(overlap, 1.0, out=overlap)
-    np.copyto(overlap, 1.0, where=gap <= EQUALITY_TOL)
-    del gap
-    np.copyto(overlap, overlap.T, where=np.tri(n, k=-1, dtype=bool))
-    np.fill_diagonal(overlap, 1.0)
-    overlap.flags.writeable = False
-    return overlap
+    """All pairwise reverse fidelities of a channel, indexed by input."""
+    return _fidelity_kernel(channel.matrix)
 
 
 def compose(first: ClassicalChannel, then: ClassicalChannel) -> ClassicalChannel:
@@ -336,90 +320,28 @@ def make_generalized_erasure(blocks: Sequence[Sequence[str]],
 # product (multi-use) channels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductChannel:
-    """``uses`` independent copies of a base channel, kept in factored form.
-
-    Inputs and outputs are length-``uses`` sequences over the base
-    alphabets, ordered lexicographically.  The joint matrix is only
-    materialized on request and under a size cap; every fidelity query
-    goes through the letterwise factorization instead.
-    """
-
-    base: ClassicalChannel
-    uses: int
-
-    def __post_init__(self) -> None:
-        if self.uses < 1:
-            raise ValidationError(f"product channel needs >= 1 uses, got {self.uses}")
-
-    @property
-    def input_size(self) -> int:
-        return self.base.num_inputs ** self.uses
-
-    @property
-    def output_size(self) -> int:
-        return self.base.num_outputs ** self.uses
-
-    def label_separator(self) -> str:
-        labels = self.base.input.labels + self.base.output.labels
-        return "" if all(len(l) == 1 for l in labels) else ","
-
-    def sequence_label(self, labels: Sequence[str]) -> str:
-        return self.label_separator().join(labels)
-
-    def input_sequences(self) -> Iterator[tuple[str, ...]]:
-        return itertools.product(self.base.input.labels, repeat=self.uses)
-
-    def joint_conditional(self, xs: Sequence[str], max_size: int = 10 ** 6) -> np.ndarray:
-        """Dense output distribution of one input sequence.
-
-        Exponential in ``uses``; intended for small brute-force checks only.
-        """
-        if len(xs) != self.uses:
-            raise DimensionMismatchError(f"expected {self.uses} input symbols, got {len(xs)}")
-        if self.output_size > max_size:
-            raise ValidationError(
-                f"joint conditional has {self.output_size} entries, above the cap {max_size}"
-            )
-        row = np.ones(1)
-        for x in xs:
-            row = np.kron(row, self.base.row(x))
-        return row
-
-    def materialize(self, max_entries: int = 10 ** 6) -> ClassicalChannel:
-        """Dense channel on sequence alphabets.  Exponential; capped."""
-        entries = self.input_size * self.output_size
-        if entries > max_entries:
-            raise ValidationError(
-                f"materialized product channel has {entries} entries, above the cap {max_entries}"
-            )
-        matrix = np.ones((1, 1))
-        for _ in range(self.uses):
-            matrix = np.kron(matrix, self.base.matrix)
-        sep = self.label_separator()
-        inp = Alphabet(tuple(sep.join(t) for t in itertools.product(self.base.input.labels, repeat=self.uses)))
-        out = Alphabet(tuple(sep.join(t) for t in itertools.product(self.base.output.labels, repeat=self.uses)))
-        return ClassicalChannel(inp, out, matrix)
-
-
-def product_reverse_fidelity(product: ProductChannel, xs: Sequence[str],
+def product_reverse_fidelity(channel: ClassicalChannel, xs: Sequence[str],
                              xhats: Sequence[str]) -> float:
-    """Reverse fidelity of two input sequences of a product channel.
+    """Reverse fidelity of two input sequences of independent channel uses.
 
-    Computed letterwise: the fidelity of independent products factorizes
-    into the product of per-letter fidelities, so the joint distributions
-    are never built.
+    The fidelity of independent products factorizes into per-letter
+    fidelities, so the joint distributions are never built: one kernel
+    call covers the distinct letters used, and the ``k`` per-letter
+    factors are multiplied left to right from 1.0, the order in which
+    :func:`revcomp.asymptotic.product_fidelity_matrix` multiplies them.
     """
-    if len(xs) != product.uses or len(xhats) != product.uses:
+    if len(xs) != len(xhats):
         raise DimensionMismatchError(
-            f"expected two sequences of {product.uses} symbols, got {len(xs)} and {len(xhats)}"
+            f"sequences have different lengths {len(xs)} and {len(xhats)}"
         )
-    rows = product.base.matrix
-    index = product.base.input.index
+    if len(xs) == 0:
+        raise ValidationError("sequences must have >= 1 symbols")
+    letters = {x: i for i, x in enumerate(dict.fromkeys((*xs, *xhats)))}
+    rows = channel.matrix[[channel.input.index(x) for x in letters]]
+    fid = _fidelity_kernel(rows).tolist()
     result = 1.0
     for x, xhat in zip(xs, xhats):
-        result *= _fidelity_masses(rows[index(x)], rows[index(xhat)])
+        result *= fid[letters[x]][letters[xhat]]
     return result
 
 

@@ -14,7 +14,6 @@ from pathlib import Path
 from . import asymptotic, io, partition, quantum
 from .channels import (
     ClassicalChannel,
-    ProductChannel,
     erasure_epsilon_threshold,
     erasure_max_mergeable_differences,
     erasure_sequence_fidelity,
@@ -48,16 +47,20 @@ def _parse_float(raw: str, what: str) -> float:
 
 
 def _split_csv(raw: str, flag: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not items:
+    items = tuple(part.strip() for part in raw.split(","))
+    if not any(items):
         raise ValidationError(f"{flag}: expected a comma-separated list, got {raw!r}")
+    if not all(items):
+        raise ValidationError(f"{flag}: empty item in comma-separated list {raw!r}")
     return items
 
 
 def _split_blocks(raw: str, flag: str) -> tuple[tuple[str, ...], ...]:
-    groups = [g for g in raw.split(";") if g.strip()]
-    if not groups:
+    groups = raw.split(";")
+    if not any(g.strip() for g in groups):
         raise ValidationError(f"{flag}: expected semicolon-separated blocks, got {raw!r}")
+    if not all(g.strip() for g in groups):
+        raise ValidationError(f"{flag}: empty block in semicolon-separated blocks {raw!r}")
     return tuple(_split_csv(g, flag) for g in groups)
 
 
@@ -119,12 +122,7 @@ def _cmd_fidelity(args: argparse.Namespace):
 def _cmd_product(args: argparse.Namespace):
     xs, xhats = _split_csv(args.xs, "--xs"), _split_csv(args.xhats, "--xhats")
     channel = _classical_channel(args.channel)
-    if len(xs) != len(xhats):
-        raise ValidationError(
-            f"sequences have different lengths {len(xs)} and {len(xhats)}"
-        )
-    prod = ProductChannel(channel, len(xs))
-    value = product_reverse_fidelity(prod, xs, xhats)
+    value = product_reverse_fidelity(channel, xs, xhats)
     data = {"k": len(xs), "xs": list(xs), "xhats": list(xhats),
             "reverse_fidelity": value}
     table = _kv_table([("k", data["k"]), ("xs", ",".join(xs)),
@@ -164,6 +162,8 @@ def _cmd_erasure(args: argparse.Namespace):
 
 
 def _cmd_gen_erasure(args: argparse.Namespace):
+    if args.k_max is not None and args.k_max < 1:
+        raise ValidationError(f"--k-max must be >= 1, got {args.k_max}")
     etas = [_parse_float(e, "--etas entry") for e in _split_csv(args.etas, "--etas")]
     label_blocks = _split_blocks(args.blocks, "--blocks")
     channel = make_generalized_erasure(label_blocks, etas)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from revcomp import (
     ExactSolverCapError,
     IndistinguishabilityGraph,
     Partition,
-    ProductChannel,
     ValidationError,
     closed_form_letter_partition,
     compress,
@@ -53,16 +53,23 @@ class TestProductFidelityMatrix:
         rng = np.random.default_rng(20)
         for n, k in [(3, 2), (2, 7)]:
             ch = random_channel(rng, n, 4)
-            fid = product_fidelity_matrix(ch, k, max_sequences=n ** k)
-            prod = ProductChannel(ch, k)
-            seqs = list(prod.input_sequences())
+            fid = product_fidelity_matrix(ch, k)
+            seqs = list(itertools.product(ch.input.labels, repeat=k))
             for i, xs in enumerate(seqs):
                 for j, xhats in enumerate(seqs):
-                    assert fid[i, j] == product_reverse_fidelity(prod, xs, xhats)
+                    assert fid[i, j] == product_reverse_fidelity(ch, xs, xhats)
 
     def test_sequence_cap(self):
-        with pytest.raises(ValidationError):
-            product_fidelity_matrix(make_identity(4), 10, max_sequences=100)
+        assert product_fidelity_matrix(make_identity(4), 5).shape == (1024, 1024)
+        # 4**6 = 4096 sequences exceed the constant cap; nothing is allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError):
+                product_fidelity_matrix(make_identity(4), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_kron_chain_bitwise(self, n):
@@ -126,6 +133,20 @@ class TestGammaK:
     def test_greedy_graph_cap_raises(self):
         with pytest.raises(ValidationError):
             gamma_k(make_erasure(2, 0.9), 0.2, 12, solver="greedy")
+
+    def test_exact_route_keeps_the_graph_cap(self, monkeypatch):
+        # A raised exact cap does not lift the graph cap: 2**12 = 4096
+        # sequences fit the exact cap but not the pairwise matrix, which is
+        # refused before anything of 4096**2 entries is allocated.
+        monkeypatch.setenv("REVCOMP_EXACT_CAP", "4096")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="graph cap 2048"):
+                gamma_k(make_erasure(2, 0.9), 0.2, 12, solver="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_greedy_never_beats_exact(self):
         rng = np.random.default_rng(22)
@@ -205,7 +226,7 @@ class TestSBoundedPartitions:
                         assert d <= s
 
     def test_prefix_grouping_covers_erasure_graph(self):
-        fid = product_fidelity_matrix(make_erasure(2, 0.9), 3, max_sequences=8)
+        fid = product_fidelity_matrix(make_erasure(2, 0.9), 3)
         graph = graph_from_fidelity_matrix(fid, 0.2)
         # eta**2 = 0.81 clears 0.8, eta**4 = 0.6561 does not
         assert partition_is_clique_cover(s_bound_partition(2, 3, 1), graph)
@@ -312,7 +333,7 @@ class TestGeneralizedErasureBound:
         strong = make_generalized_erasure((("1", "2"), ("3", "4")), (0.95, 0.95))
         weak = make_generalized_erasure((("1", "2"), ("3", "4")), (0.9, 0.95))
         for ch, want in ((strong, True), (weak, False)):
-            fid = product_fidelity_matrix(ch, 2, max_sequences=16)
+            fid = product_fidelity_matrix(ch, 2)
             graph = graph_from_fidelity_matrix(fid, 0.2)
             assert partition_is_clique_cover(p, graph) == want
 
@@ -336,7 +357,7 @@ class TestClosedFormCertificate:
     def assert_product_is_clique_cover(ch, eps, k):
         letter = closed_form_letter_partition(ch, eps, k)
         product = Partition(tuple(product_partition(letter.blocks, ch.num_inputs, k)))
-        fid = product_fidelity_matrix(ch, k, max_sequences=ch.num_inputs ** k)
+        fid = product_fidelity_matrix(ch, k)
         assert partition_is_clique_cover(product, graph_from_fidelity_matrix(fid, eps))
         got = gamma_k(ch, eps, k, solver="closed_form")
         assert got.block_count == product.num_blocks == letter.num_blocks ** k

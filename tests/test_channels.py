@@ -7,7 +7,6 @@ from revcomp import (
     Alphabet,
     ClassicalChannel,
     Distribution,
-    ProductChannel,
     UnknownLabelError,
     ValidationError,
     compose,
@@ -232,44 +231,7 @@ class TestCompose:
 
 
 class TestProductChannel:
-    def test_sequence_enumeration(self):
-        prod = ProductChannel(make_identity(2), 2)
-        assert prod.input_size == 4
-        assert list(prod.input_sequences()) == [
-            ("1", "1"),
-            ("1", "2"),
-            ("2", "1"),
-            ("2", "2"),
-        ]
-
-    def test_sequence_label_separator(self):
-        prod = ProductChannel(make_identity(2), 2)
-        assert prod.sequence_label(("1", "2")) == "12"
-        wide = ProductChannel(make_identity(10), 2)
-        assert wide.sequence_label(("10", "2")) == "10,2"
-
-    def test_joint_conditional_matches_oracle(self):
-        from oracles import joint_conditional
-
-        rng = np.random.default_rng(8)
-        ch = random_channel(rng, 3, 4)
-        prod = ProductChannel(ch, 3)
-        for xs in [("1", "1", "1"), ("1", "2", "3"), ("3", "3", "2")]:
-            got = prod.joint_conditional(xs)
-            assert np.allclose(got, joint_conditional(ch, xs), atol=1e-15)
-
-    def test_materialize_agrees_with_joint(self):
-        rng = np.random.default_rng(9)
-        ch = random_channel(rng, 2, 3)
-        prod = ProductChannel(ch, 2)
-        dense = prod.materialize()
-        for i, xs in enumerate(prod.input_sequences()):
-            assert np.allclose(dense.matrix[i], prod.joint_conditional(xs), atol=1e-15)
-
-    def test_materialize_cap(self):
-        prod = ProductChannel(make_identity(4), 40)
-        with pytest.raises(ValidationError):
-            prod.materialize()
+    """Reverse fidelity of input sequences over independent channel uses."""
 
     def test_factorization_against_joint_oracle(self):
         rng = np.random.default_rng(10)
@@ -278,30 +240,28 @@ class TestProductChannel:
             n_out = int(rng.integers(2, 5))
             k = int(rng.integers(1, 5))
             ch = random_channel(rng, n_in, n_out)
-            prod = ProductChannel(ch, k)
             labels = ch.input.labels
             xs = tuple(labels[i] for i in rng.integers(0, n_in, size=k))
             xhats = tuple(labels[i] for i in rng.integers(0, n_in, size=k))
-            got = product_reverse_fidelity(prod, xs, xhats)
+            got = product_reverse_fidelity(ch, xs, xhats)
             want = joint_reverse_fidelity(ch, xs, xhats)
             assert got == pytest.approx(min(1.0, want), abs=1e-10)
 
     def test_huge_products_stay_cheap(self):
         # value is computed letterwise, so size 4**40 input spaces are fine
-        prod = ProductChannel(make_erasure(4, 0.8), 40)
+        ch = make_erasure(4, 0.8)
         xs = tuple("1" for _ in range(40))
         xhats = tuple("2" if i < 3 else "1" for i in range(40))
-        got = product_reverse_fidelity(prod, xs, xhats)
+        got = product_reverse_fidelity(ch, xs, xhats)
         assert got == pytest.approx(0.8 ** 6, abs=1e-12)
 
     def test_length_mismatch(self):
-        prod = ProductChannel(make_identity(2), 2)
         with pytest.raises(ValidationError):
-            product_reverse_fidelity(prod, ("1", "1"), ("1",))
+            product_reverse_fidelity(make_identity(2), ("1", "1"), ("1",))
 
     def test_uses_positive(self):
         with pytest.raises(ValidationError):
-            ProductChannel(make_identity(2), 0)
+            product_reverse_fidelity(make_identity(2), (), ())
 
 
 class TestErasureClosedForms:
@@ -317,12 +277,11 @@ class TestErasureClosedForms:
             r = int(rng.integers(2, 5))
             k = int(rng.integers(1, 7))
             ch = make_erasure(r, eta)
-            prod = ProductChannel(ch, k)
             labels = ch.input.labels
             xs = tuple(labels[i] for i in rng.integers(0, r, size=k))
             xhats = tuple(labels[i] for i in rng.integers(0, r, size=k))
             s = hamming_distance(xs, xhats)
-            got = product_reverse_fidelity(prod, xs, xhats)
+            got = product_reverse_fidelity(ch, xs, xhats)
             assert got == pytest.approx(erasure_sequence_fidelity(eta, s), abs=1e-12)
 
     def test_epsilon_threshold(self):

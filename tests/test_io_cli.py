@@ -17,7 +17,7 @@ from revcomp import (
     make_quantum_erasure,
     verify_erasure_theorem,
 )
-from revcomp import io, quantum
+from revcomp import asymptotic, io, quantum
 from revcomp.cli import _build_parser, main
 
 
@@ -309,6 +309,21 @@ class TestCliQueries:
         assert "observed trend: nonincreasing" in out
         assert "not a limit" in out
 
+    def test_raised_exact_cap_keeps_the_graph_cap(self, tmp_path, capsys, monkeypatch):
+        # 2**12 = 4096 sequences fit the raised exact cap but not the graph
+        # cap.  The sweep is refused before any row runs: no product matrix
+        # is built, not even for the rows k < 12 that would fit.
+        monkeypatch.setenv("REVCOMP_EXACT_CAP", "4096")
+        def unreachable(*args, **kwargs):
+            raise AssertionError("product_fidelity_matrix called")
+        monkeypatch.setattr(asymptotic, "product_fidelity_matrix", unreachable)
+        path = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 2, "eta": 0.9})
+        code = main(["asymptotic", "--channel", path, "--epsilon", "0.2",
+                     "--k-max", "12", "--solver", "exact"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: 4096 sequences exceed the graph cap 2048 for k=12\n")
+
 
 class TestCliQuantum:
     def test_blocks_route(self, capsys):
@@ -489,6 +504,22 @@ class TestCliArgumentChecks:
          "quantum-compress takes --kraus alone, not with --blocks"),
         (["quantum-compress", "--kraus", "KRAUS", "--dim", "2"],
          "quantum-compress takes --kraus alone, not with --dim"),
+        (["product", "--channel", "CHANNEL", "--xs", "1,,2", "--xhats", "2,1"],
+         "--xs: empty item in comma-separated list '1,,2'"),
+        (["product", "--channel", "CHANNEL", "--xs", "1,2", "--xhats", "2,1,"],
+         "--xhats: empty item in comma-separated list '2,1,'"),
+        (["gen-erasure", "--blocks", "1;2", "--etas", "0.9,,0.95"],
+         "--etas: empty item in comma-separated list '0.9,,0.95'"),
+        (["gen-erasure", "--blocks", "1,,2;3", "--etas", "0.9,0.95"],
+         "--blocks: empty item in comma-separated list '1,,2'"),
+        (["quantum-compress", "--dim", "4", "--blocks", "0,1;;2,3"],
+         "--blocks: empty block in semicolon-separated blocks '0,1;;2,3'"),
+        (["gen-erasure", "--blocks", "1;2;", "--etas", "0.9,0.95"],
+         "--blocks: empty block in semicolon-separated blocks '1;2;'"),
+        (["gen-erasure", "--blocks", "1;2", "--etas", "0.9,0.95", "--k-max", "0"],
+         "--k-max must be >= 1, got 0"),
+        (["gen-erasure", "--blocks", "1;2", "--etas", "0.9,0.95", "--k-max", "-3"],
+         "--k-max must be >= 1, got -3"),
     ])
     def test_argument_error_exits_2(self, tmp_path, capsys, argv, message):
         files = {"CHANNEL": write_json(tmp_path, "ch.json", {"type": "identity", "n": 2}),
