@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -84,8 +85,7 @@ class GammaKResult:
                 "blocks": self.block_count}
 
 
-def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: int,
-                                 exact_cap: int | None = None) -> Partition:
+def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: int) -> Partition:
     """Single-letter partition whose ``k``-fold product covers length-``k`` sequences.
 
     Per the factorization, letters merged at per-letter fidelity
@@ -98,14 +98,12 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     threshold steps just past ``c`` with ``np.nextafter`` and the letters
     are partitioned again.
     """
-    if exact_cap is None:
-        exact_cap = default_exact_cap()
     # One minus the tightened epsilon, rounded as graph_from_fidelity_matrix
     # rounds ``1 - epsilon``.
     threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
     fid = reverse_fidelity_matrix(channel)
     while True:
-        single, _ = _cover(IndistinguishabilityGraph(fid >= threshold), "auto", exact_cap)
+        single, _ = _cover(IndistinguishabilityGraph(fid >= threshold), "auto")
         worst = min(_block_certificates(single, fid))
         # Left to right from 1, as product_fidelity_matrix multiplies.
         if math.prod([worst] * k) >= 1.0 - epsilon:
@@ -113,18 +111,17 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
         threshold = float(np.nextafter(worst, 2.0))
 
 
-def _closed_form_result(channel: ClassicalChannel, epsilon: float, k: int,
-                        exact_cap: int) -> GammaKResult:
-    single = closed_form_letter_partition(channel, epsilon, k, exact_cap)
+def _closed_form_result(channel: ClassicalChannel, epsilon: float, k: int) -> GammaKResult:
+    single = closed_form_letter_partition(channel, epsilon, k)
     blocks = single.num_blocks ** k
     total = channel.num_inputs ** k
     gamma = 1.0 if total == 1 else float(Fraction(total - blocks, total - 1))
     return GammaKResult(k=k, block_count=blocks, gamma=gamma, method="closed_form")
 
 
-def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver: str,
-                       exact_cap: int) -> bool:
+def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver: str) -> bool:
     """Check one :func:`gamma_k` row's arguments and caps; True for the closed form."""
+    cap = default_exact_cap()
     if solver not in ("auto", "exact", "greedy", "closed_form"):
         raise ValidationError(f"unknown solver {solver!r}")
     if not 0.0 <= epsilon <= 1.0:
@@ -134,10 +131,8 @@ def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver
     total = channel.num_inputs ** k
     if solver == "closed_form" or (solver == "auto" and total > DEFAULT_GRAPH_CAP):
         return True
-    if solver == "exact" and total > exact_cap:
-        raise ExactSolverCapError(
-            f"{total} sequences exceed the exact cap {exact_cap} for k={k}"
-        )
+    if solver == "exact" and total > cap:
+        raise ExactSolverCapError(f"{total} sequences exceed the exact cap {cap} for k={k}")
     if total > DEFAULT_GRAPH_CAP:
         raise ValidationError(
             f"{total} sequences exceed the graph cap {DEFAULT_GRAPH_CAP} for k={k}"
@@ -145,8 +140,8 @@ def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver
     return False
 
 
-def gamma_k(channel: ClassicalChannel, epsilon: float, k: int, solver: str = "auto",
-            exact_cap: int | None = None) -> GammaKResult:
+def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
+            solver: str = "auto") -> GammaKResult:
     """Compressibility of ``k`` independent uses of a channel.
 
     ``solver="auto"`` picks the exact solver while the sequence count fits
@@ -157,12 +152,10 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int, solver: str = "au
     above the graph cap raises :class:`ValidationError`, whatever the
     exact cap.
     """
-    if exact_cap is None:
-        exact_cap = default_exact_cap()
-    if _closed_form_route(channel, epsilon, k, solver, exact_cap):
-        return _closed_form_result(channel, epsilon, k, exact_cap)
+    if _closed_form_route(channel, epsilon, k, solver):
+        return _closed_form_result(channel, epsilon, k)
     fid = product_fidelity_matrix(channel, k)
-    part, optimal = _cover(graph_from_fidelity_matrix(fid, epsilon), solver, exact_cap)
+    part, optimal = _cover(graph_from_fidelity_matrix(fid, epsilon), solver)
     return GammaKResult(k=k, block_count=part.num_blocks,
                         gamma=compressibility(fid.shape[0], part.num_blocks),
                         method="exact" if optimal else "greedy_lower_bound")
@@ -195,21 +188,24 @@ def _observed_trend(gammas: Sequence[float]) -> str:
 
 
 def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
-                   solver: str = "auto", exact_cap: int | None = None) -> AsymptoticSweep:
+                   solver: str = "auto") -> AsymptoticSweep:
     """Finite-k sweep of compressibility values for 1 <= k <= k_max.
 
     Evidence about the many-use limit; no extrapolation is performed.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    if exact_cap is None:
-        exact_cap = default_exact_cap()
+    # Block counts are printed in decimal, which Python refuses past this many digits.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = 10 ** digits
     for k in range(1, k_max + 1):  # a capped sweep fails before any row runs
-        _closed_form_route(channel, epsilon, k, solver, exact_cap)
-    results = tuple(
-        gamma_k(channel, epsilon, k, solver=solver, exact_cap=exact_cap)
-        for k in range(1, k_max + 1)
-    )
+        _closed_form_route(channel, epsilon, k, solver)
+        if digits and channel.num_inputs ** k >= too_long:
+            raise ValidationError(
+                f"k={k}: the sequence count {channel.num_inputs}**{k} has more than "
+                f"{digits} decimal digits, past Python's int-to-string limit"
+            )
+    results = tuple(gamma_k(channel, epsilon, k, solver=solver) for k in range(1, k_max + 1))
     return AsymptoticSweep(epsilon=float(epsilon), results=results,
                            trend=_observed_trend([r.gamma for r in results]))
 
@@ -284,7 +280,8 @@ def conjecture_report(alphabet_size: int, k: int, s_values: Sequence[int] | None
 
     The equality is conjectured, not proven; a row with ``equal=False`` is a
     counterexample and is reported as data, never raised.  Equality fails at
-    ``alphabet_size=2, k=5, s=2``, where the minimum is 7 rather than 8.
+    ``alphabet_size=2, k=5, s=2``, where the minimum is 7 rather than 8, and
+    at ``k=6`` with ``s=2`` (12 rather than 16) and ``s=3`` (7 rather than 8).
     """
     if s_values is None:
         s_values = range(k + 1)

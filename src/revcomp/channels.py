@@ -55,12 +55,6 @@ class Alphabet:
         except KeyError:
             raise UnknownLabelError(f"symbol {label!r} not in alphabet {self.labels}") from None
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index  # type: ignore[attr-defined]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def _validated_masses(masses: np.ndarray, what: str) -> np.ndarray:
     masses = np.asarray(masses, dtype=float)

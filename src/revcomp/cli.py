@@ -249,6 +249,8 @@ def _cmd_quantum_compress(args: argparse.Namespace):
 def _cmd_quantum_verify(args: argparse.Namespace):
     if args.probes < 0:
         raise ValidationError(f"--probes must be >= 0, got {args.probes}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     verdict = quantum.verify_erasure_theorem(args.dim, args.eta, args.epsilon,
                                              seed=args.seed, n_random=args.probes)
     data = io.verdict_to_data(verdict)
@@ -287,7 +289,10 @@ def run(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"--out: cannot write {args.out}: {exc.strerror}") from None
     return 0
 
 

