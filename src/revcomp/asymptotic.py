@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ClassicalChannel, reverse_fidelity_matrix
+from .channels import ClassicalChannel
 from .errors import ExactSolverCapError, ValidationError
 from .partition import (
     IndistinguishabilityGraph,
@@ -53,7 +53,7 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
         raise ValidationError(
             f"{total} sequences exceed the graph cap {DEFAULT_GRAPH_CAP} for k={k}"
         )
-    base = reverse_fidelity_matrix(channel)
+    base = channel.fidelity_matrix
     fid = np.ones((1, 1))
     for _ in range(k):
         m = fid.shape[0]
@@ -101,7 +101,7 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     # One minus the tightened epsilon, rounded as graph_from_fidelity_matrix
     # rounds ``1 - epsilon``.
     threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
-    fid = reverse_fidelity_matrix(channel)
+    fid = channel.fidelity_matrix
     while True:
         single, _ = _cover(IndistinguishabilityGraph(fid >= threshold), "auto")
         worst = min(_block_certificates(single, fid))

@@ -8,6 +8,7 @@ construction in this library thresholds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,9 @@ STOCHASTIC_TOL = 1e-9
 # Entrywise threshold at which two distributions are declared equal, which
 # pins fidelity to exactly 1.0 instead of 1 minus a few ulps.
 EQUALITY_TOL = 1e-12
+# Rows per tile of the fidelity kernel: each tile's scratch is this many rows
+# by n, so peak memory stays one n-by-n result plus a tile.
+ROW_TILE = 64
 
 ERASURE_SYMBOL = "α"
 
@@ -98,36 +102,57 @@ class Distribution:
 
 
 def _fidelity_kernel(rows: np.ndarray) -> np.ndarray:
-    """Pairwise fidelities of an ``(n, m)`` stack of mass vectors.
+    """Pairwise fidelities of an ``(n, m)`` stack of probability vectors.
 
     Squared Bhattacharyya overlap, vectorized over pairs and looped over
     the ``m`` columns: column ``j`` adds ``sqrt(p[j] * q[j])`` to the
-    overlap of every pair, strictly left to right.  The running entrywise
-    gap decides the ``EQUALITY_TOL`` snap: pairs equal within it get
-    exactly 1.0, everything else is clamped into [0, 1].  Every term is
-    symmetric in its two rows; the upper triangle is mirrored and the
-    diagonal set to 1.0, so the result is exactly symmetric with unit
-    diagonal.  This is the only fidelity kernel: a single pair is this
-    routine on two rows.  Peak memory is about three n-by-n float arrays.
+    overlap of every pair, strictly left to right.  The rows are taken
+    ``ROW_TILE`` at a time, and each tile computes its rows against every
+    later row, so only the upper triangle is summed; its transpose is
+    copied below the tile.  Every term is symmetric in its two rows, so
+    the copy holds the values the loop would have produced and the result
+    is exactly symmetric; the diagonal is set to 1.0.
+
+    Pairs equal within ``EQUALITY_TOL`` entrywise get exactly 1.0, and
+    everything else is clamped into [0, 1].  The entrywise test runs only
+    on candidate pairs: ``(sqrt(p) - sqrt(q))**2 <= |p - q|``, so two rows
+    that sum to 1 and agree within ``EQUALITY_TOL`` have an overlap of at
+    least ``1 - m * EQUALITY_TOL / 2``, less a few ulps of normalization
+    and summation error.  Every such pair has an unsquared overlap of at
+    least ``1 - m * (EQUALITY_TOL + 4e-16)``, and only pairs above that
+    cut are tested.  This is the only fidelity kernel: a single pair is
+    this routine on two rows.  Peak memory is one n-by-n float array plus
+    a ``ROW_TILE``-by-n tile.
     """
-    n = rows.shape[0]
-    overlap = np.zeros((n, n))
-    gap = np.zeros((n, n))
-    scratch = np.empty((n, n))
-    for col in rows.T:
-        a, b = col[:, None], col[None, :]
-        np.multiply(a, b, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        overlap += scratch
-        np.subtract(a, b, out=scratch)
-        np.abs(scratch, out=scratch)
-        np.maximum(gap, scratch, out=gap)
-    del scratch
-    np.square(overlap, out=overlap)
-    np.minimum(overlap, 1.0, out=overlap)
-    np.copyto(overlap, 1.0, where=gap <= EQUALITY_TOL)
-    del gap
-    np.copyto(overlap, overlap.T, where=np.tri(n, k=-1, dtype=bool))
+    n, m = rows.shape
+    cols = np.ascontiguousarray(rows.T)
+    cut = 1.0 - m * (EQUALITY_TOL + 4e-16)
+    overlap = np.empty((n, n))
+    buffer = np.empty(min(n, ROW_TILE) * n)
+    for s in range(0, n, ROW_TILE):
+        e = min(s + ROW_TILE, n)
+        tile = overlap[s:e, s:]
+        scratch = buffer[:tile.size].reshape(tile.shape)
+        np.multiply(cols[0, s:e, None], cols[0, None, s:], out=tile)
+        np.sqrt(tile, out=tile)
+        for col in cols[1:]:
+            np.multiply(col[s:e, None], col[None, s:], out=scratch)
+            np.sqrt(scratch, out=scratch)
+            tile += scratch
+        i, j = np.nonzero(tile >= cut)
+        # Strictly upper pairs only: the diagonal is set to 1.0 at the end.
+        upper = j > i
+        i, j = i[upper] + s, j[upper] + s
+        np.square(tile, out=tile)
+        np.minimum(tile, 1.0, out=tile)
+        if i.size:
+            gap = np.zeros(i.size)
+            for col in cols:
+                np.maximum(gap, np.abs(col[i] - col[j]), out=gap)
+            equal = gap <= EQUALITY_TOL
+            overlap[i[equal], j[equal]] = 1.0
+            overlap[j[equal], i[equal]] = 1.0
+        overlap[e:, s:e] = tile[:, e - s:].T
     np.fill_diagonal(overlap, 1.0)
     overlap.flags.writeable = False
     return overlap
@@ -201,6 +226,15 @@ class ClassicalChannel:
     def row(self, label: str) -> np.ndarray:
         """Output mass vector conditioned on the given input symbol."""
         return self.matrix[self.input.index(label)]
+
+    @cached_property
+    def fidelity_matrix(self) -> np.ndarray:
+        """Read-only :func:`reverse_fidelity_matrix` of this channel.
+
+        Computed on first use and kept with the channel, whose matrix
+        cannot change, so every product power of one channel shares it.
+        """
+        return reverse_fidelity_matrix(self)
 
 
 def reverse_fidelity(channel: ClassicalChannel, x: str, xhat: str) -> float:

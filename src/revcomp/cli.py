@@ -102,21 +102,22 @@ def _report_table(data: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command payloads: (json_data, table_text)
+# command payloads: (json_data, table), where table() builds the table text,
+# so a JSON report never formats one
 # ---------------------------------------------------------------------------
 
 def _cmd_compress(args: argparse.Namespace):
     channel = _classical_channel(args.channel)
     report = partition.compress(channel, args.epsilon, solver=args.solver)
     data = report.to_json_dict()
-    return data, _report_table(data)
+    return data, lambda: _report_table(data)
 
 
 def _cmd_fidelity(args: argparse.Namespace):
     channel = _classical_channel(args.channel)
     value = reverse_fidelity(channel, args.x, args.xhat)
     data = {"x": args.x, "xhat": args.xhat, "reverse_fidelity": value}
-    return data, _kv_table(list(data.items()))
+    return data, lambda: _kv_table(list(data.items()))
 
 
 def _cmd_product(args: argparse.Namespace):
@@ -125,9 +126,8 @@ def _cmd_product(args: argparse.Namespace):
     value = product_reverse_fidelity(channel, xs, xhats)
     data = {"k": len(xs), "xs": list(xs), "xhats": list(xhats),
             "reverse_fidelity": value}
-    table = _kv_table([("k", data["k"]), ("xs", ",".join(xs)),
-                       ("xhats", ",".join(xhats)), ("reverse_fidelity", value)])
-    return data, table
+    return data, lambda: _kv_table([("k", data["k"]), ("xs", ",".join(xs)),
+                                    ("xhats", ",".join(xhats)), ("reverse_fidelity", value)])
 
 
 def _cmd_erasure(args: argparse.Namespace):
@@ -151,13 +151,15 @@ def _cmd_erasure(args: argparse.Namespace):
         data["epsilon"] = args.epsilon
         data["max_mergeable_differences"] = erasure_max_mergeable_differences(
             args.eta, args.epsilon, args.max_differences)
-    rows = [[str(t["differences"]), repr(t["fidelity"]), repr(t["epsilon_threshold"])]
-            for t in thresholds]
-    table = _rows_table(["differences", "fidelity", "epsilon_threshold"], rows)
-    if args.epsilon is not None:
-        table += f"\nmax mergeable differences at epsilon={args.epsilon}: " \
-                 f"{data['max_mergeable_differences']}"
-    table += "\nnote: " + ERASURE_THRESHOLD_NOTE
+
+    def table() -> str:
+        rows = [[str(t["differences"]), repr(t["fidelity"]), repr(t["epsilon_threshold"])]
+                for t in thresholds]
+        text = _rows_table(["differences", "fidelity", "epsilon_threshold"], rows)
+        if args.epsilon is not None:
+            text += f"\nmax mergeable differences at epsilon={args.epsilon}: " \
+                    f"{data['max_mergeable_differences']}"
+        return text + "\nnote: " + ERASURE_THRESHOLD_NOTE
     return data, table
 
 
@@ -172,21 +174,26 @@ def _cmd_gen_erasure(args: argparse.Namespace):
         "etas": etas,
         "channel": io.channel_to_data(channel),
     }
-    lines = [f"generalized erasure on {channel.num_inputs} inputs, "
-             f"{len(label_blocks)} blocks"]
     if args.epsilon is not None:
         report = partition.compress(channel, args.epsilon, solver=args.solver)
         data["report"] = report.to_json_dict()
-        lines.append(_report_table(data["report"]))
     if args.k_max is not None:
         sizes = [len(b) for b in label_blocks]
         data["gamma_bound"] = [
             {"k": k, "bound": asymptotic.generalized_erasure_gamma_bound(sizes, k)}
             for k in range(1, args.k_max + 1)
         ]
-        rows = [[str(e["k"]), repr(e["bound"])] for e in data["gamma_bound"]]
-        lines.append(_rows_table(["k", "gamma_bound"], rows))
-    return data, "\n".join(lines)
+
+    def table() -> str:
+        lines = [f"generalized erasure on {channel.num_inputs} inputs, "
+                 f"{len(label_blocks)} blocks"]
+        if "report" in data:
+            lines.append(_report_table(data["report"]))
+        if "gamma_bound" in data:
+            rows = [[str(e["k"]), repr(e["bound"])] for e in data["gamma_bound"]]
+            lines.append(_rows_table(["k", "gamma_bound"], rows))
+        return "\n".join(lines)
+    return data, table
 
 
 def _cmd_conjecture(args: argparse.Namespace):
@@ -197,22 +204,23 @@ def _cmd_conjecture(args: argparse.Namespace):
         "k": args.k,
         "rows": [r.to_json_dict() for r in rows],
     }
-    table = _rows_table(
+    return data, lambda: _rows_table(
         ["s", "minimum", "bound", "equal"],
         [[str(r.s), str(r.minimum), str(r.bound), str(r.equal)] for r in rows],
     )
-    return data, table
 
 
 def _cmd_asymptotic(args: argparse.Namespace):
     channel = _classical_channel(args.channel)
     sweep = asymptotic.delta_estimate(channel, args.epsilon, args.k_max, solver=args.solver)
     data = sweep.to_json_data()
-    table = _rows_table(
-        ["k", "gamma", "method", "blocks"],
-        [[str(r.k), repr(r.gamma), r.method, str(r.block_count)] for r in sweep.results],
-    )
-    table += f"\nobserved trend: {sweep.trend} (finite-k evidence, not a limit)"
+
+    def table() -> str:
+        text = _rows_table(
+            ["k", "gamma", "method", "blocks"],
+            [[str(r.k), repr(r.gamma), r.method, str(r.block_count)] for r in sweep.results],
+        )
+        return text + f"\nobserved trend: {sweep.trend} (finite-k evidence, not a limit)"
     return data, table
 
 
@@ -234,16 +242,16 @@ def _cmd_quantum_compress(args: argparse.Namespace):
         gamma = quantum.quantum_compressibility(graining, channel.in_dim)
         data = {"in_dim": channel.in_dim, "out_dim": channel.out_dim,
                 "kernel_dim": graining.kernel_dim, "compressibility": gamma}
-        return data, _kv_table(list(data.items()))
+        return data, lambda: _kv_table(list(data.items()))
     part = partition.Partition(blocks)
     graining = quantum.make_coarse_graining(part, args.dim, embed_dim=args.dim)
     gamma = quantum.quantum_compressibility(graining, args.dim)
     data = {"dim": args.dim, "blocks": [list(b) for b in part.blocks],
             "kernel_dim": graining.kernel_dim, "compressibility": gamma}
-    pairs = [("dim", args.dim),
-             ("blocks", " | ".join("{" + ", ".join(str(i) for i in b) + "}" for b in part.blocks)),
-             ("kernel_dim", graining.kernel_dim), ("compressibility", gamma)]
-    return data, _kv_table(pairs)
+    return data, lambda: _kv_table([
+        ("dim", args.dim),
+        ("blocks", " | ".join("{" + ", ".join(str(i) for i in b) + "}" for b in part.blocks)),
+        ("kernel_dim", graining.kernel_dim), ("compressibility", gamma)])
 
 
 def _cmd_quantum_verify(args: argparse.Namespace):
@@ -254,18 +262,20 @@ def _cmd_quantum_verify(args: argparse.Namespace):
     verdict = quantum.verify_erasure_theorem(args.dim, args.eta, args.epsilon,
                                              seed=args.seed, n_random=args.probes)
     data = io.verdict_to_data(verdict)
-    pairs = [
-        ("dim", verdict.dim), ("eta", verdict.eta), ("epsilon", verdict.epsilon),
-        ("threshold eta^2", verdict.threshold),
-        ("compressible", verdict.compressible), ("gamma", verdict.gamma),
-        ("min_fidelity", verdict.min_fidelity),
-        ("probes", verdict.probe_count), ("seed", verdict.seed),
-    ]
-    table = _kv_table(pairs)
-    if verdict.rejections:
-        rows = [[r.kind, str(r.kernel_dim), repr(r.witness_fidelity)]
-                for r in verdict.rejections]
-        table += "\n" + _rows_table(["compressor", "kernel_dim", "witness_fidelity"], rows)
+
+    def table() -> str:
+        text = _kv_table([
+            ("dim", verdict.dim), ("eta", verdict.eta), ("epsilon", verdict.epsilon),
+            ("threshold eta^2", verdict.threshold),
+            ("compressible", verdict.compressible), ("gamma", verdict.gamma),
+            ("min_fidelity", verdict.min_fidelity),
+            ("probes", verdict.probe_count), ("seed", verdict.seed),
+        ])
+        if verdict.rejections:
+            rows = [[r.kind, str(r.kernel_dim), repr(r.witness_fidelity)]
+                    for r in verdict.rejections]
+            text += "\n" + _rows_table(["compressor", "kernel_dim", "witness_fidelity"], rows)
+        return text
     return data, table
 
 
@@ -285,7 +295,7 @@ _COMMANDS = {
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command, writing its report; returns 0."""
     data, table = _COMMANDS[args.command](args)
-    text = io.dump_json(data) if args.format == "json" else table + "\n"
+    text = io.dump_json(data) if args.format == "json" else table() + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

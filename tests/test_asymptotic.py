@@ -31,6 +31,7 @@ from revcomp import (
     reverse_fidelity_matrix,
     s_bound_partition,
 )
+from revcomp import channels
 from revcomp.asymptotic import DEFAULT_GRAPH_CAP, _observed_trend
 
 from oracles import kron_chain, min_clique_cover_brute, product_partition, random_channel
@@ -83,6 +84,21 @@ class TestProductFidelityMatrix:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
                 k += 1
+
+
+    def test_letter_matrix_is_computed_once_per_channel(self, monkeypatch):
+        calls = []
+        original = channels.reverse_fidelity_matrix
+        monkeypatch.setattr(channels, "reverse_fidelity_matrix",
+                            lambda ch: calls.append(ch) or original(ch))
+        ch = make_erasure(2, 0.9)
+        sweep = delta_estimate(ch, 0.2, 12)
+        assert {r.method for r in sweep.results} == {"exact", "greedy_lower_bound", "closed_form"}
+        assert calls == [ch]
+        assert ch.fidelity_matrix.tobytes() == original(ch).tobytes()
+        assert not ch.fidelity_matrix.flags.writeable
+        delta_estimate(make_erasure(2, 0.9), 0.2, 3)
+        assert len(calls) == 2
 
 
 class TestGammaK:

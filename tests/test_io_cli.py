@@ -17,7 +17,7 @@ from revcomp import (
     make_quantum_erasure,
     verify_erasure_theorem,
 )
-from revcomp import asymptotic, io, quantum
+from revcomp import asymptotic, cli, io, quantum
 from revcomp.cli import _build_parser, main
 
 
@@ -174,6 +174,15 @@ class TestCliCompress:
         first = capsys.readouterr().out
         main(["compress", "--channel", path, "--epsilon", "0.6", "--format", "json"])
         assert capsys.readouterr().out == first
+
+    def test_json_report_builds_no_table(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 3, "eta": 0.7})
+        main(["compress", "--channel", path, "--epsilon", "0.6", "--format", "table"])
+        table = capsys.readouterr().out
+        assert table.startswith("epsilon ")
+        monkeypatch.setattr(cli, "_report_table", lambda data: pytest.fail("table built"))
+        assert main(["compress", "--channel", path, "--epsilon", "0.6", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == 0.6
 
     def test_out_file(self, tmp_path, capsys):
         path = write_json(tmp_path, "ch.json", {"type": "identity", "n": 2})

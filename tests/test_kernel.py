@@ -11,7 +11,7 @@ from revcomp import (
     reverse_fidelity,
     reverse_fidelity_matrix,
 )
-from revcomp.channels import EQUALITY_TOL
+from revcomp.channels import EQUALITY_TOL, ROW_TILE, _fidelity_kernel
 
 from oracles import adjacency_bitmasks, plain_fidelity, random_adjacency
 
@@ -68,6 +68,53 @@ class TestFidelityKernel:
                     assert fid[i, j] == 1.0
                 else:
                     assert fid[i, j] == min(1.0, plain_fidelity(rows[i], rows[j]))
+
+    @pytest.mark.parametrize("n", [ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 2 * ROW_TILE + 1])
+    def test_row_tile_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        matrix = rng.dirichlet(np.full(8, 0.5), size=n)
+        matrix[:, 7] = 0.0
+        matrix[n // 2, :] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        matrix[-1] = matrix[0]
+        matrix[-2] = matrix[1] * (1.0 + rng.uniform(-1e-13, 1e-13, 8))
+        matrix[ROW_TILE // 2] = matrix[0] * (1.0 + rng.uniform(-1e-13, 1e-13, 8))
+        ch = ClassicalChannel(Alphabet.numbered(n), Alphabet.numbered(8),
+                              matrix / matrix.sum(axis=1, keepdims=True))
+        fid = reverse_fidelity_matrix(ch)
+        rows, labels = ch.matrix, ch.input.labels
+        assert np.array_equal(fid, fid.T)
+        assert np.all(np.diag(fid) == 1.0)
+        assert fid[0, -1] == fid[1, -2] == fid[0, ROW_TILE // 2] == 1.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                if np.max(np.abs(rows[i] - rows[j])) <= EQUALITY_TOL:
+                    assert fid[i, j] == 1.0
+                else:
+                    assert fid[i, j] == min(1.0, plain_fidelity(rows[i], rows[j]))
+        for j in range(1, n):
+            assert fid[0, j] == reverse_fidelity(ch, labels[0], labels[j])
+
+    @pytest.mark.parametrize("m", [2, 4, 16, 64])
+    def test_equality_snap_at_the_candidate_cut(self, m):
+        """Rows apart by EQUALITY_TOL in every column, with half the columns
+        zero in one row, have the lowest overlap a snapping pair can have."""
+        for delta, snaps in ((np.nextafter(EQUALITY_TOL, 0.0), True), (EQUALITY_TOL, True),
+                             (np.nextafter(EQUALITY_TOL, 1.0), False)):
+            p, q = np.zeros(m), np.zeros(m)
+            p[1::2] = delta
+            q[2::2] = delta
+            p[0] = 1.0 - delta * (m // 2)
+            q[0] = p[0] + EQUALITY_TOL
+            while q[0] - p[0] > EQUALITY_TOL:
+                q[0] = np.nextafter(q[0], 0.0)
+            gaps = np.abs(p - q)
+            assert np.all(gaps <= EQUALITY_TOL) == snaps and np.min(gaps) > 0.99 * EQUALITY_TOL
+            assert plain_fidelity(p, q) < 1.0 - (m - 1) * EQUALITY_TOL / 2
+            rows = np.vstack([p, np.random.default_rng(m).dirichlet(np.ones(m), ROW_TILE), q])
+            fid = _fidelity_kernel(rows)
+            assert fid[0, -1] == fid[-1, 0]
+            assert (fid[0, -1] == 1.0) == snaps
+            assert fid[0, -1] == 1.0 or fid[0, -1] == min(1.0, plain_fidelity(p, q))
 
     def test_near_duplicate_rows_snap_to_one(self):
         base = np.array([0.2, 0.3, 0.5])
