@@ -25,7 +25,6 @@ from .partition import (
     _cover,
     compressibility,
     default_exact_cap,
-    graph_from_fidelity_matrix,
     solve_exact,
 )
 
@@ -34,16 +33,36 @@ from .partition import (
 DEFAULT_GRAPH_CAP = 2048
 
 
+# Float64 entries per row tile of a materialized ``gamma_k`` graph (1 MiB).
+# Graphs of up to 362 sequences are one tile.
+PRODUCT_TILE_ENTRIES = 1 << 17
+
+
+def _kron_step(fid: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``fid[i', j'] * base[a, b]`` into ``out[:, a, :, b]`` and return ``out``.
+
+    ``fid`` is ``(r, m)`` and ``out`` is ``(r, n, m, n)`` for an ``(n, n)``
+    letter matrix ``base``: one Kronecker step, one scalar multiply per
+    letter pair.  With ``n`` of 2-4 this is several times faster than
+    ``np.kron``'s broadcast, and the products are the same.
+    """
+    n = base.shape[0]
+    for a in range(n):
+        for b in range(n):
+            np.multiply(fid, base[a, b], out=out[:, a, :, b])
+    return out
+
+
 def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     """Pairwise reverse fidelities of all length-``k`` input sequences.
 
     Multiplies in one per-letter factor at a time in letter order, so each
     entry matches the letterwise product computed sequence by sequence.
-    Each step is the Kronecker product with the letter matrix, written as
-    one scalar multiply per letter pair ``(a, b)`` into the ``[:, a, :, b]``
-    slice of an ``(m, n, m, n)`` buffer: with ``n`` of 2-4 this is several
-    times faster than ``np.kron``'s broadcast, and the products are the same.
-    Above ``DEFAULT_GRAPH_CAP`` sequences it raises before allocating.
+    Each step is one :func:`_kron_step` with the letter matrix into a fresh
+    ``(m, n, m, n)`` buffer.  Above ``DEFAULT_GRAPH_CAP`` sequences it
+    raises before allocating.  :func:`gamma_k` builds its graphs without
+    calling this at ``k``: it takes the ``(k - 1)``-fold matrix and
+    thresholds the last step tile by tile.
     """
     if k < 1:
         raise ValidationError(f"sequence length must be >= 1, got {k}")
@@ -57,12 +76,35 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     fid = np.ones((1, 1))
     for _ in range(k):
         m = fid.shape[0]
-        out = np.empty((m, n, m, n))
-        for a in range(n):
-            for b in range(n):
-                np.multiply(fid, base[a, b], out=out[:, a, :, b])
-        fid = out.reshape(m * n, m * n)
+        fid = _kron_step(fid, base, np.empty((m, n, m, n))).reshape(m * n, m * n)
     return fid
+
+
+def _product_adjacency(channel: ClassicalChannel, epsilon: float, k: int) -> np.ndarray:
+    """Boolean sequence graph of ``k`` uses, without the ``k``-fold float matrix.
+
+    The last :func:`_kron_step` of :func:`product_fidelity_matrix` runs on
+    row tiles of the ``(k - 1)``-fold matrix, about ``PRODUCT_TILE_ENTRIES``
+    products each, into one reused buffer, and each tile is thresholded
+    into the adjacency with ``>= 1 - epsilon`` as
+    :func:`graph_from_fidelity_matrix` does.  Every entry is the same float
+    product, so the adjacency is the same bit for bit.  At 2048 sequences
+    this holds an 8 MiB input, a 1 MiB tile and a 4 MiB adjacency instead
+    of the 32 MiB product; the input and the tile are freed on return.
+    """
+    base = channel.fidelity_matrix
+    n = base.shape[0]
+    prev = product_fidelity_matrix(channel, k - 1) if k > 1 else np.ones((1, 1))
+    m = prev.shape[0]
+    total = m * n
+    rows = max(1, PRODUCT_TILE_ENTRIES // (n * total))
+    tile = np.empty((min(rows, m), n, m, n))
+    adj = np.empty((total, total), dtype=bool)
+    for r in range(0, m, rows):
+        step = _kron_step(prev[r:r + rows], base, tile[:min(rows, m - r)])
+        np.greater_equal(step.reshape(-1, total), 1.0 - epsilon,
+                         out=adj[r * n:(r + rows) * n])
+    return adj
 
 
 @dataclass(frozen=True)
@@ -150,14 +192,16 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     that.  Requesting ``"exact"`` above the exact cap raises
     :class:`ExactSolverCapError`; requesting ``"exact"`` or ``"greedy"``
     above the graph cap raises :class:`ValidationError`, whatever the
-    exact cap.
+    exact cap.  The materialized graph is thresholded tile by tile from
+    the ``(k - 1)``-fold product matrix (:func:`_product_adjacency`), so
+    the ``k``-fold float matrix is never held.
     """
     if _closed_form_route(channel, epsilon, k, solver):
         return _closed_form_result(channel, epsilon, k)
-    fid = product_fidelity_matrix(channel, k)
-    part, optimal = _cover(graph_from_fidelity_matrix(fid, epsilon), solver)
+    graph = IndistinguishabilityGraph(_product_adjacency(channel, epsilon, k), epsilon)
+    part, optimal = _cover(graph, solver)
     return GammaKResult(k=k, block_count=part.num_blocks,
-                        gamma=compressibility(fid.shape[0], part.num_blocks),
+                        gamma=compressibility(channel.num_inputs ** k, part.num_blocks),
                         method="exact" if optimal else "greedy_lower_bound")
 
 

@@ -193,23 +193,38 @@ def partition_is_clique_cover(partition: Partition, graph: IndistinguishabilityG
 
 
 def _max_clique_size(masks: list[int], n: int) -> int:
-    """Exact maximum clique via bitmask branch and bound."""
+    """Exact maximum clique via bitmask branch and bound (Tomita's MCQ).
+
+    ``masks`` are adjacency bitmasks without self-loops.  At each node the
+    candidate set is colored greedily into independent sets in label
+    order, and the vertices are visited from the last color class to the
+    first.  A vertex of color ``c`` leaves only vertices of colors up to
+    ``c`` as candidates, so no clique through it beats ``count + c``: the
+    branch is pruned once ``count + c <= best``.  The bound only prunes,
+    so the returned size is the exact maximum.
+    """
     best = 0
 
     def expand(count: int, cand: int) -> None:
         nonlocal best
-        if count + cand.bit_count() <= best:
+        if not cand:
+            best = max(best, count)
             return
-        if cand == 0:
-            if count > best:
-                best = count
-            return
-        while cand:
-            if count + cand.bit_count() <= best:
+        visit = []  # (vertex, color), color classes in order
+        color, rest = 0, cand
+        while rest:
+            color += 1
+            free = rest
+            while free:
+                v = (free & -free).bit_length() - 1
+                visit.append((v, color))
+                rest ^= 1 << v
+                free &= ~masks[v] & (free - 1)
+        for v, c in reversed(visit):
+            if count + c <= best:
                 return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
             expand(count + 1, cand & masks[v])
+            cand ^= 1 << v
 
     expand(0, (1 << n) - 1)
     return best

@@ -32,7 +32,12 @@ from revcomp import (
     s_bound_partition,
 )
 from revcomp import channels
-from revcomp.asymptotic import DEFAULT_GRAPH_CAP, _observed_trend
+from revcomp.asymptotic import (
+    DEFAULT_GRAPH_CAP,
+    PRODUCT_TILE_ENTRIES,
+    _observed_trend,
+    _product_adjacency,
+)
 
 from oracles import kron_chain, min_clique_cover_brute, product_partition, random_channel
 
@@ -99,6 +104,47 @@ class TestProductFidelityMatrix:
         assert not ch.fidelity_matrix.flags.writeable
         delta_estimate(make_erasure(2, 0.9), 0.2, 3)
         assert len(calls) == 2
+
+
+class TestProductAdjacency:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tiled_graph_equals_the_thresholded_product(self, n):
+        # Every k from 1 to the graph cap.  At n = 3, k = 6 (729 sequences)
+        # a tile is 59 rows of the 243-row 5-fold matrix, so the last of
+        # five tiles is partial.
+        rng = np.random.default_rng(40 + n)
+        ch = random_channel(rng, n, 3)
+        partial_tiles = []
+        k = 1
+        while n ** k <= DEFAULT_GRAPH_CAP and k <= 12:
+            rows, m = max(1, PRODUCT_TILE_ENTRIES // (n * n ** k)), n ** (k - 1)
+            if rows < m and m % rows:
+                partial_tiles.append(k)
+            fid = product_fidelity_matrix(ch, k)
+            # An epsilon whose threshold equals an entry exactly: that pair
+            # ties with 1 - eps and must stay adjacent.
+            exact = np.flatnonzero(1.0 - (1.0 - fid) == fid)
+            pair = np.unravel_index(exact[np.argmin(fid.flat[exact])], fid.shape)
+            tie = 1.0 - float(fid[pair])
+            for eps in (0.05, 0.3, 0.7, tie):
+                got = _product_adjacency(ch, eps, k)
+                assert got.dtype == bool
+                assert got.tobytes() == (fid >= 1.0 - eps).tobytes()
+            assert _product_adjacency(ch, tie, k)[pair]
+            k += 1
+        if n == 3:
+            assert 6 in partial_tiles
+
+    def test_greedy_row_at_the_cap_never_holds_the_product(self):
+        # The 2048-sequence float product alone is 32 MiB.
+        tracemalloc.start()
+        try:
+            result = gamma_k(make_erasure(2, 0.9), 0.2, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.method == "greedy_lower_bound"
+        assert peak < 20 << 20
 
 
 class TestGammaK:
@@ -262,12 +308,15 @@ class TestSBoundedPartitions:
 
     @pytest.mark.parametrize("alphabet_size, k, s, minimum", [
         (2, 5, 0, 32), (2, 5, 1, 16), (2, 5, 2, 7), (2, 5, 3, 4), (2, 5, 4, 2), (2, 5, 5, 1),
-        (2, 6, 3, 7), (2, 6, 4, 4), (3, 4, 2, 9),
+        (2, 6, 3, 7), (2, 6, 4, 4), (3, 4, 1, 27), (3, 4, 2, 9),
     ])
     def test_minimum_beyond_the_brute_force_oracle(self, alphabet_size, k, s, minimum):
         # Minima on 32-81 sequences, past the reach of min_clique_cover_brute;
         # each was confirmed by an independent DSATUR search.  Two of them
         # beat the prefix bound: 7 < 2**3 at (2, 5, 2) and 7 < 2**3 at (2, 6, 3).
+        # (3, 4, 1) = 27 is proved by counting: two words at distance <= 1
+        # agree outside one position, so a clique has at most 3 words, and
+        # 81 / 3 = 27 blocks are reached by the prefix partition.
         total = alphabet_size ** k
         assert min_s_bounded_partition_size(alphabet_size, k, s, total) == minimum
 

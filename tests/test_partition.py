@@ -28,8 +28,10 @@ from revcomp import (
     solve_greedy,
 )
 from revcomp.channels import Distribution
+from revcomp.partition import _max_clique_size
 
 from oracles import (
+    adjacency_bitmasks,
     first_fit_label_order,
     min_clique_cover_brute,
     random_adjacency,
@@ -188,6 +190,16 @@ class TestSolvers:
     def test_greedy_is_first_fit_in_label_order(self, n, p, seed):
         adj = random_adjacency(np.random.default_rng(seed), n, p)
         assert solve_greedy(IndistinguishabilityGraph(adj)).blocks == first_fit_label_order(adj)
+
+    def test_max_clique_size_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(15)
+        for trial in range(200):
+            n = int(rng.integers(1, 41))
+            adj = random_adjacency(rng, n, float(rng.uniform(0.05, 0.95)))
+            graph = nx.from_numpy_array(adj & ~np.eye(n, dtype=bool))
+            want = max(len(c) for c in nx.find_cliques(graph))
+            assert _max_clique_size(adjacency_bitmasks(adj), n) == want
 
     def test_greedy_can_be_suboptimal(self):
         # first-fit merges 0 with 1 and then strands 2 and 3
