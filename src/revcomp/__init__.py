@@ -49,7 +49,6 @@ from .partition import (
     CompressionReport,
     IndistinguishabilityGraph,
     Partition,
-    build_graph,
     compress,
     compressibility,
     decompression_channel,

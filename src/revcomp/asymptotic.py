@@ -23,6 +23,7 @@ from .partition import (
     Partition,
     _block_certificates,
     _cover,
+    _cover_count,
     compressibility,
     default_exact_cap,
     solve_exact,
@@ -53,6 +54,13 @@ def _kron_step(fid: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
+def _next_power(fid: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The product matrix one letter longer: one :func:`_kron_step` of
+    ``fid`` with the letter matrix ``base`` into a fresh buffer."""
+    m, n = fid.shape[0], base.shape[0]
+    return _kron_step(fid, base, np.empty((m, n, m, n))).reshape(m * n, m * n)
+
+
 def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     """Pairwise reverse fidelities of all length-``k`` input sequences.
 
@@ -62,12 +70,11 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     ``(m, n, m, n)`` buffer.  Above ``DEFAULT_GRAPH_CAP`` sequences it
     raises before allocating.  :func:`gamma_k` builds its graphs without
     calling this at ``k``: it takes the ``(k - 1)``-fold matrix and
-    thresholds the last step tile by tile.
+    thresholds the last step tile by tile (:func:`_row_masks`).
     """
     if k < 1:
         raise ValidationError(f"sequence length must be >= 1, got {k}")
-    n = channel.num_inputs
-    total = n ** k
+    total = channel.num_inputs ** k
     if total > DEFAULT_GRAPH_CAP:
         raise ValidationError(
             f"{total} sequences exceed the graph cap {DEFAULT_GRAPH_CAP} for k={k}"
@@ -75,36 +82,56 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     base = channel.fidelity_matrix
     fid = np.ones((1, 1))
     for _ in range(k):
-        m = fid.shape[0]
-        fid = _kron_step(fid, base, np.empty((m, n, m, n))).reshape(m * n, m * n)
+        fid = _next_power(fid, base)
     return fid
 
 
-def _product_adjacency(channel: ClassicalChannel, epsilon: float, k: int) -> np.ndarray:
-    """Boolean sequence graph of ``k`` uses, without the ``k``-fold float matrix.
+def _letter_matrix(channel: ClassicalChannel) -> np.ndarray:
+    """The channel's letter fidelity matrix, checked exactly symmetric with
+    a diagonal of exactly 1.0.
 
-    The last :func:`_kron_step` of :func:`product_fidelity_matrix` runs on
-    row tiles of the ``(k - 1)``-fold matrix, about ``PRODUCT_TILE_ENTRIES``
-    products each, into one reused buffer, and each tile is thresholded
-    into the adjacency with ``>= 1 - epsilon`` as
-    :func:`graph_from_fidelity_matrix` does.  Every entry is the same float
-    product, so the adjacency is the same bit for bit.  At 2048 sequences
-    this holds an 8 MiB input, a 1 MiB tile and a 4 MiB adjacency instead
-    of the 32 MiB product; the input and the tile are freed on return.
+    Every product entry is ``fid[i', j'] * base[a, b]`` and IEEE
+    multiplication is commutative, so this one check proves every product
+    graph symmetric and reflexive.  ``channels._fidelity_kernel``
+    guarantees both properties.
     """
     base = channel.fidelity_matrix
+    if not np.array_equal(base, base.T):
+        raise ValidationError("letter fidelity matrix must be exactly symmetric")
+    if not np.all(np.diag(base) == 1.0):
+        raise ValidationError("letter fidelity matrix must have a diagonal of exactly 1.0")
+    return base
+
+
+def _row_masks(prev: np.ndarray, base: np.ndarray, epsilon: float) -> list[int]:
+    """Adjacency bitmasks of the sequence graph one letter longer than ``prev``.
+
+    ``prev`` is the ``(k - 1)``-fold product matrix and ``base`` the letter
+    matrix.  The last :func:`_kron_step` runs on row tiles of ``prev``,
+    about ``PRODUCT_TILE_ENTRIES`` products each, into one reused buffer.
+    Each tile is thresholded with ``>= 1 - epsilon`` as
+    :func:`graph_from_fidelity_matrix` does, its self-loop bits are
+    cleared, and it is packed straight into the masks: bit ``j`` of mask
+    ``i`` is set when ``i != j`` are adjacent.  The products are the same
+    floats, so the masks match the thresholded ``k``-fold matrix bit for
+    bit, and no ``n**k``-square matrix of any type is held.
+    """
     n = base.shape[0]
-    prev = product_fidelity_matrix(channel, k - 1) if k > 1 else np.ones((1, 1))
     m = prev.shape[0]
     total = m * n
     rows = max(1, PRODUCT_TILE_ENTRIES // (n * total))
     tile = np.empty((min(rows, m), n, m, n))
-    adj = np.empty((total, total), dtype=bool)
+    adj = np.empty((min(rows, m) * n, total), dtype=bool)
+    diag = np.arange(adj.shape[0])
+    masks: list[int] = []
     for r in range(0, m, rows):
-        step = _kron_step(prev[r:r + rows], base, tile[:min(rows, m - r)])
-        np.greater_equal(step.reshape(-1, total), 1.0 - epsilon,
-                         out=adj[r * n:(r + rows) * n])
-    return adj
+        h = min(rows, m - r) * n
+        step = _kron_step(prev[r:r + rows], base, tile[:h // n])
+        np.greater_equal(step.reshape(h, total), 1.0 - epsilon, out=adj[:h])
+        adj[diag[:h], r * n + diag[:h]] = False
+        packed = np.packbits(adj[:h], axis=1, bitorder="little")
+        masks.extend(map(int.from_bytes, packed, itertools.repeat("little")))
+    return masks
 
 
 @dataclass(frozen=True)
@@ -182,6 +209,15 @@ def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver
     return False
 
 
+def _materialized_row(prev: np.ndarray, base: np.ndarray, epsilon: float, k: int,
+                      solver: str) -> GammaKResult:
+    """One exact or first-fit row, counted on the masks of :func:`_row_masks`."""
+    count, optimal = _cover_count(_row_masks(prev, base, epsilon), solver)
+    return GammaKResult(k=k, block_count=count,
+                        gamma=compressibility(base.shape[0] ** k, count),
+                        method="exact" if optimal else "greedy_lower_bound")
+
+
 def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
             solver: str = "auto") -> GammaKResult:
     """Compressibility of ``k`` independent uses of a channel.
@@ -192,17 +228,18 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     that.  Requesting ``"exact"`` above the exact cap raises
     :class:`ExactSolverCapError`; requesting ``"exact"`` or ``"greedy"``
     above the graph cap raises :class:`ValidationError`, whatever the
-    exact cap.  The materialized graph is thresholded tile by tile from
-    the ``(k - 1)``-fold product matrix (:func:`_product_adjacency`), so
-    the ``k``-fold float matrix is never held.
+    exact cap.  The letter matrix is checked once (:func:`_letter_matrix`).
+    A materialized row packs the last step of the ``(k - 1)``-fold product
+    matrix straight into adjacency bitmasks (:func:`_row_masks`) and only
+    counts the blocks of the cover, so it builds no ``k``-fold float
+    matrix, graph or partition.
     """
-    if _closed_form_route(channel, epsilon, k, solver):
+    closed_form = _closed_form_route(channel, epsilon, k, solver)
+    base = _letter_matrix(channel)
+    if closed_form:
         return _closed_form_result(channel, epsilon, k)
-    graph = IndistinguishabilityGraph(_product_adjacency(channel, epsilon, k), epsilon)
-    part, optimal = _cover(graph, solver)
-    return GammaKResult(k=k, block_count=part.num_blocks,
-                        gamma=compressibility(channel.num_inputs ** k, part.num_blocks),
-                        method="exact" if optimal else "greedy_lower_bound")
+    prev = product_fidelity_matrix(channel, k - 1) if k > 1 else np.ones((1, 1))
+    return _materialized_row(prev, base, epsilon, k, solver)
 
 
 @dataclass(frozen=True)
@@ -236,21 +273,37 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
     """Finite-k sweep of compressibility values for 1 <= k <= k_max.
 
     Evidence about the many-use limit; no extrapolation is performed.
+    Every row is the :func:`gamma_k` row at its ``k``, and every row's caps
+    are checked before any row runs.  The ``(k - 1)``-fold product matrix
+    is carried from row to row and advanced by one :func:`_kron_step` just
+    before each materialized row, so no row rebuilds the chain.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     # Block counts are printed in decimal, which Python refuses past this many digits.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     too_long = 10 ** digits
+    closed_form = []
     for k in range(1, k_max + 1):  # a capped sweep fails before any row runs
-        _closed_form_route(channel, epsilon, k, solver)
+        closed_form.append(_closed_form_route(channel, epsilon, k, solver))
         if digits and channel.num_inputs ** k >= too_long:
             raise ValidationError(
                 f"k={k}: the sequence count {channel.num_inputs}**{k} has more than "
                 f"{digits} decimal digits, past Python's int-to-string limit"
             )
-    results = tuple(gamma_k(channel, epsilon, k, solver=solver) for k in range(1, k_max + 1))
-    return AsymptoticSweep(epsilon=float(epsilon), results=results,
+    base = _letter_matrix(channel)
+    # The route depends on k only through n**k, which never falls, so the
+    # materialized rows come first and the chain stays one letter behind.
+    prev = np.ones((1, 1))
+    results = []
+    for k, closed in enumerate(closed_form, start=1):
+        if closed:
+            results.append(_closed_form_result(channel, epsilon, k))
+            continue
+        if k > 1:
+            prev = _next_power(prev, base)
+        results.append(_materialized_row(prev, base, epsilon, k, solver))
+    return AsymptoticSweep(epsilon=float(epsilon), results=tuple(results),
                            trend=_observed_trend([r.gamma for r in results]))
 
 
@@ -348,8 +401,10 @@ def generalized_erasure_gamma_bound(block_sizes: Sequence[int], k: int) -> float
 
     Evaluates ``(sum(a_i**k) - d) / ((sum(a_i))**k - 1)`` in exact integer
     arithmetic before the final float conversion.  This is the value of
-    the partition built by :func:`generalized_erasure_bound_partition`;
-    see that function for when the partition is actually feasible.
+    one partition, the one built by
+    :func:`generalized_erasure_bound_partition`, so it is a lower bound on
+    the compressibility gamma wherever that partition is feasible, not
+    gamma itself; see that function for when it is feasible.
     """
     sizes = [int(a) for a in block_sizes]
     if len(sizes) == 0 or any(a < 1 for a in sizes):

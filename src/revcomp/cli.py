@@ -350,7 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--etas", required=True, help="comma-separated erasure probabilities")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--solver", choices=("auto", "exact", "greedy"), default="auto")
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=int, default=None,
+                   help="report gamma_bound for k = 1..K_MAX: the compressibility of "
+                        "one partition, the block-diagonal merge, so a lower bound on "
+                        "gamma wherever that partition is feasible")
 
     p = sub.add_parser("conjecture", parents=[common],
                        help="exhaustive check of sequence-partition minima against the "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -113,11 +113,6 @@ def graph_from_fidelity_matrix(fidelities: np.ndarray, epsilon: float) -> Indist
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     fid = np.asarray(fidelities, dtype=float)
     return IndistinguishabilityGraph(fid >= 1.0 - epsilon, epsilon)
-
-
-def build_graph(channel: ClassicalChannel, epsilon: float) -> IndistinguishabilityGraph:
-    """Indistinguishability graph of a channel at tolerance ``epsilon``."""
-    return graph_from_fidelity_matrix(reverse_fidelity_matrix(channel), epsilon)
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,7 @@ def _max_clique_size(masks: list[int], n: int) -> int:
     return best
 
 
-def _first_fit(masks: list[int]) -> list[list[int]]:
+def _first_fit(masks: list[int]) -> Iterator[int]:
     """First-fit clique cover in label order, built one block at a time.
 
     ``masks`` are adjacency bitmasks without self-loops.  A block starts at
@@ -240,29 +235,36 @@ def _first_fit(masks: list[int]) -> list[list[int]]:
     vertex joins the first block it is adjacent to in full), by induction
     over the blocks: a vertex joins block ``c`` iff it misses blocks
     ``0..c-1`` and is adjacent to every earlier member of ``c``.  It costs
-    O(n + blocks) big-integer steps instead of O(n * blocks).  Returns the
-    members of each block, ascending, blocks in order of their first member.
+    O(n + blocks) big-integer steps instead of O(n * blocks).  Yields each
+    block as a bitmask of its members, blocks in order of their first
+    member, so a caller that needs only the count builds no member lists.
     """
-    blocks = []
     remaining = (1 << len(masks)) - 1
     while remaining:
-        members = []
-        cand = remaining
+        before = cand = remaining
         while cand:
             v = (cand & -cand).bit_length() - 1
-            members.append(v)
             remaining ^= 1 << v
             cand &= masks[v]
-        blocks.append(members)
-    return blocks
+        yield before ^ remaining
 
 
-def _complement_masks(graph: IndistinguishabilityGraph) -> list[int]:
+def _members(mask: int) -> tuple[int, ...]:
+    """Set bits of ``mask``, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
+def _complement(masks: list[int]) -> list[int]:
     """Complement adjacency as bitmasks: bit ``j`` of mask ``i`` is set when
     ``i != j`` are not adjacent, so a color class of the complement is a
     clique of the graph."""
-    full = (1 << graph.size) - 1
-    return [full & ~(mask | (1 << v)) for v, mask in enumerate(graph._masks())]
+    full = (1 << len(masks)) - 1
+    return [full & ~(mask | (1 << v)) for v, mask in enumerate(masks)]
 
 
 def _partition_from_colors(assign: Sequence[int]) -> Partition:
@@ -273,8 +275,10 @@ def _partition_from_colors(assign: Sequence[int]) -> Partition:
     return Partition(tuple(tuple(g) for g in groups.values()))
 
 
-def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Partition:
-    """Minimum clique cover, solved as exact coloring of the complement.
+def _exact_coloring(masks: list[int], cap: int) -> list[int]:
+    """Minimum coloring of the complement of the graph with adjacency
+    bitmasks ``masks`` (no self-loops): the color of each vertex, colors
+    ``0..count-1``, so each color class is a clique of the graph.
 
     DSATUR branch and bound (Brelaz 1979): the next vertex is the uncolored
     one whose complement neighbors already use the most colors, ties to the
@@ -282,19 +286,17 @@ def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Par
     it may take in increasing order, and a new color only while the count
     stays below the best coloring found so far.  The first dive is the
     DSATUR coloring, and the search stops once a coloring meets the exact
-    max-clique lower bound.  Deterministic: identical graphs yield the
-    identical partition.  Raises :class:`ExactSolverCapError` above the
-    vertex cap since the worst case is exponential.
+    max-clique lower bound.  Deterministic.  Raises
+    :class:`ExactSolverCapError` above ``cap`` vertices since the worst
+    case is exponential.
     """
-    if cap is None:
-        cap = default_exact_cap()
-    n = graph.size
+    n = len(masks)
     if n > cap:
         raise ExactSolverCapError(
             f"exact solver got {n} vertices, above the cap {cap}; "
             f"use the greedy solver or raise {EXACT_CAP_ENV}"
         )
-    comp_masks = _complement_masks(graph)
+    comp_masks = _complement(masks)
     order = sorted(range(n), key=lambda v: (-comp_masks[v].bit_count(), v))
     lower = _max_clique_size(comp_masks, n)
     assign = [-1] * n
@@ -338,7 +340,17 @@ def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Par
                 seen[u] ^= bit
 
     bnb((1 << n) - 1, 0)
-    return _partition_from_colors(best_assign)
+    return best_assign
+
+
+def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Partition:
+    """Minimum clique cover, solved as exact coloring of the complement by
+    :func:`_exact_coloring`.  Deterministic: identical graphs yield the
+    identical partition.
+    """
+    if cap is None:
+        cap = default_exact_cap()
+    return _partition_from_colors(_exact_coloring(graph._masks(), cap))
 
 
 def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
@@ -348,7 +360,7 @@ def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
     adjacent to in full, otherwise it opens a new block.  The blocks are
     built one at a time by :func:`_first_fit`.
     """
-    return Partition(tuple(tuple(b) for b in _first_fit(graph._masks())))
+    return Partition(tuple(map(_members, _first_fit(graph._masks()))))
 
 
 def _cover(graph: IndistinguishabilityGraph, solver: str) -> tuple[Partition, bool]:
@@ -363,6 +375,16 @@ def _cover(graph: IndistinguishabilityGraph, solver: str) -> tuple[Partition, bo
     if solver == "exact" or (solver == "auto" and graph.size <= cap):
         return solve_exact(graph, cap=cap), True
     return solve_greedy(graph), False
+
+
+def _cover_count(masks: list[int], solver: str) -> tuple[int, bool]:
+    """Block count of the cover :func:`_cover` picks for the graph with
+    adjacency bitmasks ``masks`` (no self-loops), and whether it is proved
+    minimum; no block member is listed."""
+    cap = default_exact_cap()
+    if solver == "exact" or (solver == "auto" and len(masks) <= cap):
+        return max(_exact_coloring(masks, cap)) + 1, True
+    return sum(1 for _ in _first_fit(masks)), False
 
 
 def compressibility(num_inputs: int, num_blocks: int) -> float:

@@ -30,13 +30,15 @@ from revcomp import (
     product_reverse_fidelity,
     reverse_fidelity_matrix,
     s_bound_partition,
+    solve_exact,
+    solve_greedy,
 )
-from revcomp import channels
+from revcomp import asymptotic, channels, cli
 from revcomp.asymptotic import (
     DEFAULT_GRAPH_CAP,
     PRODUCT_TILE_ENTRIES,
     _observed_trend,
-    _product_adjacency,
+    _row_masks,
 )
 
 from oracles import kron_chain, min_clique_cover_brute, product_partition, random_channel
@@ -106,6 +108,15 @@ class TestProductFidelityMatrix:
         assert len(calls) == 2
 
 
+def adjacency_masks(adj):
+    """Bitmasks of a boolean adjacency with self-loops removed, each row
+    read as a binary numeral whose bit ``j`` is column ``j``."""
+    adj = adj.copy()
+    np.fill_diagonal(adj, False)
+    digits = np.where(adj[:, ::-1], ord("1"), ord("0")).astype(np.uint8)
+    return [int(row.tobytes(), 2) for row in digits]
+
+
 class TestProductAdjacency:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tiled_graph_equals_the_thresholded_product(self, n):
@@ -114,12 +125,14 @@ class TestProductAdjacency:
         # five tiles is partial.
         rng = np.random.default_rng(40 + n)
         ch = random_channel(rng, n, 3)
+        base = ch.fidelity_matrix
         partial_tiles = []
         k = 1
         while n ** k <= DEFAULT_GRAPH_CAP and k <= 12:
             rows, m = max(1, PRODUCT_TILE_ENTRIES // (n * n ** k)), n ** (k - 1)
             if rows < m and m % rows:
                 partial_tiles.append(k)
+            prev = product_fidelity_matrix(ch, k - 1) if k > 1 else np.ones((1, 1))
             fid = product_fidelity_matrix(ch, k)
             # An epsilon whose threshold equals an entry exactly: that pair
             # ties with 1 - eps and must stay adjacent.
@@ -127,10 +140,11 @@ class TestProductAdjacency:
             pair = np.unravel_index(exact[np.argmin(fid.flat[exact])], fid.shape)
             tie = 1.0 - float(fid[pair])
             for eps in (0.05, 0.3, 0.7, tie):
-                got = _product_adjacency(ch, eps, k)
-                assert got.dtype == bool
-                assert got.tobytes() == (fid >= 1.0 - eps).tobytes()
-            assert _product_adjacency(ch, tie, k)[pair]
+                got = _row_masks(prev, base, eps)
+                assert got == adjacency_masks(fid >= 1.0 - eps)
+            i, j = pair
+            if i != j:
+                assert _row_masks(prev, base, tie)[i] >> int(j) & 1
             k += 1
         if n == 3:
             assert 6 in partial_tiles
@@ -145,6 +159,94 @@ class TestProductAdjacency:
             tracemalloc.stop()
         assert result.method == "greedy_lower_bound"
         assert peak < 20 << 20
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_count_only_rows_equal_covers_of_the_full_product(self, n):
+        # n = 3, k = 6 has a partial last tile (see above).
+        rng = np.random.default_rng(50 + n)
+        ch = random_channel(rng, n, 3)
+        k_max = 1
+        while n ** (k_max + 1) <= DEFAULT_GRAPH_CAP and k_max < 12:
+            k_max += 1
+        fid_top = product_fidelity_matrix(ch, k_max)
+        exact = np.flatnonzero((1.0 - (1.0 - fid_top) == fid_top) & (fid_top < 1.0))
+        tie = 1.0 - float(fid_top.flat[exact[0]]) if exact.size else 0.5
+        for eps in (0.05, 0.3, 0.7, tie):
+            greedy = delta_estimate(ch, eps, k_max, solver="greedy").results
+            auto = delta_estimate(ch, eps, k_max).results
+            for k in range(1, k_max + 1):
+                graph = graph_from_fidelity_matrix(product_fidelity_matrix(ch, k), eps)
+                part = solve_greedy(graph)
+                assert partition_is_clique_cover(part, graph)
+                assert greedy[k - 1].block_count == part.num_blocks
+                assert greedy[k - 1] == gamma_k(ch, eps, k, solver="greedy")
+                assert auto[k - 1] == gamma_k(ch, eps, k)
+                if graph.size <= 20:
+                    assert auto[k - 1].block_count == solve_exact(graph).num_blocks
+                    assert auto[k - 1].method == "exact"
+
+    def test_sweep_rows_carry_the_chain_and_build_no_graph(self, monkeypatch):
+        # All eleven rows of this sweep are materialized (2**11 = 2048).
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built in a sweep row")
+
+        def refuse_chain(*args):
+            raise AssertionError("a sweep row rebuilt the chain from k = 1")
+
+        steps = []
+        next_power = asymptotic._next_power
+        monkeypatch.setattr(IndistinguishabilityGraph, "__post_init__", refuse)
+        monkeypatch.setattr(Partition, "__post_init__", refuse)
+        monkeypatch.setattr(asymptotic, "product_fidelity_matrix", refuse_chain)
+        monkeypatch.setattr(asymptotic, "_next_power",
+                            lambda fid, base: steps.append(fid.shape[0]) or next_power(fid, base))
+        sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 11)
+        assert [r.block_count for r in sweep.results] == [2 ** (k - 1) for k in range(1, 12)]
+        assert steps == [2 ** j for j in range(10)]
+
+    def test_sweep_past_the_cap_never_holds_the_product(self):
+        # The chain stops at the 1024-row input of the last materialized row.
+        tracemalloc.start()
+        try:
+            sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.method for r in sweep.results][-3:] == [
+            "greedy_lower_bound", "closed_form", "closed_form"]
+        assert peak < 20 << 20
+
+
+class TestLetterMatrixCheck:
+    def bad_matrices(self):
+        base = make_erasure(3, 0.9).fidelity_matrix.copy()
+        asymmetric = base.copy()
+        asymmetric[0, 1] = np.nextafter(asymmetric[0, 1], 0.0)
+        diagonal = base.copy()
+        diagonal[1, 1] = np.nextafter(1.0, 0.0)
+        return {"symmetric": asymmetric, "diagonal": diagonal}
+
+    @pytest.mark.parametrize("kind", ["symmetric", "diagonal"])
+    def test_gamma_k_and_sweeps_reject_the_letter_matrix(self, kind):
+        bad = self.bad_matrices()[kind]
+        # k = 2 is exact, k = 5 greedy and k = 8 closed form.
+        for call in (lambda ch: gamma_k(ch, 0.2, 2), lambda ch: gamma_k(ch, 0.2, 5),
+                     lambda ch: gamma_k(ch, 0.2, 8), lambda ch: delta_estimate(ch, 0.2, 3),
+                     lambda ch: delta_estimate(ch, 0.2, 3, solver="closed_form")):
+            ch = make_erasure(3, 0.9)
+            vars(ch)["fidelity_matrix"] = bad  # the cached_property slot
+            with pytest.raises(ValidationError, match=kind):
+                call(ch)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "diagonal"])
+    def test_cli_exits_2(self, kind, tmp_path, capsys, monkeypatch):
+        bad = self.bad_matrices()[kind]
+        monkeypatch.setattr(channels, "reverse_fidelity_matrix", lambda ch: bad)
+        path = tmp_path / "ch.json"
+        path.write_text('{"type": "erasure", "r": 3, "eta": 0.9}')
+        assert cli.main(["asymptotic", "--channel", str(path), "--epsilon", "0.2",
+                         "--k-max", "3"]) == 2
+        assert kind in capsys.readouterr().err
 
 
 class TestGammaK:

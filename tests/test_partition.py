@@ -11,7 +11,6 @@ from revcomp import (
     Partition,
     ReportMismatchError,
     ValidationError,
-    build_graph,
     compress,
     compressibility,
     compose,
@@ -104,11 +103,12 @@ class TestGraph:
         with pytest.raises(ValidationError):
             graph_from_fidelity_matrix(fid, 1.01)
 
-    def test_build_graph_erasure(self):
+    def test_erasure_channel_graph(self):
         # pairwise fidelity 0.81 >= 1 - 0.2, so everything is adjacent
-        g = build_graph(make_erasure(3, 0.9), 0.2)
+        fid = reverse_fidelity_matrix(make_erasure(3, 0.9))
+        g = graph_from_fidelity_matrix(fid, 0.2)
         assert all(g.are_adjacent(i, j) for i in range(3) for j in range(3))
-        g = build_graph(make_erasure(3, 0.9), 0.1)
+        g = graph_from_fidelity_matrix(fid, 0.1)
         assert not g.are_adjacent(0, 1)
         assert g.are_adjacent(1, 1)
 
