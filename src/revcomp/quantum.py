@@ -26,8 +26,8 @@ EIG_CLAMP = 1e-12
 KERNEL_TOL = 1e-9
 
 
-# Probes are pushed through the channels this many at a time, which bounds
-# the scratch memory of the probe loop whatever the probe count.
+# Probes are drawn and pushed through the channels this many at a time, which
+# bounds the scratch memory of the probe loop whatever the probe count.
 PROBE_CHUNK = 128
 
 
@@ -178,7 +178,7 @@ def _apply_kraus(channel: KrausChannel, states: np.ndarray) -> np.ndarray:
 
     A vector ``v`` stands for the operator ``v v^dagger``; its output is
     ``sum_i (K_i v)(K_i v)^dagger``, formed as one batched product per group
-    of at most ``out_dim`` Kraus operators.  Operators are taken one Kraus
+    of images from :func:`_kraus_images`.  Operators are taken one Kraus
     operator at a time.  Either way the scratch memory does not grow with
     the number of Kraus operators.
     """
@@ -188,11 +188,39 @@ def _apply_kraus(channel: KrausChannel, states: np.ndarray) -> np.ndarray:
         for k in channel.kraus:
             out += k @ states @ k.conj().T
         return out
+    for images in _kraus_images(channel, states):
+        out += images @ _adjoint(images)
+    return out
+
+
+def _kraus_images(channel: KrausChannel, vectors: np.ndarray):
+    """Images ``K_i v`` of a ``(P, in_dim)`` stack of vectors, as columns of
+    ``(P, out_dim, g)`` blocks, one block per group of at most ``out_dim``
+    Kraus operators, in Kraus order."""
+    count, dim = vectors.shape[0], channel.out_dim
     for start in range(0, len(channel.kraus), dim):
         group = np.stack(channel.kraus[start:start + dim])
-        kv = (states @ group.reshape(-1, channel.in_dim).T).reshape(count, len(group), dim)
-        out += kv.swapaxes(1, 2) @ kv.conj()
-    return out
+        kv = (vectors @ group.reshape(-1, channel.in_dim).T).reshape(count, len(group), dim)
+        yield kv.swapaxes(1, 2)
+
+
+def _output_factors(channel: KrausChannel, vectors: np.ndarray) -> np.ndarray:
+    """Factors ``L`` of the channel outputs of a ``(P, in_dim)`` stack of
+    vectors: a ``(P, out_dim, r)`` stack with ``L L^dagger`` the output of
+    each vector and ``r <= out_dim``.
+
+    The images of the first group of Kraus operators are the factor; each
+    later group is folded in through the triangular QR factor ``R`` of
+    ``[L, images]^dagger``, since ``R^dagger R`` equals
+    ``L L^dagger + images images^dagger``.  The scratch memory does not grow
+    with the number of Kraus operators.
+    """
+    groups = _kraus_images(channel, vectors)
+    factors = next(groups)
+    for images in groups:
+        stacked = np.concatenate([factors, images], axis=2)
+        factors = _adjoint(np.linalg.qr(_adjoint(stacked), mode="r"))
+    return factors
 
 
 def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
@@ -210,17 +238,17 @@ def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     return KrausChannel(tuple(k for k in products if k.any()))
 
 
-def _fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Fidelities of two ``(P, d, d)`` stacks of validated states, pair by pair.
+def _fidelities(factors: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Fidelities of ``rho = L L^dagger`` and ``sigma``, pair by pair.
 
-    The squared trace of the square root of ``sqrt(rho) sigma sqrt(rho)``,
-    with eigenvalues below ``EIG_CLAMP`` treated as zero in both square roots
-    and each result clamped to at most 1.
+    ``factors`` is a ``(P, d, r)`` stack of factors ``L`` of states ``rho``
+    and ``sigma`` a ``(P, d, d)`` stack of validated states.  By the polar
+    decomposition ``L = sqrt(rho) U``, the fidelity is the squared trace of
+    the square root of ``L^dagger sigma L`` (Jozsa 1994) whatever factor is
+    given.  Eigenvalues of ``L^dagger sigma L`` below ``EIG_CLAMP`` are
+    treated as zero and each result is clamped to at most 1.
     """
-    w, v = np.linalg.eigh(rho)
-    w = np.where(w < EIG_CLAMP, 0.0, w)
-    s = (v * np.sqrt(w)[:, None, :]) @ _adjoint(v)
-    inner = s @ sigma @ s
+    inner = _adjoint(factors) @ sigma @ factors
     w = np.linalg.eigvalsh((inner + _adjoint(inner)) / 2.0)
     w = np.where(w < EIG_CLAMP, 0.0, w)
     val = np.sum(np.sqrt(w), axis=1)
@@ -232,13 +260,17 @@ def quantum_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Computed as the squared trace of the square root of
     ``sqrt(rho) sigma sqrt(rho)``, with eigenvalues below ``EIG_CLAMP``
-    treated as zero and the result clamped into [0, 1].
+    treated as zero and the result clamped into [0, 1].  The factor handed
+    to :func:`_fidelities` is ``V sqrt(W)`` from the eigendecomposition of
+    ``rho``, with its eigenvalues clamped the same way.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(
             f"states have different dimensions {rho.dim} and {sigma.dim}"
         )
-    return float(_fidelities(rho.matrix[None], sigma.matrix[None])[0])
+    w, v = np.linalg.eigh(rho.matrix)
+    w = np.where(w < EIG_CLAMP, 0.0, w)
+    return float(_fidelities((v * np.sqrt(w))[None], sigma.matrix[None])[0])
 
 
 def vector_kernel(channel: KrausChannel) -> tuple[int, np.ndarray]:
@@ -368,17 +400,20 @@ def quantum_compressibility(compressor: KrausChannel | CoarseGraining, in_dim: i
     """Kernel dimension over ``in_dim - 1``, clamped into [0, 1].
 
     The quantum analogue of the removable-input fraction; a one-dimensional
-    input space compresses trivially and returns 1.
+    input space compresses trivially and returns 1.  ``in_dim`` must equal
+    the compressor's input dimension.
     """
     if in_dim < 1:
         raise ValidationError(f"input dimension must be >= 1, got {in_dim}")
-    if isinstance(compressor, CoarseGraining):
-        kernel_dim = compressor.kernel_dim
-    else:
-        kernel_dim, _ = vector_kernel(compressor)
+    if isinstance(compressor, KrausChannel):
+        compressor = CoarseGraining.of(compressor)
+    if in_dim != compressor.channel.in_dim:
+        raise DimensionMismatchError(
+            f"input dimension {in_dim} differs from the compressor's {compressor.channel.in_dim}"
+        )
     if in_dim == 1:
         return 1.0
-    return min(1.0, kernel_dim / (in_dim - 1))
+    return min(1.0, compressor.kernel_dim / (in_dim - 1))
 
 
 def erasure_output_fidelity(eta: float, input_fidelity: float) -> float:
@@ -432,16 +467,31 @@ def random_kraus_channel(in_dim: int, out_dim: int, num_ops: int,
     return KrausChannel(tuple(q[i * out_dim:(i + 1) * out_dim] for i in range(num_ops)))
 
 
-def _probe_vectors(dim: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vectors of the probe family, one per row, in probe order."""
+def _check_probe_count(n_random: int) -> None:
+    if n_random < 0:
+        raise ValidationError(f"n_random must be >= 0, got {n_random}")
+
+
+def _probe_chunks(dim: int, n_random: int, rng: np.random.Generator):
+    """Unit vectors of the probe family, one per row, in probe order and
+    ``PROBE_CHUNK`` rows at a time.
+
+    Each chunk draws its random vectors from ``rng`` as it is made, so the
+    random probes are never held all at once; consecutive draws from one
+    generator equal a single draw of their total size.
+    """
+    _check_probe_count(n_random)
     i, j = np.triu_indices(dim, 1)
     pairs = np.zeros((len(i), 4, dim), dtype=complex)
     rows = np.arange(len(i))
     pairs[rows, :, i] = 1.0
     pairs[rows, :, j] = (1.0, -1.0, 1j, -1j)
-    pairs = pairs.reshape(-1, dim) / np.sqrt(2.0)
-    return np.concatenate([np.eye(dim, dtype=complex), pairs,
-                           _random_pure_states(n_random, dim, rng)])
+    fixed = np.concatenate([np.eye(dim, dtype=complex), pairs.reshape(-1, dim) / np.sqrt(2.0)])
+    total = len(fixed) + n_random
+    for start in range(0, total, PROBE_CHUNK):
+        head = fixed[start:start + PROBE_CHUNK]
+        drawn = min(PROBE_CHUNK, total - start) - len(head)
+        yield np.concatenate([head, _random_pure_states(drawn, dim, rng)])
 
 
 def probe_states(dim: int, n_random: int, rng: np.random.Generator) -> list[DensityMatrix]:
@@ -450,7 +500,7 @@ def probe_states(dim: int, n_random: int, rng: np.random.Generator) -> list[Dens
     Basis states, the four standard two-level superpositions of every
     basis pair, then ``n_random`` random pure states.
     """
-    return [DensityMatrix.pure(v) for v in _probe_vectors(dim, n_random, rng)]
+    return [DensityMatrix.pure(v) for chunk in _probe_chunks(dim, n_random, rng) for v in chunk]
 
 
 @dataclass(frozen=True)
@@ -473,25 +523,32 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
 
     The probe family is the deterministic set from :func:`probe_states`
     plus ``n_random`` seeded random pure states, so identical arguments
-    reproduce identical results.  Probes go through the channels
-    ``PROBE_CHUNK`` at a time; every probe and every output is validated
-    as a density matrix.  The witness is the first probe, in probe order,
-    that attains the minimum.
+    reproduce identical results.  Probes are drawn and go through the
+    channels ``PROBE_CHUNK`` at a time; every probe and every output is
+    validated as a density matrix.  The images ``K_i v`` of a probe under
+    ``a``, scaled to unit trace, are a factor of its output, so each
+    fidelity takes one eigenvalue solve and no matrix square root.  The
+    witness is the first probe, in probe order, that attains the minimum.
     """
     if a.in_dim != b.in_dim or a.out_dim != b.out_dim:
         raise DimensionMismatchError(
             f"channels have different shapes ({a.in_dim}->{a.out_dim} vs {b.in_dim}->{b.out_dim})"
         )
-    vectors = _probe_vectors(a.in_dim, n_random, np.random.default_rng(seed))
-    fids = np.empty(len(vectors))
-    for start in range(0, len(vectors), PROBE_CHUNK):
-        v = vectors[start:start + PROBE_CHUNK]
+    best, witness, count = np.inf, None, 0
+    for v in _probe_chunks(a.in_dim, n_random, np.random.default_rng(seed)):
         _checked_states(v[:, :, None] * v[:, None, :].conj())
-        fids[start:start + len(v)] = _fidelities(_checked_states(_apply_kraus(a, v)),
-                                                 _checked_states(_apply_kraus(b, v)))
-    best = int(np.argmin(fids))
-    return ProbeResult(min_fidelity=float(fids[best]), witness=DensityMatrix.pure(vectors[best]),
-                       probe_count=len(vectors), seed=seed)
+        factors = _output_factors(a, v)
+        rho = factors @ _adjoint(factors)
+        _checked_states(rho)
+        traces = np.real(np.trace(rho, axis1=1, axis2=2))
+        fids = _fidelities(factors / np.sqrt(traces)[:, None, None],
+                           _checked_states(_apply_kraus(b, v)))
+        low = int(np.argmin(fids))
+        if fids[low] < best:
+            best, witness = float(fids[low]), v[low].copy()
+        count += len(v)
+    return ProbeResult(min_fidelity=best, witness=DensityMatrix.pure(witness),
+                       probe_count=count, seed=seed)
 
 
 def erasure_compressor_suite(dim: int) -> list[CoarseGraining]:
@@ -556,6 +613,7 @@ class ErasureVerdict:
 def verify_erasure_theorem(dim: int, eta: float, epsilon: float,
                            seed: int = 0, n_random: int = 200) -> ErasureVerdict:
     """Run the erasure compressibility criterion and collect the evidence."""
+    _check_probe_count(n_random)
     if dim < 2:
         raise ValidationError(f"criterion needs input dimension >= 2, got {dim}")
     if not 0.0 <= epsilon <= 1.0:

@@ -234,6 +234,49 @@ class TestVectorKernel:
             assert np.max(np.abs(out @ basis[:, col])) < 1e-12
 
 
+def _rank_deficient_factors(rng, count, dim, width, rank):
+    """``(count, dim, width)`` complex factors of rank ``rank``."""
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return gauss(count, dim, rank) @ gauss(count, rank, width)
+
+
+def _unit_trace(factors):
+    traces = np.sum(np.abs(factors) ** 2, axis=(1, 2))
+    return factors / np.sqrt(traces)[:, None, None]
+
+
+class TestFactorFidelities:
+    @pytest.mark.parametrize("width", [2, 5, 8])
+    def test_matches_jozsa_oracle_on_rank_deficient_states(self, width):
+        # widths below, at and above the dimension 5; ranks 1-4 of 5
+        rng = np.random.default_rng(60 + width)
+        dim, count = 5, 40
+        ranks = rng.integers(1, min(width, dim - 1) + 1, size=2)
+        factors = _unit_trace(_rank_deficient_factors(rng, count, dim, width, ranks[0]))
+        g = _unit_trace(_rank_deficient_factors(rng, count, dim, dim, ranks[1]))
+        sigma = quantum._checked_states(g @ quantum._adjoint(g))
+        got = quantum._fidelities(factors, sigma)
+        for p in range(count):
+            rho = factors[p] @ factors[p].conj().T
+            assert got[p] == pytest.approx(jozsa_fidelity(rho, sigma[p]), abs=1e-9)
+
+    def test_reduced_factors_match_the_kraus_sum(self):
+        rng = np.random.default_rng(64)
+        for in_dim, out_dim, num_ops in ((3, 2, 7), (4, 4, 9), (5, 3, 4), (2, 3, 2)):
+            a = random_kraus_channel(in_dim, out_dim, num_ops, rng)
+            v = np.stack([random_pure_state(in_dim, rng) for _ in range(20)])
+            factors = quantum._output_factors(a, v)
+            assert factors.shape == (20, out_dim, min(num_ops, out_dim))
+            rho = quantum._apply_kraus(a, v)
+            assert np.max(np.abs(factors @ quantum._adjoint(factors) - rho)) < 1e-12
+            sigma = quantum._checked_states(quantum._apply_kraus(
+                random_kraus_channel(in_dim, out_dim, 2, rng), v))
+            got = quantum._fidelities(factors, sigma)
+            for p in range(20):
+                assert got[p] == pytest.approx(jozsa_fidelity(rho[p], sigma[p]), abs=1e-9)
+
+
 class TestCoarseGraining:
     def test_kraus_are_block_projectors(self):
         part = Partition(((0, 1), (2,)))
@@ -262,6 +305,14 @@ class TestCoarseGraining:
         pair = make_coarse_graining(Partition(((0, 1), (2,), (3,))), 4, embed_dim=4)
         assert pair.kernel_dim == 1
         assert quantum_compressibility(pair, 4) == 1 / 3
+
+    def test_compressibility_checks_the_input_dimension(self):
+        full = make_coarse_graining(Partition.single_block(4), 4, embed_dim=4)
+        assert quantum_compressibility(full, 4) == 1.0
+        with pytest.raises(DimensionMismatchError, match="input dimension 7"):
+            quantum_compressibility(full, 7)
+        with pytest.raises(DimensionMismatchError, match="input dimension 3"):
+            quantum_compressibility(full.channel, 3)
 
     def test_kernel_is_kept_with_the_channel(self):
         comp = make_coarse_graining(Partition(((0, 1, 2),)), 3, embed_dim=3)
@@ -418,13 +469,71 @@ class TestProbes:
                 result.min_fidelity, abs=1e-9)
 
     def test_probe_loop_memory_is_bounded(self):
+        many = random_kraus_channel(16, 16, 64, np.random.default_rng(47))
+        few = make_coarse_graining(Partition.single_block(16), 16, embed_dim=16).channel
+        runs = [lambda: verify_erasure_theorem(16, 0.9, 0.3, n_random=2000),
+                lambda: channel_indistinguishability(many, few, n_random=2000),
+                lambda: channel_indistinguishability(few, many, n_random=2000)]
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20
+
+    def test_random_probes_are_drawn_chunk_by_chunk(self):
         tracemalloc.start()
         try:
-            verify_erasure_theorem(16, 0.9, 0.3, n_random=2000)
+            verify_erasure_theorem(4, 0.9, 0.3, n_random=20000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 2 * 2 ** 20
+
+    def test_chunked_draws_equal_one_draw(self):
+        dim, n_random = 3, 3 * quantum.PROBE_CHUNK + 5
+        probes = probe_states(dim, n_random, np.random.default_rng(48))
+        whole = quantum._random_pure_states(n_random, dim, np.random.default_rng(48))
+        assert len(probes) == dim + 2 * dim * (dim - 1) + n_random
+        for p, v in zip(probes[-n_random:], whole):
+            assert np.array_equal(p.matrix, DensityMatrix.pure(v).matrix)
+
+    def test_negative_probe_count_is_rejected(self):
+        erasure = make_quantum_erasure(2, 0.5)
+        with pytest.raises(ValidationError, match="n_random"):
+            channel_indistinguishability(erasure, erasure, n_random=-1)
+        with pytest.raises(ValidationError, match="n_random"):
+            probe_states(2, -1, np.random.default_rng(0))
+        for eta, eps in ((0.9, 0.3), (0.5, 0.5)):
+            with pytest.raises(ValidationError, match="n_random"):
+                verify_erasure_theorem(3, eta, eps, n_random=-5)
+
+    def test_reduced_factor_path_agrees_with_the_swapped_order(self):
+        # the composed channel has more Kraus operators than its output dimension
+        for dim, eta in ((2, 0.5), (4, 0.9), (6, 0.7)):
+            erasure = make_quantum_erasure(dim, eta)
+            full = make_coarse_graining(Partition.single_block(dim), dim, embed_dim=dim)
+            composed = compose_channels(full.channel, erasure)
+            assert len(composed.kraus) > composed.out_dim
+            ab = channel_indistinguishability(erasure, composed, n_random=300, seed=dim)
+            ba = channel_indistinguishability(composed, erasure, n_random=300, seed=dim)
+            assert ba.probe_count == ab.probe_count
+            assert abs(ab.min_fidelity - ba.min_fidelity) <= 1e-12
+
+    def test_probe_loop_runs_no_eigh(self, monkeypatch):
+        erasure = make_quantum_erasure(5, 0.9)
+        full = make_coarse_graining(Partition.single_block(5), 5, embed_dim=5)
+        composed = compose_channels(full.channel, erasure)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called in the probe loop")
+
+        monkeypatch.setattr(quantum.np.linalg, "eigh", refuse)
+        for a, b in ((erasure, composed), (composed, erasure)):
+            result = channel_indistinguishability(a, b, n_random=300, seed=3)
+            assert result.min_fidelity == pytest.approx(0.81, abs=1e-9)
 
 
 class TestErasureCriterion:
