@@ -35,6 +35,21 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _check_finite(m: np.ndarray, what: str) -> None:
+    """Raise naming the first entry of a ``(P, i, j)`` stack that is not finite."""
+    finite = np.isfinite(m)
+    if not finite.all():
+        p, i, j = (int(v) for v in np.argwhere(~finite)[0])
+        raise ValidationError(f"{what} entry ({i}, {j}) is {complex(m[p, i, j])!r}, "
+                              "not a finite number")
+
+
+def _check_traces(traces: np.ndarray) -> None:
+    worst = float(traces[np.argmax(np.abs(traces - 1.0))])
+    if abs(worst - 1.0) > TRACE_TOL:
+        raise ValidationError(f"density matrix has trace {worst!r}, outside {TRACE_TOL} of 1")
+
+
 def _checked_states(m: np.ndarray) -> np.ndarray:
     """Validate a ``(P, d, d)`` stack of density matrices.
 
@@ -42,11 +57,7 @@ def _checked_states(m: np.ndarray) -> np.ndarray:
     within the module tolerances; the first violation found is raised.
     Returns the stack symmetrized and trace normalized.
     """
-    finite = np.isfinite(m)
-    if not finite.all():
-        p, i, j = (int(v) for v in np.argwhere(~finite)[0])
-        raise ValidationError(f"density matrix entry ({i}, {j}) is {complex(m[p, i, j])!r}, "
-                              "not a finite number")
+    _check_finite(m, "density matrix")
     adj = _adjoint(m)
     herm_dev = float(np.max(np.abs(m - adj)))
     if herm_dev > HERMITIAN_TOL:
@@ -56,10 +67,26 @@ def _checked_states(m: np.ndarray) -> np.ndarray:
     if low < -PSD_TOL:
         raise ValidationError(f"density matrix has negative eigenvalue {low:.3e}")
     traces = np.real(np.trace(m, axis1=1, axis2=2))
-    worst = float(traces[np.argmax(np.abs(traces - 1.0))])
-    if abs(worst - 1.0) > TRACE_TOL:
-        raise ValidationError(f"density matrix has trace {worst!r}, outside {TRACE_TOL} of 1")
+    _check_traces(traces)
     return m / traces[:, None, None]
+
+
+def _checked_factors(factors: np.ndarray) -> np.ndarray:
+    """Validate a ``(P, d, r)`` stack of factors ``L`` of density matrices
+    ``L L^dagger`` and return their traces.
+
+    For finite ``L`` the Gram form ``L L^dagger`` is Hermitian and positive
+    semidefinite by construction, and its trace is ``||L||_F^2``; the
+    rounding a Hermiticity or eigenvalue check would see is about 1e-15 at
+    unit trace, far inside the module tolerances.  So finite entries and a
+    trace within ``TRACE_TOL`` of 1 are the whole density-matrix check, and
+    a violation raises the messages of :func:`_checked_states`.
+    """
+    _check_finite(factors, "density matrix factor")
+    traces = (np.einsum("pij,pij->p", factors.real, factors.real)
+              + np.einsum("pij,pij->p", factors.imag, factors.imag))
+    _check_traces(traces)
+    return traces
 
 
 @dataclass(frozen=True)
@@ -467,9 +494,12 @@ def random_kraus_channel(in_dim: int, out_dim: int, num_ops: int,
     return KrausChannel(tuple(q[i * out_dim:(i + 1) * out_dim] for i in range(num_ops)))
 
 
-def _check_probe_count(n_random: int) -> None:
-    if n_random < 0:
-        raise ValidationError(f"n_random must be >= 0, got {n_random}")
+def _check_count(name: str, value: int) -> None:
+    """Reject a probe count or seed that is not a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
 
 
 def _probe_chunks(dim: int, n_random: int, rng: np.random.Generator):
@@ -480,7 +510,7 @@ def _probe_chunks(dim: int, n_random: int, rng: np.random.Generator):
     random probes are never held all at once; consecutive draws from one
     generator equal a single draw of their total size.
     """
-    _check_probe_count(n_random)
+    _check_count("n_random", n_random)
     i, j = np.triu_indices(dim, 1)
     pairs = np.zeros((len(i), 4, dim), dtype=complex)
     rows = np.arange(len(i))
@@ -524,25 +554,34 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
     The probe family is the deterministic set from :func:`probe_states`
     plus ``n_random`` seeded random pure states, so identical arguments
     reproduce identical results.  Probes are drawn and go through the
-    channels ``PROBE_CHUNK`` at a time; every probe and every output is
-    validated as a density matrix.  The images ``K_i v`` of a probe under
-    ``a``, scaled to unit trace, are a factor of its output, so each
-    fidelity takes one eigenvalue solve and no matrix square root.  The
-    witness is the first probe, in probe order, that attains the minimum.
+    channels ``PROBE_CHUNK`` at a time.  The images ``K_i v`` of a probe
+    under ``a``, scaled to unit trace, are a factor of its output, so each
+    fidelity takes one eigenvalue solve and no matrix square root.
+
+    Every probe and both outputs are validated, on what the loop already
+    holds: a probe ``v`` and ``a``'s output factor ``L`` by
+    :func:`_checked_factors` (``L L^dagger`` is a Gram form, Hermitian and
+    positive semidefinite by construction, with trace ``||L||_F^2``), so no
+    ``d x d`` state of ``a``'s output is formed; ``b``'s output, a sum of
+    Gram products, by its finite entries and its trace.  Each chunk thus
+    runs one ``eigvalsh``, in :func:`_fidelities`.  The witness is the first
+    probe, in probe order, that attains the minimum.
     """
     if a.in_dim != b.in_dim or a.out_dim != b.out_dim:
         raise DimensionMismatchError(
             f"channels have different shapes ({a.in_dim}->{a.out_dim} vs {b.in_dim}->{b.out_dim})"
         )
+    _check_count("seed", seed)
     best, witness, count = np.inf, None, 0
     for v in _probe_chunks(a.in_dim, n_random, np.random.default_rng(seed)):
-        _checked_states(v[:, :, None] * v[:, None, :].conj())
+        _checked_factors(v[:, :, None])
         factors = _output_factors(a, v)
-        rho = factors @ _adjoint(factors)
-        _checked_states(rho)
-        traces = np.real(np.trace(rho, axis1=1, axis2=2))
-        fids = _fidelities(factors / np.sqrt(traces)[:, None, None],
-                           _checked_states(_apply_kraus(b, v)))
+        factors = factors / np.sqrt(_checked_factors(factors))[:, None, None]
+        sigma = _apply_kraus(b, v)
+        _check_finite(sigma, "density matrix")
+        traces = np.real(np.trace(sigma, axis1=1, axis2=2))
+        _check_traces(traces)
+        fids = _fidelities(factors, sigma / traces[:, None, None])
         low = int(np.argmin(fids))
         if fids[low] < best:
             best, witness = float(fids[low]), v[low].copy()
@@ -613,7 +652,8 @@ class ErasureVerdict:
 def verify_erasure_theorem(dim: int, eta: float, epsilon: float,
                            seed: int = 0, n_random: int = 200) -> ErasureVerdict:
     """Run the erasure compressibility criterion and collect the evidence."""
-    _check_probe_count(n_random)
+    _check_count("n_random", n_random)
+    _check_count("seed", seed)
     if dim < 2:
         raise ValidationError(f"criterion needs input dimension >= 2, got {dim}")
     if not 0.0 <= epsilon <= 1.0:

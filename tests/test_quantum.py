@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revcomp import (
     Alphabet,
@@ -244,6 +246,65 @@ def _rank_deficient_factors(rng, count, dim, width, rank):
 def _unit_trace(factors):
     traces = np.sum(np.abs(factors) ** 2, axis=(1, 2))
     return factors / np.sqrt(traces)[:, None, None]
+
+
+@st.composite
+def factor_stacks(draw):
+    """A ``(P, d, r)`` factor stack of ranks 1..min(d, r), with r below, at
+    and above d, one factor scaled to a trace near 1 and at most one entry
+    set to ``nan``, ``inf`` or a value whose square overflows."""
+    dim = draw(st.integers(1, 6))
+    width = draw(st.integers(1, dim + 2))
+    rank = draw(st.integers(1, min(dim, width)))
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors = _unit_trace(_rank_deficient_factors(rng, count, dim, width, rank))
+    tol = quantum.TRACE_TOL
+    trace = draw(st.sampled_from([1.0, 1.0 - tol / 2, 1.0 + tol / 2, 1.0 - 2 * tol, 1.0 + 2 * tol]))
+    factors[draw(st.integers(0, count - 1))] *= np.sqrt(trace)
+    defect = draw(st.sampled_from([None, "nan", "inf", "overflow"]))
+    where = None
+    if defect is not None:
+        where = (draw(st.integers(0, count - 1)), draw(st.integers(0, dim - 1)),
+                 draw(st.integers(0, width - 1)))
+        factors[where] = {"nan": complex(np.nan, 0.0), "inf": complex(0.0, np.inf),
+                          "overflow": 1e200}[defect]
+    return factors, trace, defect, where
+
+
+def _rejection(check, arg):
+    try:
+        check(arg)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckedFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(factor_stacks())
+    def test_accepts_exactly_what_the_state_check_accepts(self, case):
+        factors, trace, defect, where = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = factors @ quantum._adjoint(factors)
+        got = _rejection(quantum._checked_factors, factors)
+        want = _rejection(quantum._checked_states, states)
+        assert (got is None) == (want is None)
+        if defect in ("nan", "inf"):
+            _, i, j = where
+            assert got.startswith(f"density matrix factor entry ({i}, {j}) is ")
+            assert got.endswith("not a finite number")
+            assert "not a finite number" in want
+        elif defect == "overflow":
+            assert got.startswith("density matrix has trace inf")
+            assert "not a finite number" in want
+        elif abs(trace - 1.0) > quantum.TRACE_TOL:
+            assert got.startswith("density matrix has trace ")
+            assert want.startswith("density matrix has trace ")
+        else:
+            traces = quantum._checked_factors(factors)
+            assert np.allclose(traces, np.real(np.trace(states, axis1=1, axis2=2)),
+                               rtol=0.0, atol=1e-14)
 
 
 class TestFactorFidelities:
@@ -534,6 +595,67 @@ class TestProbes:
         for a, b in ((erasure, composed), (composed, erasure)):
             result = channel_indistinguishability(a, b, n_random=300, seed=3)
             assert result.min_fidelity == pytest.approx(0.81, abs=1e-9)
+
+    def test_probe_loop_runs_one_eigvalsh_per_chunk(self, monkeypatch):
+        erasure = make_quantum_erasure(5, 0.9)
+        full = make_coarse_graining(Partition.single_block(5), 5, embed_dim=5)
+        composed = compose_channels(full.channel, erasure)
+        many = random_kraus_channel(16, 16, 64, np.random.default_rng(47))
+        few = make_coarse_graining(Partition.single_block(16), 16, embed_dim=16).channel
+        eigvalsh = np.linalg.eigvalsh
+        batches = []
+
+        def counted(m, *args, **kwargs):
+            batches.append(len(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(quantum.np.linalg, "eigvalsh", counted)
+        for a, b in ((erasure, composed), (composed, erasure), (few, many)):
+            batches.clear()
+            result = channel_indistinguishability(a, b, n_random=300, seed=3)
+            chunks = [min(quantum.PROBE_CHUNK, result.probe_count - start)
+                      for start in range(0, result.probe_count, quantum.PROBE_CHUNK)]
+            # one solve per chunk, then one to validate the witness DensityMatrix
+            assert batches == chunks + [1]
+
+    @pytest.mark.parametrize("call", [
+        lambda: channel_indistinguishability(make_quantum_erasure(2, 0.5),
+                                             make_quantum_erasure(2, 0.5), seed=-1),
+        lambda: verify_erasure_theorem(3, 0.9, 0.3, seed=-2),
+        lambda: verify_erasure_theorem(3, 0.5, 0.5, seed=-2),
+    ], ids=["indistinguishability", "verify-compressible", "verify-rejecting"])
+    def test_negative_seed_is_rejected(self, call):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: channel_indistinguishability(make_quantum_erasure(2, 0.5),
+                                             make_quantum_erasure(2, 0.5), seed=1.5),
+        lambda: verify_erasure_theorem(3, 0.9, 0.3, seed=np.float64(2.0)),
+        lambda: verify_erasure_theorem(3, 0.5, 0.5, seed="0"),
+    ], ids=["indistinguishability", "verify-compressible", "verify-rejecting"])
+    def test_non_integer_seed_is_rejected(self, call):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: channel_indistinguishability(make_quantum_erasure(2, 0.5),
+                                             make_quantum_erasure(2, 0.5), n_random=2.5),
+        lambda: probe_states(2, 2.5, np.random.default_rng(0)),
+        lambda: verify_erasure_theorem(3, 0.9, 0.3, n_random=2.5),
+        lambda: verify_erasure_theorem(3, 0.5, 0.5, n_random=True),
+    ], ids=["indistinguishability", "probe-states", "verify-compressible", "verify-rejecting"])
+    def test_non_integer_probe_count_is_rejected(self, call):
+        with pytest.raises(ValidationError, match="n_random must be an integer"):
+            call()
+
+    def test_integer_types_are_accepted(self):
+        erasure = make_quantum_erasure(2, 0.5)
+        plain = channel_indistinguishability(erasure, erasure, n_random=5, seed=7)
+        typed = channel_indistinguishability(erasure, erasure, n_random=np.int64(5),
+                                             seed=np.uint32(7))
+        assert typed.min_fidelity == plain.min_fidelity
+        assert typed.probe_count == plain.probe_count
 
 
 class TestErasureCriterion:
