@@ -101,61 +101,99 @@ class Distribution:
         object.__setattr__(self, "masses", masses)
 
 
+def _snap_cut(m: int) -> float:
+    """Unsquared overlap that every pair of ``m``-output rows equal within
+    ``EQUALITY_TOL`` reaches: ``(sqrt(p) - sqrt(q))**2 <= |p - q|``, so two
+    rows that sum to 1 and agree within ``EQUALITY_TOL`` have an overlap of
+    at least ``1 - m * EQUALITY_TOL / 2``, less a few ulps of normalization
+    and summation error.  Only pairs at or above it are tested for the snap.
+    """
+    return 1.0 - m * (EQUALITY_TOL + 4e-16)
+
+
+def _overlaps(cols: np.ndarray, first: np.ndarray, second: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Unsquared Bhattacharyya overlaps of row pairs, written into ``out``.
+
+    Entry ``e`` of ``out`` belongs to the rows ``first[e]`` and
+    ``second[e]`` of the column stack ``cols``: both are indices of a
+    column (index arrays or slices) that broadcast to ``out``'s shape.
+    Column ``y`` adds ``sqrt(col[first] * col[second])``, strictly left to
+    right, and only one column of each side is gathered at a time.  This is
+    the only summation of fidelity terms.
+    """
+    np.multiply(cols[0][first], cols[0][second], out=out)
+    np.sqrt(out, out=out)
+    scratch = np.empty_like(out)
+    for col in cols[1:]:
+        np.multiply(col[first], col[second], out=scratch)
+        np.sqrt(scratch, out=scratch)
+        out += scratch
+    return out
+
+
+def _snap_and_square(overlap: np.ndarray, first: np.ndarray, second: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """Turn unsquared overlaps into fidelities, in place.
+
+    Entry ``e`` of ``overlap`` belongs to the rows ``first[e]`` and
+    ``second[e]`` of the column stack ``cols`` (both index arrays broadcast
+    to ``overlap``'s shape).  It is squared and clamped into [0, 1]; a pair
+    whose overlap reaches :func:`_snap_cut` and whose rows agree within
+    ``EQUALITY_TOL`` entrywise gets exactly 1.0.
+    """
+    hit = np.nonzero(overlap >= _snap_cut(cols.shape[0]))
+    np.square(overlap, out=overlap)
+    np.minimum(overlap, 1.0, out=overlap)
+    if hit[0].size:
+        i = np.broadcast_to(first, overlap.shape)[hit]
+        j = np.broadcast_to(second, overlap.shape)[hit]
+        gap = np.zeros(i.size)
+        for col in cols:
+            np.maximum(gap, np.abs(col[i] - col[j]), out=gap)
+        equal = gap <= EQUALITY_TOL
+        overlap[tuple(h[equal] for h in hit)] = 1.0
+    return overlap
+
+
 def _fidelity_kernel(rows: np.ndarray) -> np.ndarray:
     """Pairwise fidelities of an ``(n, m)`` stack of probability vectors.
 
-    Squared Bhattacharyya overlap, vectorized over pairs and looped over
-    the ``m`` columns: column ``j`` adds ``sqrt(p[j] * q[j])`` to the
-    overlap of every pair, strictly left to right.  The rows are taken
-    ``ROW_TILE`` at a time, and each tile computes its rows against every
-    later row, so only the upper triangle is summed; its transpose is
-    copied below the tile.  Every term is symmetric in its two rows, so
-    the copy holds the values the loop would have produced and the result
-    is exactly symmetric; the diagonal is set to 1.0.
-
-    Pairs equal within ``EQUALITY_TOL`` entrywise get exactly 1.0, and
-    everything else is clamped into [0, 1].  The entrywise test runs only
-    on candidate pairs: ``(sqrt(p) - sqrt(q))**2 <= |p - q|``, so two rows
-    that sum to 1 and agree within ``EQUALITY_TOL`` have an overlap of at
-    least ``1 - m * EQUALITY_TOL / 2``, less a few ulps of normalization
-    and summation error.  Every such pair has an unsquared overlap of at
-    least ``1 - m * (EQUALITY_TOL + 4e-16)``, and only pairs above that
-    cut are tested.  This is the only fidelity kernel: a single pair is
-    this routine on two rows.  Peak memory is one n-by-n float array plus
-    a ``ROW_TILE``-by-n tile.
+    Squared Bhattacharyya overlap (:func:`_overlaps`, vectorized over pairs
+    and looped over the ``m`` columns), then :func:`_snap_and_square`.  The
+    rows are taken ``ROW_TILE`` at a time, and each tile computes its rows
+    against every later row, so only the upper triangle is summed; its
+    transpose is copied below the tile.  Every term is symmetric in its two
+    rows, so the copy holds the values the loop would have produced and
+    the result is exactly symmetric; the diagonal is set to 1.0.  Peak
+    memory is one n-by-n float array plus a ``ROW_TILE``-by-n tile.
+    :func:`_pair_fidelities` gives the same bits for any list of pairs.
     """
-    n, m = rows.shape
+    n = rows.shape[0]
     cols = np.ascontiguousarray(rows.T)
-    cut = 1.0 - m * (EQUALITY_TOL + 4e-16)
-    overlap = np.empty((n, n))
-    buffer = np.empty(min(n, ROW_TILE) * n)
+    index = np.arange(n)
+    fid = np.empty((n, n))
     for s in range(0, n, ROW_TILE):
         e = min(s + ROW_TILE, n)
-        tile = overlap[s:e, s:]
-        scratch = buffer[:tile.size].reshape(tile.shape)
-        np.multiply(cols[0, s:e, None], cols[0, None, s:], out=tile)
-        np.sqrt(tile, out=tile)
-        for col in cols[1:]:
-            np.multiply(col[s:e, None], col[None, s:], out=scratch)
-            np.sqrt(scratch, out=scratch)
-            tile += scratch
-        i, j = np.nonzero(tile >= cut)
-        # Strictly upper pairs only: the diagonal is set to 1.0 at the end.
-        upper = j > i
-        i, j = i[upper] + s, j[upper] + s
-        np.square(tile, out=tile)
-        np.minimum(tile, 1.0, out=tile)
-        if i.size:
-            gap = np.zeros(i.size)
-            for col in cols:
-                np.maximum(gap, np.abs(col[i] - col[j]), out=gap)
-            equal = gap <= EQUALITY_TOL
-            overlap[i[equal], j[equal]] = 1.0
-            overlap[j[equal], i[equal]] = 1.0
-        overlap[e:, s:e] = tile[:, e - s:].T
-    np.fill_diagonal(overlap, 1.0)
-    overlap.flags.writeable = False
-    return overlap
+        tile = _overlaps(cols, np.s_[s:e, None], np.s_[None, s:], fid[s:e, s:])
+        # The diagonal is set to 1.0 at the end, so it skips the snap test.
+        np.fill_diagonal(tile, 0.0)
+        _snap_and_square(tile, index[s:e, None], index[None, s:], cols)
+        fid[e:, s:e] = tile[:, e - s:].T
+    np.fill_diagonal(fid, 1.0)
+    fid.flags.writeable = False
+    return fid
+
+
+def _pair_fidelities(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Fidelities of the row pairs ``(first[e], second[e])`` of an ``(n, m)``
+    stack of probability vectors: the same column loop and snap as
+    :func:`_fidelity_kernel`, so each value has the bits of that kernel's
+    entry for the pair, for ``first[e] != second[e]``.
+    """
+    cols = rows.T
+    overlap = _overlaps(cols, first, second, np.empty(len(first)))
+    return _snap_and_square(overlap, first, second, cols)
 
 
 def fidelity(p: Distribution, q: Distribution) -> float:

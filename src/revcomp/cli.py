@@ -239,13 +239,13 @@ def _cmd_quantum_compress(args: argparse.Namespace):
     if args.kraus is not None:
         graining = quantum.CoarseGraining.of(io.parse_kraus_file(args.kraus))
         channel = graining.channel
-        gamma = quantum.quantum_compressibility(graining, channel.in_dim)
+        gamma = quantum.quantum_compressibility(graining)
         data = {"in_dim": channel.in_dim, "out_dim": channel.out_dim,
                 "kernel_dim": graining.kernel_dim, "compressibility": gamma}
         return data, lambda: _kv_table(list(data.items()))
     part = partition.Partition(blocks)
     graining = quantum.make_coarse_graining(part, args.dim, embed_dim=args.dim)
-    gamma = quantum.quantum_compressibility(graining, args.dim)
+    gamma = quantum.quantum_compressibility(graining)
     data = {"dim": args.dim, "blocks": [list(b) for b in part.blocks],
             "kernel_dim": graining.kernel_dim, "compressibility": gamma}
     return data, lambda: _kv_table([

@@ -8,14 +8,16 @@ rather than a union-find pass.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .channels import Alphabet, ClassicalChannel, reverse_fidelity_matrix
+from .channels import ROW_TILE, Alphabet, ClassicalChannel, _pair_fidelities, _snap_cut
 from .errors import (
     DimensionMismatchError,
     ExactSolverCapError,
@@ -436,15 +438,115 @@ class CompressionReport:
         return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)
 
 
-def _block_certificates(partition: Partition, fidelities: np.ndarray) -> tuple[float, ...]:
-    certs = []
-    for block in partition.blocks:
-        worst = 1.0
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                worst = min(worst, float(fidelities[block[a], block[b]]))
-        certs.append(worst)
-    return tuple(certs)
+def _block_certificates(partition: Partition,
+                        pair_fidelities: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                        ) -> tuple[float, ...]:
+    """Minimum in-block fidelity of each block, 1.0 for a singleton.
+
+    ``pair_fidelities(first, second)`` gives the fidelities of the element
+    pairs ``(first[e], second[e])``.  Each in-block pair is led by its
+    earlier member in block order: the member at position ``p`` of a block
+    of ``k`` leads the pairs with the ``k - 1 - p`` members after it.  The
+    members are taken in runs that lead about ``ROW_TILE * n`` pairs, the
+    size of one fidelity-kernel tile, so a partition with few merges is one
+    run and a single huge block needs no n-by-n array.  Each run's pairs
+    are evaluated in one call and ``np.minimum.reduceat`` takes the minimum
+    per leading member, then per block.
+    """
+    blocks = partition.blocks
+    sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+    members = np.fromiter(itertools.chain.from_iterable(blocks), np.intp)
+    n = members.size
+    later = np.repeat(sizes.cumsum(), sizes) - np.arange(1, n + 1)
+    begin = later.cumsum() - later  # index of each member's first led pair
+    lead = np.ones(n)
+    s = 0
+    while s < n:
+        e = int(begin.searchsorted(begin[s] + ROW_TILE * n))
+        count = later[s:e]
+        first = np.repeat(np.arange(s, e), count)
+        if first.size:
+            offset = begin[s:e] - begin[s]
+            second = first + np.arange(1, first.size + 1) - np.repeat(offset, count)
+            leads = count > 0
+            lead[s:e][leads] = np.minimum.reduceat(
+                pair_fidelities(members[first], members[second]), offset[leads])
+        s = e
+    return tuple(np.minimum.reduceat(lead, sizes.cumsum() - sizes).tolist())
+
+
+# Unit roundoff of float64.
+_UNIT = 2.0 ** -53
+
+
+def _gram_error(m: int) -> float:
+    """Bound on ``|G - s|`` for two rows of ``m`` outputs, where ``G`` is
+    their BLAS dot product ``sqrt(p) @ sqrt(q)`` and ``s`` the overlap the
+    fidelity kernel sums (``sqrt(p * q)`` left to right).
+
+    Both differ from the exact ``S = sum(sqrt(p * q))`` by a relative error
+    in each term plus the summation error, with ``u = 2**-53``.  A kernel
+    term is within 1.5 u of its exact value (the product, then the root); a
+    Gram term within 3 u (two roots and a product, less with a fused
+    multiply-add).  A sum of ``m`` nonnegative terms is within
+    ``gamma_m = m u / (1 - m u)`` of exact, relative to the sum, in any
+    order of evaluation, FMA included (Higham 2002, section 3.1).  The rows
+    are renormalized, so ``S <= 1 + (m + 1) u`` by Cauchy-Schwarz, and
+    ``|G - s| <= (2 gamma_m + 4.5 u) (1 + (m + 5) u)``, which ``4 (m + 2) u``
+    exceeds for every ``m`` below 1e13.  A product ``p * q`` that underflows
+    moves its root by under ``2**-537``, and a Gram product that underflows
+    by under ``2**-1074``: 1e-161 per term covers both.
+    """
+    return 4.0 * (m + 2) * _UNIT + m * 1e-161
+
+
+def _screened_graph(rows: np.ndarray, epsilon: float) -> IndistinguishabilityGraph:
+    """The graph :func:`graph_from_fidelity_matrix` builds from the kernel's
+    fidelities of ``rows`` at ``epsilon``, without the fidelity matrix.
+
+    The rows' square roots are taken once, and each ``ROW_TILE`` of rows
+    forms the Gram product ``G`` against itself and every later row with
+    BLAS.  With ``t = 1 - epsilon``, ``r = sqrt(t)`` rounded, the snap cut
+    ``c`` and ``d = `` :func:`_gram_error` plus ``8 u`` for the rounding of
+    ``r``, of the squaring and of the bounds themselves:
+
+    - ``G >= r + d`` proves ``s >= sqrt(t)``, so the fidelity, ``s**2``
+      rounded or a snapped 1.0, reaches ``t``: adjacent;
+    - ``G < min(r - 8 u, c) - d`` proves ``s < c`` (the pair cannot snap)
+      and ``s**2`` below the float before ``t``: not adjacent;
+    - every pair in between (the band) gets its exact fidelity from
+      :func:`channels._pair_fidelities` and is thresholded with ``>=``.
+
+    So the adjacency is bit for bit the thresholded fidelity matrix.  Each
+    tile's decisions go straight into the boolean adjacency; the strict
+    upper triangle decides each pair, and the transpose is copied below.
+    No n-by-n float array is held.
+    """
+    n, m = rows.shape
+    threshold = 1.0 - epsilon
+    root = math.sqrt(threshold)
+    slack = _gram_error(m) + 8 * _UNIT
+    # Every fidelity is at least 0, so at t = 0 every pair is adjacent.
+    hi = root + slack if threshold > 0.0 else 0.0
+    lo = min(root - 8 * _UNIT, _snap_cut(m)) - slack
+    roots = np.sqrt(rows)
+    adj = np.empty((n, n), dtype=bool)
+    for s in range(0, n, ROW_TILE):
+        e = min(s + ROW_TILE, n)
+        gram = roots[s:e] @ roots[s:].T
+        block = adj[s:e, s:]
+        np.greater_equal(gram, hi, out=block)
+        i, j = np.nonzero((gram >= lo) & ~block)
+        upper = j > i
+        i, j = i[upper], j[upper]
+        if i.size:
+            block[i, j] = _pair_fidelities(rows, i + s, j + s) >= threshold
+        square = block[:, :e - s]
+        below = np.tril_indices(e - s, -1)
+        square[below] = square.T[below]
+        adj[e:, s:e] = block[:, e - s:].T
+    np.fill_diagonal(adj, True)
+    return IndistinguishabilityGraph(adj, epsilon)
 
 
 def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") -> CompressionReport:
@@ -452,12 +554,17 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") ->
 
     ``solver`` is one of ``"exact"``, ``"greedy"``, ``"auto"``; auto uses
     the exact solver up to the cap and falls back to greedy above it.
+    The graph is :func:`_screened_graph`, bit for bit the thresholded
+    :func:`reverse_fidelity_matrix`, and the certificates are the exact
+    fidelities of the in-block pairs, so no fidelity matrix is built.
     Deterministic: identical inputs give byte-identical reports.
     """
     if solver not in ("exact", "greedy", "auto"):
         raise ValidationError(f"unknown solver {solver!r}, expected exact, greedy or auto")
-    fid = reverse_fidelity_matrix(channel)
-    graph = graph_from_fidelity_matrix(fid, epsilon)
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    rows = channel.matrix
+    graph = _screened_graph(rows, epsilon)
     partition, optimal = _cover(graph, solver)
     return CompressionReport(
         epsilon=float(epsilon),
@@ -466,7 +573,8 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") ->
         partition=partition,
         representatives=partition.representatives(),
         compressibility=compressibility(graph.size, partition.num_blocks),
-        certificates=_block_certificates(partition, fid),
+        certificates=_block_certificates(
+            partition, lambda first, second: _pair_fidelities(rows, first, second)),
         labels=channel.input.labels,
     )
 

@@ -423,21 +423,16 @@ def make_quantum_erasure(in_dim: int, eta: float) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-def quantum_compressibility(compressor: KrausChannel | CoarseGraining, in_dim: int) -> float:
-    """Kernel dimension over ``in_dim - 1``, clamped into [0, 1].
+def quantum_compressibility(compressor: KrausChannel | CoarseGraining) -> float:
+    """Kernel dimension over ``in_dim - 1``, clamped into [0, 1], where
+    ``in_dim`` is the compressor's input dimension.
 
     The quantum analogue of the removable-input fraction; a one-dimensional
-    input space compresses trivially and returns 1.  ``in_dim`` must equal
-    the compressor's input dimension.
+    input space compresses trivially and returns 1.
     """
-    if in_dim < 1:
-        raise ValidationError(f"input dimension must be >= 1, got {in_dim}")
     if isinstance(compressor, KrausChannel):
         compressor = CoarseGraining.of(compressor)
-    if in_dim != compressor.channel.in_dim:
-        raise DimensionMismatchError(
-            f"input dimension {in_dim} differs from the compressor's {compressor.channel.in_dim}"
-        )
+    in_dim = compressor.channel.in_dim
     if in_dim == 1:
         return 1.0
     return min(1.0, compressor.kernel_dim / (in_dim - 1))
@@ -667,7 +662,7 @@ def verify_erasure_theorem(dim: int, eta: float, epsilon: float,
         probes = channel_indistinguishability(erasure, composed, n_random=n_random, seed=seed)
         return ErasureVerdict(
             dim=dim, eta=float(eta), epsilon=float(epsilon), threshold=threshold,
-            compressible=True, gamma=quantum_compressibility(full, dim), seed=seed,
+            compressible=True, gamma=quantum_compressibility(full), seed=seed,
             probe_count=probes.probe_count, min_fidelity=probes.min_fidelity,
             witness=probes.witness,
         )

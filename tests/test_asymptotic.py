@@ -37,6 +37,7 @@ from revcomp import asymptotic, channels, cli
 from revcomp.asymptotic import (
     DEFAULT_GRAPH_CAP,
     PRODUCT_TILE_ENTRIES,
+    _kron_step,
     _observed_trend,
     _row_masks,
 )
@@ -92,6 +93,17 @@ class TestProductFidelityMatrix:
                 assert got.tobytes() == want.tobytes()
                 k += 1
 
+
+    @pytest.mark.parametrize("fid_shape, n", [
+        ((1, 1), 5), ((2, 2), 3), ((1, 3), 2),  # loop over the entries of fid
+        ((3, 3), 1), ((3, 4), 2), ((2, 2), 2), ((1, 1), 1),  # loop over the letter pairs
+    ])
+    def test_kron_step_loops_give_the_broadcast_bits(self, fid_shape, n):
+        rng = np.random.default_rng(n * 10 + fid_shape[1])
+        fid = rng.random(fid_shape)
+        base = reverse_fidelity_matrix(random_channel(rng, n, 3))
+        out = _kron_step(fid, base, np.empty((fid_shape[0], n, fid_shape[1], n)))
+        assert out.tobytes() == (fid[:, None, :, None] * base[None, :, None, :]).tobytes()
 
     def test_letter_matrix_is_computed_once_per_channel(self, monkeypatch):
         calls = []

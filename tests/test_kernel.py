@@ -8,10 +8,15 @@ from revcomp import (
     Alphabet,
     ClassicalChannel,
     IndistinguishabilityGraph,
+    compress,
+    graph_from_fidelity_matrix,
+    make_erasure,
+    partition,
     reverse_fidelity,
     reverse_fidelity_matrix,
 )
-from revcomp.channels import EQUALITY_TOL, ROW_TILE, _fidelity_kernel
+from revcomp.channels import EQUALITY_TOL, ROW_TILE, _fidelity_kernel, _pair_fidelities
+from revcomp.partition import _block_certificates, _cover, _screened_graph
 
 from oracles import adjacency_bitmasks, plain_fidelity, random_adjacency
 
@@ -115,6 +120,8 @@ class TestFidelityKernel:
             assert fid[0, -1] == fid[-1, 0]
             assert (fid[0, -1] == 1.0) == snaps
             assert fid[0, -1] == 1.0 or fid[0, -1] == min(1.0, plain_fidelity(p, q))
+            # At epsilon 0 only the snap merges the pair, far below the Gram band.
+            assert _screened_graph(rows, 0.0).adjacency[0, -1] == snaps
 
     def test_near_duplicate_rows_snap_to_one(self):
         base = np.array([0.2, 0.3, 0.5])
@@ -129,6 +136,91 @@ class TestFidelityKernel:
                                                        np.eye(2)))
         with pytest.raises(ValueError):
             fid[0, 1] = 0.5
+
+
+class TestPairFidelities:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_channels())
+    def test_pairs_have_the_bits_of_the_kernel_entries(self, ch):
+        rows = ch.matrix
+        n = rows.shape[0]
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        got = _pair_fidelities(rows, i, j)
+        assert got.tobytes() == _fidelity_kernel(rows)[i, j].tobytes()
+
+    def test_pairs_across_row_tiles(self):
+        rows = np.random.default_rng(3).dirichlet(np.full(8, 0.5), size=2 * ROW_TILE + 5)
+        rows[-1] = rows[0] * (1.0 + 1e-13)
+        rows /= rows.sum(axis=1, keepdims=True)
+        i, j = np.nonzero(~np.eye(rows.shape[0], dtype=bool))
+        assert _pair_fidelities(rows, i, j).tobytes() == _fidelity_kernel(rows)[i, j].tobytes()
+
+
+def _threshold_epsilons(fid, i, j):
+    """0, 1, and ``1 - F[i, j]`` with the floats on either side of it."""
+    at = 1.0 - float(fid[i, j])
+    near = (at, float(np.nextafter(at, -1.0)), float(np.nextafter(at, 2.0)))
+    return [0.0, 1.0] + [e for e in near if 0.0 <= e <= 1.0]
+
+
+class TestScreenedCompress:
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_channels(), st.data())
+    def test_graph_and_certificates_match_the_exact_matrix(self, ch, data):
+        fid = reverse_fidelity_matrix(ch)
+        n = ch.num_inputs
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        for eps in _threshold_epsilons(fid, i, j):
+            exact = graph_from_fidelity_matrix(fid, eps)
+            assert np.array_equal(_screened_graph(ch.matrix, eps).adjacency, exact.adjacency)
+            report = compress(ch, eps)
+            assert report.partition == _cover(exact, "auto")[0]
+            certs = _block_certificates(report.partition, lambda a, b: fid[a, b])
+            assert report.certificates == certs
+            assert certs == tuple(
+                min([1.0] + [float(fid[a, b]) for a in block for b in block if a < b])
+                for block in report.partition.blocks)
+
+    @pytest.mark.parametrize("n", [ROW_TILE + 1, 2 * ROW_TILE + 3])
+    def test_graph_across_row_tiles(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.dirichlet(np.full(4, 0.3), size=n)
+        rows[n // 2:n // 2 + 6] = rows[:6] * (1.0 + rng.uniform(-1e-13, 1e-13, (6, 4)))
+        ch = ClassicalChannel(Alphabet.numbered(n), Alphabet.numbered(4),
+                              rows / rows.sum(axis=1, keepdims=True))
+        fid = reverse_fidelity_matrix(ch)
+        for i, j in [(0, n - 1), (1, ROW_TILE), (ROW_TILE, n - 1)]:
+            for eps in _threshold_epsilons(fid, i, j):
+                assert np.array_equal(_screened_graph(ch.matrix, eps).adjacency,
+                                      graph_from_fidelity_matrix(fid, eps).adjacency)
+
+    def test_pairs_at_the_threshold_take_the_exact_path(self, monkeypatch):
+        """The erasure fidelity 0.25 is sqrt(0.5) * sqrt(0.5) = 0.5000000000000001
+        in the Gram product, whose square rounds above 0.25; only the exact
+        fidelities of the band decide these pairs."""
+        calls = []
+
+        def recorded(rows, first, second):
+            calls.append(sorted(zip(first.tolist(), second.tolist())))
+            return _pair_fidelities(rows, first, second)
+
+        monkeypatch.setattr(partition, "_pair_fidelities", recorded)
+        rows = make_erasure(3, 0.5).matrix
+        assert _screened_graph(rows, 0.75).adjacency.all()
+        above = 1.0 - float(np.nextafter(0.75, 0.0))
+        assert above > 0.25 and (np.sqrt(0.5) * np.sqrt(0.5)) ** 2 >= above
+        assert np.array_equal(_screened_graph(rows, np.nextafter(0.75, 0.0)).adjacency,
+                              np.eye(3, dtype=bool))
+        assert calls == [[(0, 1), (0, 2), (1, 2)]] * 2
+
+    def test_screen_builds_no_fidelity_matrix(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("compress built a fidelity matrix")
+
+        monkeypatch.setattr("revcomp.channels._fidelity_kernel", refused)
+        rows = np.random.default_rng(5).dirichlet(np.full(8, 0.5), size=300)
+        ch = ClassicalChannel(Alphabet.numbered(300), Alphabet.numbered(8), rows)
+        assert compress(ch, 0.2).partition.num_blocks > 1
 
 
 class TestBitmasks:

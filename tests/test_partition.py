@@ -318,6 +318,11 @@ class TestCompress:
         with pytest.raises(ValidationError):
             compress(make_identity(2), 0.5, solver="fast")
 
+    @pytest.mark.parametrize("eps", [-0.01, 1.01, float("nan")])
+    def test_epsilon_range(self, eps):
+        with pytest.raises(ValidationError, match=r"epsilon must lie in \[0, 1\]"):
+            compress(make_identity(2), eps)
+
     def test_report_json_round_trip(self):
         report = compress(make_erasure(3, 0.5), 0.8)
         data = json.loads(report.to_json())

@@ -359,21 +359,19 @@ class TestCoarseGraining:
     def test_embedded_kernel_counts_removed_dimensions(self):
         full = make_coarse_graining(Partition.single_block(4), 4, embed_dim=4)
         assert full.kernel_dim == 3
-        assert quantum_compressibility(full, 4) == 1.0
+        assert quantum_compressibility(full) == 1.0
         halves = make_coarse_graining(Partition(((0, 1), (2, 3))), 4, embed_dim=4)
         assert halves.kernel_dim == 2
-        assert quantum_compressibility(halves, 4) == 2 / 3
+        assert quantum_compressibility(halves) == 2 / 3
         pair = make_coarse_graining(Partition(((0, 1), (2,), (3,))), 4, embed_dim=4)
         assert pair.kernel_dim == 1
-        assert quantum_compressibility(pair, 4) == 1 / 3
+        assert quantum_compressibility(pair) == 1 / 3
 
-    def test_compressibility_checks_the_input_dimension(self):
+    def test_compressibility_reads_the_compressor_input_dimension(self):
         full = make_coarse_graining(Partition.single_block(4), 4, embed_dim=4)
-        assert quantum_compressibility(full, 4) == 1.0
-        with pytest.raises(DimensionMismatchError, match="input dimension 7"):
-            quantum_compressibility(full, 7)
-        with pytest.raises(DimensionMismatchError, match="input dimension 3"):
-            quantum_compressibility(full.channel, 3)
+        assert quantum_compressibility(full) == quantum_compressibility(full.channel) == 1.0
+        pair = make_coarse_graining(Partition(((0, 1), (2,), (3,), (4,))), 5, embed_dim=5)
+        assert quantum_compressibility(pair) == quantum_compressibility(pair.channel) == 1 / 4
 
     def test_kernel_is_kept_with_the_channel(self):
         comp = make_coarse_graining(Partition(((0, 1, 2),)), 3, embed_dim=3)
@@ -446,11 +444,11 @@ class TestQuantumErasure:
 
     def test_compressibility_of_raw_erasure(self):
         ch = make_quantum_erasure(2, 0.5)
-        assert quantum_compressibility(ch, 2) == 0.0
+        assert quantum_compressibility(ch) == 0.0
 
     def test_one_dimensional_input_trivially_compresses(self):
         ch = make_quantum_erasure(1, 0.5)
-        assert quantum_compressibility(ch, 1) == 1.0
+        assert quantum_compressibility(ch) == 1.0
 
 
 class TestErasureOutputFidelity:
