@@ -34,37 +34,33 @@ from .partition import (
 DEFAULT_GRAPH_CAP = 2048
 
 
-# Float64 entries per row tile of a materialized ``gamma_k`` graph (1 MiB).
+# Boolean entries per row tile of a materialized ``gamma_k`` graph (128 KiB).
 # Graphs of up to 362 sequences are one tile.
 PRODUCT_TILE_ENTRIES = 1 << 17
 
 
-def _kron_step(fid: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``fid[i', j'] * base[a, b]`` into ``out[i', a, j', b]`` and return ``out``.
+def _next_power(fid: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The product matrix one letter longer: ``fid[i', j'] * base[a, b]``
+    at ``[i' * n + a, j' * n + b]`` for an ``(n, n)`` letter matrix ``base``.
 
-    ``fid`` is ``(r, m)`` and ``out`` is ``(r, n, m, n)`` for an ``(n, n)``
-    letter matrix ``base``: one Kronecker step, one scalar multiply per
-    entry of the smaller operand.  With ``n`` of 2-4 this is several times
-    faster than ``np.kron``'s broadcast, and a one-by-one ``fid`` against a
-    large letter matrix is one multiply, not ``n**2``.  IEEE multiplication
-    is commutative, so both loops and the broadcast give the same products.
+    One Kronecker step into a fresh ``(r, n, m, n)`` buffer for an
+    ``(r, m)`` ``fid``, with one scalar multiply per entry of the smaller
+    operand.  With ``n`` of 2-4 this is several times faster than
+    ``np.kron``'s broadcast, and a one-by-one ``fid`` against a large
+    letter matrix is one multiply, not ``n**2``.  IEEE multiplication is
+    commutative, so both loops and the broadcast give the same products.
     """
+    r, m = fid.shape
+    n = base.shape[0]
+    out = np.empty((r, n, m, n))
     if fid.size < base.size:
         for (i, j), f in np.ndenumerate(fid):
             np.multiply(base, f, out=out[i, :, j, :])
-        return out
-    n = base.shape[0]
-    for a in range(n):
-        for b in range(n):
-            np.multiply(fid, base[a, b], out=out[:, a, :, b])
-    return out
-
-
-def _next_power(fid: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """The product matrix one letter longer: one :func:`_kron_step` of
-    ``fid`` with the letter matrix ``base`` into a fresh buffer."""
-    m, n = fid.shape[0], base.shape[0]
-    return _kron_step(fid, base, np.empty((m, n, m, n))).reshape(m * n, m * n)
+    else:
+        for a in range(n):
+            for b in range(n):
+                np.multiply(fid, base[a, b], out=out[:, a, :, b])
+    return out.reshape(r * n, m * n)
 
 
 def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
@@ -72,11 +68,12 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
 
     Multiplies in one per-letter factor at a time in letter order, so each
     entry matches the letterwise product computed sequence by sequence.
-    Each step is one :func:`_kron_step` with the letter matrix into a fresh
-    ``(m, n, m, n)`` buffer.  Above ``DEFAULT_GRAPH_CAP`` sequences it
-    raises before allocating.  :func:`gamma_k` builds its graphs without
-    calling this at ``k``: it takes the ``(k - 1)``-fold matrix and
-    thresholds the last step tile by tile (:func:`_row_masks`).
+    Each step is one :func:`_next_power` with the letter matrix.  Above
+    ``DEFAULT_GRAPH_CAP`` sequences it raises before allocating.
+    :func:`gamma_k` builds its graphs without calling this at ``k``: it
+    compares the ``(k - 1)``-fold matrix with per-letter-pair cutoffs
+    (:func:`_row_masks`), which decide ``>= 1 - epsilon`` exactly as this
+    matrix's last products would, without forming them.
     """
     if k < 1:
         raise ValidationError(f"sequence length must be >= 1, got {k}")
@@ -93,49 +90,90 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
 
 
 def _letter_matrix(channel: ClassicalChannel) -> np.ndarray:
-    """The channel's letter fidelity matrix, checked exactly symmetric with
-    a diagonal of exactly 1.0.
+    """The channel's letter fidelity matrix, checked exactly symmetric, with
+    entries in [0, 1] and a diagonal of exactly 1.0.
 
-    Every product entry is ``fid[i', j'] * base[a, b]`` and IEEE
-    multiplication is commutative, so this one check proves every product
-    graph symmetric and reflexive.  ``channels._fidelity_kernel``
-    guarantees both properties.
+    Every product matrix then has entries in [0, 1], and this one check
+    proves every product graph symmetric and reflexive (see
+    :func:`_row_masks`).  ``channels._fidelity_kernel`` guarantees all
+    three properties.
     """
     base = channel.fidelity_matrix
     if not np.array_equal(base, base.T):
         raise ValidationError("letter fidelity matrix must be exactly symmetric")
+    if not np.all((base >= 0.0) & (base <= 1.0)):
+        raise ValidationError("letter fidelity matrix entries must lie in the range [0, 1]")
     if not np.all(np.diag(base) == 1.0):
         raise ValidationError("letter fidelity matrix must have a diagonal of exactly 1.0")
     return base
+
+
+def _cutoff(v: float, t: float) -> float:
+    """The smallest float ``x >= 0`` with ``x * v >= t`` in float arithmetic,
+    for a letter fidelity ``v`` in [0, 1] and a threshold ``t <= 1``.
+
+    It is 0.0 when ``t <= 0``, since every ``x`` qualifies, and ``inf``
+    when ``v < t``: no ``x <= 1`` qualifies, because ``x * v <= v``.
+    Otherwise ``t >= 2**-53`` (it is ``1 - epsilon`` for an epsilon in
+    [0, 1]), so ``v`` is normal and ``t / v`` lies within a few ulps of the
+    answer; it is stepped with ``math.nextafter`` until ``x * v`` reaches
+    ``t`` and its predecessor's product does not.
+    """
+    if t <= 0.0:
+        return 0.0
+    if v < t:
+        return math.inf
+    x = t / v
+    while x * v < t:
+        x = math.nextafter(x, math.inf)
+    while math.nextafter(x, 0.0) * v >= t:
+        x = math.nextafter(x, 0.0)
+    return x
 
 
 def _row_masks(prev: np.ndarray, base: np.ndarray, epsilon: float) -> list[int]:
     """Adjacency bitmasks of the sequence graph one letter longer than ``prev``.
 
     ``prev`` is the ``(k - 1)``-fold product matrix and ``base`` the letter
-    matrix.  The last :func:`_kron_step` runs on row tiles of ``prev``,
-    about ``PRODUCT_TILE_ENTRIES`` products each, into one reused buffer.
-    Each tile is thresholded with ``>= 1 - epsilon`` as
-    :func:`graph_from_fidelity_matrix` does, its self-loop bits are
-    cleared, and it is packed straight into the masks: bit ``j`` of mask
-    ``i`` is set when ``i != j`` are adjacent.  The products are the same
-    floats, so the masks match the thresholded ``k``-fold matrix bit for
-    bit, and no ``n**k``-square matrix of any type is held.
+    matrix, so sequences ``i' * n + a`` and ``j' * n + b`` are adjacent
+    when ``prev[i', j'] * base[a, b] >= 1 - epsilon``, as
+    :func:`graph_from_fidelity_matrix` thresholds the ``k``-fold matrix.
+    For ``v >= 0`` float multiplication ``x -> x * v`` is monotone, so that
+    holds exactly when ``prev[i', j'] >= _cutoff(base[a, b], 1 - epsilon)``
+    (:func:`_cutoff`; ``inf`` when ``v < 1 - epsilon``, ``0`` when
+    ``epsilon == 1``).  No product is formed: each row tile of ``prev``,
+    about ``PRODUCT_TILE_ENTRIES`` graph entries, is compared once with
+    each distinct cutoff (at most ``1 + n * (n - 1) / 2`` of them), the
+    comparison is copied into the ``[:, a, :, b]`` slots of one reused
+    boolean tile, its self-loop bits are cleared, and it is packed straight
+    into the masks: bit ``j`` of mask ``i`` is set when ``i != j`` are
+    adjacent.  The masks match the thresholded ``k``-fold matrix bit for
+    bit, and no ``n**k``-square array of any type is held.  The graph is
+    symmetric: ``prev`` and ``base`` are (:func:`_letter_matrix`), so
+    ``_cutoff(base[a, b]) == _cutoff(base[b, a])``.  It is reflexive:
+    ``prev`` has a unit diagonal and ``_cutoff(1.0, t) == t <= 1``.
     """
     n = base.shape[0]
     m = prev.shape[0]
     total = m * n
+    threshold = 1.0 - epsilon
+    slots: dict[float, list[tuple[int, int]]] = {}
+    for (a, b), v in np.ndenumerate(base):
+        slots.setdefault(_cutoff(float(v), threshold), []).append((a, b))
     rows = max(1, PRODUCT_TILE_ENTRIES // (n * total))
-    tile = np.empty((min(rows, m), n, m, n))
-    adj = np.empty((min(rows, m) * n, total), dtype=bool)
-    diag = np.arange(adj.shape[0])
+    adj = np.empty((min(rows, m), n, m, n), dtype=bool)
+    hit = np.empty((min(rows, m), m), dtype=bool)
+    diag = np.arange(min(rows, m) * n)
     masks: list[int] = []
     for r in range(0, m, rows):
-        h = min(rows, m - r) * n
-        step = _kron_step(prev[r:r + rows], base, tile[:h // n])
-        np.greater_equal(step.reshape(h, total), 1.0 - epsilon, out=adj[:h])
-        adj[diag[:h], r * n + diag[:h]] = False
-        packed = np.packbits(adj[:h], axis=1, bitorder="little")
+        h = min(rows, m - r)
+        for cut, pairs in slots.items():
+            np.greater_equal(prev[r:r + h], cut, out=hit[:h])
+            for a, b in pairs:
+                adj[:h, a, :, b] = hit[:h]
+        flat = adj[:h].reshape(h * n, total)
+        flat[diag[:h * n], r * n + diag[:h * n]] = False
+        packed = np.packbits(flat, axis=1, bitorder="little")
         masks.extend(map(int.from_bytes, packed, itertools.repeat("little")))
     return masks
 
@@ -235,10 +273,15 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     :class:`ExactSolverCapError`; requesting ``"exact"`` or ``"greedy"``
     above the graph cap raises :class:`ValidationError`, whatever the
     exact cap.  The letter matrix is checked once (:func:`_letter_matrix`).
-    A materialized row packs the last step of the ``(k - 1)``-fold product
-    matrix straight into adjacency bitmasks (:func:`_row_masks`) and only
-    counts the blocks of the cover, so it builds no ``k``-fold float
-    matrix, graph or partition.
+    A materialized row never forms the last products: float multiplication
+    by ``v >= 0`` is monotone, so ``prev * v >= 1 - epsilon`` exactly when
+    the ``(k - 1)``-fold entry ``prev`` reaches the cutoff of its letter
+    pair, the smallest float whose product with ``v`` does (``inf`` when
+    ``v < 1 - epsilon``, ``0`` when ``epsilon == 1``).  Those comparisons
+    go straight into adjacency bitmasks (:func:`_row_masks`), which are
+    symmetric because a symmetric letter matrix gives ``base[a, b]`` and
+    ``base[b, a]`` one cutoff.  The row only counts the blocks of the
+    cover, so it builds no ``k``-fold matrix, graph or partition.
     """
     closed_form = _closed_form_route(channel, epsilon, k, solver)
     base = _letter_matrix(channel)
@@ -281,8 +324,15 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
     Evidence about the many-use limit; no extrapolation is performed.
     Every row is the :func:`gamma_k` row at its ``k``, and every row's caps
     are checked before any row runs.  The ``(k - 1)``-fold product matrix
-    is carried from row to row and advanced by one :func:`_kron_step` just
-    before each materialized row, so no row rebuilds the chain.
+    is carried from row to row and advanced by one :func:`_next_power` just
+    before each materialized row, so no row rebuilds the chain.  Each row
+    compares that matrix with per-letter-pair cutoffs instead of forming
+    the ``k``-fold products (:func:`_row_masks`): ``x * v >= 1 - epsilon``
+    is monotone in ``x`` for ``v >= 0``, so it holds exactly from the
+    smallest such float ``x`` up, and no ``x <= 1`` qualifies (cutoff
+    ``inf``) when ``v < 1 - epsilon``, every one (cutoff ``0``) when
+    ``epsilon == 1``.  ``base[a, b]`` and ``base[b, a]`` are equal, so
+    they share a cutoff and every row graph is symmetric.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -37,7 +38,8 @@ from revcomp import asymptotic, channels, cli
 from revcomp.asymptotic import (
     DEFAULT_GRAPH_CAP,
     PRODUCT_TILE_ENTRIES,
-    _kron_step,
+    _cutoff,
+    _next_power,
     _observed_trend,
     _row_masks,
 )
@@ -102,7 +104,8 @@ class TestProductFidelityMatrix:
         rng = np.random.default_rng(n * 10 + fid_shape[1])
         fid = rng.random(fid_shape)
         base = reverse_fidelity_matrix(random_channel(rng, n, 3))
-        out = _kron_step(fid, base, np.empty((fid_shape[0], n, fid_shape[1], n)))
+        out = _next_power(fid, base)
+        assert out.shape == (fid_shape[0] * n, fid_shape[1] * n)
         assert out.tobytes() == (fid[:, None, :, None] * base[None, :, None, :]).tobytes()
 
     def test_letter_matrix_is_computed_once_per_channel(self, monkeypatch):
@@ -129,37 +132,103 @@ def adjacency_masks(adj):
     return [int(row.tobytes(), 2) for row in digits]
 
 
+def grouped_erasure(n, rng):
+    """A generalized erasure channel on ``n`` letters in two groups (one
+    when ``n == 1``): letters of different groups have fidelity exactly 0."""
+    labels = [str(i) for i in range(n)]
+    half = (n + 1) // 2
+    blocks = [labels[:half], labels[half:]] if n > 1 else [labels]
+    return make_generalized_erasure(blocks, [float(e) for e in rng.uniform(0.6, 0.95, len(blocks))])
+
+
+def tie_epsilons(fid, base):
+    """For each distinct letter value, epsilons whose ``1 - eps`` is one
+    ``k``-fold entry of that value's slots or one ulp either side of it.
+
+    Of the entries whose ``1 - (1 - f)`` gives ``f`` back, the smallest is
+    taken.  Returns the epsilons and the letter values that got one.
+    """
+    n = base.shape[0]
+    m = fid.shape[0] // n
+    grid = fid.reshape(m, n, m, n)
+    epsilons, values = [], []
+    for v in np.unique(base):
+        slot = np.broadcast_to((base == v)[None, :, None, :], grid.shape)
+        entries = grid[slot]
+        entries = entries[1.0 - (1.0 - entries) == entries]
+        if entries.size:
+            f = float(entries.min())
+            values.append(float(v))
+            epsilons.extend(1.0 - t for t in (np.nextafter(f, 0.0), f, np.nextafter(f, 2.0)))
+    return epsilons, values
+
+
 class TestProductAdjacency:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_tiled_graph_equals_the_thresholded_product(self, n):
         # Every k from 1 to the graph cap.  At n = 3, k = 6 (729 sequences)
         # a tile is 59 rows of the 243-row 5-fold matrix, so the last of
-        # five tiles is partial.
+        # five tiles is partial.  The grouped erasure channel's zero
+        # cross-group letter fidelities get the cutoff inf.
         rng = np.random.default_rng(40 + n)
         ch = random_channel(rng, n, 3)
-        base = ch.fidelity_matrix
+        erasure = grouped_erasure(n, rng)
+        if n > 1:
+            assert np.any(erasure.fidelity_matrix == 0.0)
         partial_tiles = []
         k = 1
         while n ** k <= DEFAULT_GRAPH_CAP and k <= 12:
             rows, m = max(1, PRODUCT_TILE_ENTRIES // (n * n ** k)), n ** (k - 1)
             if rows < m and m % rows:
                 partial_tiles.append(k)
-            prev = product_fidelity_matrix(ch, k - 1) if k > 1 else np.ones((1, 1))
-            fid = product_fidelity_matrix(ch, k)
-            # An epsilon whose threshold equals an entry exactly: that pair
-            # ties with 1 - eps and must stay adjacent.
-            exact = np.flatnonzero(1.0 - (1.0 - fid) == fid)
-            pair = np.unravel_index(exact[np.argmin(fid.flat[exact])], fid.shape)
-            tie = 1.0 - float(fid[pair])
-            for eps in (0.05, 0.3, 0.7, tie):
-                got = _row_masks(prev, base, eps)
-                assert got == adjacency_masks(fid >= 1.0 - eps)
-            i, j = pair
-            if i != j:
-                assert _row_masks(prev, base, tie)[i] >> int(j) & 1
+            for channel in (ch, erasure):
+                base = channel.fidelity_matrix
+                prev = product_fidelity_matrix(channel, k - 1) if k > 1 else np.ones((1, 1))
+                fid = product_fidelity_matrix(channel, k)
+                # An epsilon whose threshold equals an entry exactly: that pair
+                # ties with 1 - eps and must stay adjacent.
+                exact = np.flatnonzero(1.0 - (1.0 - fid) == fid)
+                pair = np.unravel_index(exact[np.argmin(fid.flat[exact])], fid.shape)
+                tie = 1.0 - float(fid[pair])
+                ties, values = tie_epsilons(fid, base)
+                # The unit diagonal of prev gives every letter value itself as
+                # an entry, and 1 - (1 - v) == v for v >= 0.5.
+                assert set(values) >= {float(v) for v in base.flat if v >= 0.5}
+                for eps in (0.05, 0.3, 0.7, tie, 0.0, 1.0, *ties):
+                    got = _row_masks(prev, base, eps)
+                    assert got == adjacency_masks(fid >= 1.0 - eps)
+                i, j = pair
+                if i != j:
+                    assert _row_masks(prev, base, tie)[i] >> int(j) & 1
             k += 1
         if n == 3:
             assert 6 in partial_tiles
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=st.one_of(st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0]),
+                    st.floats(0.0, 1.0)),
+        t=st.one_of(st.sampled_from([0.0, 2.0 ** -53, 1.0]),
+                    st.floats(2.0 ** -53, 1.0)),
+    )
+    def test_cutoff_is_the_smallest_float_that_reaches_the_threshold(self, v, t):
+        steps = []
+        nextafter = math.nextafter
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(math, "nextafter", lambda x, y: steps.append(x) or nextafter(x, y))
+            c = _cutoff(v, t)
+        assert len(steps) <= 8
+        assert (c == math.inf) == (v < t and t > 0.0)
+        if c < math.inf:
+            assert 0.0 <= c <= 1.0
+            assert c * v >= t
+            if c > 0.0:
+                assert math.nextafter(c, 0.0) * v < t
+        else:
+            # No entry of a product matrix, all at most 1, reaches t.
+            assert 1.0 * v < t
+        if t == 0.0:
+            assert c == 0.0
 
     def test_greedy_row_at_the_cap_never_holds_the_product(self):
         # The 2048-sequence float product alone is 32 MiB.
@@ -236,9 +305,12 @@ class TestLetterMatrixCheck:
         asymmetric[0, 1] = np.nextafter(asymmetric[0, 1], 0.0)
         diagonal = base.copy()
         diagonal[1, 1] = np.nextafter(1.0, 0.0)
-        return {"symmetric": asymmetric, "diagonal": diagonal}
+        # Symmetric with a unit diagonal, but one pair's fidelity exceeds 1.
+        over = base.copy()
+        over[0, 1] = over[1, 0] = np.nextafter(1.0, 2.0)
+        return {"symmetric": asymmetric, "diagonal": diagonal, "range": over}
 
-    @pytest.mark.parametrize("kind", ["symmetric", "diagonal"])
+    @pytest.mark.parametrize("kind", ["symmetric", "diagonal", "range"])
     def test_gamma_k_and_sweeps_reject_the_letter_matrix(self, kind):
         bad = self.bad_matrices()[kind]
         # k = 2 is exact, k = 5 greedy and k = 8 closed form.
@@ -250,7 +322,7 @@ class TestLetterMatrixCheck:
             with pytest.raises(ValidationError, match=kind):
                 call(ch)
 
-    @pytest.mark.parametrize("kind", ["symmetric", "diagonal"])
+    @pytest.mark.parametrize("kind", ["symmetric", "diagonal", "range"])
     def test_cli_exits_2(self, kind, tmp_path, capsys, monkeypatch):
         bad = self.bad_matrices()[kind]
         monkeypatch.setattr(channels, "reverse_fidelity_matrix", lambda ch: bad)
