@@ -29,7 +29,6 @@ from .channels import (
     erasure_max_mergeable_differences,
     erasure_sequence_fidelity,
     fidelity,
-    hamming_distance,
     make_constant,
     make_erasure,
     make_generalized_erasure,

@@ -23,7 +23,7 @@ from .partition import (
     Partition,
     _block_certificates,
     _cover,
-    _cover_count,
+    _partition_of,
     compressibility,
     default_exact_cap,
     solve_exact,
@@ -216,7 +216,8 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
     fid = channel.fidelity_matrix
     while True:
-        single, _ = _cover(IndistinguishabilityGraph(fid >= threshold), "auto")
+        graph = IndistinguishabilityGraph(fid >= threshold)
+        single = _partition_of(_cover(graph._masks(), "auto")[0])
         worst = min(_block_certificates(single, lambda i, j: fid[i, j]))
         # Left to right from 1, as product_fidelity_matrix multiplies.
         if math.prod([worst] * k) >= 1.0 - epsilon:
@@ -256,9 +257,9 @@ def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver
 def _materialized_row(prev: np.ndarray, base: np.ndarray, epsilon: float, k: int,
                       solver: str) -> GammaKResult:
     """One exact or first-fit row, counted on the masks of :func:`_row_masks`."""
-    count, optimal = _cover_count(_row_masks(prev, base, epsilon), solver)
-    return GammaKResult(k=k, block_count=count,
-                        gamma=compressibility(base.shape[0] ** k, count),
+    blocks, optimal = _cover(_row_masks(prev, base, epsilon), solver)
+    return GammaKResult(k=k, block_count=len(blocks),
+                        gamma=compressibility(base.shape[0] ** k, len(blocks)),
                         method="exact" if optimal else "greedy_lower_bound")
 
 

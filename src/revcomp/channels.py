@@ -411,13 +411,6 @@ def product_reverse_fidelity(channel: ClassicalChannel, xs: Sequence[str],
     return result
 
 
-def hamming_distance(xs: Sequence, ys: Sequence) -> int:
-    """Number of positions at which two equal-length sequences differ."""
-    if len(xs) != len(ys):
-        raise DimensionMismatchError(f"sequences have different lengths {len(xs)} and {len(ys)}")
-    return sum(1 for a, b in zip(xs, ys) if a != b)
-
-
 def erasure_sequence_fidelity(eta: float, differences: int) -> float:
     """Closed-form reverse fidelity for erasure-channel sequences.
 

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -269,18 +269,15 @@ def _complement(masks: list[int]) -> list[int]:
     return [full & ~(mask | (1 << v)) for v, mask in enumerate(masks)]
 
 
-def _partition_from_colors(assign: Sequence[int]) -> Partition:
-    """One block per color, from the color of each vertex."""
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(assign):
-        groups.setdefault(c, []).append(v)
-    return Partition(tuple(tuple(g) for g in groups.values()))
+def _partition_of(blocks: list[int]) -> Partition:
+    """Partition with one block per bitmask of :func:`_cover`."""
+    return Partition(tuple(map(_members, blocks)))
 
 
 def _exact_coloring(masks: list[int], cap: int) -> list[int]:
     """Minimum coloring of the complement of the graph with adjacency
-    bitmasks ``masks`` (no self-loops): the color of each vertex, colors
-    ``0..count-1``, so each color class is a clique of the graph.
+    bitmasks ``masks`` (no self-loops), as one bitmask per color class, so
+    each class is a clique of the graph.
 
     DSATUR branch and bound (Brelaz 1979): the next vertex is the uncolored
     one whose complement neighbors already use the most colors, ties to the
@@ -342,7 +339,10 @@ def _exact_coloring(masks: list[int], cap: int) -> list[int]:
                 seen[u] ^= bit
 
     bnb((1 << n) - 1, 0)
-    return best_assign
+    classes = [0] * best_count
+    for v, c in enumerate(best_assign):
+        classes[c] |= 1 << v
+    return classes
 
 
 def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Partition:
@@ -352,7 +352,7 @@ def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Par
     """
     if cap is None:
         cap = default_exact_cap()
-    return _partition_from_colors(_exact_coloring(graph._masks(), cap))
+    return _partition_of(_exact_coloring(graph._masks(), cap))
 
 
 def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
@@ -362,31 +362,22 @@ def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
     adjacent to in full, otherwise it opens a new block.  The blocks are
     built one at a time by :func:`_first_fit`.
     """
-    return Partition(tuple(map(_members, _first_fit(graph._masks()))))
+    return _partition_of(list(_first_fit(graph._masks())))
 
 
-def _cover(graph: IndistinguishabilityGraph, solver: str) -> tuple[Partition, bool]:
+def _cover(masks: list[int], solver: str) -> tuple[list[int], bool]:
     """Clique cover by ``solver`` (``"exact"``, ``"greedy"`` or ``"auto"``)
-    and whether it is proved minimum.
+    of the graph with adjacency bitmasks ``masks`` (no self-loops), as one
+    bitmask per block, and whether it is proved minimum.
 
     ``"auto"`` solves exactly up to :func:`default_exact_cap` vertices and by
     first fit above; ``"exact"`` above the cap raises
     :class:`ExactSolverCapError`.
     """
     cap = default_exact_cap()
-    if solver == "exact" or (solver == "auto" and graph.size <= cap):
-        return solve_exact(graph, cap=cap), True
-    return solve_greedy(graph), False
-
-
-def _cover_count(masks: list[int], solver: str) -> tuple[int, bool]:
-    """Block count of the cover :func:`_cover` picks for the graph with
-    adjacency bitmasks ``masks`` (no self-loops), and whether it is proved
-    minimum; no block member is listed."""
-    cap = default_exact_cap()
     if solver == "exact" or (solver == "auto" and len(masks) <= cap):
-        return max(_exact_coloring(masks, cap)) + 1, True
-    return sum(1 for _ in _first_fit(masks)), False
+        return _exact_coloring(masks, cap), True
+    return list(_first_fit(masks)), False
 
 
 def compressibility(num_inputs: int, num_blocks: int) -> float:
@@ -565,7 +556,8 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") ->
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     rows = channel.matrix
     graph = _screened_graph(rows, epsilon)
-    partition, optimal = _cover(graph, solver)
+    blocks, optimal = _cover(graph._masks(), solver)
+    partition = _partition_of(blocks)
     return CompressionReport(
         epsilon=float(epsilon),
         solver="exact" if optimal else "greedy",

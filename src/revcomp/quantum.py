@@ -141,49 +141,45 @@ class DensityMatrix:
 class KrausChannel:
     """Completely positive trace-preserving map in Kraus form.
 
-    Completeness (sum of K^dagger K equal to the identity) is validated
-    within ``COMPLETENESS_TOL``.
+    ``kraus`` is given as any sequence of equal-shape matrices and stored as
+    one read-only ``(n, out_dim, in_dim)`` complex array.  Each operator
+    must be a finite matrix of the first one's shape, checked in operator
+    order, and completeness (sum of K^dagger K equal to the identity) is
+    validated within ``COMPLETENESS_TOL``.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.kraus) == 0:
+        ops = [np.asarray(k, dtype=complex) for k in self.kraus]
+        if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
-        ops = []
-        shape = None
-        for i, k in enumerate(self.kraus):
-            k = np.asarray(k, dtype=complex)
+        for i, k in enumerate(ops):
             if k.ndim != 2:
                 raise ValidationError(f"Kraus operator {i} must be a matrix, got shape {k.shape}")
-            if not np.isfinite(k).all():
-                r, c = (int(v) for v in np.argwhere(~np.isfinite(k))[0])
-                raise ValidationError(f"Kraus operator {i} entry ({r}, {c}) is "
-                                      f"{complex(k[r, c])!r}, not a finite number")
-            if shape is None:
-                shape = k.shape
-            elif k.shape != shape:
+            _check_finite(k[None], f"Kraus operator {i}")
+            if k.shape != ops[0].shape:
                 raise DimensionMismatchError(
-                    f"Kraus operator {i} has shape {k.shape}, expected {shape}"
+                    f"Kraus operator {i} has shape {k.shape}, expected {ops[0].shape}"
                 )
-            k = k.copy()
-            k.flags.writeable = False
-            ops.append(k)
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.max(np.abs(total - np.eye(shape[1]))))
+        kraus = np.stack(ops)
+        # one operator at a time, so no conjugate copy of the whole stack is made
+        total = sum(_adjoint(k) @ k for k in kraus)
+        dev = float(np.max(np.abs(total - np.eye(kraus.shape[2]))))
         if dev > COMPLETENESS_TOL:
             raise ValidationError(
                 f"Kraus operators deviate from completeness by {dev:.3e}"
             )
-        object.__setattr__(self, "kraus", tuple(ops))
+        kraus.flags.writeable = False
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action on an arbitrary operator, no state validation."""
@@ -192,112 +188,116 @@ class KrausChannel:
             raise DimensionMismatchError(
                 f"operator shape {m.shape} does not match channel input dimension {self.in_dim}"
             )
-        return _apply_kraus(self, m[None])[0]
+        return np.sum(self.kraus @ m @ _adjoint(self.kraus), axis=0)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state; the output is revalidated as a density matrix."""
         return DensityMatrix(self.apply_matrix(rho.matrix))
 
 
-def _apply_kraus(channel: KrausChannel, states: np.ndarray) -> np.ndarray:
-    """Channel outputs of a stack of ``(P, d, d)`` operators or of ``(P, d)``
-    pure vectors, as a ``(P, out_dim, out_dim)`` stack.
+def _output_factors(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
+    """Factors of the channel outputs of a ``(P, in_dim, r)`` factor stack.
 
-    A vector ``v`` stands for the operator ``v v^dagger``; its output is
-    ``sum_i (K_i v)(K_i v)^dagger``, formed as one batched product per group
-    of images from :func:`_kraus_images`.  Operators are taken one Kraus
-    operator at a time.  Either way the scratch memory does not grow with
-    the number of Kraus operators.
+    A factor ``L`` stands for the operator ``L L^dagger``, and a pure vector
+    ``v`` is the case ``r = 1``.  The output of ``L L^dagger`` is
+    ``sum_i (K_i L)(K_i L)^dagger``, so the images ``K_i L`` side by side are
+    a factor of it.  They are formed in Kraus order, ``max(1, out_dim // r)``
+    operators at a time, by one product per group.  The first group's images
+    are the factor ``F``; each later group is folded in through the
+    triangular QR factor ``R`` of the transpose of ``X = [F, images]``:
+    ``X = R^T Q^T`` with ``Q^T conj(Q)`` the identity, so ``R^T`` is a factor
+    of ``X X^dagger = F F^dagger + images images^dagger``.  The result is a
+    ``(P, out_dim, r')`` stack, with ``r' <= out_dim`` once a group is
+    folded in and ``r' <= max(out_dim, r)`` always, so a channel applied
+    after another is a second call, and the scratch memory does not grow
+    with the number of Kraus operators.
     """
-    count, dim = states.shape[0], channel.out_dim
-    out = np.zeros((count, dim, dim), dtype=complex)
-    if states.ndim == 3:
-        for k in channel.kraus:
-            out += k @ states @ k.conj().T
-        return out
-    for images in _kraus_images(channel, states):
-        out += images @ _adjoint(images)
+    count, in_dim, width = factors.shape
+    step = max(1, channel.out_dim // width)
+    rows = factors.swapaxes(1, 2).reshape(count * width, in_dim)
+    out = None
+    for start in range(0, len(channel.kraus), step):
+        group = channel.kraus[start:start + step]
+        images = (rows @ group.reshape(-1, in_dim).T).reshape(count, width, len(group), -1)
+        images = images.transpose(0, 3, 2, 1).reshape(count, channel.out_dim, -1)
+        if out is None:
+            out = images
+        else:
+            out = np.concatenate([out, images], axis=2)
+            out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
     return out
 
 
-def _kraus_images(channel: KrausChannel, vectors: np.ndarray):
-    """Images ``K_i v`` of a ``(P, in_dim)`` stack of vectors, as columns of
-    ``(P, out_dim, g)`` blocks, one block per group of at most ``out_dim``
-    Kraus operators, in Kraus order."""
-    count, dim = vectors.shape[0], channel.out_dim
-    for start in range(0, len(channel.kraus), dim):
-        group = np.stack(channel.kraus[start:start + dim])
-        kv = (vectors @ group.reshape(-1, channel.in_dim).T).reshape(count, len(group), dim)
-        yield kv.swapaxes(1, 2)
-
-
-def _output_factors(channel: KrausChannel, vectors: np.ndarray) -> np.ndarray:
-    """Factors ``L`` of the channel outputs of a ``(P, in_dim)`` stack of
-    vectors: a ``(P, out_dim, r)`` stack with ``L L^dagger`` the output of
-    each vector and ``r <= out_dim``.
-
-    The images of the first group of Kraus operators are the factor; each
-    later group is folded in through the triangular QR factor ``R`` of
-    ``[L, images]^dagger``, since ``R^dagger R`` equals
-    ``L L^dagger + images images^dagger``.  The scratch memory does not grow
-    with the number of Kraus operators.
-    """
-    groups = _kraus_images(channel, vectors)
-    factors = next(groups)
-    for images in groups:
-        stacked = np.concatenate([factors, images], axis=2)
-        factors = _adjoint(np.linalg.qr(_adjoint(stacked), mode="r"))
-    return factors
+def _unit_outputs(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
+    """:func:`_output_factors`, validated by :func:`_checked_factors` and
+    scaled to unit trace."""
+    out = _output_factors(channel, factors)
+    out /= np.sqrt(_checked_factors(out))[:, None, None]
+    return out
 
 
 def compose_channels(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     """Channel applying ``first`` and feeding its output into ``then``.
 
-    Kraus products that are exactly zero are left out: they add exactly
-    zero to every output and to the completeness sum.
+    Products that are exactly zero are left out: they add exactly zero to
+    every output and to the completeness sum.  A product ``B A`` is not
+    formed at all when no nonzero column of ``B`` meets a nonzero row of
+    ``A``, since every term of it is then a zero times a finite number.
+    Each operator of ``then`` is multiplied against the operators of
+    ``first`` it meets at once, so at most ``len(first.kraus)`` products
+    are held besides the kept ones.
     """
     if then.in_dim != first.out_dim:
         raise DimensionMismatchError(
             f"cannot compose: first output dimension {first.out_dim} "
             f"differs from second input dimension {then.in_dim}"
         )
-    products = (b @ a for b in then.kraus for a in first.kraus)
-    return KrausChannel(tuple(k for k in products if k.any()))
+    meets = then.kraus.any(axis=1) @ first.kraus.any(axis=2).T
+    kept = []
+    for b, row in zip(then.kraus, meets):
+        products = b @ first.kraus[row]
+        kept.extend(products[products.any(axis=(1, 2))])
+    return KrausChannel(kept)
 
 
-def _fidelities(factors: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Fidelities of ``rho = L L^dagger`` and ``sigma``, pair by pair.
+def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fidelities of ``A A^dagger`` and ``B B^dagger``, pair by pair, for
+    ``(P, d, ra)`` and ``(P, d, rb)`` factor stacks ``a`` and ``b``.
 
-    ``factors`` is a ``(P, d, r)`` stack of factors ``L`` of states ``rho``
-    and ``sigma`` a ``(P, d, d)`` stack of validated states.  By the polar
-    decomposition ``L = sqrt(rho) U``, the fidelity is the squared trace of
-    the square root of ``L^dagger sigma L`` (Jozsa 1994) whatever factor is
-    given.  Eigenvalues of ``L^dagger sigma L`` below ``EIG_CLAMP`` are
-    treated as zero and each result is clamped to at most 1.
+    Whatever factors are given, the fidelity is ``(tr |A^dagger B|)^2``
+    (Jozsa 1994), the squared sum of the singular values of
+    ``M = A^dagger B``.  They are the square roots of the eigenvalues of
+    the smaller Gram form, ``M M^dagger`` or ``M^dagger M``, from one
+    batched ``eigvalsh``.  Eigenvalues below ``EIG_CLAMP`` are treated as
+    zero and each result is clamped to at most 1.
     """
-    inner = _adjoint(factors) @ sigma @ factors
-    w = np.linalg.eigvalsh((inner + _adjoint(inner)) / 2.0)
+    m = _adjoint(a) @ b
+    gram = m @ _adjoint(m) if m.shape[1] <= m.shape[2] else _adjoint(m) @ m
+    w = np.linalg.eigvalsh(gram)
     w = np.where(w < EIG_CLAMP, 0.0, w)
     val = np.sum(np.sqrt(w), axis=1)
     return np.minimum(1.0, val * val)
 
 
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """Factor ``V sqrt(W)`` of a Hermitian positive semidefinite matrix from
+    its eigendecomposition, with eigenvalues below ``EIG_CLAMP`` as zero."""
+    w, v = np.linalg.eigh(m)
+    return v * np.sqrt(np.where(w < EIG_CLAMP, 0.0, w))
+
+
 def quantum_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Fidelity of two density matrices, squared-trace-norm convention.
 
-    Computed as the squared trace of the square root of
-    ``sqrt(rho) sigma sqrt(rho)``, with eigenvalues below ``EIG_CLAMP``
-    treated as zero and the result clamped into [0, 1].  The factor handed
-    to :func:`_fidelities` is ``V sqrt(W)`` from the eigendecomposition of
-    ``rho``, with its eigenvalues clamped the same way.
+    Both states are factored by :func:`_psd_factor`, so eigenvalues below
+    ``EIG_CLAMP`` count as zero, and :func:`_fidelities` returns the
+    result clamped into [0, 1].
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(
             f"states have different dimensions {rho.dim} and {sigma.dim}"
         )
-    w, v = np.linalg.eigh(rho.matrix)
-    w = np.where(w < EIG_CLAMP, 0.0, w)
-    return float(_fidelities((v * np.sqrt(w))[None], sigma.matrix[None])[0])
+    return float(_fidelities(_psd_factor(rho.matrix)[None], _psd_factor(sigma.matrix)[None])[0])
 
 
 def vector_kernel(channel: KrausChannel) -> tuple[int, np.ndarray]:
@@ -312,7 +312,7 @@ def vector_kernel(channel: KrausChannel) -> tuple[int, np.ndarray]:
     singular values and right singular vectors but at most ``out_dim`` rows.
     Returns the kernel dimension and an orthonormal basis as columns.
     """
-    stacked = np.vstack([k.conj().T for k in channel.kraus])
+    stacked = _adjoint(channel.kraus).reshape(-1, channel.out_dim)
     _, svals, vh = np.linalg.svd(np.linalg.qr(stacked, mode="r"), full_matrices=True)
     rank = int(np.sum(svals > KERNEL_TOL))
     kernel = vh[rank:].conj().T
@@ -364,14 +364,11 @@ def make_coarse_graining(partition: Partition, in_dim: int,
     target = m if embed_dim is None else embed_dim
     if target < m:
         raise ValidationError(f"embedding dimension {target} is below the block count {m}")
-    ops = []
-    for z, block in enumerate(partition.blocks):
-        for x in block:
-            k = np.zeros((target, in_dim), dtype=complex)
-            k[z, x] = 1.0
-            ops.append(k)
-    channel = KrausChannel(tuple(ops))
-    return CoarseGraining.of(channel, partition)
+    labels = [z for z, block in enumerate(partition.blocks) for _ in block]
+    members = [x for block in partition.blocks for x in block]
+    ops = np.zeros((in_dim, target, in_dim), dtype=complex)
+    ops[np.arange(in_dim), labels, members] = 1.0
+    return CoarseGraining.of(KrausChannel(ops), partition)
 
 
 def partial_trace_coarse_graining(dim_z: int, dim_w: int) -> CoarseGraining:
@@ -413,14 +410,10 @@ def make_quantum_erasure(in_dim: int, eta: float) -> KrausChannel:
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"erasure probability must lie in [0, 1], got {eta!r}")
     d = in_dim
-    keep = np.zeros((d + 1, d), dtype=complex)
-    keep[:d, :d] = np.eye(d)
-    ops = [np.sqrt(1.0 - eta) * keep]
-    for x in range(d):
-        k = np.zeros((d + 1, d), dtype=complex)
-        k[d, x] = np.sqrt(eta)
-        ops.append(k)
-    return KrausChannel(tuple(ops))
+    ops = np.zeros((d + 1, d + 1, d), dtype=complex)
+    ops[0, :d] = np.sqrt(1.0 - eta) * np.eye(d)
+    ops[np.arange(1, d + 1), d, np.arange(d)] = np.sqrt(eta)
+    return KrausChannel(ops)
 
 
 def quantum_compressibility(compressor: KrausChannel | CoarseGraining) -> float:
@@ -486,7 +479,7 @@ def random_kraus_channel(in_dim: int, out_dim: int, num_ops: int,
         )
     g = rng.normal(size=(out_dim * num_ops, in_dim)) + 1j * rng.normal(size=(out_dim * num_ops, in_dim))
     q, _ = np.linalg.qr(g)
-    return KrausChannel(tuple(q[i * out_dim:(i + 1) * out_dim] for i in range(num_ops)))
+    return KrausChannel(q.reshape(num_ops, out_dim, in_dim))
 
 
 def _check_count(name: str, value: int) -> None:
@@ -549,17 +542,14 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
     The probe family is the deterministic set from :func:`probe_states`
     plus ``n_random`` seeded random pure states, so identical arguments
     reproduce identical results.  Probes are drawn and go through the
-    channels ``PROBE_CHUNK`` at a time.  The images ``K_i v`` of a probe
-    under ``a``, scaled to unit trace, are a factor of its output, so each
-    fidelity takes one eigenvalue solve and no matrix square root.
-
-    Every probe and both outputs are validated, on what the loop already
-    holds: a probe ``v`` and ``a``'s output factor ``L`` by
-    :func:`_checked_factors` (``L L^dagger`` is a Gram form, Hermitian and
-    positive semidefinite by construction, with trace ``||L||_F^2``), so no
-    ``d x d`` state of ``a``'s output is formed; ``b``'s output, a sum of
-    Gram products, by its finite entries and its trace.  Each chunk thus
-    runs one ``eigvalsh``, in :func:`_fidelities`.  The witness is the first
+    channels ``PROBE_CHUNK`` at a time.  A probe ``v`` is a factor of
+    ``v v^dagger``, and both channels' outputs are formed as factors by
+    :func:`_output_factors`, so no ``d x d`` output matrix is formed.  Every
+    probe and both outputs are validated by :func:`_checked_factors` (a
+    factor ``L`` makes ``L L^dagger`` Hermitian and positive semidefinite by
+    construction, with trace ``||L||_F^2``), and the outputs are scaled to
+    unit trace.  The fidelities of a chunk then take one ``eigvalsh``, in
+    :func:`_fidelities`, and no matrix square root.  The witness is the first
     probe, in probe order, that attains the minimum.
     """
     if a.in_dim != b.in_dim or a.out_dim != b.out_dim:
@@ -569,17 +559,12 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
     _check_count("seed", seed)
     best, witness, count = np.inf, None, 0
     for v in _probe_chunks(a.in_dim, n_random, np.random.default_rng(seed)):
-        _checked_factors(v[:, :, None])
-        factors = _output_factors(a, v)
-        factors = factors / np.sqrt(_checked_factors(factors))[:, None, None]
-        sigma = _apply_kraus(b, v)
-        _check_finite(sigma, "density matrix")
-        traces = np.real(np.trace(sigma, axis1=1, axis2=2))
-        _check_traces(traces)
-        fids = _fidelities(factors, sigma / traces[:, None, None])
+        v = v[:, :, None]
+        _checked_factors(v)
+        fids = _fidelities(_unit_outputs(a, v), _unit_outputs(b, v))
         low = int(np.argmin(fids))
         if fids[low] < best:
-            best, witness = float(fids[low]), v[low].copy()
+            best, witness = float(fids[low]), v[low, :, 0].copy()
         count += len(v)
     return ProbeResult(min_fidelity=best, witness=DensityMatrix.pure(witness),
                        probe_count=count, seed=seed)
@@ -667,19 +652,18 @@ def verify_erasure_theorem(dim: int, eta: float, epsilon: float,
             witness=probes.witness,
         )
     rejections = []
-    worst = 2.0
-    witness = None
+    worst, witness = 2.0, None
     for comp in erasure_compressor_suite(dim):
-        state = DensityMatrix.pure(comp.kernel[:, 0])
-        measured = quantum_fidelity(erasure.apply(state),
-                                    erasure.apply(comp.channel.apply(state)))
+        v = comp.kernel[None, :, :1]
+        measured = float(_fidelities(_unit_outputs(erasure, v),
+                                     _unit_outputs(erasure, _unit_outputs(comp.channel, v)))[0])
         rejections.append(CompressorRejection(kind=comp.kind, kernel_dim=comp.kernel_dim,
                                               witness_fidelity=measured))
         if measured < worst:
-            worst = measured
-            witness = state
+            worst, witness = measured, v[0, :, 0]
     return ErasureVerdict(
         dim=dim, eta=float(eta), epsilon=float(epsilon), threshold=threshold,
         compressible=False, gamma=0.0, seed=seed, probe_count=0,
-        min_fidelity=worst, witness=witness, rejections=tuple(rejections),
+        min_fidelity=worst, witness=DensityMatrix.pure(witness),
+        rejections=tuple(rejections),
     )

@@ -14,7 +14,6 @@ from revcomp import (
     erasure_max_mergeable_differences,
     erasure_sequence_fidelity,
     fidelity,
-    hamming_distance,
     make_constant,
     make_erasure,
     make_generalized_erasure,
@@ -280,7 +279,7 @@ class TestErasureClosedForms:
             labels = ch.input.labels
             xs = tuple(labels[i] for i in rng.integers(0, r, size=k))
             xhats = tuple(labels[i] for i in rng.integers(0, r, size=k))
-            s = hamming_distance(xs, xhats)
+            s = sum(a != b for a, b in zip(xs, xhats))
             got = product_reverse_fidelity(ch, xs, xhats)
             assert got == pytest.approx(erasure_sequence_fidelity(eta, s), abs=1e-12)
 
@@ -294,12 +293,6 @@ class TestErasureClosedForms:
         assert erasure_max_mergeable_differences(0.5, 0.75, limit=5) == 1
         assert erasure_max_mergeable_differences(0.5, 0.74, limit=5) == 0
         assert erasure_max_mergeable_differences(1.0, 0.0, limit=5) == 5
-
-    def test_hamming_distance(self):
-        assert hamming_distance(("1", "2", "3"), ("1", "3", "3")) == 1
-        assert hamming_distance((), ()) == 0
-        with pytest.raises(ValidationError):
-            hamming_distance(("1",), ("1", "2"))
 
 
 class TestNonFiniteRejected:

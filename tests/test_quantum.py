@@ -135,6 +135,49 @@ class TestKrausChannel:
         composed = compose_channels(a, b).apply(rho).matrix
         assert np.max(np.abs(direct - composed)) < 1e-12
 
+    def test_compose_keeps_every_nonzero_product_in_order(self):
+        rng = np.random.default_rng(37)
+        full = make_coarse_graining(Partition(((0, 2), (1,), (3,))), 4, embed_dim=4).channel
+        cases = [(random_kraus_channel(2, 3, 2, rng), random_kraus_channel(3, 2, 3, rng)),
+                 (full, make_quantum_erasure(4, 0.7)),
+                 (make_quantum_erasure(3, 0.5), random_kraus_channel(4, 4, 2, rng))]
+        for first, then in cases:
+            want = [b @ a for b in then.kraus for a in first.kraus if (b @ a).any()]
+            got = compose_channels(first, then).kraus
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_compose_holds_one_row_of_products_at_a_time(self):
+        # all 48 * 49 products at once would take about 88 MB
+        erasure = make_quantum_erasure(48, 0.9)
+        full = make_coarse_graining(Partition.single_block(48), 48, embed_dim=48).channel
+        tracemalloc.start()
+        try:
+            composed = compose_channels(full, erasure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(composed.kraus) == 2 * 48
+        assert peak < 32 * 2 ** 20
+
+    def test_operators_are_one_read_only_array(self):
+        ops = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        ch = KrausChannel(ops)
+        assert isinstance(ch.kraus, np.ndarray) and ch.kraus.shape == (2, 2, 2)
+        assert not ch.kraus.flags.writeable
+        assert ops.flags.writeable and not np.shares_memory(ops, ch.kraus)
+        assert np.array_equal(KrausChannel(list(ops)).kraus, ch.kraus)
+
+    def test_first_defect_in_operator_order_is_reported(self):
+        bad = np.eye(2, dtype=complex)
+        bad[1, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"Kraus operator 1 entry \(1, 0\)"):
+            KrausChannel((np.eye(2), bad, np.eye(3)))
+        with pytest.raises(DimensionMismatchError, match="operator 1 has shape"):
+            KrausChannel((np.eye(2), np.eye(3), bad))
+        with pytest.raises(ValidationError, match="operator 1 must be a matrix"):
+            KrausChannel((np.eye(2), np.ones(2), bad))
+
     def test_random_channel_needs_isometry_room(self):
         rng = np.random.default_rng(32)
         with pytest.raises(ValidationError):
@@ -317,7 +360,7 @@ class TestFactorFidelities:
         factors = _unit_trace(_rank_deficient_factors(rng, count, dim, width, ranks[0]))
         g = _unit_trace(_rank_deficient_factors(rng, count, dim, dim, ranks[1]))
         sigma = quantum._checked_states(g @ quantum._adjoint(g))
-        got = quantum._fidelities(factors, sigma)
+        got = quantum._fidelities(factors, g)
         for p in range(count):
             rho = factors[p] @ factors[p].conj().T
             assert got[p] == pytest.approx(jozsa_fidelity(rho, sigma[p]), abs=1e-9)
@@ -327,15 +370,45 @@ class TestFactorFidelities:
         for in_dim, out_dim, num_ops in ((3, 2, 7), (4, 4, 9), (5, 3, 4), (2, 3, 2)):
             a = random_kraus_channel(in_dim, out_dim, num_ops, rng)
             v = np.stack([random_pure_state(in_dim, rng) for _ in range(20)])
-            factors = quantum._output_factors(a, v)
+            factors = quantum._output_factors(a, v[:, :, None])
             assert factors.shape == (20, out_dim, min(num_ops, out_dim))
-            rho = quantum._apply_kraus(a, v)
+            rho = np.stack([kraus_sum(a, np.outer(u, u.conj())) for u in v])
             assert np.max(np.abs(factors @ quantum._adjoint(factors) - rho)) < 1e-12
-            sigma = quantum._checked_states(quantum._apply_kraus(
-                random_kraus_channel(in_dim, out_dim, 2, rng), v))
-            got = quantum._fidelities(factors, sigma)
+            b = random_kraus_channel(in_dim, out_dim, 2, rng)
+            sigma = np.stack([kraus_sum(b, np.outer(u, u.conj())) for u in v])
+            got = quantum._fidelities(factors, quantum._output_factors(b, v[:, :, None]))
             for p in range(20):
                 assert got[p] == pytest.approx(jozsa_fidelity(rho[p], sigma[p]), abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_a_second_call_applies_a_second_channel(self, in_dim, mid_dim, out_dim,
+                                                    ops_a, ops_b, seed):
+        rng = np.random.default_rng(seed)
+        a = random_kraus_channel(in_dim, mid_dim, max(ops_a, -(-in_dim // mid_dim)), rng)
+        b = random_kraus_channel(mid_dim, out_dim, max(ops_b, -(-mid_dim // out_dim)), rng)
+        v = np.stack([random_pure_state(in_dim, rng) for _ in range(3)])
+        twice = quantum._output_factors(b, quantum._output_factors(a, v[:, :, None]))
+        assert twice.shape[:2] == (3, out_dim)
+        for p in range(3):
+            want = kraus_sum(b, kraus_sum(a, np.outer(v[p], v[p].conj())))
+            assert np.max(np.abs(twice[p] @ twice[p].conj().T - want)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_symmetric_and_matches_the_oracle_at_any_widths(self, dim, data):
+        # widths below, at and above the dimension, on both sides
+        widths = [data.draw(st.integers(1, dim + 2)) for _ in range(2)]
+        ranks = [data.draw(st.integers(1, min(dim, w))) for w in widths]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        a, b = (_unit_trace(_rank_deficient_factors(rng, 4, dim, w, r))
+                for w, r in zip(widths, ranks))
+        ab, ba = quantum._fidelities(a, b), quantum._fidelities(b, a)
+        assert np.max(np.abs(ab - ba)) <= 1e-12
+        for p in range(4):
+            rho, sigma = (f[p] @ f[p].conj().T for f in (a, b))
+            assert ab[p] == pytest.approx(jozsa_fidelity(rho, sigma), abs=1e-9)
 
 
 class TestCoarseGraining:
