@@ -205,6 +205,9 @@ def density_matrix_to_data(rho: DensityMatrix) -> dict:
 def parse_kraus_data(data: dict) -> KrausChannel:
     in_dim = _int_field(data, "in_dim", "Kraus channel file")
     out_dim = _int_field(data, "out_dim", "Kraus channel file")
+    for field, value in (("in_dim", in_dim), ("out_dim", out_dim)):
+        if value < 1:
+            raise ValidationError(f"field {field!r} of Kraus channel file must be >= 1, got {value}")
     raw_ops = _require(data, "kraus", "Kraus channel file")
     if not isinstance(raw_ops, list) or len(raw_ops) == 0:
         raise ValidationError("field 'kraus' must be a nonempty list of operators")

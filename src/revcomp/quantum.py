@@ -29,6 +29,10 @@ KERNEL_TOL = 1e-9
 # Probes are drawn and pushed through the channels this many at a time, which
 # bounds the scratch memory of the probe loop whatever the probe count.
 PROBE_CHUNK = 128
+# A product over Kraus operators takes as many operators as fit in this many
+# complex entries (at least one, and for channel images at least an output's
+# width), so a small stack takes one product and a large one bounded scratch.
+IMAGE_TILE_ENTRIES = 1 << 16
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -36,12 +40,13 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:
-    """Raise naming the first entry of a ``(P, i, j)`` stack that is not finite."""
+    """Raise naming the first entry of a ``(P, i, j)`` stack that is not finite;
+    ``what`` names the matrix and is formatted with its index ``p``."""
     finite = np.isfinite(m)
     if not finite.all():
         p, i, j = (int(v) for v in np.argwhere(~finite)[0])
-        raise ValidationError(f"{what} entry ({i}, {j}) is {complex(m[p, i, j])!r}, "
-                              "not a finite number")
+        raise ValidationError(f"{what.format(p)} entry ({i}, {j}) is "
+                              f"{complex(m[p, i, j])!r}, not a finite number")
 
 
 def _check_traces(traces: np.ndarray) -> None:
@@ -143,9 +148,10 @@ class KrausChannel:
 
     ``kraus`` is given as any sequence of equal-shape matrices and stored as
     one read-only ``(n, out_dim, in_dim)`` complex array.  Each operator
-    must be a finite matrix of the first one's shape, checked in operator
-    order, and completeness (sum of K^dagger K equal to the identity) is
-    validated within ``COMPLETENESS_TOL``.
+    must be a finite, nonempty matrix of the first one's shape, and the
+    first defect in operator order is reported.  Completeness (sum of
+    K^dagger K equal to the identity) is validated within
+    ``COMPLETENESS_TOL``.
     """
 
     kraus: np.ndarray
@@ -154,18 +160,31 @@ class KrausChannel:
         ops = [np.asarray(k, dtype=complex) for k in self.kraus]
         if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
-        for i, k in enumerate(ops):
+        # Shapes are checked operator by operator; the entries of the operators
+        # before the first misshapen one, then its own, are checked in one pass.
+        shape = ops[0].shape
+        end = next((i for i, k in enumerate(ops)
+                    if k.ndim != 2 or k.shape != shape or k.size == 0), len(ops))
+        if end:
+            kraus = np.stack(ops[:end])
+            _check_finite(kraus, "Kraus operator {}")
+        if end < len(ops):
+            k = ops[end]
             if k.ndim != 2:
-                raise ValidationError(f"Kraus operator {i} must be a matrix, got shape {k.shape}")
-            _check_finite(k[None], f"Kraus operator {i}")
-            if k.shape != ops[0].shape:
+                raise ValidationError(f"Kraus operator {end} must be a matrix, got shape {k.shape}")
+            _check_finite(k[None], f"Kraus operator {end}")
+            if k.shape != shape:
                 raise DimensionMismatchError(
-                    f"Kraus operator {i} has shape {k.shape}, expected {ops[0].shape}"
+                    f"Kraus operator {end} has shape {k.shape}, expected {shape}"
                 )
-        kraus = np.stack(ops)
-        # one operator at a time, so no conjugate copy of the whole stack is made
-        total = sum(_adjoint(k) @ k for k in kraus)
-        dev = float(np.max(np.abs(total - np.eye(kraus.shape[2]))))
+            raise ValidationError(f"Kraus operator {end} has shape {k.shape}, with no entries")
+        # Stacked row-wise, the operators form one matrix whose Gram form is the
+        # completeness sum; it is summed one tile of rows at a time, so no
+        # conjugate copy of the whole stack is made.
+        rows = kraus.reshape(-1, shape[1])
+        step = shape[0] * max(1, IMAGE_TILE_ENTRIES // kraus[0].size)
+        total = sum(_adjoint(t) @ t for t in (rows[s:s + step] for s in range(0, len(rows), step)))
+        dev = float(np.max(np.abs(total - np.eye(shape[1]))))
         if dev > COMPLETENESS_TOL:
             raise ValidationError(
                 f"Kraus operators deviate from completeness by {dev:.3e}"
@@ -201,29 +220,27 @@ def _output_factors(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
     A factor ``L`` stands for the operator ``L L^dagger``, and a pure vector
     ``v`` is the case ``r = 1``.  The output of ``L L^dagger`` is
     ``sum_i (K_i L)(K_i L)^dagger``, so the images ``K_i L`` side by side are
-    a factor of it.  They are formed in Kraus order, ``max(1, out_dim // r)``
-    operators at a time, by one product per group.  The first group's images
-    are the factor ``F``; each later group is folded in through the
-    triangular QR factor ``R`` of the transpose of ``X = [F, images]``:
-    ``X = R^T Q^T`` with ``Q^T conj(Q)`` the identity, so ``R^T`` is a factor
-    of ``X X^dagger = F F^dagger + images images^dagger``.  The result is a
-    ``(P, out_dim, r')`` stack, with ``r' <= out_dim`` once a group is
-    folded in and ``r' <= max(out_dim, r)`` always, so a channel applied
-    after another is a second call, and the scratch memory does not grow
-    with the number of Kraus operators.
+    a factor of it.  They are formed in Kraus order, one product per tile of
+    ``max(1, out_dim // r, IMAGE_TILE_ENTRIES // (P r out_dim))`` operators,
+    and appended to the running factor ``F``.  Whenever ``F`` then has more
+    than ``out_dim`` columns it is folded through the triangular QR factor
+    ``R`` of its transpose: ``F = R^T Q^T`` with ``Q^T conj(Q)`` the
+    identity, so ``R^T`` is a factor of ``F F^dagger``.  The result is a
+    ``(P, out_dim, r')`` stack with ``r' <= out_dim``, so a channel applied
+    after another is a second call, and the scratch memory is at most one
+    tile or ``out_dim`` columns of images, whatever the Kraus count.
     """
     count, in_dim, width = factors.shape
-    step = max(1, channel.out_dim // width)
+    out_dim = channel.out_dim
+    step = max(1, out_dim // width, IMAGE_TILE_ENTRIES // (count * width * out_dim))
     rows = factors.swapaxes(1, 2).reshape(count * width, in_dim)
     out = None
     for start in range(0, len(channel.kraus), step):
-        group = channel.kraus[start:start + step]
-        images = (rows @ group.reshape(-1, in_dim).T).reshape(count, width, len(group), -1)
-        images = images.transpose(0, 3, 2, 1).reshape(count, channel.out_dim, -1)
-        if out is None:
-            out = images
-        else:
-            out = np.concatenate([out, images], axis=2)
+        tile = channel.kraus[start:start + step]
+        images = (rows @ tile.reshape(-1, in_dim).T).reshape(count, width, len(tile), -1)
+        images = images.transpose(0, 3, 2, 1).reshape(count, out_dim, -1)
+        out = images if out is None else np.concatenate([out, images], axis=2)
+        if out.shape[2] > out_dim:
             out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
     return out
 
@@ -494,20 +511,29 @@ def _probe_chunks(dim: int, n_random: int, rng: np.random.Generator):
     """Unit vectors of the probe family, one per row, in probe order and
     ``PROBE_CHUNK`` rows at a time.
 
-    Each chunk draws its random vectors from ``rng`` as it is made, so the
-    random probes are never held all at once; consecutive draws from one
-    generator equal a single draw of their total size.
+    The fixed probes come first: the basis vectors, then for each basis pair
+    ``i < j`` in row-major order the four vectors ``(e_i + c e_j) / sqrt(2)``,
+    ``c`` in ``(1, -1, i, -i)``.  Each chunk builds its own fixed probes from
+    their indices and draws its random vectors from ``rng`` as it is made, so
+    no probe is held outside its chunk; consecutive draws from one generator
+    equal a single draw of their total size.
     """
     _check_count("n_random", n_random)
-    i, j = np.triu_indices(dim, 1)
-    pairs = np.zeros((len(i), 4, dim), dtype=complex)
-    rows = np.arange(len(i))
-    pairs[rows, :, i] = 1.0
-    pairs[rows, :, j] = (1.0, -1.0, 1j, -1j)
-    fixed = np.concatenate([np.eye(dim, dtype=complex), pairs.reshape(-1, dim) / np.sqrt(2.0)])
-    total = len(fixed) + n_random
+    coef = np.array((1.0, -1.0, 1j, -1j)) / np.sqrt(2.0)
+    # index of the first pair (i, i + 1) of each row i
+    first = np.arange(dim) * (2 * dim - 1 - np.arange(dim)) // 2
+    fixed = dim + 2 * dim * (dim - 1)
+    total = fixed + n_random
     for start in range(0, total, PROBE_CHUNK):
-        head = fixed[start:start + PROBE_CHUNK]
+        index = np.arange(start, min(start + PROBE_CHUNK, fixed))
+        head = np.zeros((len(index), dim), dtype=complex)
+        basis = index < dim
+        head[basis, index[basis]] = 1.0
+        pair, c = np.divmod(index[~basis] - dim, 4)
+        i = np.searchsorted(first, pair, side="right") - 1
+        rows = np.flatnonzero(~basis)
+        head[rows, i] = coef[0]
+        head[rows, pair - first[i] + i + 1] = coef[c]
         drawn = min(PROBE_CHUNK, total - start) - len(head)
         yield np.concatenate([head, _random_pure_states(drawn, dim, rng)])
 

@@ -4,8 +4,9 @@ Deliberately written with different algorithms than the library: scalar
 loops instead of vectorized kernels, exhaustive enumeration instead of
 branch and bound, vertex-major first fit instead of one block at a time,
 Kronecker powers instead of per-letter-pair multiplies, operator-basis
-images instead of Kraus adjoints, and one probe at a time with SVD nuclear
-norms instead of stacked eigendecompositions.
+images instead of Kraus adjoints, one probe at a time with SVD nuclear
+norms instead of stacked eigendecompositions, and the whole probe family at
+once instead of chunk by chunk.
 """
 from __future__ import annotations
 
@@ -217,3 +218,17 @@ def random_adjacency(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     adj = adj | adj.T
     np.fill_diagonal(adj, True)
     return adj
+
+
+def probe_family(dim: int, n_random: int, rng: np.random.Generator) -> np.ndarray:
+    """Every probe vector of ``probe_states``, one per row, from the whole
+    fixed family materialized at once and one draw of the random vectors."""
+    i, j = np.triu_indices(dim, 1)
+    pairs = np.zeros((len(i), 4, dim), dtype=complex)
+    rows = np.arange(len(i))
+    pairs[rows, :, i] = 1.0
+    pairs[rows, :, j] = (1.0, -1.0, 1j, -1j)
+    fixed = np.concatenate([np.eye(dim, dtype=complex), pairs.reshape(-1, dim) / np.sqrt(2.0)])
+    g = rng.normal(size=(n_random, 2, dim))
+    v = g[:, 0] + 1j * g[:, 1]
+    return np.concatenate([fixed, v / np.linalg.norm(v, axis=1, keepdims=True)])

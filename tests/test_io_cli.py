@@ -120,6 +120,14 @@ class TestQuantumSerialization:
         with pytest.raises(ValidationError, match="operator 0"):
             io.parse_kraus_data(data)
 
+    @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
+    def test_kraus_dimension_below_one(self, field):
+        data = {"in_dim": 2, "out_dim": 2, "kraus": [{"re": [[], []], "im": [[], []]}]}
+        for value in (0, -1):
+            data[field] = value
+            with pytest.raises(ValidationError, match=rf"'{field}'.*>= 1, got {value}"):
+                io.parse_kraus_data(data)
+
     def test_kraus_needs_operator_list(self):
         with pytest.raises(ValidationError, match="kraus"):
             io.parse_kraus_data({"in_dim": 2, "out_dim": 2, "kraus": []})
@@ -502,6 +510,16 @@ class TestCliMalformedInput:
         path = write_json(tmp_path, "q.json", data)
         assert main(["quantum-compress", "--kraus", path, "--format", "json"]) == 2
         assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
+    def test_zero_kraus_dimension(self, tmp_path, capsys, field):
+        data = {"in_dim": 0, "out_dim": 3, "kraus": [{"re": [[], [], []], "im": [[], [], []]}]}
+        if field == "out_dim":
+            data = {"in_dim": 3, "out_dim": 0, "kraus": [{"re": [], "im": []}]}
+        path = write_json(tmp_path, "q.json", data)
+        assert main(["quantum-compress", "--kraus", path, "--format", "json"]) == 2
+        err = capsys.readouterr().err
+        assert repr(field) in err and "internal error" not in err
 
     def test_non_finite_kraus_entry(self, tmp_path, capsys):
         text = json.dumps(io.kraus_to_data(make_quantum_erasure(2, 0.5)))

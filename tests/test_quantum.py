@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,7 @@ from oracles import (
     kernel_via_operator_images,
     kraus_sum,
     plain_fidelity,
+    probe_family,
     probe_fidelities,
 )
 
@@ -177,6 +179,28 @@ class TestKrausChannel:
             KrausChannel((np.eye(2), np.eye(3), bad))
         with pytest.raises(ValidationError, match="operator 1 must be a matrix"):
             KrausChannel((np.eye(2), np.ones(2), bad))
+        wide = np.eye(3, dtype=complex)
+        wide[2, 1] = np.inf
+        with pytest.raises(ValidationError, match=r"Kraus operator 1 entry \(2, 1\)"):
+            KrausChannel((np.eye(2), wide))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_zero_size_operator_is_rejected(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"Kraus operator 0 has shape {shape}")):
+            KrausChannel([np.zeros(shape)])
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"operator 1 has shape {shape}")):
+            KrausChannel([np.eye(3), np.zeros(shape)])
+
+    @pytest.mark.parametrize("tile", [1, 12, 40, 10 ** 6])
+    def test_completeness_is_summed_tile_by_tile(self, monkeypatch, tile):
+        # 7 operators of 2 x 3: one operator per tile up to the whole stack in one
+        monkeypatch.setattr(quantum, "IMAGE_TILE_ENTRIES", tile)
+        ch = random_kraus_channel(3, 2, 7, np.random.default_rng(38))
+        assert np.array_equal(KrausChannel(ch.kraus).kraus, ch.kraus)
+        short = ch.kraus.copy()
+        short[6] *= 0.999
+        with pytest.raises(ValidationError, match="completeness"):
+            KrausChannel(short)
 
     def test_random_channel_needs_isometry_room(self):
         rng = np.random.default_rng(32)
@@ -396,6 +420,25 @@ class TestFactorFidelities:
             assert np.max(np.abs(twice[p] @ twice[p].conj().T - want)) < 1e-12
 
     @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 9), st.integers(1, 8),
+           st.integers(1, 4), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+    def test_any_tile_size_gives_a_narrow_factor_of_the_output(self, in_dim, out_dim, num_ops,
+                                                                width, count, tile, seed):
+        # tiles from one operator per product up to the whole stack; input
+        # widths below, at and above the output dimension
+        rng = np.random.default_rng(seed)
+        ch = random_kraus_channel(in_dim, out_dim, max(num_ops, -(-in_dim // out_dim)), rng)
+        factors = rng.normal(size=(count, in_dim, width)) + 1j * rng.normal(size=(count, in_dim, width))
+        factors /= np.linalg.norm(factors, axis=(1, 2), keepdims=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quantum, "IMAGE_TILE_ENTRIES", tile)
+            out = quantum._output_factors(ch, factors)
+        assert out.shape[:2] == (count, out_dim) and out.shape[2] <= out_dim
+        for p in range(count):
+            want = kraus_sum(ch, factors[p] @ factors[p].conj().T)
+            assert np.max(np.abs(out[p] @ out[p].conj().T - want)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 6), st.data())
     def test_symmetric_and_matches_the_oracle_at_any_widths(self, dim, data):
         # widths below, at and above the dimension, on both sides
@@ -603,9 +646,12 @@ class TestProbes:
     def test_probe_loop_memory_is_bounded(self):
         many = random_kraus_channel(16, 16, 64, np.random.default_rng(47))
         few = make_coarse_graining(Partition.single_block(16), 16, embed_dim=16).channel
+        # 1024 operators: the images of one chunk would take 32 MiB at once
+        most = random_kraus_channel(16, 16, 1024, np.random.default_rng(49))
         runs = [lambda: verify_erasure_theorem(16, 0.9, 0.3, n_random=2000),
                 lambda: channel_indistinguishability(many, few, n_random=2000),
-                lambda: channel_indistinguishability(few, many, n_random=2000)]
+                lambda: channel_indistinguishability(few, many, n_random=2000),
+                lambda: channel_indistinguishability(most, few, n_random=200)]
         for run in runs:
             tracemalloc.start()
             try:
@@ -619,6 +665,26 @@ class TestProbes:
         tracemalloc.start()
         try:
             verify_erasure_theorem(4, 0.9, 0.3, n_random=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 33])
+    def test_chunks_equal_the_materialized_family(self, dim):
+        for n_random in (0, 1, quantum.PROBE_CHUNK - 1, 300):
+            got = np.concatenate(list(quantum._probe_chunks(
+                dim, n_random, np.random.default_rng(dim + n_random))))
+            want = probe_family(dim, n_random, np.random.default_rng(dim + n_random))
+            # bytes, so that the sign of every zero counts too
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_fixed_probes_are_built_chunk_by_chunk(self):
+        # the whole fixed family at dim 96 takes 28 MB
+        tracemalloc.start()
+        try:
+            for _ in quantum._probe_chunks(96, 0, np.random.default_rng(0)):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
