@@ -233,6 +233,8 @@ def _cmd_quantum_compress(args: argparse.Namespace):
         raise ValidationError(
             "quantum-compress needs either --kraus, or both --dim and --blocks"
         )
+    if args.dim is not None and args.dim < 1:
+        raise ValidationError(f"--dim must be >= 1, got {args.dim}")
     blocks = None if args.blocks is None else tuple(
         tuple(_parse_int(i, "--blocks entry") for i in b)
         for b in _split_blocks(args.blocks, "--blocks"))

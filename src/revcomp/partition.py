@@ -139,7 +139,11 @@ class Partition:
             overlap = seen.intersection(members)
             if overlap:
                 raise ValidationError(f"partition blocks overlap on element {min(overlap)}")
+            before = len(seen)
             seen.update(members)
+            if len(seen) - before < len(members):
+                repeat = next(a for a, b in zip(members, members[1:]) if a == b)
+                raise ValidationError(f"partition block repeats element {repeat}")
             canon.append(members)
         canon.sort(key=lambda b: b[0])
         object.__setattr__(self, "blocks", tuple(canon))

@@ -8,6 +8,7 @@ fidelity between channel outputs plays the role of reverse fidelity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -200,6 +201,26 @@ class KrausChannel:
     def out_dim(self) -> int:
         return self.kraus.shape[1]
 
+    @cached_property
+    def support_groups(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The operators grouped by their set of nonzero rows.
+
+        One ``(rows, ops)`` pair of ascending index tuples per distinct set
+        of nonzero rows, in the order of each group's first operator.
+        Operators with no nonzero entry are in no group, since they add
+        exactly nothing to any output.  Built on first use, from one ``any``
+        over the stack and the packed rows of each operator.
+        """
+        nonzero = self.kraus.any(axis=2)
+        packed = np.packbits(nonzero, axis=1)
+        keys, size = packed.tobytes(), packed.shape[1]
+        groups: dict[bytes, list[int]] = {}
+        for op in range(len(packed)):
+            groups.setdefault(keys[op * size:(op + 1) * size], []).append(op)
+        groups.pop(bytes(size), None)
+        return tuple((tuple(np.flatnonzero(nonzero[ops[0]]).tolist()), tuple(ops))
+                     for ops in groups.values())
+
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action on an arbitrary operator, no state validation."""
         m = np.asarray(m, dtype=complex)
@@ -214,35 +235,97 @@ class KrausChannel:
         return DensityMatrix(self.apply_matrix(rho.matrix))
 
 
+def _fold(blocks, height: int) -> np.ndarray:
+    """Factor of ``(P, height, c)`` blocks set side by side.
+
+    Each block is appended to a running factor ``F``, and whenever ``F``
+    then has more than ``height`` columns it is folded through the
+    triangular QR factor ``R`` of its transpose: ``F = R^T Q^T`` with
+    ``Q^T conj(Q)`` the identity, so ``R^T`` is a factor of ``F F^dagger``
+    with at most ``height`` columns.
+    """
+    out = None
+    for block in blocks:
+        out = block if out is None else np.concatenate([out, block], axis=2)
+        if out.shape[2] > height:
+            out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
+    return out
+
+
 def _output_factors(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
     """Factors of the channel outputs of a ``(P, in_dim, r)`` factor stack.
 
     A factor ``L`` stands for the operator ``L L^dagger``, and a pure vector
     ``v`` is the case ``r = 1``.  The output of ``L L^dagger`` is
     ``sum_i (K_i L)(K_i L)^dagger``, so the images ``K_i L`` side by side are
-    a factor of it.  They are formed in Kraus order, one product per tile of
-    ``max(1, out_dim // r, IMAGE_TILE_ENTRIES // (P r out_dim))`` operators,
-    and appended to the running factor ``F``.  Whenever ``F`` then has more
-    than ``out_dim`` columns it is folded through the triangular QR factor
-    ``R`` of its transpose: ``F = R^T Q^T`` with ``Q^T conj(Q)`` the
-    identity, so ``R^T`` is a factor of ``F F^dagger``.  The result is a
-    ``(P, out_dim, r')`` stack with ``r' <= out_dim``, so a channel applied
-    after another is a second call, and the scratch memory is at most one
-    tile or ``out_dim`` columns of images, whatever the Kraus count.
+    a factor of it.  On the tile path they are formed in Kraus order, one
+    product per tile of ``max(1, out_dim // r, IMAGE_TILE_ENTRIES // (P r
+    out_dim))`` operators, and folded by :func:`_fold` into a
+    ``(P, out_dim, r')`` stack with ``r' <= out_dim``.
+
+    The images of a group of :attr:`KrausChannel.support_groups` lie in its
+    ``h`` rows.  A group with fewer rows than the output and more than ``h``
+    image columns folds inside those rows: its rows are gathered by tiles of
+    the same rule with ``h`` for ``out_dim``, its images are formed on them
+    only, folded by :func:`_fold` to at most ``h`` columns and placed back in
+    their rows.  When some group folds, and the folded groups' rows and the
+    other groups' images come to fewer than ``out_dim`` columns, the factor
+    is those images, from one product, beside the folded groups, and the
+    all-zero operators, which add exactly nothing, are left out.  Otherwise
+    grouping would not narrow the factor, and the tile path is taken.
+
+    Grouping is for stacks of inputs, such as the probe chunks of
+    :func:`channel_indistinguishability`.  A single input (``P = 1``), or
+    images that fit in ``out_dim`` columns and in one tile, which are one
+    product and no fold, take the tile path with no groups built: there the
+    fixed cost of the groups (building them, then a product and a fold per
+    group) would outweigh what they save.  A channel whose operators share
+    one support, such as every dense channel, always takes the tile path.
+
+    Either way ``r' <= out_dim``, so a channel applied after another is a
+    second call, and the scratch memory is at most one tile or ``out_dim``
+    columns of images, whatever the Kraus count.
     """
     count, in_dim, width = factors.shape
     out_dim = channel.out_dim
-    step = max(1, out_dim // width, IMAGE_TILE_ENTRIES // (count * width * out_dim))
+    kraus = channel.kraus
     rows = factors.swapaxes(1, 2).reshape(count * width, in_dim)
-    out = None
-    for start in range(0, len(channel.kraus), step):
-        tile = channel.kraus[start:start + step]
-        images = (rows @ tile.reshape(-1, in_dim).T).reshape(count, width, len(tile), -1)
-        images = images.transpose(0, 3, 2, 1).reshape(count, out_dim, -1)
-        out = images if out is None else np.concatenate([out, images], axis=2)
-        if out.shape[2] > out_dim:
-            out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
-    return out
+
+    def step(height: int) -> int:
+        return max(1, height // width, IMAGE_TILE_ENTRIES // (count * width * height))
+
+    def images(tiles, height: int):
+        for tile in tiles:
+            part = (rows @ tile.reshape(-1, in_dim).T).reshape(count, width, len(tile), height)
+            yield part.transpose(0, 3, 2, 1).reshape(count, height, -1)
+
+    def folded(support: tuple[int, ...], ops: tuple[int, ...]) -> np.ndarray:
+        height, s = len(support), step(len(support))
+        tiles = (kraus[np.ix_(ops[i:i + s], support)] for i in range(0, len(ops), s))
+        part = _fold(images(tiles, height), height)
+        out = np.zeros((count, out_dim, part.shape[2]), dtype=complex)
+        out[:, support] = part
+        return out
+
+    # one input, or images that fit in out_dim columns and one tile (one
+    # product, no fold), takes the tile path: grouping would cost more than
+    # it saves
+    if count > 1 and len(kraus) > min(out_dim // width,
+                                      IMAGE_TILE_ENTRIES // (count * width * out_dim)):
+        plain, grouped = [], []
+        for support, ops in channel.support_groups:
+            if len(support) < out_dim and width * len(ops) > len(support):
+                grouped.append((support, ops))
+            else:
+                plain.extend(ops)
+        if grouped and width * len(plain) + sum(len(s) for s, _ in grouped) < out_dim:
+            plain.sort()
+            tiles = [kraus[plain]] if plain else []
+            return np.concatenate([*images(tiles, out_dim),
+                                   *(folded(support, ops) for support, ops in grouped)], axis=2)
+    per_tile = step(out_dim)
+    tiles = (kraus[i:i + per_tile] for i in range(0, len(kraus), per_tile))
+    return _fold(images(tiles, out_dim), out_dim)
 
 
 def _unit_outputs(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
@@ -373,6 +456,8 @@ def make_coarse_graining(partition: Partition, in_dim: int,
     embed the block labels back into a larger space, which is the
     convention under which compressibility is read off the kernel.
     """
+    if in_dim < 1:
+        raise ValidationError(f"input dimension must be >= 1, got {in_dim}")
     if not partition.covers(in_dim):
         raise ValidationError(
             f"partition covers {partition.size} elements, expected exactly {in_dim}"

@@ -232,3 +232,23 @@ def probe_family(dim: int, n_random: int, rng: np.random.Generator) -> np.ndarra
     g = rng.normal(size=(n_random, 2, dim))
     v = g[:, 0] + 1j * g[:, 1]
     return np.concatenate([fixed, v / np.linalg.norm(v, axis=1, keepdims=True)])
+
+
+def tiled_output_factors(channel, factors: np.ndarray, tile_entries: int) -> np.ndarray:
+    """Output factors of a ``(P, in_dim, r)`` factor stack with every Kraus
+    operator taken in Kraus order, ``max(1, out_dim // r, tile_entries //
+    (P r out_dim))`` per product, the running factor folded through the QR
+    factor of its transpose whenever it is wider than ``out_dim``."""
+    count, in_dim, width = factors.shape
+    out_dim = channel.out_dim
+    step = max(1, out_dim // width, tile_entries // (count * width * out_dim))
+    rows = factors.swapaxes(1, 2).reshape(count * width, in_dim)
+    out = None
+    for start in range(0, len(channel.kraus), step):
+        tile = channel.kraus[start:start + step]
+        images = (rows @ tile.reshape(-1, in_dim).T).reshape(count, width, len(tile), -1)
+        images = images.transpose(0, 3, 2, 1).reshape(count, out_dim, -1)
+        out = images if out is None else np.concatenate([out, images], axis=2)
+        if out.shape[2] > out_dim:
+            out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
+    return out

@@ -573,6 +573,10 @@ class TestCliArgumentChecks:
          "--k-max must be >= 1, got -3"),
         (["quantum-verify", "--dim", "4", "--eta", "0.9", "--epsilon", "0.3", "--seed", "-1"],
          "--seed must be >= 0, got -1"),
+        (["quantum-compress", "--dim", "4", "--blocks", "0,1;2,3,3"],
+         "partition block repeats element 3"),
+        (["quantum-compress", "--dim", "0", "--blocks", "0"], "--dim must be >= 1, got 0"),
+        (["quantum-compress", "--dim", "-2", "--blocks", "0"], "--dim must be >= 1, got -2"),
     ])
     def test_argument_error_exits_2(self, tmp_path, capsys, argv, message):
         files = {"CHANNEL": write_json(tmp_path, "ch.json", {"type": "identity", "n": 2}),

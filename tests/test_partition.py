@@ -125,6 +125,12 @@ class TestPartition:
         with pytest.raises(ValidationError):
             Partition(((0,), ()))
 
+    def test_rejects_repeated_member(self):
+        with pytest.raises(ValidationError, match="^partition block repeats element 0$"):
+            Partition(((0, 0), (1,)))
+        with pytest.raises(ValidationError, match="^partition block repeats element 3$"):
+            Partition(((0, 1), (3, 2, 3)))
+
     def test_covers(self):
         assert Partition(((0, 1), (2,))).covers(3)
         assert not Partition(((0, 1),)).covers(3)

@@ -44,6 +44,7 @@ from oracles import (
     plain_fidelity,
     probe_family,
     probe_fidelities,
+    tiled_output_factors,
 )
 
 
@@ -454,6 +455,144 @@ class TestFactorFidelities:
             assert ab[p] == pytest.approx(jozsa_fidelity(rho, sigma), abs=1e-9)
 
 
+def _random_partition(rng, n):
+    blocks = {}
+    for x, z in enumerate(rng.integers(0, n, size=n)):
+        blocks.setdefault(int(z), []).append(x)
+    return Partition(tuple(tuple(b) for b in blocks.values()))
+
+
+def _masked_channel(rng, in_dim, out_dim, num_ops):
+    """Complete channel whose operators keep the rows of one of three shared
+    random row sets, so operators share supports, some supports differ and
+    an empty row set makes an all-zero operator."""
+    supports = rng.random((3, out_dim)) < 0.5
+    supports[0, rng.integers(out_dim)] = True
+    ops, gram = [], np.zeros((in_dim, in_dim), dtype=complex)
+    while len(ops) < num_ops or np.linalg.eigvalsh(gram)[0] < 1e-3:
+        g = rng.normal(size=(out_dim, in_dim)) + 1j * rng.normal(size=(out_dim, in_dim))
+        g *= supports[rng.integers(3)][:, None]
+        ops.append(g)
+        gram += g.conj().T @ g
+    w, v = np.linalg.eigh(gram)
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return KrausChannel([g @ inv_root for g in ops])
+
+
+@st.composite
+def row_sparse_channels(draw):
+    """Coarse grainings, erasures (with a zero operator at eta 0 and 1),
+    composed channels and random channels with zeroed rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    in_dim = draw(st.integers(1, 5))
+    eta = draw(st.sampled_from([0.0, 1.0, float(rng.random())]))
+    kind = draw(st.sampled_from(["coarse", "erasure", "composed", "masked"]))
+    if kind == "coarse":
+        part = _random_partition(rng, in_dim)
+        embed = draw(st.one_of(st.none(), st.integers(part.num_blocks, in_dim + 2)))
+        return make_coarse_graining(part, in_dim, embed_dim=embed).channel
+    if kind == "erasure":
+        return make_quantum_erasure(in_dim, eta)
+    if kind == "masked":
+        return _masked_channel(rng, in_dim, draw(st.integers(1, 5)), draw(st.integers(1, 6)))
+    first = draw(st.sampled_from([
+        make_coarse_graining(Partition.single_block(in_dim), in_dim, embed_dim=in_dim).channel,
+        make_coarse_graining(_random_partition(rng, in_dim), in_dim, embed_dim=in_dim).channel,
+        _masked_channel(rng, in_dim, in_dim, draw(st.integers(1, 4)))]))
+    then = draw(st.sampled_from([make_quantum_erasure(in_dim, eta),
+                                 _masked_channel(rng, in_dim, draw(st.integers(1, 5)), 3)]))
+    return compose_channels(first, then)
+
+
+class TestSupportGroups:
+    def test_groups_share_rows_and_leave_out_zero_operators(self):
+        assert make_quantum_erasure(3, 0.5).support_groups == (((0, 1, 2), (0,)), ((3,), (1, 2, 3)))
+        assert make_quantum_erasure(3, 1.0).support_groups == (((3,), (1, 2, 3)),)
+        assert make_quantum_erasure(3, 0.0).support_groups == (((0, 1, 2), (0,)),)
+        part = Partition(((0, 2), (1,)))
+        assert make_coarse_graining(part, 3, embed_dim=4).channel.support_groups == (
+            ((0,), (0, 1)), ((1,), (2,)))
+
+    def test_groups_are_built_once_on_first_use(self):
+        ch = make_quantum_erasure(4, 0.5)
+        # the five images of a pure probe fit in the five output rows with no
+        # fold, and a single input takes the tile path: neither builds groups
+        pure = np.eye(4, dtype=complex)[:, :, None]
+        assert quantum._output_factors(ch, pure).shape == (4, 5, 5)
+        two = np.eye(4, dtype=complex).reshape(4, 2, 2).swapaxes(0, 1)
+        assert quantum._output_factors(ch, two[:1]).shape == (1, 5, 5)
+        assert "support_groups" not in vars(ch)
+        assert quantum._output_factors(ch, two).shape == (2, 5, 3)
+        assert vars(ch)["support_groups"] is ch.support_groups
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_sparse_channels(), st.data())
+    def test_grouped_fold_gives_a_narrow_factor_of_the_output(self, ch, data):
+        # tiles from one operator per product up to the whole stack; input
+        # widths below, at and above the output dimension
+        width = data.draw(st.integers(1, ch.out_dim + 2))
+        count = data.draw(st.integers(1, 4))
+        tile = data.draw(st.integers(1, 400))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        factors = (rng.normal(size=(count, ch.in_dim, width))
+                   + 1j * rng.normal(size=(count, ch.in_dim, width)))
+        factors /= np.linalg.norm(factors, axis=(1, 2), keepdims=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quantum, "IMAGE_TILE_ENTRIES", tile)
+            out = quantum._output_factors(ch, factors)
+        assert out.shape[:2] == (count, ch.out_dim) and out.shape[2] <= ch.out_dim
+        for p in range(count):
+            want = kraus_sum(ch, factors[p] @ factors[p].conj().T)
+            assert np.max(np.abs(out[p] @ out[p].conj().T - want)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12])
+    @pytest.mark.parametrize("eta", [0.3, 0.9])
+    def test_erasure_criterion_outputs_of_pure_probes_are_two_columns_wide(self, dim, eta):
+        # the full coarse graining followed by the erasure has 2d images of a
+        # pure probe, which fold to the kept state and the flag
+        erasure = make_quantum_erasure(dim, eta)
+        full = make_coarse_graining(Partition.single_block(dim), dim, embed_dim=dim)
+        composed = compose_channels(full.channel, erasure)
+        v = np.concatenate(list(quantum._probe_chunks(dim, 50, np.random.default_rng(dim))))
+        v = v[:, :, None]
+        assert quantum._output_factors(composed, v).shape == (len(v), dim + 1, 2)
+        # the erasure's own d + 1 images fit the output with no fold: in one
+        # tile they are one product, over several tiles they are grouped
+        assert len(v) * (dim + 1) ** 2 <= quantum.IMAGE_TILE_ENTRIES
+        assert quantum._output_factors(erasure, v).shape == (len(v), dim + 1, dim + 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quantum, "IMAGE_TILE_ENTRIES", 1)
+            assert quantum._output_factors(erasure, v).shape == (len(v), dim + 1, 2)
+            assert quantum._output_factors(composed, v).shape == (len(v), dim + 1, 2)
+
+    @pytest.mark.parametrize("dim", [2, 5, 12])
+    def test_groups_that_would_not_narrow_take_the_tile_path(self, dim):
+        # through the erasure, a d-column input keeps d columns in the kept
+        # rows and folds to 1 in the flag row: d + 1, no narrower than the
+        # tile path's factor
+        erasure = make_quantum_erasure(dim, 0.6)
+        rng = np.random.default_rng(dim)
+        factors = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        got = quantum._output_factors(erasure, factors)
+        want = tiled_output_factors(erasure, factors, quantum.IMAGE_TILE_ENTRIES)
+        assert got.shape == (3, dim + 1, dim + 1) and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 9), st.integers(1, 8),
+           st.integers(1, 4), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+    def test_dense_channels_keep_the_bytes_of_the_tiled_fold(self, in_dim, out_dim, num_ops,
+                                                             width, count, tile, seed):
+        rng = np.random.default_rng(seed)
+        ch = random_kraus_channel(in_dim, out_dim, max(num_ops, -(-in_dim // out_dim)), rng)
+        assert len(ch.support_groups) == 1
+        factors = rng.normal(size=(count, in_dim, width)) + 1j * rng.normal(size=(count, in_dim, width))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quantum, "IMAGE_TILE_ENTRIES", tile)
+            got = quantum._output_factors(ch, factors)
+        want = tiled_output_factors(ch, factors, tile)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestCoarseGraining:
     def test_kraus_are_block_projectors(self):
         part = Partition(((0, 1), (2,)))
@@ -502,6 +641,11 @@ class TestCoarseGraining:
             make_coarse_graining(Partition(((0, 1),)), 3)
         with pytest.raises(ValidationError):
             make_coarse_graining(Partition(((0, 1), (2,))), 3, embed_dim=1)
+
+    @pytest.mark.parametrize("in_dim", [0, -2])
+    def test_input_dimension_below_one_is_rejected(self, in_dim):
+        with pytest.raises(ValidationError, match=f"^input dimension must be >= 1, got {in_dim}$"):
+            make_coarse_graining(Partition(((0,),)), in_dim)
 
     def test_partial_trace_of_bell_state(self):
         bell = DensityMatrix.pure([1.0, 0.0, 0.0, 1.0])
@@ -660,6 +804,19 @@ class TestProbes:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2 ** 20
+
+    def test_erasure_criterion_probe_loop_memory_is_bounded(self):
+        dim = 48
+        erasure = make_quantum_erasure(dim, 0.9)
+        full = make_coarse_graining(Partition.single_block(dim), dim, embed_dim=dim)
+        composed = compose_channels(full.channel, erasure)
+        tracemalloc.start()
+        try:
+            channel_indistinguishability(erasure, composed, n_random=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_random_probes_are_drawn_chunk_by_chunk(self):
         tracemalloc.start()
