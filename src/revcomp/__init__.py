@@ -75,9 +75,6 @@ from .quantum import (
     probe_states,
     quantum_compressibility,
     quantum_fidelity,
-    random_density_matrix,
-    random_kraus_channel,
-    random_pure_state,
     vector_kernel,
     verify_erasure_theorem,
 )

@@ -19,14 +19,14 @@ import numpy as np
 from .channels import ClassicalChannel
 from .errors import ExactSolverCapError, ValidationError
 from .partition import (
-    IndistinguishabilityGraph,
     Partition,
     _block_certificates,
     _cover,
+    _exact_coloring,
+    _pack,
     _partition_of,
     compressibility,
     default_exact_cap,
-    solve_exact,
 )
 
 # Above this many sequences the pairwise product-fidelity matrix is not built,
@@ -145,9 +145,9 @@ def _row_masks(prev: np.ndarray, base: np.ndarray, epsilon: float) -> list[int]:
     about ``PRODUCT_TILE_ENTRIES`` graph entries, is compared once with
     each distinct cutoff (at most ``1 + n * (n - 1) / 2`` of them), the
     comparison is copied into the ``[:, a, :, b]`` slots of one reused
-    boolean tile, its self-loop bits are cleared, and it is packed straight
-    into the masks: bit ``j`` of mask ``i`` is set when ``i != j`` are
-    adjacent.  The masks match the thresholded ``k``-fold matrix bit for
+    boolean tile, and :func:`_pack` clears its self-loop bits and packs it
+    straight into the masks: bit ``j`` of mask ``i`` is set when ``i != j``
+    are adjacent.  The masks match the thresholded ``k``-fold matrix bit for
     bit, and no ``n**k``-square array of any type is held.  The graph is
     symmetric: ``prev`` and ``base`` are (:func:`_letter_matrix`), so
     ``_cutoff(base[a, b]) == _cutoff(base[b, a])``.  It is reflexive:
@@ -163,7 +163,6 @@ def _row_masks(prev: np.ndarray, base: np.ndarray, epsilon: float) -> list[int]:
     rows = max(1, PRODUCT_TILE_ENTRIES // (n * total))
     adj = np.empty((min(rows, m), n, m, n), dtype=bool)
     hit = np.empty((min(rows, m), m), dtype=bool)
-    diag = np.arange(min(rows, m) * n)
     masks: list[int] = []
     for r in range(0, m, rows):
         h = min(rows, m - r)
@@ -172,9 +171,7 @@ def _row_masks(prev: np.ndarray, base: np.ndarray, epsilon: float) -> list[int]:
             for a, b in pairs:
                 adj[:h, a, :, b] = hit[:h]
         flat = adj[:h].reshape(h * n, total)
-        flat[diag[:h * n], r * n + diag[:h * n]] = False
-        packed = np.packbits(flat, axis=1, bitorder="little")
-        masks.extend(map(int.from_bytes, packed, itertools.repeat("little")))
+        masks.extend(_pack(flat, r * n))
     return masks
 
 
@@ -209,15 +206,15 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     reach ``1 - epsilon``.  Float multiplication is monotone, so this one
     product bounds every in-block sequence pair.  When it falls short, the
     threshold steps just past ``c`` with ``np.nextafter`` and the letters
-    are partitioned again.
+    are partitioned again.  :func:`_letter_matrix` proves each letter graph
+    symmetric and reflexive, so it is covered as bitmasks (:func:`_pack`).
     """
     # One minus the tightened epsilon, rounded as graph_from_fidelity_matrix
     # rounds ``1 - epsilon``.
     threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
-    fid = channel.fidelity_matrix
+    fid = _letter_matrix(channel)
     while True:
-        graph = IndistinguishabilityGraph(fid >= threshold)
-        single = _partition_of(_cover(graph._masks(), "auto")[0])
+        single = _partition_of(_cover(_pack(fid >= threshold), "auto")[0])
         worst = min(_block_certificates(single, lambda i, j: fid[i, j]))
         # Left to right from 1, as product_fidelity_matrix multiplies.
         if math.prod([worst] * k) >= 1.0 - epsilon:
@@ -397,8 +394,9 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
     """Minimum block count over all partitions with Hamming diameter <= s.
 
     A minimum clique cover of the graph joining length-``k`` sequences at
-    Hamming distance ``<= s``, solved by :func:`solve_exact`.  The cap is
-    checked before anything of size ``alphabet_size ** k`` is built.
+    Hamming distance ``<= s``, counted by :func:`_exact_coloring` on its
+    bitmasks.  The cap is checked before anything of size
+    ``alphabet_size ** k`` is built.
     """
     _check_s_bound_args(alphabet_size, k, s)
     total = alphabet_size ** k
@@ -408,7 +406,7 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
         )
     seqs = np.array(list(itertools.product(range(alphabet_size), repeat=k))).reshape(total, k)
     dist = (seqs[:, None, :] != seqs[None, :, :]).sum(axis=2)
-    return solve_exact(IndistinguishabilityGraph(dist <= s), cap=total).num_blocks
+    return len(_exact_coloring(_pack(dist <= s), total))
 
 
 @dataclass(frozen=True)

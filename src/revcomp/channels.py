@@ -43,11 +43,11 @@ class Alphabet:
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
 
     @classmethod
-    def numbered(cls, n: int, start: int = 1) -> "Alphabet":
-        """Alphabet with labels ``str(start) .. str(start + n - 1)``."""
+    def numbered(cls, n: int) -> "Alphabet":
+        """Alphabet with labels ``"1" .. str(n)``."""
         if n < 1:
             raise ValidationError(f"alphabet size must be >= 1, got {n}")
-        return cls(tuple(str(i) for i in range(start, start + n)))
+        return cls(tuple(str(i) for i in range(1, n + 1)))
 
     @property
     def size(self) -> int:

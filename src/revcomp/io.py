@@ -68,6 +68,19 @@ def _list_field(data: dict, field: str, what: str, required: bool = True) -> lis
     return value
 
 
+def _check_labels(labels: list, where: str) -> None:
+    """Reject a label that is not a JSON string, by its index; none is converted."""
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise ValidationError(f"{where} entry {i} must be a string, got {label!r}")
+
+
+def _labels_field(data: dict, field: str, what: str, required: bool = True) -> list | None:
+    labels = _list_field(data, field, what, required)
+    _check_labels(labels or [], f"field {field!r} of {what}")
+    return labels
+
+
 def _numbers_field(data: dict, field: str, what: str, required: bool = True) -> list[float] | None:
     values = _list_field(data, field, what, required)
     if values is None:
@@ -123,8 +136,8 @@ def _matrix_from_data(raw: Any, what: str) -> np.ndarray:
 
 
 def _classical_from_data(data: dict) -> ClassicalChannel:
-    inp = _list_field(data, "input_labels", "channel file")
-    out = _list_field(data, "output_labels", "channel file")
+    inp = _labels_field(data, "input_labels", "channel file")
+    out = _labels_field(data, "output_labels", "channel file")
     matrix = _matrix_from_data(_require(data, "matrix", "channel file"), "channel file")
     return ClassicalChannel(Alphabet(tuple(inp)), Alphabet(tuple(out)), matrix)
 
@@ -137,7 +150,7 @@ def _shorthand_from_data(data: dict) -> ClassicalChannel:
         what = "constant shorthand"
         return make_constant(_int_field(data, "n", what),
                              _numbers_field(data, "masses", what, required=False),
-                             _list_field(data, "output_labels", what, required=False))
+                             _labels_field(data, "output_labels", what, required=False))
     if kind == "erasure":
         return make_erasure(_int_field(data, "r", "erasure shorthand"),
                             _number_field(data, "eta", "erasure shorthand"))
@@ -146,6 +159,8 @@ def _shorthand_from_data(data: dict) -> ClassicalChannel:
         blocks = _list_field(data, "blocks", what)
         if not all(isinstance(block, list) for block in blocks):
             raise ValidationError(f"field 'blocks' of {what} must be a list of label lists")
+        for b, block in enumerate(blocks):
+            _check_labels(block, f"field 'blocks' of {what}, block {b},")
         return make_generalized_erasure(blocks, _numbers_field(data, "etas", what))
     raise ValidationError(f"unknown channel type {kind!r}, expected one of {SHORTHAND_TYPES}")
 

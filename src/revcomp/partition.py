@@ -9,7 +9,6 @@ rather than a union-find pass.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -18,12 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .channels import ROW_TILE, Alphabet, ClassicalChannel, _pair_fidelities, _snap_cut
-from .errors import (
-    DimensionMismatchError,
-    ExactSolverCapError,
-    ReportMismatchError,
-    ValidationError,
-)
+from .errors import ExactSolverCapError, ReportMismatchError, ValidationError
 
 DEFAULT_EXACT_CAP = 20
 EXACT_CAP_ENV = "REVCOMP_EXACT_CAP"
@@ -43,19 +37,17 @@ def default_exact_cap() -> int:
     return cap
 
 
-# Side of the square tiles in which the symmetry check compares a matrix with
-# its transpose; a whole-matrix transposed comparison strides through memory.
-SYMMETRY_TILE = 256
+def _pack(adj: np.ndarray, first: int = 0) -> list[int]:
+    """Boolean adjacency rows as bitmasks without self-loops: bit ``j`` of
+    mask ``i`` is set when ``i != j`` are adjacent.
 
-
-def _is_symmetric(adj: np.ndarray) -> bool:
-    """``adj == adj.T``, compared one tile pair at a time."""
-    n = adj.shape[0]
-    t = SYMMETRY_TILE
-    return all(
-        np.array_equal(adj[i:i + t, j:j + t], adj[j:j + t, i:i + t].T)
-        for i in range(0, n, t) for j in range(i, n, t)
-    )
+    Row ``i`` of ``adj`` is vertex ``first + i``, so its self-loop bit at
+    column ``first + i`` is cleared, in place, before the rows are packed.
+    """
+    rows = np.arange(adj.shape[0])
+    adj[rows, first + rows] = False
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return list(map(int.from_bytes, packed, itertools.repeat("little")))
 
 
 @dataclass(frozen=True)
@@ -63,11 +55,12 @@ class IndistinguishabilityGraph:
     """Undirected reflexive graph on input indices.
 
     An edge between two inputs means their output distributions are within
-    the fidelity threshold ``1 - epsilon`` of each other.
+    the fidelity threshold ``1 - epsilon`` of each other.  This validated
+    type is the public entry for a caller's own graph; inside the library
+    every graph is a list of adjacency bitmasks from :func:`_pack`.
     """
 
     adjacency: np.ndarray
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adjacency)
@@ -81,7 +74,7 @@ class IndistinguishabilityGraph:
             raise ValidationError(f"adjacency must be square, got shape {adj.shape}")
         if adj.shape[0] == 0:
             raise ValidationError("graph must have at least one vertex")
-        if not _is_symmetric(adj):
+        if not np.array_equal(adj, adj.T):
             raise ValidationError("adjacency must be symmetric")
         if not np.all(np.diag(adj)):
             raise ValidationError("adjacency must be reflexive (unit diagonal)")
@@ -99,10 +92,7 @@ class IndistinguishabilityGraph:
     def _masks(self) -> list[int]:
         """Adjacency as bitmasks, self-loops removed: bit ``j`` of mask ``i``
         is set when ``i != j`` are adjacent."""
-        adj = self.adjacency.copy()
-        np.fill_diagonal(adj, False)
-        packed = np.packbits(adj, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return _pack(self.adjacency.copy())
 
 
 def graph_from_fidelity_matrix(fidelities: np.ndarray, epsilon: float) -> IndistinguishabilityGraph:
@@ -114,7 +104,7 @@ def graph_from_fidelity_matrix(fidelities: np.ndarray, epsilon: float) -> Indist
     if not 0.0 <= epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     fid = np.asarray(fidelities, dtype=float)
-    return IndistinguishabilityGraph(fid >= 1.0 - epsilon, epsilon)
+    return IndistinguishabilityGraph(fid >= 1.0 - epsilon)
 
 
 @dataclass(frozen=True)
@@ -147,10 +137,6 @@ class Partition:
             canon.append(members)
         canon.sort(key=lambda b: b[0])
         object.__setattr__(self, "blocks", tuple(canon))
-
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(tuple((i,) for i in range(n)))
 
     @classmethod
     def single_block(cls, n: int) -> "Partition":
@@ -349,14 +335,12 @@ def _exact_coloring(masks: list[int], cap: int) -> list[int]:
     return classes
 
 
-def solve_exact(graph: IndistinguishabilityGraph, cap: int | None = None) -> Partition:
+def solve_exact(graph: IndistinguishabilityGraph) -> Partition:
     """Minimum clique cover, solved as exact coloring of the complement by
-    :func:`_exact_coloring`.  Deterministic: identical graphs yield the
-    identical partition.
+    :func:`_exact_coloring` up to :func:`default_exact_cap` vertices.
+    Deterministic: identical graphs yield the identical partition.
     """
-    if cap is None:
-        cap = default_exact_cap()
-    return _partition_of(_exact_coloring(graph._masks(), cap))
+    return _partition_of(_exact_coloring(graph._masks(), default_exact_cap()))
 
 
 def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
@@ -429,9 +413,6 @@ class CompressionReport:
             "certificates": list(self.certificates),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)
-
 
 def _block_certificates(partition: Partition,
                         pair_fidelities: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -495,9 +476,10 @@ def _gram_error(m: int) -> float:
     return 4.0 * (m + 2) * _UNIT + m * 1e-161
 
 
-def _screened_graph(rows: np.ndarray, epsilon: float) -> IndistinguishabilityGraph:
-    """The graph :func:`graph_from_fidelity_matrix` builds from the kernel's
-    fidelities of ``rows`` at ``epsilon``, without the fidelity matrix.
+def _screened_masks(rows: np.ndarray, epsilon: float) -> list[int]:
+    """Adjacency bitmasks (:func:`_pack`) of the graph
+    :func:`graph_from_fidelity_matrix` builds from the kernel's fidelities
+    of ``rows`` at ``epsilon``, without the fidelity matrix.
 
     The rows' square roots are taken once, and each ``ROW_TILE`` of rows
     forms the Gram product ``G`` against itself and every later row with
@@ -512,10 +494,10 @@ def _screened_graph(rows: np.ndarray, epsilon: float) -> IndistinguishabilityGra
     - every pair in between (the band) gets its exact fidelity from
       :func:`channels._pair_fidelities` and is thresholded with ``>=``.
 
-    So the adjacency is bit for bit the thresholded fidelity matrix.  Each
-    tile's decisions go straight into the boolean adjacency; the strict
+    So the masks are bit for bit the thresholded fidelity matrix's.  Each
+    tile's decisions go straight into one boolean adjacency; the strict
     upper triangle decides each pair, and the transpose is copied below.
-    No n-by-n float array is held.
+    No n-by-n float array is held, and no graph object is built.
     """
     n, m = rows.shape
     threshold = 1.0 - epsilon
@@ -540,8 +522,7 @@ def _screened_graph(rows: np.ndarray, epsilon: float) -> IndistinguishabilityGra
         below = np.tril_indices(e - s, -1)
         square[below] = square.T[below]
         adj[e:, s:e] = block[:, e - s:].T
-    np.fill_diagonal(adj, True)
-    return IndistinguishabilityGraph(adj, epsilon)
+    return _pack(adj)
 
 
 def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") -> CompressionReport:
@@ -549,7 +530,7 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") ->
 
     ``solver`` is one of ``"exact"``, ``"greedy"``, ``"auto"``; auto uses
     the exact solver up to the cap and falls back to greedy above it.
-    The graph is :func:`_screened_graph`, bit for bit the thresholded
+    The graph is :func:`_screened_masks`, bit for bit the thresholded
     :func:`reverse_fidelity_matrix`, and the certificates are the exact
     fidelities of the in-block pairs, so no fidelity matrix is built.
     Deterministic: identical inputs give byte-identical reports.
@@ -559,8 +540,8 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") ->
     if not 0.0 <= epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     rows = channel.matrix
-    graph = _screened_graph(rows, epsilon)
-    blocks, optimal = _cover(graph._masks(), solver)
+    masks = _screened_masks(rows, epsilon)
+    blocks, optimal = _cover(masks, solver)
     partition = _partition_of(blocks)
     return CompressionReport(
         epsilon=float(epsilon),
@@ -568,7 +549,7 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") ->
         optimal=optimal,
         partition=partition,
         representatives=partition.representatives(),
-        compressibility=compressibility(graph.size, partition.num_blocks),
+        compressibility=compressibility(len(masks), partition.num_blocks),
         certificates=_block_certificates(
             partition, lambda first, second: _pair_fidelities(rows, first, second)),
         labels=channel.input.labels,

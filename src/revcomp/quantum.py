@@ -561,29 +561,6 @@ def _random_pure_states(count: int, dim: int, rng: np.random.Generator) -> np.nd
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized state vector, unitarily invariant in distribution."""
-    return _random_pure_states(1, dim, rng)[0]
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.real(np.trace(m)))
-
-
-def random_kraus_channel(in_dim: int, out_dim: int, num_ops: int,
-                         rng: np.random.Generator) -> KrausChannel:
-    """Random CPTP map: slices of a random isometry into the dilation space."""
-    if out_dim * num_ops < in_dim:
-        raise ValidationError(
-            f"need out_dim * num_ops >= in_dim for an isometry, got {out_dim}*{num_ops} < {in_dim}"
-        )
-    g = rng.normal(size=(out_dim * num_ops, in_dim)) + 1j * rng.normal(size=(out_dim * num_ops, in_dim))
-    q, _ = np.linalg.qr(g)
-    return KrausChannel(q.reshape(num_ops, out_dim, in_dim))
-
-
 def _check_count(name: str, value: int) -> None:
     """Reject a probe count or seed that is not a non-negative integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

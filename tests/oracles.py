@@ -15,7 +15,15 @@ import math
 
 import numpy as np
 
-from revcomp import Alphabet, ClassicalChannel, probe_states
+from revcomp import (
+    Alphabet,
+    ClassicalChannel,
+    DensityMatrix,
+    KrausChannel,
+    ValidationError,
+    probe_states,
+)
+from revcomp.quantum import _random_pure_states
 
 
 def plain_fidelity(p, q) -> float:
@@ -48,17 +56,12 @@ def joint_reverse_fidelity(channel: ClassicalChannel, xs, xhats) -> float:
 
 
 def adjacency_bitmasks(adjacency) -> list[int]:
-    """Adjacency rows as integer bitmasks, self-loops removed, bit by bit."""
-    adj = np.asarray(adjacency, dtype=bool)
-    n = adj.shape[0]
-    masks = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if j != i and adj[i, j]:
-                m |= 1 << j
-        masks.append(m)
-    return masks
+    """Adjacency rows as integer bitmasks with self-loops removed, each row
+    read as a binary numeral whose bit ``j`` is column ``j``."""
+    adj = np.array(adjacency, dtype=bool)
+    np.fill_diagonal(adj, False)
+    digits = np.where(adj[:, ::-1], ord("1"), ord("0")).astype(np.uint8)
+    return [int(row.tobytes(), 2) for row in digits]
 
 
 def greedy_coloring(masks: list[int]) -> list[int]:
@@ -252,3 +255,28 @@ def tiled_output_factors(channel, factors: np.ndarray, tile_entries: int) -> np.
         if out.shape[2] > out_dim:
             out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
     return out
+
+
+# Seeded random states and channels that the tests draw their inputs from.
+
+def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized state vector, unitarily invariant in distribution."""
+    return _random_pure_states(1, dim, rng)[0]
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.real(np.trace(m)))
+
+
+def random_kraus_channel(in_dim: int, out_dim: int, num_ops: int,
+                         rng: np.random.Generator) -> KrausChannel:
+    """Random CPTP map: slices of a random isometry into the dilation space."""
+    if out_dim * num_ops < in_dim:
+        raise ValidationError(
+            f"need out_dim * num_ops >= in_dim for an isometry, got {out_dim}*{num_ops} < {in_dim}"
+        )
+    g = rng.normal(size=(out_dim * num_ops, in_dim)) + 1j * rng.normal(size=(out_dim * num_ops, in_dim))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(q.reshape(num_ops, out_dim, in_dim))

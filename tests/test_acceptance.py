@@ -26,9 +26,6 @@ from revcomp import (
     min_s_bounded_partition_size,
     product_reverse_fidelity,
     quantum_fidelity,
-    random_density_matrix,
-    random_kraus_channel,
-    random_pure_state,
     solve_exact,
     verify_erasure_theorem,
 )
@@ -43,6 +40,9 @@ from oracles import (
     plain_fidelity,
     random_adjacency,
     random_channel,
+    random_density_matrix,
+    random_kraus_channel,
+    random_pure_state,
 )
 
 

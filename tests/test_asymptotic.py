@@ -44,7 +44,13 @@ from revcomp.asymptotic import (
     _row_masks,
 )
 
-from oracles import kron_chain, min_clique_cover_brute, product_partition, random_channel
+from oracles import (
+    adjacency_bitmasks,
+    kron_chain,
+    min_clique_cover_brute,
+    product_partition,
+    random_channel,
+)
 
 
 def hamming_graph(n, k, s):
@@ -123,15 +129,6 @@ class TestProductFidelityMatrix:
         assert len(calls) == 2
 
 
-def adjacency_masks(adj):
-    """Bitmasks of a boolean adjacency with self-loops removed, each row
-    read as a binary numeral whose bit ``j`` is column ``j``."""
-    adj = adj.copy()
-    np.fill_diagonal(adj, False)
-    digits = np.where(adj[:, ::-1], ord("1"), ord("0")).astype(np.uint8)
-    return [int(row.tobytes(), 2) for row in digits]
-
-
 def grouped_erasure(n, rng):
     """A generalized erasure channel on ``n`` letters in two groups (one
     when ``n == 1``): letters of different groups have fidelity exactly 0."""
@@ -196,7 +193,7 @@ class TestProductAdjacency:
                 assert set(values) >= {float(v) for v in base.flat if v >= 0.5}
                 for eps in (0.05, 0.3, 0.7, tie, 0.0, 1.0, *ties):
                     got = _row_masks(prev, base, eps)
-                    assert got == adjacency_masks(fid >= 1.0 - eps)
+                    assert got == adjacency_bitmasks(fid >= 1.0 - eps)
                 i, j = pair
                 if i != j:
                     assert _row_masks(prev, base, tie)[i] >> int(j) & 1

@@ -9,6 +9,7 @@ import pytest
 
 from revcomp import (
     ClassicalChannel,
+    IndistinguishabilityGraph,
     KrausChannel,
     ValidationError,
     make_erasure,
@@ -494,6 +495,16 @@ class TestCliMalformedInput:
          "'matrix'"),
         ({"input_labels": ["a"], "output_labels": ["u", "v"], "matrix": [["0.5", "0.5"]]},
          "'matrix'"),
+        ({"input_labels": [None, {"a": 1}], "output_labels": ["u"], "matrix": [[1.0], [1.0]]},
+         "field 'input_labels' of channel file entry 0 must be a string, got None"),
+        ({"input_labels": ["1", 1], "output_labels": ["u"], "matrix": [[1.0], [1.0]]},
+         "field 'input_labels' of channel file entry 1 must be a string, got 1"),
+        ({"input_labels": ["a"], "output_labels": ["u", 2.5], "matrix": [[0.5, 0.5]]},
+         "field 'output_labels' of channel file entry 1 must be a string, got 2.5"),
+        ({"type": "constant", "n": 2, "output_labels": [True]},
+         "field 'output_labels' of constant shorthand entry 0 must be a string, got True"),
+        ({"type": "generalized_erasure", "blocks": [["1"], ["2", None]], "etas": [0.5, 0.5]},
+         "field 'blocks' of generalized erasure shorthand, block 1, entry 1 must be a string"),
     ])
     def test_mistyped_channel_field(self, tmp_path, capsys, data, field):
         path = write_json(tmp_path, "ch.json", data)
@@ -585,6 +596,31 @@ class TestCliArgumentChecks:
         argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestCliBuildsNoGraph:
+    def test_subcommands_cover_bitmasks_only(self, tmp_path, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a subcommand built an IndistinguishabilityGraph")
+
+        monkeypatch.setattr(IndistinguishabilityGraph, "__post_init__", refuse)
+        erasure = write_json(tmp_path, "e.json", {"type": "erasure", "r": 2, "eta": 0.9})
+        full = write_json(tmp_path, "f.json", io.channel_to_data(make_erasure(4, 0.7)))
+        runs = [
+            ["compress", "--channel", full, "--epsilon", "0.6"],
+            ["compress", "--channel", full, "--epsilon", "0.6", "--solver", "greedy"],
+            ["gen-erasure", "--blocks", "1,2;3", "--etas", "0.9,0.95", "--epsilon", "0.2"],
+            ["asymptotic", "--channel", erasure, "--epsilon", "0.2", "--k-max", "3",
+             "--solver", "exact"],
+            ["asymptotic", "--channel", erasure, "--epsilon", "0.2", "--k-max", "3",
+             "--solver", "greedy"],
+            ["asymptotic", "--channel", erasure, "--epsilon", "0.2", "--k-max", "3",
+             "--solver", "closed_form"],
+            ["conjecture", "--alphabet-size", "2", "--k", "3"],
+        ]
+        for argv in runs:
+            assert main([*argv, "--format", "json"]) == 0, capsys.readouterr().err
+        capsys.readouterr()
 
 
 class TestCliInProcess:

@@ -1,4 +1,6 @@
 """Properties of the vectorized reverse-fidelity kernel and the bitmask build."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from revcomp import (
     reverse_fidelity_matrix,
 )
 from revcomp.channels import EQUALITY_TOL, ROW_TILE, _fidelity_kernel, _pair_fidelities
-from revcomp.partition import _block_certificates, _cover, _partition_of, _screened_graph
+from revcomp.partition import _block_certificates, _cover, _pack, _partition_of, _screened_masks
 
 from oracles import adjacency_bitmasks, plain_fidelity, random_adjacency
 
@@ -121,7 +123,7 @@ class TestFidelityKernel:
             assert (fid[0, -1] == 1.0) == snaps
             assert fid[0, -1] == 1.0 or fid[0, -1] == min(1.0, plain_fidelity(p, q))
             # At epsilon 0 only the snap merges the pair, far below the Gram band.
-            assert _screened_graph(rows, 0.0).adjacency[0, -1] == snaps
+            assert bool(_screened_masks(rows, 0.0)[0] >> (len(rows) - 1) & 1) == snaps
 
     def test_near_duplicate_rows_snap_to_one(self):
         base = np.array([0.2, 0.3, 0.5])
@@ -172,7 +174,7 @@ class TestScreenedCompress:
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         for eps in _threshold_epsilons(fid, i, j):
             exact = graph_from_fidelity_matrix(fid, eps)
-            assert np.array_equal(_screened_graph(ch.matrix, eps).adjacency, exact.adjacency)
+            assert _screened_masks(ch.matrix, eps) == adjacency_bitmasks(exact.adjacency)
             report = compress(ch, eps)
             assert report.partition == _partition_of(_cover(exact._masks(), "auto")[0])
             certs = _block_certificates(report.partition, lambda a, b: fid[a, b])
@@ -191,8 +193,8 @@ class TestScreenedCompress:
         fid = reverse_fidelity_matrix(ch)
         for i, j in [(0, n - 1), (1, ROW_TILE), (ROW_TILE, n - 1)]:
             for eps in _threshold_epsilons(fid, i, j):
-                assert np.array_equal(_screened_graph(ch.matrix, eps).adjacency,
-                                      graph_from_fidelity_matrix(fid, eps).adjacency)
+                assert _screened_masks(ch.matrix, eps) == adjacency_bitmasks(
+                    graph_from_fidelity_matrix(fid, eps).adjacency)
 
     def test_pairs_at_the_threshold_take_the_exact_path(self, monkeypatch):
         """The erasure fidelity 0.25 is sqrt(0.5) * sqrt(0.5) = 0.5000000000000001
@@ -206,11 +208,10 @@ class TestScreenedCompress:
 
         monkeypatch.setattr(partition, "_pair_fidelities", recorded)
         rows = make_erasure(3, 0.5).matrix
-        assert _screened_graph(rows, 0.75).adjacency.all()
+        assert _screened_masks(rows, 0.75) == adjacency_bitmasks(np.ones((3, 3), dtype=bool))
         above = 1.0 - float(np.nextafter(0.75, 0.0))
         assert above > 0.25 and (np.sqrt(0.5) * np.sqrt(0.5)) ** 2 >= above
-        assert np.array_equal(_screened_graph(rows, np.nextafter(0.75, 0.0)).adjacency,
-                              np.eye(3, dtype=bool))
+        assert _screened_masks(rows, np.nextafter(0.75, 0.0)) == [0, 0, 0]
         assert calls == [[(0, 1), (0, 2), (1, 2)]] * 2
 
     def test_screen_builds_no_fidelity_matrix(self, monkeypatch):
@@ -222,10 +223,28 @@ class TestScreenedCompress:
         ch = ClassicalChannel(Alphabet.numbered(300), Alphabet.numbered(8), rows)
         assert compress(ch, 0.2).partition.num_blocks > 1
 
+    def test_screen_holds_one_boolean_adjacency(self):
+        # The n-by-n boolean adjacency is n**2 bytes and the masks about
+        # n**2 / 8, so a second n-by-n boolean copy does not fit the bound.
+        n = 4000
+        rows = np.random.default_rng(4000).dirichlet(np.full(8, 0.5), size=n)
+        ch = ClassicalChannel(Alphabet.numbered(n), Alphabet.numbered(8), rows)
+        tracemalloc.start()
+        try:
+            compress(ch, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * n ** 2
+
 
 class TestBitmasks:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 65])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_packbits_masks_match_bit_loop(self, n, p):
         adj = random_adjacency(np.random.default_rng(n * 100 + int(p * 10)), n, p)
-        assert IndistinguishabilityGraph(adj)._masks() == adjacency_bitmasks(adj)
+        want = adjacency_bitmasks(adj)
+        assert IndistinguishabilityGraph(adj)._masks() == want
+        # Rows first.. of the graph, packed as one tile of a larger graph.
+        for first in sorted({1 % n, n // 2, n - 1}):
+            assert _pack(adj[first:].copy(), first) == want[first:]

@@ -26,6 +26,7 @@ from revcomp import (
     solve_exact,
     solve_greedy,
 )
+from revcomp import io
 from revcomp.channels import Distribution
 from revcomp.partition import _max_clique_size
 
@@ -224,7 +225,6 @@ class TestSolvers:
         g = graph_from_edges(21, [])
         with pytest.raises(ExactSolverCapError):
             solve_exact(g)
-        assert solve_exact(g, cap=21).num_blocks == 21
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("REVCOMP_EXACT_CAP", "25")
@@ -331,7 +331,7 @@ class TestCompress:
 
     def test_report_json_round_trip(self):
         report = compress(make_erasure(3, 0.5), 0.8)
-        data = json.loads(report.to_json())
+        data = json.loads(io.dump_json(report.to_json_dict()))
         assert list(data.keys()) == [
             "epsilon",
             "solver",
@@ -345,8 +345,8 @@ class TestCompress:
         assert data["blocks"] == [["1", "2", "3"]]
 
     def test_byte_identical_reports(self):
-        a = compress(make_erasure(4, 0.7), 0.6).to_json()
-        b = compress(make_erasure(4, 0.7), 0.6).to_json()
+        a = io.dump_json(compress(make_erasure(4, 0.7), 0.6).to_json_dict())
+        b = io.dump_json(compress(make_erasure(4, 0.7), 0.6).to_json_dict())
         assert a == b
 
 

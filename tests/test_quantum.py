@@ -27,9 +27,6 @@ from revcomp import (
     probe_states,
     quantum_compressibility,
     quantum_fidelity,
-    random_density_matrix,
-    random_kraus_channel,
-    random_pure_state,
     vector_kernel,
     verify_erasure_theorem,
 )
@@ -44,6 +41,9 @@ from oracles import (
     plain_fidelity,
     probe_family,
     probe_fidelities,
+    random_density_matrix,
+    random_kraus_channel,
+    random_pure_state,
     tiled_output_factors,
 )
 
