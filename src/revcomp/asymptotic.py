@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .channels import ClassicalChannel
 from .errors import ExactSolverCapError, ValidationError
 from .partition import (
     Partition,
+    _bits,
     _block_certificates,
     _cover,
     _exact_coloring,
@@ -29,14 +31,9 @@ from .partition import (
     default_exact_cap,
 )
 
-# Above this many sequences the pairwise product-fidelity matrix is not built,
-# whichever solver asks for it.
+# Above this many sequences no sequence graph or product-fidelity matrix is
+# built, whichever solver asks for it.
 DEFAULT_GRAPH_CAP = 2048
-
-
-# Boolean entries per row tile of a materialized ``gamma_k`` graph (128 KiB).
-# Graphs of up to 362 sequences are one tile.
-PRODUCT_TILE_ENTRIES = 1 << 17
 
 
 def _next_power(fid: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -70,10 +67,9 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     entry matches the letterwise product computed sequence by sequence.
     Each step is one :func:`_next_power` with the letter matrix.  Above
     ``DEFAULT_GRAPH_CAP`` sequences it raises before allocating.
-    :func:`gamma_k` builds its graphs without calling this at ``k``: it
-    compares the ``(k - 1)``-fold matrix with per-letter-pair cutoffs
-    (:func:`_row_masks`), which decide ``>= 1 - epsilon`` exactly as this
-    matrix's last products would, without forming them.
+    :func:`gamma_k` and :func:`delta_estimate` never call this: their
+    graphs are built from running products (:func:`_sequence_masks`), which
+    decide ``>= 1 - epsilon`` exactly as this matrix's entries would.
     """
     if k < 1:
         raise ValidationError(f"sequence length must be >= 1, got {k}")
@@ -93,10 +89,9 @@ def _letter_matrix(channel: ClassicalChannel) -> np.ndarray:
     """The channel's letter fidelity matrix, checked exactly symmetric, with
     entries in [0, 1] and a diagonal of exactly 1.0.
 
-    Every product matrix then has entries in [0, 1], and this one check
-    proves every product graph symmetric and reflexive (see
-    :func:`_row_masks`).  ``channels._fidelity_kernel`` guarantees all
-    three properties.
+    Every running product then lies in [0, 1] and never grows, and this
+    one check proves every sequence graph symmetric and reflexive.
+    ``channels._fidelity_kernel`` guarantees all three properties.
     """
     base = channel.fidelity_matrix
     if not np.array_equal(base, base.T):
@@ -108,71 +103,62 @@ def _letter_matrix(channel: ClassicalChannel) -> np.ndarray:
     return base
 
 
-def _cutoff(v: float, t: float) -> float:
-    """The smallest float ``x >= 0`` with ``x * v >= t`` in float arithmetic,
-    for a letter fidelity ``v`` in [0, 1] and a threshold ``t <= 1``.
+def _sequence_masks(base: np.ndarray, epsilon: float, k: int,
+                    memo: dict[tuple[int, float], list[int]]) -> list[int]:
+    """Adjacency bitmasks (no self-loops) of the length-``k`` sequence graph
+    of the letter matrix ``base``: the masks of
+    ``product_fidelity_matrix(channel, k) >= 1 - epsilon``, bit for bit,
+    for an ``epsilon`` in [0, 1].
 
-    It is 0.0 when ``t <= 0``, since every ``x`` qualifies, and ``inf``
-    when ``v < t``: no ``x <= 1`` qualifies, because ``x * v <= v``.
-    Otherwise ``t >= 2**-53`` (it is ``1 - epsilon`` for an epsilon in
-    [0, 1]), so ``v`` is normal and ``t / v`` lies within a few ulps of the
-    answer; it is stepped with ``math.nextafter`` until ``x * v`` reaches
-    ``t`` and its predecessor's product does not.
-    """
-    if t <= 0.0:
-        return 0.0
-    if v < t:
-        return math.inf
-    x = t / v
-    while x * v < t:
-        x = math.nextafter(x, math.inf)
-    while math.nextafter(x, 0.0) * v >= t:
-        x = math.nextafter(x, 0.0)
-    return x
-
-
-def _row_masks(prev: np.ndarray, base: np.ndarray, epsilon: float) -> list[int]:
-    """Adjacency bitmasks of the sequence graph one letter longer than ``prev``.
-
-    ``prev`` is the ``(k - 1)``-fold product matrix and ``base`` the letter
-    matrix, so sequences ``i' * n + a`` and ``j' * n + b`` are adjacent
-    when ``prev[i', j'] * base[a, b] >= 1 - epsilon``, as
-    :func:`graph_from_fidelity_matrix` thresholds the ``k``-fold matrix.
-    For ``v >= 0`` float multiplication ``x -> x * v`` is monotone, so that
-    holds exactly when ``prev[i', j'] >= _cutoff(base[a, b], 1 - epsilon)``
-    (:func:`_cutoff`; ``inf`` when ``v < 1 - epsilon``, ``0`` when
-    ``epsilon == 1``).  No product is formed: each row tile of ``prev``,
-    about ``PRODUCT_TILE_ENTRIES`` graph entries, is compared once with
-    each distinct cutoff (at most ``1 + n * (n - 1) / 2`` of them), the
-    comparison is copied into the ``[:, a, :, b]`` slots of one reused
-    boolean tile, and :func:`_pack` clears its self-loop bits and packs it
-    straight into the masks: bit ``j`` of mask ``i`` is set when ``i != j``
-    are adjacent.  The masks match the thresholded ``k``-fold matrix bit for
-    bit, and no ``n**k``-square array of any type is held.  The graph is
-    symmetric: ``prev`` and ``base`` are (:func:`_letter_matrix`), so
-    ``_cutoff(base[a, b]) == _cutoff(base[b, a])``.  It is reflexive:
-    ``prev`` has a unit diagonal and ``_cutoff(1.0, t) == t <= 1``.
+    That matrix multiplies a pair's letter values from 1.0 in letter order,
+    and a label's first letter is its most significant digit.  So
+    ``R(m, v)``, the graph of length-``m`` pairs whose running product,
+    started at ``v``, reaches ``t = 1 - epsilon``, is the ``n``-by-``n``
+    block matrix whose block ``[a, b]`` is ``R(m - 1, v * base[a, b])``,
+    and the sequence graph is ``R(k, 1.0)``.  A block with
+    ``v * base[a, b] < t`` is empty, since multiplying by a letter value in
+    [0, 1] never raises a float (:func:`_letter_matrix` checks the range).
+    ``memo`` holds each nonempty ``R(m, v)`` under the key ``(m, v)`` as
+    ``n**m`` row masks with their diagonal set (``v >= t``).  The missing
+    entries are found level by level from the top and built from the
+    bottom up, without recursion: ``R(1, v)`` packs ``base * v >= t``, and
+    each row of a higher entry ORs its blocks' rows shifted into place.  A
+    sweep passes one memo to all its rows, so row ``k`` reuses the entries
+    of row ``k - 1``, ``R(k - 1, 1.0)`` among them as its diagonal blocks.
+    Length ``m`` has at most ``D**(k - m)`` entries of ``n**(2 * m)`` bits,
+    and for ``n >= 2`` there are ``D <= 1 + n * (n - 1) / 2 <= n**2 / 2``
+    distinct letter values, so the memo holds fewer than
+    ``2 * n**(2 * k)`` bits.
     """
     n = base.shape[0]
-    m = prev.shape[0]
-    total = m * n
-    threshold = 1.0 - epsilon
-    slots: dict[float, list[tuple[int, int]]] = {}
-    for (a, b), v in np.ndenumerate(base):
-        slots.setdefault(_cutoff(float(v), threshold), []).append((a, b))
-    rows = max(1, PRODUCT_TILE_ENTRIES // (n * total))
-    adj = np.empty((min(rows, m), n, m, n), dtype=bool)
-    hit = np.empty((min(rows, m), m), dtype=bool)
-    masks: list[int] = []
-    for r in range(0, m, rows):
-        h = min(rows, m - r)
-        for cut, pairs in slots.items():
-            np.greater_equal(prev[r:r + h], cut, out=hit[:h])
-            for a, b in pairs:
-                adj[:h, a, :, b] = hit[:h]
-        flat = adj[:h].reshape(h * n, total)
-        masks.extend(_pack(flat, r * n))
-    return masks
+    t = 1.0 - epsilon
+    # Past one letter the graph cap keeps n <= 45; a one-letter row needs no floats in Python.
+    letters = base.tolist() if k > 1 else []
+    values = set(itertools.chain.from_iterable(letters))
+    todo, missing = [], {1.0}
+    for m in range(k, 0, -1):
+        missing = {v for v in missing if (m, v) not in memo}
+        if not missing:
+            break
+        todo.append((m, missing))
+        if m > 1:
+            missing = {v * w for v in missing for w in values if v * w >= t}
+    for m, missing in reversed(todo):
+        h = n ** (m - 1)
+        for v in missing:
+            if m == 1:  # v * 1.0 == v: no float copy of a large letter matrix
+                memo[m, v] = _bits((base if v == 1.0 else base * v) >= t)
+                continue
+            rows = []
+            for row in letters:
+                acc = None  # the diagonal block, v * 1.0 >= t, is always there
+                for b, w in enumerate(row):
+                    if v * w >= t:
+                        block = map(operator.lshift, memo[m - 1, v * w], itertools.repeat(b * h))
+                        acc = list(block) if acc is None else list(map(operator.or_, acc, block))
+                rows.extend(acc)
+            memo[m, v] = rows
+    return [row ^ (1 << i) for i, row in enumerate(memo[k, 1.0])]
 
 
 @dataclass(frozen=True)
@@ -251,10 +237,10 @@ def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver
     return False
 
 
-def _materialized_row(prev: np.ndarray, base: np.ndarray, epsilon: float, k: int,
-                      solver: str) -> GammaKResult:
-    """One exact or first-fit row, counted on the masks of :func:`_row_masks`."""
-    blocks, optimal = _cover(_row_masks(prev, base, epsilon), solver)
+def _materialized_row(base: np.ndarray, epsilon: float, k: int, solver: str,
+                      memo: dict[tuple[int, float], list[int]]) -> GammaKResult:
+    """One exact or first-fit row, counted on the masks of :func:`_sequence_masks`."""
+    blocks, optimal = _cover(_sequence_masks(base, epsilon, k, memo), solver)
     return GammaKResult(k=k, block_count=len(blocks),
                         gamma=compressibility(base.shape[0] ** k, len(blocks)),
                         method="exact" if optimal else "greedy_lower_bound")
@@ -271,22 +257,17 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     :class:`ExactSolverCapError`; requesting ``"exact"`` or ``"greedy"``
     above the graph cap raises :class:`ValidationError`, whatever the
     exact cap.  The letter matrix is checked once (:func:`_letter_matrix`).
-    A materialized row never forms the last products: float multiplication
-    by ``v >= 0`` is monotone, so ``prev * v >= 1 - epsilon`` exactly when
-    the ``(k - 1)``-fold entry ``prev`` reaches the cutoff of its letter
-    pair, the smallest float whose product with ``v`` does (``inf`` when
-    ``v < 1 - epsilon``, ``0`` when ``epsilon == 1``).  Those comparisons
-    go straight into adjacency bitmasks (:func:`_row_masks`), which are
-    symmetric because a symmetric letter matrix gives ``base[a, b]`` and
-    ``base[b, a]`` one cutoff.  The row only counts the blocks of the
-    cover, so it builds no ``k``-fold matrix, graph or partition.
+    A materialized row builds its graph as bitmasks from blocks of shorter
+    running-product graphs (:func:`_sequence_masks`), which decide each
+    pair exactly as :func:`product_fidelity_matrix` would, without forming
+    any product matrix.  The row only counts the blocks of the cover, so it
+    builds no graph object or partition either.
     """
     closed_form = _closed_form_route(channel, epsilon, k, solver)
     base = _letter_matrix(channel)
     if closed_form:
         return _closed_form_result(channel, epsilon, k)
-    prev = product_fidelity_matrix(channel, k - 1) if k > 1 else np.ones((1, 1))
-    return _materialized_row(prev, base, epsilon, k, solver)
+    return _materialized_row(base, epsilon, k, solver, {})
 
 
 @dataclass(frozen=True)
@@ -321,16 +302,9 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
 
     Evidence about the many-use limit; no extrapolation is performed.
     Every row is the :func:`gamma_k` row at its ``k``, and every row's caps
-    are checked before any row runs.  The ``(k - 1)``-fold product matrix
-    is carried from row to row and advanced by one :func:`_next_power` just
-    before each materialized row, so no row rebuilds the chain.  Each row
-    compares that matrix with per-letter-pair cutoffs instead of forming
-    the ``k``-fold products (:func:`_row_masks`): ``x * v >= 1 - epsilon``
-    is monotone in ``x`` for ``v >= 0``, so it holds exactly from the
-    smallest such float ``x`` up, and no ``x <= 1`` qualifies (cutoff
-    ``inf``) when ``v < 1 - epsilon``, every one (cutoff ``0``) when
-    ``epsilon == 1``.  ``base[a, b]`` and ``base[b, a]`` are equal, so
-    they share a cutoff and every row graph is symmetric.
+    are checked before any row runs.  The materialized rows share one memo
+    of running-product graphs (:func:`_sequence_masks`), so each row builds
+    only the blocks that no shorter row has built.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
@@ -346,17 +320,10 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
                 f"{digits} decimal digits, past Python's int-to-string limit"
             )
     base = _letter_matrix(channel)
-    # The route depends on k only through n**k, which never falls, so the
-    # materialized rows come first and the chain stays one letter behind.
-    prev = np.ones((1, 1))
-    results = []
-    for k, closed in enumerate(closed_form, start=1):
-        if closed:
-            results.append(_closed_form_result(channel, epsilon, k))
-            continue
-        if k > 1:
-            prev = _next_power(prev, base)
-        results.append(_materialized_row(prev, base, epsilon, k, solver))
+    memo: dict[tuple[int, float], list[int]] = {}
+    results = [_closed_form_result(channel, epsilon, k) if closed
+               else _materialized_row(base, epsilon, k, solver, memo)
+               for k, closed in enumerate(closed_form, start=1)]
     return AsymptoticSweep(epsilon=float(epsilon), results=tuple(results),
                            trend=_observed_trend([r.gamma for r in results]))
 

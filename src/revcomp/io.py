@@ -68,11 +68,16 @@ def _list_field(data: dict, field: str, what: str, required: bool = True) -> lis
     return value
 
 
-def _check_labels(labels: list, where: str) -> None:
-    """Reject a label that is not a JSON string, by its index; none is converted."""
+def _check_labels(labels: list, where: str, seen: set | None = None) -> None:
+    """Reject a label that is not a JSON string, or that repeats one before
+    it or in ``seen``, by its index; none is converted."""
+    seen = set() if seen is None else seen
     for i, label in enumerate(labels):
         if not isinstance(label, str):
             raise ValidationError(f"{where} entry {i} must be a string, got {label!r}")
+        if label in seen:
+            raise ValidationError(f"{where} entry {i} repeats the label {label!r}")
+        seen.add(label)
 
 
 def _labels_field(data: dict, field: str, what: str, required: bool = True) -> list | None:
@@ -159,8 +164,9 @@ def _shorthand_from_data(data: dict) -> ClassicalChannel:
         blocks = _list_field(data, "blocks", what)
         if not all(isinstance(block, list) for block in blocks):
             raise ValidationError(f"field 'blocks' of {what} must be a list of label lists")
+        seen: set = set()  # a label may not repeat across blocks either
         for b, block in enumerate(blocks):
-            _check_labels(block, f"field 'blocks' of {what}, block {b},")
+            _check_labels(block, f"field 'blocks' of {what}, block {b},", seen)
         return make_generalized_erasure(blocks, _numbers_field(data, "etas", what))
     raise ValidationError(f"unknown channel type {kind!r}, expected one of {SHORTHAND_TYPES}")
 

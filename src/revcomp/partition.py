@@ -37,17 +37,18 @@ def default_exact_cap() -> int:
     return cap
 
 
-def _pack(adj: np.ndarray, first: int = 0) -> list[int]:
-    """Boolean adjacency rows as bitmasks without self-loops: bit ``j`` of
-    mask ``i`` is set when ``i != j`` are adjacent.
-
-    Row ``i`` of ``adj`` is vertex ``first + i``, so its self-loop bit at
-    column ``first + i`` is cleared, in place, before the rows are packed.
-    """
-    rows = np.arange(adj.shape[0])
-    adj[rows, first + rows] = False
+def _bits(adj: np.ndarray) -> list[int]:
+    """Boolean rows as bitmasks: bit ``j`` of mask ``i`` is ``adj[i, j]``."""
     packed = np.packbits(adj, axis=1, bitorder="little")
     return list(map(int.from_bytes, packed, itertools.repeat("little")))
+
+
+def _pack(adj: np.ndarray) -> list[int]:
+    """Square boolean adjacency rows as bitmasks without self-loops: bit
+    ``j`` of mask ``i`` is set when ``i != j`` are adjacent.  The diagonal
+    of ``adj`` is cleared in place."""
+    np.fill_diagonal(adj, False)
+    return _bits(adj)
 
 
 @dataclass(frozen=True)

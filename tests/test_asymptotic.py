@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revcomp import (
+    Alphabet,
+    ClassicalChannel,
     ExactSolverCapError,
+    GammaKResult,
     IndistinguishabilityGraph,
     Partition,
     ValidationError,
@@ -37,11 +40,9 @@ from revcomp import (
 from revcomp import asymptotic, channels, cli
 from revcomp.asymptotic import (
     DEFAULT_GRAPH_CAP,
-    PRODUCT_TILE_ENTRIES,
-    _cutoff,
     _next_power,
     _observed_trend,
-    _row_masks,
+    _sequence_masks,
 )
 
 from oracles import (
@@ -162,25 +163,20 @@ def tie_epsilons(fid, base):
 
 class TestProductAdjacency:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_tiled_graph_equals_the_thresholded_product(self, n):
-        # Every k from 1 to the graph cap.  At n = 3, k = 6 (729 sequences)
-        # a tile is 59 rows of the 243-row 5-fold matrix, so the last of
-        # five tiles is partial.  The grouped erasure channel's zero
-        # cross-group letter fidelities get the cutoff inf.
+    def test_block_built_graph_equals_the_thresholded_product(self, n):
+        # Every k from 1 to the graph cap, from a fresh memo and from one
+        # memo shared along the sweep.  The grouped erasure channel's zero
+        # cross-group letter fidelities give empty blocks.
         rng = np.random.default_rng(40 + n)
         ch = random_channel(rng, n, 3)
         erasure = grouped_erasure(n, rng)
         if n > 1:
             assert np.any(erasure.fidelity_matrix == 0.0)
-        partial_tiles = []
+        memos = {}
         k = 1
         while n ** k <= DEFAULT_GRAPH_CAP and k <= 12:
-            rows, m = max(1, PRODUCT_TILE_ENTRIES // (n * n ** k)), n ** (k - 1)
-            if rows < m and m % rows:
-                partial_tiles.append(k)
             for channel in (ch, erasure):
                 base = channel.fidelity_matrix
-                prev = product_fidelity_matrix(channel, k - 1) if k > 1 else np.ones((1, 1))
                 fid = product_fidelity_matrix(channel, k)
                 # An epsilon whose threshold equals an entry exactly: that pair
                 # ties with 1 - eps and must stay adjacent.
@@ -188,44 +184,20 @@ class TestProductAdjacency:
                 pair = np.unravel_index(exact[np.argmin(fid.flat[exact])], fid.shape)
                 tie = 1.0 - float(fid[pair])
                 ties, values = tie_epsilons(fid, base)
-                # The unit diagonal of prev gives every letter value itself as
-                # an entry, and 1 - (1 - v) == v for v >= 0.5.
+                # The unit diagonal gives every letter value itself as an
+                # entry, and 1 - (1 - v) == v for v >= 0.5.
                 assert set(values) >= {float(v) for v in base.flat if v >= 0.5}
-                for eps in (0.05, 0.3, 0.7, tie, 0.0, 1.0, *ties):
-                    got = _row_masks(prev, base, eps)
-                    assert got == adjacency_bitmasks(fid >= 1.0 - eps)
+                # A tie one ulp above an entry of 1.0 has epsilon < 0, which
+                # every caller rejects; _sequence_masks assumes 1 - eps <= 1.
+                for eps in (0.05, 0.3, 0.7, tie, 0.0, 1.0, *(e for e in ties if e >= 0.0)):
+                    want = adjacency_bitmasks(fid >= 1.0 - eps)
+                    assert _sequence_masks(base, eps, k, {}) == want
+                    memo = memos.setdefault((id(channel), eps), {})
+                    assert _sequence_masks(base, eps, k, memo) == want
                 i, j = pair
                 if i != j:
-                    assert _row_masks(prev, base, tie)[i] >> int(j) & 1
+                    assert _sequence_masks(base, tie, k, {})[i] >> int(j) & 1
             k += 1
-        if n == 3:
-            assert 6 in partial_tiles
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        v=st.one_of(st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 1.0]),
-                    st.floats(0.0, 1.0)),
-        t=st.one_of(st.sampled_from([0.0, 2.0 ** -53, 1.0]),
-                    st.floats(2.0 ** -53, 1.0)),
-    )
-    def test_cutoff_is_the_smallest_float_that_reaches_the_threshold(self, v, t):
-        steps = []
-        nextafter = math.nextafter
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(math, "nextafter", lambda x, y: steps.append(x) or nextafter(x, y))
-            c = _cutoff(v, t)
-        assert len(steps) <= 8
-        assert (c == math.inf) == (v < t and t > 0.0)
-        if c < math.inf:
-            assert 0.0 <= c <= 1.0
-            assert c * v >= t
-            if c > 0.0:
-                assert math.nextafter(c, 0.0) * v < t
-        else:
-            # No entry of a product matrix, all at most 1, reaches t.
-            assert 1.0 * v < t
-        if t == 0.0:
-            assert c == 0.0
 
     def test_greedy_row_at_the_cap_never_holds_the_product(self):
         # The 2048-sequence float product alone is 32 MiB.
@@ -240,7 +212,6 @@ class TestProductAdjacency:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_count_only_rows_equal_covers_of_the_full_product(self, n):
-        # n = 3, k = 6 has a partial last tile (see above).
         rng = np.random.default_rng(50 + n)
         ch = random_channel(rng, n, 3)
         k_max = 1
@@ -263,27 +234,22 @@ class TestProductAdjacency:
                     assert auto[k - 1].block_count == solve_exact(graph).num_blocks
                     assert auto[k - 1].method == "exact"
 
-    def test_sweep_rows_carry_the_chain_and_build_no_graph(self, monkeypatch):
+    def test_rows_form_no_products_and_build_no_graph(self, monkeypatch):
         # All eleven rows of this sweep are materialized (2**11 = 2048).
-        def refuse(self):
-            raise AssertionError(f"{type(self).__name__} built in a sweep row")
+        def refuse(*args):
+            raise AssertionError("a materialized row formed a product matrix or a graph")
 
-        def refuse_chain(*args):
-            raise AssertionError("a sweep row rebuilt the chain from k = 1")
-
-        steps = []
-        next_power = asymptotic._next_power
         monkeypatch.setattr(IndistinguishabilityGraph, "__post_init__", refuse)
         monkeypatch.setattr(Partition, "__post_init__", refuse)
-        monkeypatch.setattr(asymptotic, "product_fidelity_matrix", refuse_chain)
-        monkeypatch.setattr(asymptotic, "_next_power",
-                            lambda fid, base: steps.append(fid.shape[0]) or next_power(fid, base))
-        sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 11)
+        monkeypatch.setattr(asymptotic, "product_fidelity_matrix", refuse)
+        monkeypatch.setattr(asymptotic, "_next_power", refuse)
+        ch = make_erasure(2, 0.9)
+        sweep = delta_estimate(ch, 0.2, 11)
         assert [r.block_count for r in sweep.results] == [2 ** (k - 1) for k in range(1, 12)]
-        assert steps == [2 ** j for j in range(10)]
+        assert [gamma_k(ch, 0.2, k) for k in range(1, 12)] == list(sweep.results)
 
     def test_sweep_past_the_cap_never_holds_the_product(self):
-        # The chain stops at the 1024-row input of the last materialized row.
+        # Rows past k = 11 are closed form and add nothing to the memo.
         tracemalloc.start()
         try:
             sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 13)
@@ -293,6 +259,59 @@ class TestProductAdjacency:
         assert [r.method for r in sweep.results][-3:] == [
             "greedy_lower_bound", "closed_form", "closed_form"]
         assert peak < 20 << 20
+
+    @pytest.mark.parametrize("row", [
+        lambda: delta_estimate(make_erasure(2, 0.9), 0.2, 13).results[10],
+        lambda: gamma_k(make_erasure(2, 0.9), 0.2, 11),
+    ], ids=["sweep", "standalone"])
+    def test_rows_at_the_cap_hold_only_their_masks(self, row):
+        # The k = 11 graph's 2048 masks of 2048 bits are 0.5 MiB, and its
+        # memo of shorter blocks about as much again.
+        tracemalloc.start()
+        try:
+            result = row()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.k, result.method) == (11, "greedy_lower_bound")
+        assert peak < 4 << 20
+
+    def test_one_letter_rows_reach_deep_k(self):
+        # 3000 levels of memo entries, built without recursion.
+        ch = make_identity(1)
+        assert gamma_k(ch, 0.2, 3000) == GammaKResult(k=3000, block_count=1, gamma=1.0,
+                                                      method="exact")
+        sweep = delta_estimate(ch, 0.2, 3000)
+        assert [r.block_count for r in sweep.results] == [1] * 3000
+        assert sweep.trend == "constant"
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), grouped=st.booleans(),
+           data=st.data())
+    def test_sequence_masks_equal_the_thresholded_product(self, seed, n, grouped, data):
+        rng = np.random.default_rng(seed)
+        matrix = rng.random((n, 6)) + 1e-3
+        if grouped:  # letters of different groups share no output: fidelity exactly 0
+            half = (n + 1) // 2
+            matrix[:half, 3:] = 0.0
+            matrix[half:, :3] = 0.0
+        matrix /= matrix.sum(axis=1, keepdims=True)
+        ch = ClassicalChannel(Alphabet.numbered(n), Alphabet.numbered(6), matrix)
+        k_cap = 12 if n == 1 else int(math.log(DEFAULT_GRAPH_CAP, n) + 1e-9)
+        k = data.draw(st.integers(1, k_cap), label="k")
+        fid = product_fidelity_matrix(ch, k)
+        # Thresholds at one product value or one ulp either side of it.
+        f = float(fid.flat[data.draw(st.integers(0, fid.size - 1), label="entry")])
+        t = data.draw(st.sampled_from([np.nextafter(f, 0.0), f, np.nextafter(f, 2.0)]), label="t")
+        eps = data.draw(st.sampled_from([0.0, 1.0, float(min(1.0, max(0.0, 1.0 - t)))]),
+                        label="epsilon")
+        want = adjacency_bitmasks(fid >= 1.0 - eps)
+        base = ch.fidelity_matrix
+        assert _sequence_masks(base, eps, k, {}) == want
+        memo = {}
+        for j in range(1, k + 1):
+            masks = _sequence_masks(base, eps, j, memo)
+        assert masks == want
 
 
 class TestLetterMatrixCheck:

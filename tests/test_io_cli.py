@@ -505,6 +505,12 @@ class TestCliMalformedInput:
          "field 'output_labels' of constant shorthand entry 0 must be a string, got True"),
         ({"type": "generalized_erasure", "blocks": [["1"], ["2", None]], "etas": [0.5, 0.5]},
          "field 'blocks' of generalized erasure shorthand, block 1, entry 1 must be a string"),
+        ({"input_labels": ["a", "b", "a"], "output_labels": ["u"], "matrix": [[1.0]] * 3},
+         "field 'input_labels' of channel file entry 2 repeats the label 'a'"),
+        ({"input_labels": ["a"], "output_labels": ["u", "u"], "matrix": [[0.5, 0.5]]},
+         "field 'output_labels' of channel file entry 1 repeats the label 'u'"),
+        ({"type": "generalized_erasure", "blocks": [["1", "2"], ["3", "1"]], "etas": [0.5, 0.5]},
+         "field 'blocks' of generalized erasure shorthand, block 1, entry 1 repeats the label '1'"),
     ])
     def test_mistyped_channel_field(self, tmp_path, capsys, data, field):
         path = write_json(tmp_path, "ch.json", data)

@@ -18,7 +18,7 @@ from revcomp import (
     reverse_fidelity_matrix,
 )
 from revcomp.channels import EQUALITY_TOL, ROW_TILE, _fidelity_kernel, _pair_fidelities
-from revcomp.partition import _block_certificates, _cover, _pack, _partition_of, _screened_masks
+from revcomp.partition import _bits, _block_certificates, _cover, _partition_of, _screened_masks
 
 from oracles import adjacency_bitmasks, plain_fidelity, random_adjacency
 
@@ -245,6 +245,5 @@ class TestBitmasks:
         adj = random_adjacency(np.random.default_rng(n * 100 + int(p * 10)), n, p)
         want = adjacency_bitmasks(adj)
         assert IndistinguishabilityGraph(adj)._masks() == want
-        # Rows first.. of the graph, packed as one tile of a larger graph.
-        for first in sorted({1 % n, n // 2, n - 1}):
-            assert _pack(adj[first:].copy(), first) == want[first:]
+        # The reflexive graph's rows with their self-loop bits kept.
+        assert _bits(adj) == [mask | 1 << i for i, mask in enumerate(want)]
