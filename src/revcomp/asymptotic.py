@@ -34,6 +34,9 @@ from .partition import (
 # Above this many sequences no sequence graph or product-fidelity matrix is
 # built, whichever solver asks for it.
 DEFAULT_GRAPH_CAP = 2048
+# Letter products per compare when the one-letter leaves of a sequence graph
+# are built, so the float temporary stays at most 512 KiB.
+LEAF_TILE_ENTRIES = 2 ** 16
 
 
 def _next_power(fid: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -121,8 +124,10 @@ def _sequence_masks(base: np.ndarray, epsilon: float, k: int,
     ``memo`` holds each nonempty ``R(m, v)`` under the key ``(m, v)`` as
     ``n**m`` row masks with their diagonal set (``v >= t``).  The missing
     entries are found level by level from the top and built from the
-    bottom up, without recursion: ``R(1, v)`` packs ``base * v >= t``, and
-    each row of a higher entry ORs its blocks' rows shifted into place.  A
+    bottom up, without recursion: the missing ``R(1, v)`` are compared and
+    packed together, ``LEAF_TILE_ENTRIES`` products at a time, from
+    ``np.multiply.outer(values, base)``, whose slice ``v`` is ``base * v``,
+    and each row of a higher entry ORs its blocks' rows shifted into place.  A
     sweep passes one memo to all its rows, so row ``k`` reuses the entries
     of row ``k - 1``, ``R(k - 1, 1.0)`` among them as its diagonal blocks.
     Length ``m`` has at most ``D**(k - m)`` entries of ``n**(2 * m)`` bits,
@@ -144,11 +149,19 @@ def _sequence_masks(base: np.ndarray, epsilon: float, k: int,
         if m > 1:
             missing = {v * w for v in missing for w in values if v * w >= t}
     for m, missing in reversed(todo):
+        if m == 1:  # one compare and one pack per LEAF_TILE_ENTRIES products
+            leaves = list(missing)
+            step = max(1, LEAF_TILE_ENTRIES // n ** 2)
+            for start in range(0, len(leaves), step):
+                tile = leaves[start:start + step]
+                # v * 1.0 == v: no float copy of a large letter matrix
+                hits = base >= t if tile == [1.0] else np.multiply.outer(tile, base) >= t
+                masks = _bits(hits.reshape(-1, n))
+                for i, v in enumerate(tile):
+                    memo[m, v] = masks[i * n:(i + 1) * n]
+            continue
         h = n ** (m - 1)
         for v in missing:
-            if m == 1:  # v * 1.0 == v: no float copy of a large letter matrix
-                memo[m, v] = _bits((base if v == 1.0 else base * v) >= t)
-                continue
             rows = []
             for row in letters:
                 acc = None  # the diagonal block, v * 1.0 >= t, is always there

@@ -29,12 +29,15 @@ ERASURE_SYMBOL = "α"
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite set of distinct symbol labels."""
+    """Ordered finite set of distinct string labels; no label is converted."""
 
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(str(l) for l in self.labels)
+        labels = tuple(self.labels)
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise ValidationError(f"alphabet entry {i} must be a string, got {label!r}")
         if len(labels) == 0:
             raise ValidationError("alphabet must contain at least one symbol")
         if len(set(labels)) != len(labels):
@@ -366,7 +369,7 @@ def make_generalized_erasure(blocks: Sequence[Sequence[str]],
     for block in blocks:
         if len(block) == 0:
             raise ValidationError("generalized erasure blocks must be nonempty")
-        flat.extend(str(l) for l in block)
+        flat.extend(block)
     inp = Alphabet(tuple(flat))
     d = len(blocks)
     out_labels = tuple(l + "'" for l in flat) + tuple(f"{ERASURE_SYMBOL}_{i + 1}" for i in range(d))

@@ -6,10 +6,12 @@ inputs produce byte-identical files.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -117,8 +119,63 @@ def load_json(path: str | Path) -> Any:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_ARRAYS = frozenset((list, tuple))
+
+
+@functools.cache
+def _flat_encoder(level: int) -> Callable[[Any, int], Sequence[str]]:
+    """CPython's C JSON encoder whose item separator is a comma, a newline
+    and the indent of the items at depth ``level + 1``.  A JSON string never
+    holds a raw newline, so every raw newline it writes is such a separator.
+    """
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
+        ": ", ",\n" + "  " * (level + 1), False, False, True)
+
+
+def _emit(value: Any, level: int) -> str:
+    """``value`` at depth ``level`` as ``json.dumps(value, indent=2,
+    ensure_ascii=False)`` writes it there.
+
+    A nonempty list or dict of scalars is one :func:`_flat_encoder` call with
+    its brackets moved onto their own lines.  So is a list of nonempty lists
+    of scalars, encoded with the inner items' separator: only the separators
+    between the inner lists follow a ``]``, and one ``str.replace``
+    re-indents them.  Other containers recurse; a dict with a non-string key
+    is left to ``json.dumps``, which converts its keys, re-indented.
+    """
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return "".join(_flat_encoder(level)(value, 0))
+    inner = "\n" + "  " * (level + 1)
+    outer = "\n" + "  " * level
+    is_dict = isinstance(value, dict)
+    kinds = set(map(type, value.values() if is_dict else value))
+    if kinds <= _SCALARS:
+        text = "".join(_flat_encoder(level)(value, 0))
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if is_dict:
+        if not all(isinstance(key, str) for key in value):
+            return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", outer)
+        items = (json.encoder.encode_basestring(key) + ": " + _emit(item, level + 1)
+                 for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if (kinds <= _ARRAYS and all(value)
+            and set(map(type, itertools.chain.from_iterable(value))) <= _SCALARS):
+        deep = "\n" + "  " * (level + 2)
+        rows = "".join(_flat_encoder(level + 1)(value, 0))[2:-2]
+        rows = rows.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
+        return "[" + inner + "[" + deep + rows + inner + "]" + outer + "]"
+    items = (_emit(item, level + 1) for item in value)
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
 def dump_json(data: Any) -> str:
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(data, indent=2, ensure_ascii=False)`` and a newline, byte
+    for byte, with the scalar containers written by the C encoder
+    (:func:`_emit`).  Before Python 3.13, ``json.dumps`` takes its
+    pure-Python encoder whenever ``indent`` is set."""
+    return _emit(data, 0) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -119,24 +120,25 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        canon = []
-        seen: set[int] = set()
-        for block in self.blocks:
-            members = tuple(sorted(int(i) for i in block))
-            if len(members) == 0:
-                raise ValidationError("partition blocks must be nonempty")
-            if members[0] < 0:
-                raise ValidationError(f"partition members must be >= 0, got {members[0]}")
-            overlap = seen.intersection(members)
-            if overlap:
-                raise ValidationError(f"partition blocks overlap on element {min(overlap)}")
-            before = len(seen)
-            seen.update(members)
-            if len(seen) - before < len(members):
-                repeat = next(a for a, b in zip(members, members[1:]) if a == b)
-                raise ValidationError(f"partition block repeats element {repeat}")
-            canon.append(members)
-        canon.sort(key=lambda b: b[0])
+        canon = [tuple(sorted(map(int, block))) for block in self.blocks]
+        flat = list(itertools.chain.from_iterable(canon))
+        if not (all(canon) and min(flat, default=0) >= 0 and len(set(flat)) == len(flat)):
+            # Name the first block, in the given order, that breaks a rule.
+            seen: set[int] = set()
+            for members in canon:
+                if len(members) == 0:
+                    raise ValidationError("partition blocks must be nonempty")
+                if members[0] < 0:
+                    raise ValidationError(f"partition members must be >= 0, got {members[0]}")
+                overlap = seen.intersection(members)
+                if overlap:
+                    raise ValidationError(f"partition blocks overlap on element {min(overlap)}")
+                before = len(seen)
+                seen.update(members)
+                if len(seen) - before < len(members):
+                    repeat = next(a for a, b in zip(members, members[1:]) if a == b)
+                    raise ValidationError(f"partition block repeats element {repeat}")
+        canon.sort(key=operator.itemgetter(0))
         object.__setattr__(self, "blocks", tuple(canon))
 
     @classmethod
@@ -483,10 +485,10 @@ def _screened_masks(rows: np.ndarray, epsilon: float) -> list[int]:
     of ``rows`` at ``epsilon``, without the fidelity matrix.
 
     The rows' square roots are taken once, and each ``ROW_TILE`` of rows
-    forms the Gram product ``G`` against itself and every later row with
-    BLAS.  With ``t = 1 - epsilon``, ``r = sqrt(t)`` rounded, the snap cut
-    ``c`` and ``d = `` :func:`_gram_error` plus ``8 u`` for the rounding of
-    ``r``, of the squaring and of the bounds themselves:
+    forms the Gram product ``G`` against all ``n`` rows with BLAS.  With
+    ``t = 1 - epsilon``, ``r = sqrt(t)`` rounded, the snap cut ``c`` and
+    ``d = `` :func:`_gram_error` plus ``8 u`` for the rounding of ``r``, of
+    the squaring and of the bounds themselves:
 
     - ``G >= r + d`` proves ``s >= sqrt(t)``, so the fidelity, ``s**2``
       rounded or a snapped 1.0, reaches ``t``: adjacent;
@@ -495,10 +497,14 @@ def _screened_masks(rows: np.ndarray, epsilon: float) -> list[int]:
     - every pair in between (the band) gets its exact fidelity from
       :func:`channels._pair_fidelities` and is thresholded with ``>=``.
 
-    So the masks are bit for bit the thresholded fidelity matrix's.  Each
-    tile's decisions go straight into one boolean adjacency; the strict
-    upper triangle decides each pair, and the transpose is copied below.
-    No n-by-n float array is held, and no graph object is built.
+    Both bounds are proofs about the overlap ``s``, which is symmetric in
+    the two rows, so the tile is thresholded straight into its full-width
+    rows of one boolean adjacency and both triangles get the same bits
+    without a mirror copy.  A band pair ``(i, j)`` with ``j > i`` gets its
+    exact fidelity once; one with ``j < i`` copies ``adj[j, i]``, which the
+    tile of row ``j`` or this tile's upper pairs have already decided.  So
+    the masks are bit for bit the thresholded fidelity matrix's.  No n-by-n
+    float array is held, and no graph object is built.
     """
     n, m = rows.shape
     threshold = 1.0 - epsilon
@@ -510,19 +516,19 @@ def _screened_masks(rows: np.ndarray, epsilon: float) -> list[int]:
     roots = np.sqrt(rows)
     adj = np.empty((n, n), dtype=bool)
     for s in range(0, n, ROW_TILE):
-        e = min(s + ROW_TILE, n)
-        gram = roots[s:e] @ roots[s:].T
-        block = adj[s:e, s:]
-        np.greater_equal(gram, hi, out=block)
-        i, j = np.nonzero((gram >= lo) & ~block)
+        gram = roots[s:s + ROW_TILE] @ roots.T
+        block = np.greater_equal(gram, hi, out=adj[s:s + ROW_TILE])
+        band = np.greater_equal(gram, lo) > block
+        if not band.any():
+            continue
+        i, j = np.nonzero(band)
+        i += s
         upper = j > i
-        i, j = i[upper], j[upper]
-        if i.size:
-            block[i, j] = _pair_fidelities(rows, i + s, j + s) >= threshold
-        square = block[:, :e - s]
-        below = np.tril_indices(e - s, -1)
-        square[below] = square.T[below]
-        adj[e:, s:e] = block[:, e - s:].T
+        first, second = i[upper], j[upper]
+        if first.size:
+            adj[first, second] = _pair_fidelities(rows, first, second) >= threshold
+        lower = j < i
+        adj[i[lower], j[lower]] = adj[j[lower], i[lower]]
     return _pack(adj)
 
 

@@ -37,7 +37,7 @@ from revcomp import (
     solve_exact,
     solve_greedy,
 )
-from revcomp import asymptotic, channels, cli
+from revcomp import asymptotic, channels, cli, partition
 from revcomp.asymptotic import (
     DEFAULT_GRAPH_CAP,
     _next_power,
@@ -312,6 +312,41 @@ class TestProductAdjacency:
         for j in range(1, k + 1):
             masks = _sequence_masks(base, eps, j, memo)
         assert masks == want
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        """Sizes of the boolean arrays that ``_sequence_masks`` packs."""
+        sizes = []
+
+        def counted(adj):
+            sizes.append(adj.size)
+            return partition._bits(adj)
+
+        monkeypatch.setattr(asymptotic, "_bits", counted)
+        return sizes
+
+    @pytest.mark.parametrize("eps", [1.0, 0.2])
+    def test_leaves_of_a_level_packed_in_one_call(self, eps, packs):
+        # At epsilon 1 every running product is kept, so a sweep to k = 4
+        # needs hundreds of distinct one-letter leaves.
+        ch = random_channel(np.random.default_rng(7), 5, 4)
+        base = ch.fidelity_matrix
+        memo = {}
+        for k in range(1, 5):
+            del packs[:]
+            masks = _sequence_masks(base, eps, k, memo)
+            assert masks == adjacency_bitmasks(product_fidelity_matrix(ch, k) >= 1.0 - eps)
+            assert len(packs) <= 1
+        leaves = [v for m, v in memo if m == 1]
+        assert len(leaves) > 100 if eps == 1.0 else len(leaves) > 1
+
+    def test_leaf_compares_stay_within_their_tile(self, packs):
+        # 45 letters have up to 991 distinct letter values, each a leaf of
+        # 45 rows at k = 2: the compares run in tiles of LEAF_TILE_ENTRIES.
+        ch = random_channel(np.random.default_rng(7), 45, 4)
+        masks = _sequence_masks(ch.fidelity_matrix, 0.3, 2, {})
+        assert masks == adjacency_bitmasks(product_fidelity_matrix(ch, 2) >= 1.0 - 0.3)
+        assert len(packs) > 1 and max(packs) <= asymptotic.LEAF_TILE_ENTRIES
 
 
 class TestLetterMatrixCheck:

@@ -209,6 +209,17 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             make_generalized_erasure((("1", "2"), ("3", "4")), (0.9,))
 
+    def test_non_string_labels_rejected_by_index(self):
+        with pytest.raises(ValidationError, match=r"^alphabet entry 0 must be a string, got None$"):
+            Alphabet((None, 1.5))
+        with pytest.raises(ValidationError, match=r"^alphabet entry 1 must be a string, got 1\.5$"):
+            Alphabet(("a", 1.5))
+        # Not a duplicate: 1 is not converted to "1".
+        with pytest.raises(ValidationError, match=r"^alphabet entry 0 must be a string, got 1$"):
+            make_identity(2, labels=[1, "1"])
+        with pytest.raises(ValidationError, match=r"^alphabet entry 2 must be a string, got 3$"):
+            make_generalized_erasure((("1", "2"), (3,)), (0.5, 0.5))
+
 
 class TestCompose:
     def test_identity_is_neutral(self):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revcomp import (
     ClassicalChannel,
@@ -28,6 +30,32 @@ def write_json(tmp_path, name, data):
     return str(path)
 
 
+# Strings with raw newlines, the row boundary "],\n  [" the emitter rewrites,
+# brackets and non-ASCII text, next to any text.
+TRICKY_TEXT = st.sampled_from(["", "\n", "],\n  [", "],\n    [", "[", "]", "],", "α β", "\u2028", '"', "\\"])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0)
+                | st.text() | TRICKY_TEXT)
+JSON_KEYS = (st.text() | TRICKY_TEXT | st.integers() | st.floats()
+             | st.booleans() | st.none())
+
+
+def json_trees():
+    """JSON-encodable trees: lists, tuples and dicts (keys of every kind
+    ``json.dumps`` converts) of scalars, empty and nested empty containers,
+    and lists of nonempty scalar rows."""
+    rows = st.lists(st.lists(JSON_SCALARS, min_size=1, max_size=4)
+                    | st.tuples(JSON_SCALARS, JSON_SCALARS), min_size=1, max_size=4)
+
+    def nest(children):
+        return (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                | st.dictionaries(JSON_KEYS, children, max_size=4)
+                | st.dictionaries(st.text(), children, max_size=4) | rows)
+
+    return st.recursive(JSON_SCALARS | rows | st.just([[]]) | st.just({"a": [[], {}]}),
+                        nest, max_leaves=30)
+
+
 class TestLoadDump:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="nope.json"):
@@ -44,6 +72,18 @@ class TestLoadDump:
         assert text.endswith("\n")
         assert '"sym": "α"' in text
         assert io.dump_json({"a": 1}) == io.dump_json({"a": 1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_trees())
+    def test_dump_json_is_json_dumps_byte_for_byte(self, tree):
+        assert io.dump_json(tree) == json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+
+    def test_dump_json_rejects_what_json_dumps_rejects(self):
+        for bad in ([1, object()], {"a": [[1, object()]]}, {(1, 2): 3}, {"a": {(1,): [1]}}):
+            with pytest.raises(TypeError):
+                json.dumps(bad, indent=2)
+            with pytest.raises(TypeError):
+                io.dump_json(bad)
 
 
 class TestChannelParsing:

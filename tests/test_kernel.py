@@ -18,7 +18,14 @@ from revcomp import (
     reverse_fidelity_matrix,
 )
 from revcomp.channels import EQUALITY_TOL, ROW_TILE, _fidelity_kernel, _pair_fidelities
-from revcomp.partition import _bits, _block_certificates, _cover, _partition_of, _screened_masks
+from revcomp.partition import (
+    _bits,
+    _block_certificates,
+    _cover,
+    _pack,
+    _partition_of,
+    _screened_masks,
+)
 
 from oracles import adjacency_bitmasks, plain_fidelity, random_adjacency
 
@@ -213,6 +220,29 @@ class TestScreenedCompress:
         assert above > 0.25 and (np.sqrt(0.5) * np.sqrt(0.5)) ** 2 >= above
         assert _screened_masks(rows, np.nextafter(0.75, 0.0)) == [0, 0, 0]
         assert calls == [[(0, 1), (0, 2), (1, 2)]] * 2
+
+    def test_band_pairs_across_row_tiles_are_decided_once(self, monkeypatch):
+        """Erasure rows repeated past two row tiles: every pair of different
+        rows has fidelity 0.25 and lies in the band at both thresholds, in
+        and across tiles.  Each such pair (i, j) with i < j gets one exact
+        fidelity, and the pair (j, i) copies its bit."""
+        calls = []
+
+        def recorded(rows, first, second):
+            calls.extend(zip(first.tolist(), second.tolist()))
+            return _pair_fidelities(rows, first, second)
+
+        monkeypatch.setattr(partition, "_pair_fidelities", recorded)
+        erasure = make_erasure(3, 0.5)
+        n = 2 * ROW_TILE + 5
+        ch = ClassicalChannel(Alphabet.numbered(n), erasure.output,
+                              erasure.matrix[np.arange(n) % 3])
+        fid = reverse_fidelity_matrix(ch)
+        band = [(i, j) for i in range(n) for j in range(i + 1, n) if i % 3 != j % 3]
+        for eps in (0.75, float(np.nextafter(0.75, 0.0))):
+            del calls[:]
+            assert _screened_masks(ch.matrix, eps) == _pack(fid >= 1.0 - eps)
+            assert sorted(calls) == band
 
     def test_screen_builds_no_fidelity_matrix(self, monkeypatch):
         def refused(*args):
