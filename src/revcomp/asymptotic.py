@@ -108,10 +108,11 @@ def _letter_matrix(channel: ClassicalChannel) -> np.ndarray:
 
 def _sequence_masks(base: np.ndarray, epsilon: float, k: int,
                     memo: dict[tuple[int, float], list[int]]) -> list[int]:
-    """Adjacency bitmasks (no self-loops) of the length-``k`` sequence graph
-    of the letter matrix ``base``: the masks of
+    """Adjacency bitmasks, self bits set, of the length-``k`` sequence graph
+    of the letter matrix ``base``: the rows of
     ``product_fidelity_matrix(channel, k) >= 1 - epsilon``, bit for bit,
-    for an ``epsilon`` in [0, 1].
+    for an ``epsilon`` in [0, 1].  They are the memo entry ``R(k, 1.0)``
+    itself, which :func:`partition._cover` takes as it is.
 
     That matrix multiplies a pair's letter values from 1.0 in letter order,
     and a label's first letter is its most significant digit.  So
@@ -171,7 +172,7 @@ def _sequence_masks(base: np.ndarray, epsilon: float, k: int,
                         acc = list(block) if acc is None else list(map(operator.or_, acc, block))
                 rows.extend(acc)
             memo[m, v] = rows
-    return [row ^ (1 << i) for i, row in enumerate(memo[k, 1.0])]
+    return memo[k, 1.0]
 
 
 @dataclass(frozen=True)

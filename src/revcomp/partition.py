@@ -223,24 +223,25 @@ def _max_clique_size(masks: list[int], n: int) -> int:
 def _first_fit(masks: list[int]) -> Iterator[int]:
     """First-fit clique cover in label order, built one block at a time.
 
-    ``masks`` are adjacency bitmasks without self-loops.  A block starts at
-    the lowest uncovered vertex and takes, in label order, every uncovered
-    vertex adjacent to all members so far: ``cand`` holds exactly those
-    vertices.  This is the partition of the vertex-major first fit (each
-    vertex joins the first block it is adjacent to in full), by induction
-    over the blocks: a vertex joins block ``c`` iff it misses blocks
-    ``0..c-1`` and is adjacent to every earlier member of ``c``.  It costs
-    O(n + blocks) big-integer steps instead of O(n * blocks).  Yields each
-    block as a bitmask of its members, blocks in order of their first
+    ``masks`` are adjacency bitmasks, with or without self bits: each step
+    takes the lowest candidate out of ``cand`` before meeting its mask.  A
+    block starts at the lowest uncovered vertex and takes, in label order,
+    every uncovered vertex adjacent to all members so far: ``cand`` holds
+    exactly those vertices.  This is the partition of the vertex-major first
+    fit (each vertex joins the first block it is adjacent to in full), by
+    induction over the blocks: a vertex joins block ``c`` iff it misses
+    blocks ``0..c-1`` and is adjacent to every earlier member of ``c``.  It
+    costs O(n + blocks) big-integer steps instead of O(n * blocks).  Yields
+    each block as a bitmask of its members, blocks in order of their first
     member, so a caller that needs only the count builds no member lists.
     """
     remaining = (1 << len(masks)) - 1
     while remaining:
         before = cand = remaining
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            remaining ^= 1 << v
-            cand &= masks[v]
+            low = cand & -cand
+            remaining ^= low
+            cand = (cand ^ low) & masks[low.bit_length() - 1]
         yield before ^ remaining
 
 
@@ -269,8 +270,8 @@ def _partition_of(blocks: list[int]) -> Partition:
 
 def _exact_coloring(masks: list[int], cap: int) -> list[int]:
     """Minimum coloring of the complement of the graph with adjacency
-    bitmasks ``masks`` (no self-loops), as one bitmask per color class, so
-    each class is a clique of the graph.
+    bitmasks ``masks`` (self bits are ignored, see :func:`_complement`), as
+    one bitmask per color class, so each class is a clique of the graph.
 
     DSATUR branch and bound (Brelaz 1979): the next vertex is the uncolored
     one whose complement neighbors already use the most colors, ties to the
@@ -358,8 +359,9 @@ def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
 
 def _cover(masks: list[int], solver: str) -> tuple[list[int], bool]:
     """Clique cover by ``solver`` (``"exact"``, ``"greedy"`` or ``"auto"``)
-    of the graph with adjacency bitmasks ``masks`` (no self-loops), as one
-    bitmask per block, and whether it is proved minimum.
+    of the graph with adjacency bitmasks ``masks``, as one bitmask per
+    block, and whether it is proved minimum.  Both solvers take masks with
+    or without self bits and return the same cover either way.
 
     ``"auto"`` solves exactly up to :func:`default_exact_cap` vertices and by
     first fit above; ``"exact"`` above the cap raises

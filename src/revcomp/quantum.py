@@ -27,9 +27,10 @@ EIG_CLAMP = 1e-12
 KERNEL_TOL = 1e-9
 
 
-# Probes are drawn and pushed through the channels this many at a time, which
-# bounds the scratch memory of the probe loop whatever the probe count.
-PROBE_CHUNK = 128
+# Probes are drawn and pushed through the channels in tiles of as many as fit
+# this many complex entries of scratch (see _probe_chunks), which bounds the
+# memory of the probe loop whatever the probe count.
+PROBE_TILE_ENTRIES = 1 << 15
 # A product over Kraus operators takes as many operators as fit in this many
 # complex entries (at least one, and for channel images at least an output's
 # width), so a small stack takes one product and a large one bounded scratch.
@@ -158,34 +159,47 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = [np.asarray(k, dtype=complex) for k in self.kraus]
-        if not ops:
-            raise ValidationError("channel needs at least one Kraus operator")
-        # Shapes are checked operator by operator; the entries of the operators
-        # before the first misshapen one, then its own, are checked in one pass.
-        shape = ops[0].shape
-        end = next((i for i, k in enumerate(ops)
-                    if k.ndim != 2 or k.shape != shape or k.size == 0), len(ops))
-        if end:
-            kraus = np.stack(ops[:end])
+        given = self.kraus
+        if isinstance(given, np.ndarray) and given.ndim == 3 and given.size:
+            # one stack of nonempty operators of one shape: one copy, no shape loop
+            kraus = np.array(given, dtype=complex)
             _check_finite(kraus, "Kraus operator {}")
-        if end < len(ops):
-            k = ops[end]
-            if k.ndim != 2:
-                raise ValidationError(f"Kraus operator {end} must be a matrix, got shape {k.shape}")
-            _check_finite(k[None], f"Kraus operator {end}")
-            if k.shape != shape:
-                raise DimensionMismatchError(
-                    f"Kraus operator {end} has shape {k.shape}, expected {shape}"
-                )
-            raise ValidationError(f"Kraus operator {end} has shape {k.shape}, with no entries")
+        else:
+            ops = [np.asarray(k, dtype=complex) for k in given]
+            if not ops:
+                raise ValidationError("channel needs at least one Kraus operator")
+            # Shapes are checked operator by operator; the entries of the operators
+            # before the first misshapen one, then its own, are checked in one pass.
+            shape = ops[0].shape
+            end = next((i for i, k in enumerate(ops)
+                        if k.ndim != 2 or k.shape != shape or k.size == 0), len(ops))
+            if end:
+                kraus = np.stack(ops[:end])
+                _check_finite(kraus, "Kraus operator {}")
+            if end < len(ops):
+                k = ops[end]
+                if k.ndim != 2:
+                    raise ValidationError(
+                        f"Kraus operator {end} must be a matrix, got shape {k.shape}")
+                _check_finite(k[None], f"Kraus operator {end}")
+                if k.shape != shape:
+                    raise DimensionMismatchError(
+                        f"Kraus operator {end} has shape {k.shape}, expected {shape}"
+                    )
+                raise ValidationError(f"Kraus operator {end} has shape {k.shape}, with no entries")
         # Stacked row-wise, the operators form one matrix whose Gram form is the
-        # completeness sum; it is summed one tile of rows at a time, so no
-        # conjugate copy of the whole stack is made.
-        rows = kraus.reshape(-1, shape[1])
-        step = shape[0] * max(1, IMAGE_TILE_ENTRIES // kraus[0].size)
+        # completeness sum.  Its rows that are exactly zero add exactly zero, so
+        # when there are any, only the others are gathered and summed.  The sum
+        # is taken one tile of rows at a time, so no conjugate copy of the
+        # whole stack is made.
+        _, out_dim, in_dim = kraus.shape
+        rows = kraus.reshape(-1, in_dim)
+        nonzero = rows.any(axis=1)
+        if not nonzero.all():
+            rows = rows[nonzero]
+        step = out_dim * max(1, IMAGE_TILE_ENTRIES // kraus[0].size)
         total = sum(_adjoint(t) @ t for t in (rows[s:s + step] for s in range(0, len(rows), step)))
-        dev = float(np.max(np.abs(total - np.eye(shape[1]))))
+        dev = float(np.max(np.abs(total - np.eye(in_dim))))
         if dev > COMPLETENESS_TOL:
             raise ValidationError(
                 f"Kraus operators deviate from completeness by {dev:.3e}"
@@ -274,13 +288,16 @@ def _output_factors(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
     all-zero operators, which add exactly nothing, are left out.  Otherwise
     grouping would not narrow the factor, and the tile path is taken.
 
-    Grouping is for stacks of inputs, such as the probe chunks of
+    Grouping is for stacks of inputs, such as the probe tiles of
     :func:`channel_indistinguishability`.  A single input (``P = 1``), or
-    images that fit in ``out_dim`` columns and in one tile, which are one
-    product and no fold, take the tile path with no groups built: there the
-    fixed cost of the groups (building them, then a product and a fold per
-    group) would outweigh what they save.  A channel whose operators share
-    one support, such as every dense channel, always takes the tile path.
+    images that fit in ``out_dim`` columns and in an eighth of a tile, which
+    are one small product and no fold, take the tile path with no groups
+    built: there the fixed cost of the groups (building them, then a product
+    and a fold per group) would outweigh what they save.  Larger stacks
+    group, since every column the groups drop is work saved in the
+    validation and the fidelity kernel for each input.  A channel whose
+    operators share one support, such as every dense channel, always takes
+    the tile path.
 
     Either way ``r' <= out_dim``, so a channel applied after another is a
     second call, and the scratch memory is at most one tile or ``out_dim``
@@ -307,11 +324,11 @@ def _output_factors(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
         out[:, support] = part
         return out
 
-    # one input, or images that fit in out_dim columns and one tile (one
-    # product, no fold), takes the tile path: grouping would cost more than
-    # it saves
+    # one input, or images that fit in out_dim columns and an eighth of a
+    # tile (one small product, no fold), takes the tile path: grouping would
+    # cost more than it saves
     if count > 1 and len(kraus) > min(out_dim // width,
-                                      IMAGE_TILE_ENTRIES // (count * width * out_dim)):
+                                      IMAGE_TILE_ENTRIES // (8 * count * width * out_dim)):
         plain, grouped = [], []
         for support, ops in channel.support_groups:
             if len(support) < out_dim and width * len(ops) > len(support):
@@ -569,26 +586,43 @@ def _check_count(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be >= 0, got {value}")
 
 
-def _probe_chunks(dim: int, n_random: int, rng: np.random.Generator):
-    """Unit vectors of the probe family, one per row, in probe order and
-    ``PROBE_CHUNK`` rows at a time.
+def _output_width(channel: KrausChannel) -> int:
+    """Columns of the output factor of a stack of pure inputs once
+    :func:`_output_factors` groups the images: a group of
+    :attr:`KrausChannel.support_groups` gives at most its row count and at
+    most its operator count, and no factor is wider than ``out_dim``."""
+    groups = channel.support_groups
+    return min(channel.out_dim, sum(min(len(rows), len(ops)) for rows, ops in groups))
+
+
+def _probe_chunks(dim: int, n_random: int, rng: np.random.Generator,
+                  channels: Sequence[KrausChannel] = ()):
+    """Unit vectors of the probe family, one per row, in probe order and in
+    tiles of as many probes as fit ``PROBE_TILE_ENTRIES`` complex entries.
+
+    A probe takes its ``dim`` entries, and for each of ``channels`` it goes
+    through, ``out_dim`` times the channel's :func:`_output_width`: the
+    erasure criterion's outputs are 2 columns wide, so a tile of it holds
+    hundreds of probes, and a dense channel's far fewer.
 
     The fixed probes come first: the basis vectors, then for each basis pair
     ``i < j`` in row-major order the four vectors ``(e_i + c e_j) / sqrt(2)``,
-    ``c`` in ``(1, -1, i, -i)``.  Each chunk builds its own fixed probes from
+    ``c`` in ``(1, -1, i, -i)``.  Each tile builds its own fixed probes from
     their indices and draws its random vectors from ``rng`` as it is made, so
-    no probe is held outside its chunk; consecutive draws from one generator
+    no probe is held outside its tile; consecutive draws from one generator
     equal a single draw of their total size.
     """
     _check_count("n_random", n_random)
+    size = max(1, PROBE_TILE_ENTRIES // (dim + sum(c.out_dim * _output_width(c) for c in channels)))
     coef = np.array((1.0, -1.0, 1j, -1j)) / np.sqrt(2.0)
     # index of the first pair (i, i + 1) of each row i
     first = np.arange(dim) * (2 * dim - 1 - np.arange(dim)) // 2
     fixed = dim + 2 * dim * (dim - 1)
     total = fixed + n_random
-    for start in range(0, total, PROBE_CHUNK):
-        index = np.arange(start, min(start + PROBE_CHUNK, fixed))
-        head = np.zeros((len(index), dim), dtype=complex)
+    for start in range(0, total, size):
+        index = np.arange(start, min(start + size, fixed))
+        tile = np.zeros((min(size, total - start), dim), dtype=complex)
+        head = tile[:len(index)]
         basis = index < dim
         head[basis, index[basis]] = 1.0
         pair, c = np.divmod(index[~basis] - dim, 4)
@@ -596,8 +630,8 @@ def _probe_chunks(dim: int, n_random: int, rng: np.random.Generator):
         rows = np.flatnonzero(~basis)
         head[rows, i] = coef[0]
         head[rows, pair - first[i] + i + 1] = coef[c]
-        drawn = min(PROBE_CHUNK, total - start) - len(head)
-        yield np.concatenate([head, _random_pure_states(drawn, dim, rng)])
+        tile[len(head):] = _random_pure_states(len(tile) - len(head), dim, rng)
+        yield tile
 
 
 def probe_states(dim: int, n_random: int, rng: np.random.Generator) -> list[DensityMatrix]:
@@ -629,14 +663,15 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
 
     The probe family is the deterministic set from :func:`probe_states`
     plus ``n_random`` seeded random pure states, so identical arguments
-    reproduce identical results.  Probes are drawn and go through the
-    channels ``PROBE_CHUNK`` at a time.  A probe ``v`` is a factor of
+    reproduce identical results.  Probes are drawn and go through both
+    channels one tile at a time, as many as :func:`_probe_chunks` fits in
+    ``PROBE_TILE_ENTRIES`` with both outputs.  A probe ``v`` is a factor of
     ``v v^dagger``, and both channels' outputs are formed as factors by
     :func:`_output_factors`, so no ``d x d`` output matrix is formed.  Every
     probe and both outputs are validated by :func:`_checked_factors` (a
     factor ``L`` makes ``L L^dagger`` Hermitian and positive semidefinite by
     construction, with trace ``||L||_F^2``), and the outputs are scaled to
-    unit trace.  The fidelities of a chunk then take one ``eigvalsh``, in
+    unit trace.  The fidelities of a tile then take one ``eigvalsh``, in
     :func:`_fidelities`, and no matrix square root.  The witness is the first
     probe, in probe order, that attains the minimum.
     """
@@ -646,7 +681,7 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
         )
     _check_count("seed", seed)
     best, witness, count = np.inf, None, 0
-    for v in _probe_chunks(a.in_dim, n_random, np.random.default_rng(seed)):
+    for v in _probe_chunks(a.in_dim, n_random, np.random.default_rng(seed), (a, b)):
         v = v[:, :, None]
         _checked_factors(v)
         fids = _fidelities(_unit_outputs(a, v), _unit_outputs(b, v))
@@ -739,19 +774,22 @@ def verify_erasure_theorem(dim: int, eta: float, epsilon: float,
             probe_count=probes.probe_count, min_fidelity=probes.min_fidelity,
             witness=probes.witness,
         )
-    rejections = []
-    worst, witness = 2.0, None
-    for comp in erasure_compressor_suite(dim):
-        v = comp.kernel[None, :, :1]
-        measured = float(_fidelities(_unit_outputs(erasure, v),
-                                     _unit_outputs(erasure, _unit_outputs(comp.channel, v)))[0])
-        rejections.append(CompressorRejection(kind=comp.kind, kernel_dim=comp.kernel_dim,
-                                              witness_fidelity=measured))
-        if measured < worst:
-            worst, witness = measured, v[0, :, 0]
+    # One kernel witness per compressor, each compressed by its own channel;
+    # the erasure then takes all witnesses, and all compressed witnesses, in
+    # one stack each.  Zero columns pad the compressed factors to one width.
+    suite = erasure_compressor_suite(dim)
+    v = np.stack([comp.kernel[:, :1] for comp in suite])
+    compressed = [_unit_outputs(comp.channel, v[i:i + 1]) for i, comp in enumerate(suite)]
+    padded = np.zeros((len(suite), dim, max(c.shape[2] for c in compressed)), dtype=complex)
+    for i, c in enumerate(compressed):
+        padded[i, :, :c.shape[2]] = c[0]
+    fids = _fidelities(_unit_outputs(erasure, v), _unit_outputs(erasure, padded))
+    low = int(np.argmin(fids))
     return ErasureVerdict(
         dim=dim, eta=float(eta), epsilon=float(epsilon), threshold=threshold,
         compressible=False, gamma=0.0, seed=seed, probe_count=0,
-        min_fidelity=worst, witness=DensityMatrix.pure(witness),
-        rejections=tuple(rejections),
+        min_fidelity=float(fids[low]), witness=DensityMatrix.pure(v[low, :, 0]),
+        rejections=tuple(CompressorRejection(kind=comp.kind, kernel_dim=comp.kernel_dim,
+                                             witness_fidelity=float(f))
+                         for comp, f in zip(suite, fids)),
     )

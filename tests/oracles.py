@@ -55,11 +55,13 @@ def joint_reverse_fidelity(channel: ClassicalChannel, xs, xhats) -> float:
     return plain_fidelity(joint_conditional(channel, xs), joint_conditional(channel, xhats))
 
 
-def adjacency_bitmasks(adjacency) -> list[int]:
-    """Adjacency rows as integer bitmasks with self-loops removed, each row
-    read as a binary numeral whose bit ``j`` is column ``j``."""
+def adjacency_bitmasks(adjacency, self_loops: bool = False) -> list[int]:
+    """Adjacency rows as integer bitmasks, each row read as a binary numeral
+    whose bit ``j`` is column ``j``; the diagonal is cleared unless
+    ``self_loops``, which keeps it as given."""
     adj = np.array(adjacency, dtype=bool)
-    np.fill_diagonal(adj, False)
+    if not self_loops:
+        np.fill_diagonal(adj, False)
     digits = np.where(adj[:, ::-1], ord("1"), ord("0")).astype(np.uint8)
     return [int(row.tobytes(), 2) for row in digits]
 

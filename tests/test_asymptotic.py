@@ -190,7 +190,7 @@ class TestProductAdjacency:
                 # A tie one ulp above an entry of 1.0 has epsilon < 0, which
                 # every caller rejects; _sequence_masks assumes 1 - eps <= 1.
                 for eps in (0.05, 0.3, 0.7, tie, 0.0, 1.0, *(e for e in ties if e >= 0.0)):
-                    want = adjacency_bitmasks(fid >= 1.0 - eps)
+                    want = adjacency_bitmasks(fid >= 1.0 - eps, self_loops=True)
                     assert _sequence_masks(base, eps, k, {}) == want
                     memo = memos.setdefault((id(channel), eps), {})
                     assert _sequence_masks(base, eps, k, memo) == want
@@ -305,7 +305,7 @@ class TestProductAdjacency:
         t = data.draw(st.sampled_from([np.nextafter(f, 0.0), f, np.nextafter(f, 2.0)]), label="t")
         eps = data.draw(st.sampled_from([0.0, 1.0, float(min(1.0, max(0.0, 1.0 - t)))]),
                         label="epsilon")
-        want = adjacency_bitmasks(fid >= 1.0 - eps)
+        want = adjacency_bitmasks(fid >= 1.0 - eps, self_loops=True)
         base = ch.fidelity_matrix
         assert _sequence_masks(base, eps, k, {}) == want
         memo = {}
@@ -335,7 +335,8 @@ class TestProductAdjacency:
         for k in range(1, 5):
             del packs[:]
             masks = _sequence_masks(base, eps, k, memo)
-            assert masks == adjacency_bitmasks(product_fidelity_matrix(ch, k) >= 1.0 - eps)
+            assert masks == adjacency_bitmasks(product_fidelity_matrix(ch, k) >= 1.0 - eps,
+                                               self_loops=True)
             assert len(packs) <= 1
         leaves = [v for m, v in memo if m == 1]
         assert len(leaves) > 100 if eps == 1.0 else len(leaves) > 1
@@ -345,7 +346,8 @@ class TestProductAdjacency:
         # 45 rows at k = 2: the compares run in tiles of LEAF_TILE_ENTRIES.
         ch = random_channel(np.random.default_rng(7), 45, 4)
         masks = _sequence_masks(ch.fidelity_matrix, 0.3, 2, {})
-        assert masks == adjacency_bitmasks(product_fidelity_matrix(ch, 2) >= 1.0 - 0.3)
+        assert masks == adjacency_bitmasks(product_fidelity_matrix(ch, 2) >= 1.0 - 0.3,
+                                           self_loops=True)
         assert len(packs) > 1 and max(packs) <= asymptotic.LEAF_TILE_ENTRIES
 
 

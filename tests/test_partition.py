@@ -28,7 +28,7 @@ from revcomp import (
 )
 from revcomp import io
 from revcomp.channels import Distribution
-from revcomp.partition import _max_clique_size
+from revcomp.partition import _cover, _max_clique_size
 
 from oracles import (
     adjacency_bitmasks,
@@ -197,6 +197,17 @@ class TestSolvers:
     def test_greedy_is_first_fit_in_label_order(self, n, p, seed):
         adj = random_adjacency(np.random.default_rng(seed), n, p)
         assert solve_greedy(IndistinguishabilityGraph(adj)).blocks == first_fit_label_order(adj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_cover_ignores_self_bits(self, solver, data, p, seed):
+        n = data.draw(st.integers(1, 16 if solver == "exact" else 130), label="n")
+        adj = random_adjacency(np.random.default_rng(seed), n, p)
+        bare = adjacency_bitmasks(adj)
+        looped = adjacency_bitmasks(adj, self_loops=True)
+        assert all(m >> v & 1 for v, m in enumerate(looped))
+        assert _cover(looped, solver) == _cover(bare, solver)
 
     def test_max_clique_size_matches_networkx(self):
         nx = pytest.importorskip("networkx")

@@ -171,6 +171,24 @@ class TestKrausChannel:
         assert ops.flags.writeable and not np.shares_memory(ops, ch.kraus)
         assert np.array_equal(KrausChannel(list(ops)).kraus, ch.kraus)
 
+    def test_a_stacked_array_is_checked_as_its_operators(self):
+        stack = np.array(random_kraus_channel(3, 4, 5, np.random.default_rng(39)).kraus)
+        assert np.array_equal(KrausChannel(stack).kraus, KrausChannel(list(stack)).kraus)
+        bad = stack.copy()
+        bad[2, 1, 0] = np.nan
+        # zero rows pad the operators: the completeness sum skips them
+        padded = np.concatenate([stack * 1.1, np.zeros((5, 4, 3))], axis=1)
+        cases = [(bad, r"Kraus operator 2 entry \(1, 0\)"),
+                 (stack * 1.1, "deviate from completeness by 2.100e-01"),
+                 (padded, "deviate from completeness by 2.100e-01"),
+                 (np.zeros((0, 2, 2)), "at least one Kraus operator"),
+                 (np.zeros((2, 0, 3)),
+                  re.escape("Kraus operator 0 has shape (0, 3), with no entries"))]
+        for given, message in cases:
+            for form in (given, list(given)):
+                with pytest.raises(ValidationError, match=message):
+                    KrausChannel(form)
+
     def test_first_defect_in_operator_order_is_reported(self):
         bad = np.eye(2, dtype=complex)
         bad[1, 0] = np.nan
@@ -556,10 +574,12 @@ class TestSupportGroups:
         v = np.concatenate(list(quantum._probe_chunks(dim, 50, np.random.default_rng(dim))))
         v = v[:, :, None]
         assert quantum._output_factors(composed, v).shape == (len(v), dim + 1, 2)
-        # the erasure's own d + 1 images fit the output with no fold: in one
-        # tile they are one product, over several tiles they are grouped
-        assert len(v) * (dim + 1) ** 2 <= quantum.IMAGE_TILE_ENTRIES
-        assert quantum._output_factors(erasure, v).shape == (len(v), dim + 1, dim + 1)
+        # the erasure's own d + 1 images fit the output with no fold: in an
+        # eighth of a tile they are one product, in more they are grouped
+        wide = len(v) * (dim + 1) ** 2 <= quantum.IMAGE_TILE_ENTRIES // 8
+        assert wide == (dim < 12)
+        assert quantum._output_factors(erasure, v).shape == (len(v), dim + 1,
+                                                             dim + 1 if wide else 2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quantum, "IMAGE_TILE_ENTRIES", 1)
             assert quantum._output_factors(erasure, v).shape == (len(v), dim + 1, 2)
@@ -829,7 +849,8 @@ class TestProbes:
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 12, 33])
     def test_chunks_equal_the_materialized_family(self, dim):
-        for n_random in (0, 1, quantum.PROBE_CHUNK - 1, 300):
+        # with no channel to go through, a tile holds PROBE_TILE_ENTRIES // dim probes
+        for n_random in (0, 1, quantum.PROBE_TILE_ENTRIES // dim - 1, 300):
             got = np.concatenate(list(quantum._probe_chunks(
                 dim, n_random, np.random.default_rng(dim + n_random))))
             want = probe_family(dim, n_random, np.random.default_rng(dim + n_random))
@@ -847,8 +868,11 @@ class TestProbes:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
-    def test_chunked_draws_equal_one_draw(self):
-        dim, n_random = 3, 3 * quantum.PROBE_CHUNK + 5
+    def test_chunked_draws_equal_one_draw(self, monkeypatch):
+        # tiles of 128 probes at dim 3
+        monkeypatch.setattr(quantum, "PROBE_TILE_ENTRIES", 3 * 128)
+        dim = 3
+        n_random = 3 * (quantum.PROBE_TILE_ENTRIES // dim) + 5
         probes = probe_states(dim, n_random, np.random.default_rng(48))
         whole = quantum._random_pure_states(n_random, dim, np.random.default_rng(48))
         assert len(probes) == dim + 2 * dim * (dim - 1) + n_random
@@ -904,13 +928,58 @@ class TestProbes:
             return eigvalsh(m, *args, **kwargs)
 
         monkeypatch.setattr(quantum.np.linalg, "eigvalsh", counted)
-        for a, b in ((erasure, composed), (composed, erasure), (few, many)):
+        # a tile takes in_dim entries per probe plus out_dim times each
+        # channel's output width: 2 for the erasure criterion's channels, 1
+        # for the full coarse graining and 16 for the dense channel
+        for a, b, widths in ((erasure, composed, 2 + 2), (composed, erasure, 2 + 2),
+                             (few, many, 1 + 16)):
             batches.clear()
             result = channel_indistinguishability(a, b, n_random=300, seed=3)
-            chunks = [min(quantum.PROBE_CHUNK, result.probe_count - start)
-                      for start in range(0, result.probe_count, quantum.PROBE_CHUNK)]
+            tile = quantum.PROBE_TILE_ENTRIES // (a.in_dim + a.out_dim * widths)
+            chunks = [min(tile, result.probe_count - start)
+                      for start in range(0, result.probe_count, tile)]
             # one solve per chunk, then one to validate the witness DensityMatrix
             assert batches == chunks + [1]
+
+    def test_erasure_criterion_family_at_dim_12_takes_one_or_two_tiles(self, monkeypatch):
+        # 12 + 264 fixed probes and 200 random ones: 476 probes, 4 tiles of 128 before
+        eigvalsh = np.linalg.eigvalsh
+        batches = []
+
+        def counted(m, *args, **kwargs):
+            batches.append(len(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(quantum.np.linalg, "eigvalsh", counted)
+        verdict = verify_erasure_theorem(12, 0.9, 0.3, seed=1, n_random=200)
+        assert verdict.compressible and verdict.probe_count == 476
+        # the probe tiles, then one solve to validate the witness DensityMatrix
+        assert len(batches) in (2, 3) and sum(batches[:-1]) == 476 and batches[-1] == 1
+
+    @pytest.mark.parametrize("pair", ["erasure", "dense", "few-many"])
+    def test_tiles_match_one_probe_at_a_time(self, pair):
+        rng = np.random.default_rng(53)
+        if pair == "erasure":
+            a = make_quantum_erasure(12, 0.9)
+            full = make_coarse_graining(Partition.single_block(12), 12, embed_dim=12)
+            b, n_random = compose_channels(full.channel, a), 200
+        else:
+            a = random_kraus_channel(16, 16, 64, np.random.default_rng(47))
+            b = (random_kraus_channel(16, 16, 4, rng) if pair == "dense" else
+                 make_coarse_graining(Partition.single_block(16), 16, embed_dim=16).channel)
+            n_random = 100
+        result = channel_indistinguishability(a, b, n_random=n_random, seed=9)
+        family = probe_family(a.in_dim, n_random, np.random.default_rng(9))
+        want = np.array([quantum._fidelities(quantum._unit_outputs(a, v[None, :, None]),
+                                             quantum._unit_outputs(b, v[None, :, None]))[0]
+                         for v in family])
+        assert result.probe_count == len(family)
+        assert abs(result.min_fidelity - want.min()) <= 1e-12
+        # the witness is one of the probes, and its own fidelity is the minimum
+        overlap = np.einsum("pi,ij,pj->p", family.conj(), result.witness.matrix, family).real
+        at = int(np.argmax(overlap))
+        assert overlap[at] == pytest.approx(1.0, abs=1e-12)
+        assert abs(want[at] - result.min_fidelity) <= 1e-12
 
     @pytest.mark.parametrize("call", [
         lambda: channel_indistinguishability(make_quantum_erasure(2, 0.5),
@@ -988,6 +1057,24 @@ class TestErasureCriterion:
             assert rej.kernel_dim >= 1
             assert rej.witness_fidelity == pytest.approx(0.25, abs=1e-8)
         assert verdict.witness is not None
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 12, 16])
+    @pytest.mark.parametrize("eta", [0.0, 0.55, 0.7])
+    def test_stacked_witnesses_equal_one_witness_at_a_time(self, dim, eta):
+        verdict = verify_erasure_theorem(dim, eta, 0.1)
+        erasure = make_quantum_erasure(dim, eta)
+        want = []
+        for comp in erasure_compressor_suite(dim):
+            v = comp.kernel[None, :, :1]
+            compressed = quantum._unit_outputs(comp.channel, v)
+            want.append(float(quantum._fidelities(quantum._unit_outputs(erasure, v),
+                                                  quantum._unit_outputs(erasure, compressed))[0]))
+        assert [r.witness_fidelity for r in verdict.rejections] == want
+        # the witness is the kernel vector of the first compressor at the minimum
+        first = want.index(min(want))
+        assert verdict.min_fidelity == want[first]
+        witness = erasure_compressor_suite(dim)[first].kernel[:, 0]
+        assert np.array_equal(verdict.witness.matrix, DensityMatrix.pure(witness).matrix)
 
     def test_rejecting_branch_computes_one_kernel_per_compressor(self, monkeypatch):
         calls = []
