@@ -22,10 +22,8 @@ from .errors import ExactSolverCapError, ValidationError
 from .partition import (
     Partition,
     _bits,
-    _block_certificates,
     _cover,
     _exact_coloring,
-    _pack,
     _partition_of,
     compressibility,
     default_exact_cap,
@@ -39,36 +37,12 @@ DEFAULT_GRAPH_CAP = 2048
 LEAF_TILE_ENTRIES = 2 ** 16
 
 
-def _next_power(fid: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """The product matrix one letter longer: ``fid[i', j'] * base[a, b]``
-    at ``[i' * n + a, j' * n + b]`` for an ``(n, n)`` letter matrix ``base``.
-
-    One Kronecker step into a fresh ``(r, n, m, n)`` buffer for an
-    ``(r, m)`` ``fid``, with one scalar multiply per entry of the smaller
-    operand.  With ``n`` of 2-4 this is several times faster than
-    ``np.kron``'s broadcast, and a one-by-one ``fid`` against a large
-    letter matrix is one multiply, not ``n**2``.  IEEE multiplication is
-    commutative, so both loops and the broadcast give the same products.
-    """
-    r, m = fid.shape
-    n = base.shape[0]
-    out = np.empty((r, n, m, n))
-    if fid.size < base.size:
-        for (i, j), f in np.ndenumerate(fid):
-            np.multiply(base, f, out=out[i, :, j, :])
-    else:
-        for a in range(n):
-            for b in range(n):
-                np.multiply(fid, base[a, b], out=out[:, a, :, b])
-    return out.reshape(r * n, m * n)
-
-
 def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     """Pairwise reverse fidelities of all length-``k`` input sequences.
 
     Multiplies in one per-letter factor at a time in letter order, so each
     entry matches the letterwise product computed sequence by sequence.
-    Each step is one :func:`_next_power` with the letter matrix.  Above
+    Each step is one ``np.kron`` with the letter matrix.  Above
     ``DEFAULT_GRAPH_CAP`` sequences it raises before allocating.
     :func:`gamma_k` and :func:`delta_estimate` never call this: their
     graphs are built from running products (:func:`_sequence_masks`), which
@@ -84,7 +58,7 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     base = channel.fidelity_matrix
     fid = np.ones((1, 1))
     for _ in range(k):
-        fid = _next_power(fid, base)
+        fid = np.kron(fid, base)
     return fid
 
 
@@ -207,15 +181,15 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     product bounds every in-block sequence pair.  When it falls short, the
     threshold steps just past ``c`` with ``np.nextafter`` and the letters
     are partitioned again.  :func:`_letter_matrix` proves each letter graph
-    symmetric and reflexive, so it is covered as bitmasks (:func:`_pack`).
+    symmetric and reflexive, so it is covered as bitmasks (:func:`_bits`).
     """
     # One minus the tightened epsilon, rounded as graph_from_fidelity_matrix
     # rounds ``1 - epsilon``.
     threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
     fid = _letter_matrix(channel)
     while True:
-        single = _partition_of(_cover(_pack(fid >= threshold), "auto")[0])
-        worst = min(_block_certificates(single, lambda i, j: fid[i, j]))
+        single = _partition_of(_cover(_bits(fid >= threshold), "auto")[0])
+        worst = min(fid[np.ix_(b, b)].min() for b in single.blocks)
         # Left to right from 1, as product_fidelity_matrix multiplies.
         if math.prod([worst] * k) >= 1.0 - epsilon:
             return single
@@ -387,7 +361,7 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
         )
     seqs = np.array(list(itertools.product(range(alphabet_size), repeat=k))).reshape(total, k)
     dist = (seqs[:, None, :] != seqs[None, :, :]).sum(axis=2)
-    return len(_exact_coloring(_pack(dist <= s), total))
+    return len(_exact_coloring(_bits(dist <= s), total))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -183,6 +185,15 @@ def _cmd_gen_erasure(args: argparse.Namespace):
             {"k": k, "bound": asymptotic.generalized_erasure_gamma_bound(sizes, k)}
             for k in range(1, args.k_max + 1)
         ]
+        if args.epsilon is not None:
+            # The bound's partition holds at k when every group's worst letter
+            # fidelity, multiplied k times from 1.0, reaches 1 - epsilon.
+            fid = channel.fidelity_matrix
+            ends = itertools.accumulate(sizes)
+            worst = min((fid[e - a:e, e - a:e].min() for a, e in zip(sizes, ends) if a > 1),
+                        default=1.0)
+            for row in data["gamma_bound"]:
+                row["feasible"] = bool(math.prod([worst] * row["k"]) >= 1.0 - args.epsilon)
 
     def table() -> str:
         lines = [f"generalized erasure on {channel.num_inputs} inputs, "
@@ -190,8 +201,10 @@ def _cmd_gen_erasure(args: argparse.Namespace):
         if "report" in data:
             lines.append(_report_table(data["report"]))
         if "gamma_bound" in data:
-            rows = [[str(e["k"]), repr(e["bound"])] for e in data["gamma_bound"]]
-            lines.append(_rows_table(["k", "gamma_bound"], rows))
+            headers = ["k", "gamma_bound", "feasible"][:len(data["gamma_bound"][0])]
+            rows = [[str(e["k"]), repr(e["bound"]), str(e.get("feasible"))][:len(headers)]
+                    for e in data["gamma_bound"]]
+            lines.append(_rows_table(headers, rows))
         return "\n".join(lines)
     return data, table
 
@@ -355,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=None,
                    help="report gamma_bound for k = 1..K_MAX: the compressibility of "
                         "one partition, the block-diagonal merge, so a lower bound on "
-                        "gamma wherever that partition is feasible")
+                        "gamma wherever that partition is feasible; with --epsilon each "
+                        "row says whether it is")
 
     p = sub.add_parser("conjecture", parents=[common],
                        help="exhaustive check of sequence-partition minima against the "

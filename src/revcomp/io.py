@@ -84,6 +84,8 @@ def _check_labels(labels: list, where: str, seen: set | None = None) -> None:
 
 def _labels_field(data: dict, field: str, what: str, required: bool = True) -> list | None:
     labels = _list_field(data, field, what, required)
+    if labels == []:
+        raise ValidationError(f"field {field!r} of {what} must list at least one label")
     _check_labels(labels or [], f"field {field!r} of {what}")
     return labels
 

@@ -13,7 +13,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -44,14 +44,6 @@ def _bits(adj: np.ndarray) -> list[int]:
     return list(map(int.from_bytes, packed, itertools.repeat("little")))
 
 
-def _pack(adj: np.ndarray) -> list[int]:
-    """Square boolean adjacency rows as bitmasks without self-loops: bit
-    ``j`` of mask ``i`` is set when ``i != j`` are adjacent.  The diagonal
-    of ``adj`` is cleared in place."""
-    np.fill_diagonal(adj, False)
-    return _bits(adj)
-
-
 @dataclass(frozen=True)
 class IndistinguishabilityGraph:
     """Undirected reflexive graph on input indices.
@@ -59,7 +51,7 @@ class IndistinguishabilityGraph:
     An edge between two inputs means their output distributions are within
     the fidelity threshold ``1 - epsilon`` of each other.  This validated
     type is the public entry for a caller's own graph; inside the library
-    every graph is a list of adjacency bitmasks from :func:`_pack`.
+    every graph is such an adjacency as bitmasks from :func:`_bits`.
     """
 
     adjacency: np.ndarray
@@ -92,9 +84,8 @@ class IndistinguishabilityGraph:
         return bool(self.adjacency[i, j])
 
     def _masks(self) -> list[int]:
-        """Adjacency as bitmasks, self-loops removed: bit ``j`` of mask ``i``
-        is set when ``i != j`` are adjacent."""
-        return _pack(self.adjacency.copy())
+        """Adjacency as bitmasks, self bits set (:func:`_bits`)."""
+        return _bits(self.adjacency)
 
 
 def graph_from_fidelity_matrix(fidelities: np.ndarray, epsilon: float) -> IndistinguishabilityGraph:
@@ -171,15 +162,9 @@ def partition_is_clique_cover(partition: Partition, graph: IndistinguishabilityG
 
     Reads the adjacency directly rather than trusting solver bookkeeping.
     """
-    if not partition.covers(graph.size):
-        return False
     adj = graph.adjacency
-    for block in partition.blocks:
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                if not adj[block[a], block[b]]:
-                    return False
-    return True
+    return partition.covers(graph.size) and all(
+        adj[np.ix_(b, b)].all() for b in partition.blocks)
 
 
 def _max_clique_size(masks: list[int], n: int) -> int:
@@ -340,11 +325,11 @@ def _exact_coloring(masks: list[int], cap: int) -> list[int]:
 
 
 def solve_exact(graph: IndistinguishabilityGraph) -> Partition:
-    """Minimum clique cover, solved as exact coloring of the complement by
-    :func:`_exact_coloring` up to :func:`default_exact_cap` vertices.
+    """Minimum clique cover, the ``"exact"`` cover of :func:`_cover`: exact
+    coloring of the complement up to :func:`default_exact_cap` vertices.
     Deterministic: identical graphs yield the identical partition.
     """
-    return _partition_of(_exact_coloring(graph._masks(), default_exact_cap()))
+    return _partition_of(_cover(graph._masks(), "exact")[0])
 
 
 def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
@@ -352,16 +337,16 @@ def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
 
     Vertices are scanned in label order; each joins the first block it is
     adjacent to in full, otherwise it opens a new block.  The blocks are
-    built one at a time by :func:`_first_fit`.
+    built one at a time by :func:`_first_fit` (through :func:`_cover`).
     """
-    return _partition_of(list(_first_fit(graph._masks())))
+    return _partition_of(_cover(graph._masks(), "greedy")[0])
 
 
 def _cover(masks: list[int], solver: str) -> tuple[list[int], bool]:
     """Clique cover by ``solver`` (``"exact"``, ``"greedy"`` or ``"auto"``)
-    of the graph with adjacency bitmasks ``masks``, as one bitmask per
-    block, and whether it is proved minimum.  Both solvers take masks with
-    or without self bits and return the same cover either way.
+    of the graph with reflexive adjacency bitmasks ``masks`` (:func:`_bits`),
+    as one bitmask per block, and whether it is proved minimum.  Every
+    solver reaches :func:`_exact_coloring` and :func:`_first_fit` here.
 
     ``"auto"`` solves exactly up to :func:`default_exact_cap` vertices and by
     first fit above; ``"exact"`` above the cap raises
@@ -419,13 +404,11 @@ class CompressionReport:
         }
 
 
-def _block_certificates(partition: Partition,
-                        pair_fidelities: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                        ) -> tuple[float, ...]:
+def _block_certificates(partition: Partition, rows: np.ndarray) -> tuple[float, ...]:
     """Minimum in-block fidelity of each block, 1.0 for a singleton.
 
-    ``pair_fidelities(first, second)`` gives the fidelities of the element
-    pairs ``(first[e], second[e])``.  Each in-block pair is led by its
+    The fidelities are the kernel's (:func:`channels._pair_fidelities`) on
+    the output distributions ``rows``.  Each in-block pair is led by its
     earlier member in block order: the member at position ``p`` of a block
     of ``k`` leads the pairs with the ``k - 1 - p`` members after it.  The
     members are taken in runs that lead about ``ROW_TILE * n`` pairs, the
@@ -451,7 +434,7 @@ def _block_certificates(partition: Partition,
             second = first + np.arange(1, first.size + 1) - np.repeat(offset, count)
             leads = count > 0
             lead[s:e][leads] = np.minimum.reduceat(
-                pair_fidelities(members[first], members[second]), offset[leads])
+                _pair_fidelities(rows, members[first], members[second]), offset[leads])
         s = e
     return tuple(np.minimum.reduceat(lead, sizes.cumsum() - sizes).tolist())
 
@@ -482,7 +465,7 @@ def _gram_error(m: int) -> float:
 
 
 def _screened_masks(rows: np.ndarray, epsilon: float) -> list[int]:
-    """Adjacency bitmasks (:func:`_pack`) of the graph
+    """Reflexive adjacency bitmasks (:func:`_bits`) of the graph
     :func:`graph_from_fidelity_matrix` builds from the kernel's fidelities
     of ``rows`` at ``epsilon``, without the fidelity matrix.
 
@@ -505,8 +488,9 @@ def _screened_masks(rows: np.ndarray, epsilon: float) -> list[int]:
     without a mirror copy.  A band pair ``(i, j)`` with ``j > i`` gets its
     exact fidelity once; one with ``j < i`` copies ``adj[j, i]``, which the
     tile of row ``j`` or this tile's upper pairs have already decided.  So
-    the masks are bit for bit the thresholded fidelity matrix's.  No n-by-n
-    float array is held, and no graph object is built.
+    the masks are bit for bit the thresholded fidelity matrix's; the
+    diagonal, left undecided for a band pair ``(i, i)``, is set at the end.
+    No n-by-n float array is held, and no graph object is built.
     """
     n, m = rows.shape
     threshold = 1.0 - epsilon
@@ -531,7 +515,8 @@ def _screened_masks(rows: np.ndarray, epsilon: float) -> list[int]:
             adj[first, second] = _pair_fidelities(rows, first, second) >= threshold
         lower = j < i
         adj[i[lower], j[lower]] = adj[j[lower], i[lower]]
-    return _pack(adj)
+    np.fill_diagonal(adj, True)
+    return _bits(adj)
 
 
 def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") -> CompressionReport:
@@ -559,8 +544,7 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") ->
         partition=partition,
         representatives=partition.representatives(),
         compressibility=compressibility(len(masks), partition.num_blocks),
-        certificates=_block_certificates(
-            partition, lambda first, second: _pair_fidelities(rows, first, second)),
+        certificates=_block_certificates(partition, rows),
         labels=channel.input.labels,
     )
 

@@ -40,10 +40,10 @@ from revcomp import (
 from revcomp import asymptotic, channels, cli, partition
 from revcomp.asymptotic import (
     DEFAULT_GRAPH_CAP,
-    _next_power,
     _observed_trend,
     _sequence_masks,
 )
+from revcomp.partition import _cover, _partition_of, default_exact_cap
 
 from oracles import (
     adjacency_bitmasks,
@@ -102,18 +102,23 @@ class TestProductFidelityMatrix:
                 assert got.tobytes() == want.tobytes()
                 k += 1
 
-
     @pytest.mark.parametrize("fid_shape, n", [
-        ((1, 1), 5), ((2, 2), 3), ((1, 3), 2),  # loop over the entries of fid
-        ((3, 3), 1), ((3, 4), 2), ((2, 2), 2), ((1, 1), 1),  # loop over the letter pairs
+        ((1, 1), 5), ((2, 2), 3), ((1, 3), 2),  # few entries in fid
+        ((3, 3), 1), ((3, 4), 2), ((2, 2), 2), ((1, 1), 1),  # few letter pairs
     ])
     def test_kron_step_loops_give_the_broadcast_bits(self, fid_shape, n):
+        """The ``np.kron`` step of product_fidelity_matrix gives the bits of
+        the broadcast product on any shape of running matrix, and two steps
+        from the letter matrix give the library's k = 2 matrix."""
         rng = np.random.default_rng(n * 10 + fid_shape[1])
         fid = rng.random(fid_shape)
-        base = reverse_fidelity_matrix(random_channel(rng, n, 3))
-        out = _next_power(fid, base)
+        ch = random_channel(rng, n, 3)
+        base = reverse_fidelity_matrix(ch)
+        out = np.kron(fid, base)
         assert out.shape == (fid_shape[0] * n, fid_shape[1] * n)
         assert out.tobytes() == (fid[:, None, :, None] * base[None, :, None, :]).tobytes()
+        pair = (base[:, None, :, None] * base[None, :, None, :]).reshape(n * n, n * n)
+        assert product_fidelity_matrix(ch, 2).tobytes() == pair.tobytes()
 
     def test_letter_matrix_is_computed_once_per_channel(self, monkeypatch):
         calls = []
@@ -242,7 +247,6 @@ class TestProductAdjacency:
         monkeypatch.setattr(IndistinguishabilityGraph, "__post_init__", refuse)
         monkeypatch.setattr(Partition, "__post_init__", refuse)
         monkeypatch.setattr(asymptotic, "product_fidelity_matrix", refuse)
-        monkeypatch.setattr(asymptotic, "_next_power", refuse)
         ch = make_erasure(2, 0.9)
         sweep = delta_estimate(ch, 0.2, 11)
         assert [r.block_count for r in sweep.results] == [2 ** (k - 1) for k in range(1, 12)]
@@ -701,3 +705,50 @@ class TestClosedFormCertificate:
         for _ in range(abs(ulps)):
             target = float(np.nextafter(target, 2.0 if ulps > 0 else 0.0))
         self.assert_product_is_clique_cover(ch, 1.0 - target, k)
+
+
+@st.composite
+def regime_instances(draw):
+    """A random channel on at most 6 letters, some rows repeated so that
+    fidelity ties at 1.0 occur, a length k <= 3, and an epsilon at one of
+    the k-fold product fidelities or one float away from it."""
+    n = draw(st.integers(1, 6), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ch = random_channel(rng, n, draw(st.integers(1, 4), label="outputs"))
+    copies = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="rows")
+    ch = ClassicalChannel(ch.input, ch.output, ch.matrix[copies])
+    k = draw(st.integers(1, 3), label="k")
+    fid = product_fidelity_matrix(ch, k)
+    at = 1.0 - float(fid.flat[draw(st.integers(0, fid.size - 1), label="pair")])
+    eps = draw(st.sampled_from([at, float(np.nextafter(at, -1.0)),
+                                float(np.nextafter(at, 2.0))]), label="eps")
+    return ch, k, min(max(eps, 0.0), 1.0), fid
+
+
+class TestEveryRegimeCovers:
+    """Every partition the library returns, in every regime, is a clique
+    cover of the thresholded product_fidelity_matrix at the requested
+    epsilon."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(regime_instances())
+    def test_every_regime_returns_a_clique_cover(self, instance):
+        ch, k, eps, fid = instance
+        n = ch.num_inputs
+        graph = graph_from_fidelity_matrix(fid, eps)
+        covers = [Partition(tuple(product_partition(
+            closed_form_letter_partition(ch, eps, k).blocks, n, k))), solve_greedy(graph)]
+        if graph.size <= default_exact_cap():
+            covers.append(solve_exact(graph))
+        letters = graph_from_fidelity_matrix(product_fidelity_matrix(ch, 1), eps)
+        for solver in ("exact", "greedy", "auto"):
+            part = compress(ch, eps, solver).partition
+            assert partition_is_clique_cover(part, letters), solver
+            if solver == "exact" and graph.size > default_exact_cap():
+                continue
+            row = _partition_of(_cover(_sequence_masks(ch.fidelity_matrix, eps, k, {}),
+                                       solver)[0])
+            assert row.num_blocks == gamma_k(ch, eps, k, solver).block_count, solver
+            covers.append(row)
+        for part in covers:
+            assert partition_is_clique_cover(part, graph)

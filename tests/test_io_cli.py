@@ -343,9 +343,30 @@ class TestCliQueries:
         assert data["report"]["blocks"] == [["1", "2"], ["3", "4"]]
         assert data["report"]["compressibility"] == 2 / 3
         assert data["gamma_bound"] == [
-            {"k": 1, "bound": 2 / 3},
-            {"k": 2, "bound": 0.4},
+            {"k": 1, "bound": 2 / 3, "feasible": True},
+            {"k": 2, "bound": 0.4, "feasible": False},
         ]
+
+    def test_gen_erasure_bound_infeasible_at_epsilon_zero(self, capsys):
+        argv = ["gen-erasure", "--blocks", "1,2;3,4", "--etas", "0.9,0.92",
+                "--epsilon", "0", "--k-max", "2"]
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["report"]["compressibility"] == 0.0
+        assert [(e["bound"], e["feasible"]) for e in data["gamma_bound"]] == [
+            (2 / 3, False), (0.4, False)]
+        assert main(argv) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[-4].split() == ["k", "gamma_bound", "feasible"]
+        assert table[-1].split() == ["2", "0.4", "False"]
+
+    def test_gen_erasure_bound_without_epsilon_has_no_feasible_field(self, capsys):
+        argv = ["gen-erasure", "--blocks", "1,2;3,4", "--etas", "0.9,0.95", "--k-max", "2"]
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["gamma_bound"] == [
+            {"k": 1, "bound": 2 / 3}, {"k": 2, "bound": 0.4}]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-4].split() == ["k", "gamma_bound"]
 
     def test_gen_erasure_bad_eta_exits_2(self, capsys):
         code = main(["gen-erasure", "--blocks", "1,2", "--etas", "abc"])
@@ -551,6 +572,12 @@ class TestCliMalformedInput:
          "field 'output_labels' of channel file entry 1 repeats the label 'u'"),
         ({"type": "generalized_erasure", "blocks": [["1", "2"], ["3", "1"]], "etas": [0.5, 0.5]},
          "field 'blocks' of generalized erasure shorthand, block 1, entry 1 repeats the label '1'"),
+        ({"input_labels": [], "output_labels": ["u"], "matrix": []},
+         "field 'input_labels' of channel file must list at least one label"),
+        ({"input_labels": ["a"], "output_labels": [], "matrix": [[]]},
+         "field 'output_labels' of channel file must list at least one label"),
+        ({"type": "constant", "n": 2, "output_labels": []},
+         "field 'output_labels' of constant shorthand must list at least one label"),
     ])
     def test_mistyped_channel_field(self, tmp_path, capsys, data, field):
         path = write_json(tmp_path, "ch.json", data)

@@ -22,7 +22,6 @@ from revcomp.partition import (
     _bits,
     _block_certificates,
     _cover,
-    _pack,
     _partition_of,
     _screened_masks,
 )
@@ -181,10 +180,11 @@ class TestScreenedCompress:
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         for eps in _threshold_epsilons(fid, i, j):
             exact = graph_from_fidelity_matrix(fid, eps)
-            assert _screened_masks(ch.matrix, eps) == adjacency_bitmasks(exact.adjacency)
+            assert _screened_masks(ch.matrix, eps) == adjacency_bitmasks(
+                exact.adjacency, self_loops=True)
             report = compress(ch, eps)
             assert report.partition == _partition_of(_cover(exact._masks(), "auto")[0])
-            certs = _block_certificates(report.partition, lambda a, b: fid[a, b])
+            certs = _block_certificates(report.partition, ch.matrix)
             assert report.certificates == certs
             assert certs == tuple(
                 min([1.0] + [float(fid[a, b]) for a in block for b in block if a < b])
@@ -201,7 +201,7 @@ class TestScreenedCompress:
         for i, j in [(0, n - 1), (1, ROW_TILE), (ROW_TILE, n - 1)]:
             for eps in _threshold_epsilons(fid, i, j):
                 assert _screened_masks(ch.matrix, eps) == adjacency_bitmasks(
-                    graph_from_fidelity_matrix(fid, eps).adjacency)
+                    graph_from_fidelity_matrix(fid, eps).adjacency, self_loops=True)
 
     def test_pairs_at_the_threshold_take_the_exact_path(self, monkeypatch):
         """The erasure fidelity 0.25 is sqrt(0.5) * sqrt(0.5) = 0.5000000000000001
@@ -215,10 +215,11 @@ class TestScreenedCompress:
 
         monkeypatch.setattr(partition, "_pair_fidelities", recorded)
         rows = make_erasure(3, 0.5).matrix
-        assert _screened_masks(rows, 0.75) == adjacency_bitmasks(np.ones((3, 3), dtype=bool))
+        assert _screened_masks(rows, 0.75) == adjacency_bitmasks(np.ones((3, 3), dtype=bool),
+                                                                 self_loops=True)
         above = 1.0 - float(np.nextafter(0.75, 0.0))
         assert above > 0.25 and (np.sqrt(0.5) * np.sqrt(0.5)) ** 2 >= above
-        assert _screened_masks(rows, np.nextafter(0.75, 0.0)) == [0, 0, 0]
+        assert _screened_masks(rows, np.nextafter(0.75, 0.0)) == [1, 2, 4]
         assert calls == [[(0, 1), (0, 2), (1, 2)]] * 2
 
     def test_band_pairs_across_row_tiles_are_decided_once(self, monkeypatch):
@@ -241,7 +242,7 @@ class TestScreenedCompress:
         band = [(i, j) for i in range(n) for j in range(i + 1, n) if i % 3 != j % 3]
         for eps in (0.75, float(np.nextafter(0.75, 0.0))):
             del calls[:]
-            assert _screened_masks(ch.matrix, eps) == _pack(fid >= 1.0 - eps)
+            assert _screened_masks(ch.matrix, eps) == _bits(fid >= 1.0 - eps)
             assert sorted(calls) == band
 
     def test_screen_builds_no_fidelity_matrix(self, monkeypatch):
@@ -273,7 +274,7 @@ class TestBitmasks:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_packbits_masks_match_bit_loop(self, n, p):
         adj = random_adjacency(np.random.default_rng(n * 100 + int(p * 10)), n, p)
-        want = adjacency_bitmasks(adj)
-        assert IndistinguishabilityGraph(adj)._masks() == want
         # The reflexive graph's rows with their self-loop bits kept.
-        assert _bits(adj) == [mask | 1 << i for i, mask in enumerate(want)]
+        want = adjacency_bitmasks(adj, self_loops=True)
+        assert IndistinguishabilityGraph(adj)._masks() == want
+        assert _bits(adj) == want
