@@ -12,7 +12,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .partition import (
     _bits,
     _cover,
     _exact_coloring,
+    _integer,
     _partition_of,
     compressibility,
     default_exact_cap,
@@ -175,13 +175,13 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     Per the factorization, letters merged at per-letter fidelity
     ``>= (1 - eps)^(1/k)`` keep length-``k`` sequences within ``1 - eps``.
     That threshold is rounded, so the partition is certified in the
-    library's own arithmetic: its worst in-block fidelity ``c``, multiplied
-    ``k`` times left to right as :func:`product_fidelity_matrix` does, must
-    reach ``1 - epsilon``.  Float multiplication is monotone, so this one
-    product bounds every in-block sequence pair.  When it falls short, the
-    threshold steps just past ``c`` with ``np.nextafter`` and the letters
-    are partitioned again.  :func:`_letter_matrix` proves each letter graph
-    symmetric and reflexive, so it is covered as bitmasks (:func:`_bits`).
+    library's own arithmetic by :func:`_letter_certificate`: its worst
+    in-block fidelity ``c``, multiplied ``k`` times as
+    :func:`product_fidelity_matrix` does, must reach ``1 - epsilon``.  When
+    it falls short, the threshold steps just past ``c`` with
+    ``np.nextafter`` and the letters are partitioned again.
+    :func:`_letter_matrix` proves each letter graph symmetric and reflexive,
+    so it is covered as bitmasks (:func:`_bits`).
     """
     # One minus the tightened epsilon, rounded as graph_from_fidelity_matrix
     # rounds ``1 - epsilon``.
@@ -189,54 +189,72 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     fid = _letter_matrix(channel)
     while True:
         single = _partition_of(_cover(_bits(fid >= threshold), "auto")[0])
-        worst = min(fid[np.ix_(b, b)].min() for b in single.blocks)
-        # Left to right from 1, as product_fidelity_matrix multiplies.
-        if math.prod([worst] * k) >= 1.0 - epsilon:
+        worst, product = _letter_certificate(fid, single.blocks, k)
+        if product >= 1.0 - epsilon:
             return single
         threshold = float(np.nextafter(worst, 2.0))
 
 
-def _closed_form_result(channel: ClassicalChannel, epsilon: float, k: int) -> GammaKResult:
-    single = closed_form_letter_partition(channel, epsilon, k)
-    blocks = single.num_blocks ** k
-    total = channel.num_inputs ** k
-    gamma = 1.0 if total == 1 else float(Fraction(total - blocks, total - 1))
-    return GammaKResult(k=k, block_count=blocks, gamma=gamma, method="closed_form")
+def _letter_certificate(fid: np.ndarray, blocks: Sequence[Sequence[int]],
+                        k: int) -> tuple[float, float]:
+    """The worst in-block letter fidelity of ``blocks`` (1.0 on the exact
+    diagonal, so for singletons), and it multiplied ``k`` times left to right
+    from 1.0 as :func:`product_fidelity_matrix` multiplies.  Float products
+    are monotone, so this bounds every pair of the ``k``-fold block product.
+    """
+    label = np.empty(len(fid), dtype=np.intp)
+    for b, members in enumerate(blocks):
+        label[list(members)] = b
+    worst = float(fid[label[:, None] == label].min())
+    return worst, math.prod([worst] * k)
 
 
-def _closed_form_route(channel: ClassicalChannel, epsilon: float, k: int, solver: str) -> bool:
-    """Check one :func:`gamma_k` row's arguments and caps; True for the closed form."""
+def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
+          solver: str) -> list[GammaKResult]:
+    """The :func:`gamma_k` row at each length in ``ks``: the one row routine.
+
+    Every ``k`` is checked before any row runs.  A row is the closed form
+    (asked for, or past the graph cap) or the cover of its sequence graph
+    (:func:`_sequence_masks`, one memo for all rows), and its gamma is
+    :func:`compressibility` of its block count.
+    """
     cap = default_exact_cap()
     if solver not in ("auto", "exact", "greedy", "closed_form"):
         raise ValidationError(f"unknown solver {solver!r}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    total = channel.num_inputs ** k
-    if solver == "closed_form" or (solver == "auto" and total > DEFAULT_GRAPH_CAP):
-        return True
-    if solver == "exact" and total > cap:
-        raise ExactSolverCapError(f"{total} sequences exceed the exact cap {cap} for k={k}")
-    if total > DEFAULT_GRAPH_CAP:
-        raise ValidationError(
-            f"{total} sequences exceed the graph cap {DEFAULT_GRAPH_CAP} for k={k}"
-        )
-    return False
-
-
-def _materialized_row(base: np.ndarray, epsilon: float, k: int, solver: str,
-                      memo: dict[tuple[int, float], list[int]]) -> GammaKResult:
-    """One exact or first-fit row, counted on the masks of :func:`_sequence_masks`."""
-    blocks, optimal = _cover(_sequence_masks(base, epsilon, k, memo), solver)
-    return GammaKResult(k=k, block_count=len(blocks),
-                        gamma=compressibility(base.shape[0] ** k, len(blocks)),
-                        method="exact" if optimal else "greedy_lower_bound")
+    n = channel.num_inputs
+    # Block counts are printed in decimal, which Python refuses past this many digits.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = 10 ** digits
+    for k in ks:
+        if k < 1:
+            raise ValidationError(f"k must be >= 1, got {k}")
+        total = n ** k
+        if solver == "exact" and total > cap:
+            raise ExactSolverCapError(f"{total} sequences exceed the exact cap {cap} for k={k}")
+        if solver in ("exact", "greedy") and total > DEFAULT_GRAPH_CAP:
+            raise ValidationError(f"{total} sequences exceed the graph cap {DEFAULT_GRAPH_CAP} for k={k}")
+        if digits and total >= too_long:
+            raise ValidationError(f"k={k}: the sequence count {n}**{k} has more than {digits} "
+                                  "decimal digits, past Python's int-to-string limit")
+    base = _letter_matrix(channel)
+    memo: dict[tuple[int, float], list[int]] = {}
+    rows = []
+    for k in ks:
+        total = n ** k
+        if solver == "closed_form" or total > DEFAULT_GRAPH_CAP:
+            blocks, method = closed_form_letter_partition(channel, epsilon, k).num_blocks ** k, "closed_form"
+        else:
+            cover, optimal = _cover(_sequence_masks(base, epsilon, k, memo), solver)
+            blocks, method = len(cover), "exact" if optimal else "greedy_lower_bound"
+        rows.append(GammaKResult(k, blocks, compressibility(total, blocks), method))
+    return rows
 
 
 def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
             solver: str = "auto") -> GammaKResult:
-    """Compressibility of ``k`` independent uses of a channel.
+    """Compressibility of ``k`` independent uses of a channel (:func:`_rows`).
 
     ``solver="auto"`` picks the exact solver while the sequence count fits
     the exact cap, first-fit on the materialized graph up to
@@ -244,18 +262,13 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     that.  Requesting ``"exact"`` above the exact cap raises
     :class:`ExactSolverCapError`; requesting ``"exact"`` or ``"greedy"``
     above the graph cap raises :class:`ValidationError`, whatever the
-    exact cap.  The letter matrix is checked once (:func:`_letter_matrix`).
-    A materialized row builds its graph as bitmasks from blocks of shorter
-    running-product graphs (:func:`_sequence_masks`), which decide each
-    pair exactly as :func:`product_fidelity_matrix` would, without forming
-    any product matrix.  The row only counts the blocks of the cover, so it
-    builds no graph object or partition either.
+    exact cap, as does a ``k`` whose sequence count Python cannot print in
+    decimal.  A materialized row's graph is bitmasks built from shorter
+    running-product graphs (:func:`_sequence_masks`), which decide each pair
+    exactly as :func:`product_fidelity_matrix` would; only its cover's
+    blocks are counted.
     """
-    closed_form = _closed_form_route(channel, epsilon, k, solver)
-    base = _letter_matrix(channel)
-    if closed_form:
-        return _closed_form_result(channel, epsilon, k)
-    return _materialized_row(base, epsilon, k, solver, {})
+    return _rows(channel, epsilon, [k], solver)[0]
 
 
 @dataclass(frozen=True)
@@ -289,29 +302,13 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
     """Finite-k sweep of compressibility values for 1 <= k <= k_max.
 
     Evidence about the many-use limit; no extrapolation is performed.
-    Every row is the :func:`gamma_k` row at its ``k``, and every row's caps
-    are checked before any row runs.  The materialized rows share one memo
-    of running-product graphs (:func:`_sequence_masks`), so each row builds
-    only the blocks that no shorter row has built.
+    The rows come from :func:`_rows`, as :func:`gamma_k`'s does, so each
+    equals the :func:`gamma_k` row at its ``k``; every row's caps are
+    checked before any row runs.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    # Block counts are printed in decimal, which Python refuses past this many digits.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    too_long = 10 ** digits
-    closed_form = []
-    for k in range(1, k_max + 1):  # a capped sweep fails before any row runs
-        closed_form.append(_closed_form_route(channel, epsilon, k, solver))
-        if digits and channel.num_inputs ** k >= too_long:
-            raise ValidationError(
-                f"k={k}: the sequence count {channel.num_inputs}**{k} has more than "
-                f"{digits} decimal digits, past Python's int-to-string limit"
-            )
-    base = _letter_matrix(channel)
-    memo: dict[tuple[int, float], list[int]] = {}
-    results = [_closed_form_result(channel, epsilon, k) if closed
-               else _materialized_row(base, epsilon, k, solver, memo)
-               for k, closed in enumerate(closed_form, start=1)]
+    results = _rows(channel, epsilon, range(1, k_max + 1), solver)
     return AsymptoticSweep(epsilon=float(epsilon), results=tuple(results),
                            trend=_observed_trend([r.gamma for r in results]))
 
@@ -361,7 +358,7 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
         )
     seqs = np.array(list(itertools.product(range(alphabet_size), repeat=k))).reshape(total, k)
     dist = (seqs[:, None, :] != seqs[None, :, :]).sum(axis=2)
-    return len(_exact_coloring(_bits(dist <= s), total))
+    return len(_exact_coloring(_bits(dist <= s)))
 
 
 @dataclass(frozen=True)
@@ -409,24 +406,26 @@ def conjecture_report(alphabet_size: int, k: int, s_values: Sequence[int] | None
 def generalized_erasure_gamma_bound(block_sizes: Sequence[int], k: int) -> float:
     """Closed-form compressibility of the block-diagonal merge partition.
 
-    Evaluates ``(sum(a_i**k) - d) / ((sum(a_i))**k - 1)`` in exact integer
-    arithmetic before the final float conversion.  This is the value of
-    one partition, the one built by
-    :func:`generalized_erasure_bound_partition`, so it is a lower bound on
-    the compressibility gamma wherever that partition is feasible, not
-    gamma itself; see that function for when it is feasible.
+    The partition has ``n**k - sum(a_i**k) + d`` blocks, so this is
+    :func:`compressibility`, ``(sum(a_i**k) - d) / (n**k - 1)`` as one
+    correctly rounded integer division.  It is the value of one partition,
+    the one built by :func:`generalized_erasure_bound_partition`, so a lower
+    bound on gamma wherever that partition is feasible, not gamma itself;
+    see that function for when it is feasible.
     """
-    sizes = [int(a) for a in block_sizes]
+    sizes = _block_sizes(block_sizes, k)
+    total = sum(sizes) ** k
+    return compressibility(total, total - sum(a ** k for a in sizes) + len(sizes))
+
+
+def _block_sizes(block_sizes: Sequence[int], k: int) -> list[int]:
+    """Group sizes as ints, each a positive integer (no float or bool), and ``k >= 1``."""
+    sizes = [_integer(a, f"block size {i}") for i, a in enumerate(block_sizes)]
     if len(sizes) == 0 or any(a < 1 for a in sizes):
         raise ValidationError(f"block sizes must be positive integers, got {block_sizes!r}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    n = sum(sizes)
-    if n == 1:
-        return 1.0
-    num = sum(a ** k for a in sizes) - len(sizes)
-    den = n ** k - 1
-    return float(Fraction(num, den))
+    return sizes
 
 
 def generalized_erasure_bound_partition(block_sizes: Sequence[int], k: int,
@@ -439,26 +438,15 @@ def generalized_erasure_bound_partition(block_sizes: Sequence[int], k: int,
     when ``eta_i ** (2k)`` still clears the threshold; the closed form
     assumes the most favorable case.
     """
-    sizes = [int(a) for a in block_sizes]
-    if len(sizes) == 0 or any(a < 1 for a in sizes):
-        raise ValidationError(f"block sizes must be positive integers, got {block_sizes!r}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    sizes = _block_sizes(block_sizes, k)
     n = sum(sizes)
     total = n ** k
     if total > max_sequences:
         raise ValidationError(f"{total} sequences exceed the cap {max_sequences}")
-    offsets = np.cumsum([0] + sizes[:-1])
     weights = [n ** (k - 1 - j) for j in range(k)]
-    cube_members: set[int] = set()
-    blocks: list[tuple[int, ...]] = []
-    for i, a in enumerate(sizes):
-        letters = range(int(offsets[i]), int(offsets[i]) + a)
-        members = tuple(
-            sum(w * x for w, x in zip(weights, seq))
-            for seq in itertools.product(letters, repeat=k)
-        )
-        cube_members.update(members)
-        blocks.append(members)
-    blocks.extend((i,) for i in range(total) if i not in cube_members)
+    blocks = [tuple(sum(w * x for w, x in zip(weights, seq))
+                    for seq in itertools.product(range(e - a, e), repeat=k))
+              for a, e in zip(sizes, itertools.accumulate(sizes))]
+    cubes = set(itertools.chain.from_iterable(blocks))
+    blocks.extend((i,) for i in range(total) if i not in cubes)
     return Partition(tuple(blocks))

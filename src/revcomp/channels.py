@@ -73,7 +73,7 @@ def _validated_masses(masses: np.ndarray, what: str) -> np.ndarray:
         i = int(np.flatnonzero(~np.isfinite(masses))[0])
         raise ValidationError(f"{what} entry {i} is {float(masses[i])!r}, not a finite number")
     if np.min(masses) < -STOCHASTIC_TOL or np.max(masses) > 1.0 + STOCHASTIC_TOL:
-        raise ValidationError(f"{what} has entries outside [0, 1]: min {np.min(masses)!r}, max {np.max(masses)!r}")
+        raise ValidationError(f"{what} has entries outside [0, 1]: min {float(np.min(masses))!r}, max {float(np.max(masses))!r}")
     total = float(np.sum(masses))
     if abs(total - 1.0) > STOCHASTIC_TOL:
         raise ValidationError(f"{what} sums to {total!r}, outside {STOCHASTIC_TOL} of 1")
@@ -241,7 +241,7 @@ class ClassicalChannel:
             i, j = np.unravel_index(int(np.argmin(m)) if np.min(m) < -STOCHASTIC_TOL else int(np.argmax(m)), m.shape)
             raise ValidationError(
                 f"channel entry at row {i} ({self.input.labels[i]!r}), column {j} "
-                f"({self.output.labels[j]!r}) is {m[i, j]!r}, outside [0, 1]"
+                f"({self.output.labels[j]!r}) is {float(m[i, j])!r}, outside [0, 1]"
             )
         sums = np.sum(m, axis=1)
         bad = np.where(np.abs(sums - 1.0) > STOCHASTIC_TOL)[0]

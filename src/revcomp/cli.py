@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import sys
 from pathlib import Path
 
@@ -170,6 +169,7 @@ def _cmd_gen_erasure(args: argparse.Namespace):
         raise ValidationError(f"--k-max must be >= 1, got {args.k_max}")
     etas = [_parse_float(e, "--etas entry") for e in _split_csv(args.etas, "--etas")]
     label_blocks = _split_blocks(args.blocks, "--blocks")
+    io._check_labels(list(itertools.chain.from_iterable(label_blocks)), "--blocks")
     channel = make_generalized_erasure(label_blocks, etas)
     data = {
         "blocks": [list(b) for b in label_blocks],
@@ -186,14 +186,10 @@ def _cmd_gen_erasure(args: argparse.Namespace):
             for k in range(1, args.k_max + 1)
         ]
         if args.epsilon is not None:
-            # The bound's partition holds at k when every group's worst letter
-            # fidelity, multiplied k times from 1.0, reaches 1 - epsilon.
-            fid = channel.fidelity_matrix
-            ends = itertools.accumulate(sizes)
-            worst = min((fid[e - a:e, e - a:e].min() for a, e in zip(sizes, ends) if a > 1),
-                        default=1.0)
+            groups = [range(e - a, e) for a, e in zip(sizes, itertools.accumulate(sizes))]
             for row in data["gamma_bound"]:
-                row["feasible"] = bool(math.prod([worst] * row["k"]) >= 1.0 - args.epsilon)
+                product = asymptotic._letter_certificate(channel.fidelity_matrix, groups, row["k"])[1]
+                row["feasible"] = product >= 1.0 - args.epsilon
 
     def table() -> str:
         lines = [f"generalized erasure on {channel.num_inputs} inputs, "

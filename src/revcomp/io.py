@@ -1,6 +1,7 @@
 """JSON schemas for channels, states and reports.
 
-Parsing is strict: every failure names the offending field.  Serialization
+Parsing is strict: every failure names the offending field, and a field
+outside an object's schema is refused, not ignored.  Serialization
 is deterministic (fixed key order, plain Python scalars) so identical
 inputs produce byte-identical files.
 """
@@ -33,6 +34,13 @@ def _require(data: dict, field: str, what: str) -> Any:
     if field not in data:
         raise ValidationError(f"{what} is missing required field {field!r}")
     return data[field]
+
+
+def _check_fields(data: dict, fields: tuple[str, ...], what: str) -> None:
+    """Reject a key of ``data`` outside its schema ``fields``, naming it and ``what``."""
+    for key in data:
+        if key not in fields:
+            raise ValidationError(f"{what} has unknown field {key!r}")
 
 
 def _int_field(data: dict, field: str, what: str) -> int:
@@ -200,6 +208,7 @@ def _matrix_from_data(raw: Any, what: str) -> np.ndarray:
 
 
 def _classical_from_data(data: dict) -> ClassicalChannel:
+    _check_fields(data, ("input_labels", "output_labels", "matrix"), "channel file")
     inp = _labels_field(data, "input_labels", "channel file")
     out = _labels_field(data, "output_labels", "channel file")
     matrix = _matrix_from_data(_require(data, "matrix", "channel file"), "channel file")
@@ -208,26 +217,27 @@ def _classical_from_data(data: dict) -> ClassicalChannel:
 
 def _shorthand_from_data(data: dict) -> ClassicalChannel:
     kind = data["type"]
+    if kind not in SHORTHAND_TYPES:
+        raise ValidationError(f"unknown channel type {kind!r}, expected one of {SHORTHAND_TYPES}")
+    what = kind.replace("_", " ") + " shorthand"
+    fields = {"identity": ("n",), "constant": ("n", "masses", "output_labels"),
+              "erasure": ("r", "eta"), "generalized_erasure": ("blocks", "etas")}[kind]
+    _check_fields(data, ("type", *fields), what)
     if kind == "identity":
-        return make_identity(_int_field(data, "n", "identity shorthand"))
+        return make_identity(_int_field(data, "n", what))
     if kind == "constant":
-        what = "constant shorthand"
         return make_constant(_int_field(data, "n", what),
                              _numbers_field(data, "masses", what, required=False),
                              _labels_field(data, "output_labels", what, required=False))
     if kind == "erasure":
-        return make_erasure(_int_field(data, "r", "erasure shorthand"),
-                            _number_field(data, "eta", "erasure shorthand"))
-    if kind == "generalized_erasure":
-        what = "generalized erasure shorthand"
-        blocks = _list_field(data, "blocks", what)
-        if not all(isinstance(block, list) for block in blocks):
-            raise ValidationError(f"field 'blocks' of {what} must be a list of label lists")
-        seen: set = set()  # a label may not repeat across blocks either
-        for b, block in enumerate(blocks):
-            _check_labels(block, f"field 'blocks' of {what}, block {b},", seen)
-        return make_generalized_erasure(blocks, _numbers_field(data, "etas", what))
-    raise ValidationError(f"unknown channel type {kind!r}, expected one of {SHORTHAND_TYPES}")
+        return make_erasure(_int_field(data, "r", what), _number_field(data, "eta", what))
+    blocks = _list_field(data, "blocks", what)
+    if not all(isinstance(block, list) for block in blocks):
+        raise ValidationError(f"field 'blocks' of {what} must be a list of label lists")
+    seen: set = set()  # a label may not repeat across blocks either
+    for b, block in enumerate(blocks):
+        _check_labels(block, f"field 'blocks' of {what}, block {b},", seen)
+    return make_generalized_erasure(blocks, _numbers_field(data, "etas", what))
 
 
 def parse_channel_data(data: Any) -> ClassicalChannel | KrausChannel:
@@ -267,6 +277,7 @@ def complex_matrix_to_data(m: np.ndarray) -> dict:
 def complex_matrix_from_data(data: Any, what: str) -> np.ndarray:
     if not isinstance(data, dict):
         raise ValidationError(f"{what} must be an object with 're' and 'im' parts")
+    _check_fields(data, ("re", "im"), what)
     re = _matrix_from_data(_require(data, "re", what), what)
     im = _matrix_from_data(_require(data, "im", what), what)
     if re.shape != im.shape:
@@ -283,6 +294,7 @@ def density_matrix_to_data(rho: DensityMatrix) -> dict:
 
 
 def parse_kraus_data(data: dict) -> KrausChannel:
+    _check_fields(data, ("in_dim", "out_dim", "kraus"), "Kraus channel file")
     in_dim = _int_field(data, "in_dim", "Kraus channel file")
     out_dim = _int_field(data, "out_dim", "Kraus channel file")
     for field, value in (("in_dim", in_dim), ("out_dim", out_dim)):

@@ -44,6 +44,13 @@ def _bits(adj: np.ndarray) -> list[int]:
     return list(map(int.from_bytes, packed, itertools.repeat("little")))
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IndistinguishabilityGraph:
     """Undirected reflexive graph on input indices.
@@ -83,10 +90,6 @@ class IndistinguishabilityGraph:
     def are_adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i, j])
 
-    def _masks(self) -> list[int]:
-        """Adjacency as bitmasks, self bits set (:func:`_bits`)."""
-        return _bits(self.adjacency)
-
 
 def graph_from_fidelity_matrix(fidelities: np.ndarray, epsilon: float) -> IndistinguishabilityGraph:
     """Threshold a pairwise fidelity matrix at ``1 - epsilon``.
@@ -105,13 +108,17 @@ class Partition:
     """Partition of ``range(n)`` into disjoint nonempty blocks.
 
     Stored canonically: members ascending within each block, blocks ordered
-    by their smallest member.
+    by their smallest member.  A float or bool member is refused, not truncated.
     """
 
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        canon = [tuple(sorted(map(int, block))) for block in self.blocks]
+        blocks = self.blocks
+        if not set(map(type, itertools.chain.from_iterable(blocks))) <= {int}:
+            blocks = [[_integer(x, f"partition block {b} member") for x in block]
+                      for b, block in enumerate(blocks)]
+        canon = [tuple(sorted(block)) for block in blocks]
         flat = list(itertools.chain.from_iterable(canon))
         if not (all(canon) and min(flat, default=0) >= 0 and len(set(flat)) == len(flat)):
             # Name the first block, in the given order, that breaks a rule.
@@ -253,7 +260,7 @@ def _partition_of(blocks: list[int]) -> Partition:
     return Partition(tuple(map(_members, blocks)))
 
 
-def _exact_coloring(masks: list[int], cap: int) -> list[int]:
+def _exact_coloring(masks: list[int]) -> list[int]:
     """Minimum coloring of the complement of the graph with adjacency
     bitmasks ``masks`` (self bits are ignored, see :func:`_complement`), as
     one bitmask per color class, so each class is a clique of the graph.
@@ -264,16 +271,11 @@ def _exact_coloring(masks: list[int], cap: int) -> list[int]:
     it may take in increasing order, and a new color only while the count
     stays below the best coloring found so far.  The first dive is the
     DSATUR coloring, and the search stops once a coloring meets the exact
-    max-clique lower bound.  Deterministic.  Raises
-    :class:`ExactSolverCapError` above ``cap`` vertices since the worst
-    case is exponential.
+    max-clique lower bound.  Deterministic.  The worst case is exponential
+    and no size is checked here: :func:`_cover` refuses a graph above the
+    exact cap before it calls this.
     """
     n = len(masks)
-    if n > cap:
-        raise ExactSolverCapError(
-            f"exact solver got {n} vertices, above the cap {cap}; "
-            f"use the greedy solver or raise {EXACT_CAP_ENV}"
-        )
     comp_masks = _complement(masks)
     order = sorted(range(n), key=lambda v: (-comp_masks[v].bit_count(), v))
     lower = _max_clique_size(comp_masks, n)
@@ -329,7 +331,7 @@ def solve_exact(graph: IndistinguishabilityGraph) -> Partition:
     coloring of the complement up to :func:`default_exact_cap` vertices.
     Deterministic: identical graphs yield the identical partition.
     """
-    return _partition_of(_cover(graph._masks(), "exact")[0])
+    return _partition_of(_cover(_bits(graph.adjacency), "exact")[0])
 
 
 def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
@@ -339,7 +341,7 @@ def solve_greedy(graph: IndistinguishabilityGraph) -> Partition:
     adjacent to in full, otherwise it opens a new block.  The blocks are
     built one at a time by :func:`_first_fit` (through :func:`_cover`).
     """
-    return _partition_of(_cover(graph._masks(), "greedy")[0])
+    return _partition_of(_cover(_bits(graph.adjacency), "greedy")[0])
 
 
 def _cover(masks: list[int], solver: str) -> tuple[list[int], bool]:
@@ -350,11 +352,15 @@ def _cover(masks: list[int], solver: str) -> tuple[list[int], bool]:
 
     ``"auto"`` solves exactly up to :func:`default_exact_cap` vertices and by
     first fit above; ``"exact"`` above the cap raises
-    :class:`ExactSolverCapError`.
+    :class:`ExactSolverCapError` before any search starts.
     """
     cap = default_exact_cap()
-    if solver == "exact" or (solver == "auto" and len(masks) <= cap):
-        return _exact_coloring(masks, cap), True
+    if solver != "greedy" and len(masks) <= cap:
+        return _exact_coloring(masks), True
+    if solver == "exact":
+        raise ExactSolverCapError(
+            f"exact solver got {len(masks)} vertices, above the cap {cap}; "
+            f"use the greedy solver or raise {EXACT_CAP_ENV}")
     return list(_first_fit(masks)), False
 
 

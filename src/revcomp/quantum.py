@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .partition import Partition
+from .partition import Partition, _integer
 
 # Validation tolerances for states and channels.
 HERMITIAN_TOL = 1e-9
@@ -580,9 +580,7 @@ def _random_pure_states(count: int, dim: int, rng: np.random.Generator) -> np.nd
 
 def _check_count(name: str, value: int) -> None:
     """Reject a probe count or seed that is not a non-negative integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
+    if _integer(value, name) < 0:
         raise ValidationError(f"{name} must be >= 0, got {value}")
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -40,10 +42,11 @@ from revcomp import (
 from revcomp import asymptotic, channels, cli, partition
 from revcomp.asymptotic import (
     DEFAULT_GRAPH_CAP,
+    _letter_certificate,
     _observed_trend,
     _sequence_masks,
 )
-from revcomp.partition import _cover, _partition_of, default_exact_cap
+from revcomp.partition import _bits, _cover, _partition_of, default_exact_cap
 
 from oracles import (
     adjacency_bitmasks,
@@ -631,6 +634,34 @@ class TestGeneralizedErasureBound:
         with pytest.raises(ValidationError):
             generalized_erasure_gamma_bound((2, 2), 0)
 
+    @pytest.mark.parametrize("sizes, message", [
+        ([2.7, 2], "block size 0 must be an integer, got 2.7"),
+        ([2, True], "block size 1 must be an integer, got True"),
+        ([2, 2.0], "block size 1 must be an integer, got 2.0"),
+        ([np.float64(2.0)], "block size 0 must be an integer"),
+        (["2"], "block size 0 must be an integer, got '2'"),
+    ])
+    def test_non_integer_sizes_are_refused(self, sizes, message):
+        # [2.7, 2] once gave the value of [2, 2], and [True, 2] that of [1, 2].
+        for function in (generalized_erasure_gamma_bound, generalized_erasure_bound_partition):
+            with pytest.raises(ValidationError, match="^" + re.escape(message)):
+                function(sizes, 2)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        sizes = np.array([2, 3])
+        assert generalized_erasure_gamma_bound(sizes, 2) == generalized_erasure_gamma_bound([2, 3], 2)
+        assert (generalized_erasure_bound_partition(sizes, 2)
+                == generalized_erasure_bound_partition([2, 3], 2))
+
+    def test_value_is_the_compressibility_of_the_partition(self):
+        # One gamma formula: the exact rational, correctly rounded once.
+        for sizes in ([2, 2], [2, 3], [1, 4, 2], [5]):
+            for k in range(1, 12):
+                total = sum(sizes) ** k
+                blocks = total - sum(a ** k for a in sizes) + len(sizes)
+                want = 1.0 if total == 1 else (total - blocks) / (total - 1)
+                assert generalized_erasure_gamma_bound(sizes, k) == want
+
     def test_bound_partition_structure(self):
         p = generalized_erasure_bound_partition((2, 2), 2)
         assert p.num_blocks == 10
@@ -752,3 +783,77 @@ class TestEveryRegimeCovers:
             covers.append(row)
         for part in covers:
             assert partition_is_clique_cover(part, graph)
+
+
+class TestLetterCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 12))
+    def test_matches_the_per_block_minimum(self, seed, n, k):
+        # The labelled mask takes the same minimum as one submatrix per
+        # block, with 1.0 when every block is a singleton.
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, n, 3)
+        ch = ClassicalChannel(ch.input, ch.output, ch.matrix[rng.integers(0, n, n)])
+        fid = ch.fidelity_matrix
+        labels = rng.integers(0, n, n)
+        blocks = [tuple(np.flatnonzero(labels == b).tolist()) for b in np.unique(labels)]
+        want = min(float(fid[np.ix_(b, b)].min()) for b in blocks)
+        worst, product = _letter_certificate(fid, blocks, k)
+        assert worst == want
+        assert product == math.prod([want] * k)
+
+
+@st.composite
+def router_instances(draw):
+    """A random channel on at most 5 letters, some rows repeated, a sweep
+    length K <= 5, and an epsilon at one letter fidelity or one float away
+    from it."""
+    n = draw(st.integers(1, 5), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ch = random_channel(rng, n, draw(st.integers(1, 4), label="outputs"))
+    copies = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="rows")
+    ch = ClassicalChannel(ch.input, ch.output, ch.matrix[copies])
+    at = 1.0 - float(ch.fidelity_matrix.flat[draw(st.integers(0, n * n - 1), label="pair")])
+    eps = draw(st.sampled_from([at, float(np.nextafter(at, -1.0)),
+                                float(np.nextafter(at, 2.0))]), label="eps")
+    return ch, min(max(eps, 0.0), 1.0), draw(st.integers(1, 5), label="K")
+
+
+class TestOneRowRoutine:
+    """gamma_k and delta_estimate reach their rows through one routine."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(router_instances())
+    def test_gamma_k_is_the_sweep_row(self, instance):
+        ch, eps, K = instance
+        n = ch.num_inputs
+        caps = {"exact": default_exact_cap(), "greedy": DEFAULT_GRAPH_CAP}
+        for solver in ("auto", "exact", "greedy", "closed_form"):
+            top = K
+            while top and n ** top > caps.get(solver, n ** top):
+                top -= 1
+            if top == 0:
+                continue
+            sweep = delta_estimate(ch, eps, top, solver).results
+            assert [r.k for r in sweep] == list(range(1, top + 1))
+            for k in range(1, top + 1):
+                assert gamma_k(ch, eps, k, solver) == sweep[k - 1], (solver, k)
+
+    def test_gamma_k_refuses_the_first_unprintable_k(self):
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not digits:
+            pytest.skip("this Python prints ints of any length")
+        k = (10 ** digits).bit_length()  # the least k with 2**k >= 10**digits
+        with pytest.raises(ValidationError, match=f"^k={k}: the sequence count 2\\*\\*{k} "):
+            gamma_k(make_erasure(2, 0.9), 0.2, k)
+        row = gamma_k(make_erasure(2, 0.9), 0.2, k - 1)
+        assert row.method == "closed_form" and str(row.block_count)
+
+    def test_exact_cap_is_checked_before_the_search(self, monkeypatch):
+        def unreachable(masks):
+            raise AssertionError("exact search started above the cap")
+        monkeypatch.setattr(partition, "_exact_coloring", unreachable)
+        masks = _bits(np.eye(default_exact_cap() + 1, dtype=bool))
+        with pytest.raises(ExactSolverCapError, match="above the cap"):
+            _cover(masks, "exact")
+        assert len(_cover(masks, "greedy")[0]) == len(masks)

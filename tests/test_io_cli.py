@@ -532,6 +532,63 @@ class TestCliMalformedInput:
         err = capsys.readouterr().err
         assert "not a finite number" in err and shown in err
 
+    @pytest.mark.parametrize("matrix, shown", [
+        ("[[1e308, 0.0], [0.5, 0.5]]", "row 0 ('a'), column 0 ('u') is 1e+308, outside [0, 1]"),
+        ("[[-1.0, 2.0], [0.5, 0.5]]", "row 0 ('a'), column 0 ('u') is -1.0, outside [0, 1]"),
+    ])
+    def test_out_of_range_entry_is_a_plain_number(self, tmp_path, capsys, matrix, shown):
+        data = '{"input_labels": ["a", "b"], "output_labels": ["u", "v"], "matrix": %s}' % matrix
+        path = write_text(tmp_path, "ch.json", data)
+        assert main(["compress", "--channel", path, "--epsilon", "0.2"]) == 2
+        assert capsys.readouterr().err == f"error: channel entry at {shown}\n"
+
+    def test_out_of_range_masses_are_plain_numbers(self, tmp_path, capsys):
+        path = write_json(tmp_path, "ch.json", {"type": "constant", "n": 2, "masses": [-1.0, 2.0]})
+        assert main(["compress", "--channel", path, "--epsilon", "0.2"]) == 2
+        assert capsys.readouterr().err == ("error: constant channel output distribution has "
+                                           "entries outside [0, 1]: min -1.0, max 2.0\n")
+
+    def test_repeated_gen_erasure_label_names_the_flag(self, capsys):
+        assert main(["gen-erasure", "--blocks", "1,2;2", "--etas", "0.9,0.92"]) == 2
+        assert capsys.readouterr().err == "error: --blocks entry 2 repeats the label '2'\n"
+
+    @pytest.mark.parametrize("data, message", [
+        ({"input_labels": ["a"], "output_labels": ["u"], "matrix": [[1.0]], "output_label": "u"},
+         "channel file has unknown field 'output_label'"),
+        ({"type": "identity", "n": 2, "labels": ["a", "b"]},
+         "identity shorthand has unknown field 'labels'"),
+        ({"type": "constant", "n": 3, "mass": [0.5, 0.5]},
+         "constant shorthand has unknown field 'mass'"),
+        ({"type": "erasure", "r": 2, "eta": 0.9, "epsilon": 0.2},
+         "erasure shorthand has unknown field 'epsilon'"),
+        ({"type": "generalized_erasure", "blocks": [["1"], ["2"]], "etas": [0.5, 0.5], "eta": 0.5},
+         "generalized erasure shorthand has unknown field 'eta'"),
+    ])
+    def test_unknown_channel_field(self, tmp_path, capsys, data, message):
+        # A misspelt "masses" once compressed a channel with one output symbol.
+        path = write_json(tmp_path, "ch.json", data)
+        assert main(["compress", "--channel", path, "--epsilon", "0.2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("where, message", [
+        ("file", "Kraus channel file has unknown field 'dim'"),
+        ("operator", "Kraus operator 1 has unknown field 'imag'"),
+    ])
+    def test_unknown_kraus_field(self, tmp_path, capsys, where, message):
+        data = io.kraus_to_data(make_quantum_erasure(2, 0.5))
+        if where == "file":
+            data["dim"] = 2
+        else:
+            data["kraus"][1]["imag"] = data["kraus"][1]["im"]
+        path = write_json(tmp_path, "q.json", data)
+        assert main(["quantum-compress", "--kraus", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unknown_density_matrix_field(self):
+        data = dict(io.density_matrix_to_data(quantum.DensityMatrix(np.eye(2) / 2)), trace=1.0)
+        with pytest.raises(ValidationError, match="^density matrix has unknown field 'trace'$"):
+            io.parse_density_matrix_data(data)
+
     def test_overflowing_shorthand_number(self, tmp_path, capsys):
         path = write_text(tmp_path, "ch.json", '{"type": "erasure", "r": 2, "eta": 1e400}')
         assert main(["compress", "--channel", path, "--epsilon", "0.2"]) == 2

@@ -183,7 +183,7 @@ class TestScreenedCompress:
             assert _screened_masks(ch.matrix, eps) == adjacency_bitmasks(
                 exact.adjacency, self_loops=True)
             report = compress(ch, eps)
-            assert report.partition == _partition_of(_cover(exact._masks(), "auto")[0])
+            assert report.partition == _partition_of(_cover(_bits(exact.adjacency), "auto")[0])
             certs = _block_certificates(report.partition, ch.matrix)
             assert report.certificates == certs
             assert certs == tuple(
@@ -276,5 +276,5 @@ class TestBitmasks:
         adj = random_adjacency(np.random.default_rng(n * 100 + int(p * 10)), n, p)
         # The reflexive graph's rows with their self-loop bits kept.
         want = adjacency_bitmasks(adj, self_loops=True)
-        assert IndistinguishabilityGraph(adj)._masks() == want
+        assert _bits(IndistinguishabilityGraph(adj).adjacency) == want
         assert _bits(adj) == want

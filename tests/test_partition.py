@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,23 @@ class TestPartition:
             Partition(((0, 0), (1,)))
         with pytest.raises(ValidationError, match="^partition block repeats element 3$"):
             Partition(((0, 1), (3, 2, 3)))
+
+    @pytest.mark.parametrize("blocks, message", [
+        (((0.9, 1.2), (2,)), "partition block 0 member must be an integer, got 0.9"),
+        (((0, 1), (True,)), "partition block 1 member must be an integer, got True"),
+        (((0,), (1, "2")), "partition block 1 member must be an integer, got '2'"),
+        (((0,), (np.bool_(True),)), "partition block 1 member must be an integer"),
+        (((np.float64(1.0), 0),), "partition block 0 member must be an integer"),
+    ])
+    def test_rejects_non_integer_members(self, blocks, message):
+        # Neither truncated nor counted as 0 / 1: ((0.9, 1.2), (2,)) once gave ((0, 1), (2,)).
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            Partition(blocks)
+
+    def test_numpy_integer_members_are_plain_ints(self):
+        p = Partition(((np.int64(3), np.intp(1)), (np.int32(0), 2)))
+        assert p.blocks == ((0, 2), (1, 3))
+        assert {type(i) for b in p.blocks for i in b} == {int}
 
     def test_covers(self):
         assert Partition(((0, 1), (2,))).covers(3)
