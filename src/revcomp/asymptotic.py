@@ -183,10 +183,15 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     :func:`_letter_matrix` proves each letter graph symmetric and reflexive,
     so it is covered as bitmasks (:func:`_bits`).
     """
+    return _closed_form_partition(_letter_matrix(channel), epsilon, k)
+
+
+def _closed_form_partition(fid: np.ndarray, epsilon: float, k: int) -> Partition:
+    """:func:`closed_form_letter_partition` of a letter matrix already
+    checked by :func:`_letter_matrix`."""
     # One minus the tightened epsilon, rounded as graph_from_fidelity_matrix
     # rounds ``1 - epsilon``.
     threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
-    fid = _letter_matrix(channel)
     while True:
         single = _partition_of(_cover(_bits(fid >= threshold), "auto")[0])
         worst, product = _letter_certificate(fid, single.blocks, k)
@@ -244,7 +249,7 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
     for k in ks:
         total = n ** k
         if solver == "closed_form" or total > DEFAULT_GRAPH_CAP:
-            blocks, method = closed_form_letter_partition(channel, epsilon, k).num_blocks ** k, "closed_form"
+            blocks, method = _closed_form_partition(base, epsilon, k).num_blocks ** k, "closed_form"
         else:
             cover, optimal = _cover(_sequence_masks(base, epsilon, k, memo), solver)
             blocks, method = len(cover), "exact" if optimal else "greedy_lower_bound"

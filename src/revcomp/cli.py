@@ -65,12 +65,15 @@ def _split_blocks(raw: str, flag: str) -> tuple[tuple[str, ...], ...]:
     return tuple(_split_csv(g, flag) for g in groups)
 
 
-def _classical_channel(path: str) -> ClassicalChannel:
+_CHANNEL_KINDS = {ClassicalChannel: "a classical channel", quantum.KrausChannel: "a Kraus channel"}
+
+
+def _channel(path: str, kind: type) -> ClassicalChannel | quantum.KrausChannel:
+    """The channel file at ``path``, refused unless it holds a ``kind``."""
     channel = io.parse_channel_file(path)
-    if not isinstance(channel, ClassicalChannel):
-        raise ValidationError(
-            f"{path} holds a Kraus channel; this command needs a classical channel"
-        )
+    if not isinstance(channel, kind):
+        raise ValidationError(f"{path} holds {_CHANNEL_KINDS[type(channel)]}; "
+                              f"this command needs {_CHANNEL_KINDS[kind]}")
     return channel
 
 
@@ -108,14 +111,14 @@ def _report_table(data: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_compress(args: argparse.Namespace):
-    channel = _classical_channel(args.channel)
+    channel = _channel(args.channel, ClassicalChannel)
     report = partition.compress(channel, args.epsilon, solver=args.solver)
     data = report.to_json_dict()
     return data, lambda: _report_table(data)
 
 
 def _cmd_fidelity(args: argparse.Namespace):
-    channel = _classical_channel(args.channel)
+    channel = _channel(args.channel, ClassicalChannel)
     value = reverse_fidelity(channel, args.x, args.xhat)
     data = {"x": args.x, "xhat": args.xhat, "reverse_fidelity": value}
     return data, lambda: _kv_table(list(data.items()))
@@ -123,7 +126,7 @@ def _cmd_fidelity(args: argparse.Namespace):
 
 def _cmd_product(args: argparse.Namespace):
     xs, xhats = _split_csv(args.xs, "--xs"), _split_csv(args.xhats, "--xhats")
-    channel = _classical_channel(args.channel)
+    channel = _channel(args.channel, ClassicalChannel)
     value = product_reverse_fidelity(channel, xs, xhats)
     data = {"k": len(xs), "xs": list(xs), "xhats": list(xhats),
             "reverse_fidelity": value}
@@ -220,7 +223,7 @@ def _cmd_conjecture(args: argparse.Namespace):
 
 
 def _cmd_asymptotic(args: argparse.Namespace):
-    channel = _classical_channel(args.channel)
+    channel = _channel(args.channel, ClassicalChannel)
     sweep = asymptotic.delta_estimate(channel, args.epsilon, args.k_max, solver=args.solver)
     data = sweep.to_json_data()
 
@@ -248,7 +251,7 @@ def _cmd_quantum_compress(args: argparse.Namespace):
         tuple(_parse_int(i, "--blocks entry") for i in b)
         for b in _split_blocks(args.blocks, "--blocks"))
     if args.kraus is not None:
-        graining = quantum.CoarseGraining.of(io.parse_kraus_file(args.kraus))
+        graining = quantum.CoarseGraining.of(_channel(args.kraus, quantum.KrausChannel))
         channel = graining.channel
         gamma = quantum.quantum_compressibility(graining)
         data = {"in_dim": channel.in_dim, "out_dim": channel.out_dim,

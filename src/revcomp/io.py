@@ -244,7 +244,7 @@ def parse_channel_data(data: Any) -> ClassicalChannel | KrausChannel:
     """Channel from decoded JSON: full matrix, shorthand, or Kraus form."""
     if not isinstance(data, dict):
         raise ValidationError("channel file must contain a JSON object")
-    if "kraus" in data:
+    if data.keys() & {"kraus", "in_dim", "out_dim"}:
         return parse_kraus_data(data)
     if "type" in data:
         return _shorthand_from_data(data)
@@ -312,13 +312,6 @@ def parse_kraus_data(data: dict) -> KrausChannel:
             )
         ops.append(op)
     return KrausChannel(tuple(ops))
-
-
-def parse_kraus_file(path: str | Path) -> KrausChannel:
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError("Kraus channel file must contain a JSON object")
-    return parse_kraus_data(data)
 
 
 def kraus_to_data(channel: KrausChannel) -> dict:

@@ -153,8 +153,23 @@ class Partition:
 
     def covers(self, n: int) -> bool:
         """True when the blocks tile ``range(n)`` exactly."""
-        elements = [i for b in self.blocks for i in b]
-        return len(elements) == n and set(elements) == set(range(n))
+        return self.cover_defect(n) is None
+
+    def cover_defect(self, n: int) -> str | None:
+        """Why the blocks do not tile ``range(n)``, or None when they do.
+
+        Names the first member, in block order, outside ``range(n)``, or
+        else the smallest element of ``range(n)`` that no block holds.  The
+        members are distinct and non-negative, so once none is outside, the
+        blocks tile ``range(n)`` exactly when they hold ``n`` members.
+        """
+        outside = next((x for b in self.blocks for x in b if x >= n), None)
+        if outside is not None:
+            return f"member {outside} is outside range({n})"
+        if self.size < n:
+            missing = min(set(range(n)).difference(*self.blocks))
+            return f"element {missing} of range({n}) is in no block"
+        return None
 
     def representatives(self) -> tuple[int, ...]:
         """Smallest member of each block, in block order."""
@@ -565,11 +580,9 @@ def decompression_channel(report: CompressionReport, channel: ClassicalChannel) 
         raise ReportMismatchError(
             "report input labels do not match the channel's input alphabet"
         )
-    if not report.partition.covers(channel.num_inputs):
-        raise ReportMismatchError(
-            f"report partition covers {report.partition.size} elements, "
-            f"channel has {channel.num_inputs} inputs"
-        )
+    defect = report.partition.cover_defect(channel.num_inputs)
+    if defect:
+        raise ReportMismatchError(f"report partition {defect}")
     if report.representatives != report.partition.representatives():
         raise ReportMismatchError("report representatives do not match its partition")
     m = report.partition.num_blocks

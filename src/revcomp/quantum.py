@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -272,36 +273,25 @@ def _output_factors(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
     A factor ``L`` stands for the operator ``L L^dagger``, and a pure vector
     ``v`` is the case ``r = 1``.  The output of ``L L^dagger`` is
     ``sum_i (K_i L)(K_i L)^dagger``, so the images ``K_i L`` side by side are
-    a factor of it.  On the tile path they are formed in Kraus order, one
-    product per tile of ``max(1, out_dim // r, IMAGE_TILE_ENTRIES // (P r
-    out_dim))`` operators, and folded by :func:`_fold` into a
-    ``(P, out_dim, r')`` stack with ``r' <= out_dim``.
+    a factor of it.  Images on ``h`` output rows are formed one product per
+    tile of ``max(1, h // r, IMAGE_TILE_ENTRIES // (P r h))`` operators and
+    folded by :func:`_fold` to at most ``h`` columns.
 
-    The images of a group of :attr:`KrausChannel.support_groups` lie in its
-    ``h`` rows.  A group with fewer rows than the output and more than ``h``
-    image columns folds inside those rows: its rows are gathered by tiles of
-    the same rule with ``h`` for ``out_dim``, its images are formed on them
-    only, folded by :func:`_fold` to at most ``h`` columns and placed back in
-    their rows.  When some group folds, and the folded groups' rows and the
-    other groups' images come to fewer than ``out_dim`` columns, the factor
-    is those images, from one product, beside the folded groups, and the
-    all-zero operators, which add exactly nothing, are left out.  Otherwise
-    grouping would not narrow the factor, and the tile path is taken.
-
-    Grouping is for stacks of inputs, such as the probe tiles of
-    :func:`channel_indistinguishability`.  A single input (``P = 1``), or
-    images that fit in ``out_dim`` columns and in an eighth of a tile, which
-    are one small product and no fold, take the tile path with no groups
-    built: there the fixed cost of the groups (building them, then a product
-    and a fold per group) would outweigh what they save.  Larger stacks
-    group, since every column the groups drop is work saved in the
-    validation and the fidelity kernel for each input.  A channel whose
-    operators share one support, such as every dense channel, always takes
-    the tile path.
+    A single input (``P = 1``) takes every operator in Kraus order on all
+    ``out_dim`` rows.  A stack of two or more inputs splits the operators by
+    :attr:`KrausChannel.support_groups`; the all-zero operators, in no
+    group, add exactly nothing and are left out.  A group with ``h <
+    out_dim`` rows and more than ``h`` image columns has its images formed
+    on its rows only, folded to ``h`` columns and placed back in its rows;
+    the other groups' operators are taken in Kraus order on all rows.  One
+    final fold to ``out_dim`` columns takes their images, then the folded
+    groups, so a stack of pure inputs comes out :func:`_output_width`
+    columns wide.  A single input builds no groups: their fixed cost (a
+    product and a fold per group) would outweigh what they save.
 
     Either way ``r' <= out_dim``, so a channel applied after another is a
     second call, and the scratch memory is at most one tile or ``out_dim``
-    columns of images, whatever the Kraus count.
+    columns of images beside the running factor, whatever the Kraus count.
     """
     count, in_dim, width = factors.shape
     out_dim = channel.out_dim
@@ -324,25 +314,19 @@ def _output_factors(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
         out[:, support] = part
         return out
 
-    # one input, or images that fit in out_dim columns and an eighth of a
-    # tile (one small product, no fold), takes the tile path: grouping would
-    # cost more than it saves
-    if count > 1 and len(kraus) > min(out_dim // width,
-                                      IMAGE_TILE_ENTRIES // (8 * count * width * out_dim)):
+    s = step(out_dim)
+    if count == 1:
+        tiles, grouped = (kraus[i:i + s] for i in range(0, len(kraus), s)), []
+    else:
         plain, grouped = [], []
         for support, ops in channel.support_groups:
             if len(support) < out_dim and width * len(ops) > len(support):
                 grouped.append((support, ops))
             else:
                 plain.extend(ops)
-        if grouped and width * len(plain) + sum(len(s) for s, _ in grouped) < out_dim:
-            plain.sort()
-            tiles = [kraus[plain]] if plain else []
-            return np.concatenate([*images(tiles, out_dim),
-                                   *(folded(support, ops) for support, ops in grouped)], axis=2)
-    per_tile = step(out_dim)
-    tiles = (kraus[i:i + per_tile] for i in range(0, len(kraus), per_tile))
-    return _fold(images(tiles, out_dim), out_dim)
+        plain.sort()
+        tiles = (kraus[plain[i:i + s]] for i in range(0, len(plain), s))
+    return _fold(chain(images(tiles, out_dim), (folded(*g) for g in grouped)), out_dim)
 
 
 def _unit_outputs(channel: KrausChannel, factors: np.ndarray) -> np.ndarray:
@@ -475,10 +459,9 @@ def make_coarse_graining(partition: Partition, in_dim: int,
     """
     if in_dim < 1:
         raise ValidationError(f"input dimension must be >= 1, got {in_dim}")
-    if not partition.covers(in_dim):
-        raise ValidationError(
-            f"partition covers {partition.size} elements, expected exactly {in_dim}"
-        )
+    defect = partition.cover_defect(in_dim)
+    if defect:
+        raise ValidationError(f"partition {defect}")
     m = partition.num_blocks
     target = m if embed_dim is None else embed_dim
     if target < m:
@@ -585,10 +568,10 @@ def _check_count(name: str, value: int) -> None:
 
 
 def _output_width(channel: KrausChannel) -> int:
-    """Columns of the output factor of a stack of pure inputs once
-    :func:`_output_factors` groups the images: a group of
-    :attr:`KrausChannel.support_groups` gives at most its row count and at
-    most its operator count, and no factor is wider than ``out_dim``."""
+    """Columns of the output factor :func:`_output_factors` gives a stack of
+    two or more pure inputs: a group of :attr:`KrausChannel.support_groups`
+    gives the smaller of its row count and its operator count, and the
+    factor is at most ``out_dim`` wide."""
     groups = channel.support_groups
     return min(channel.out_dim, sum(min(len(rows), len(ops)) for rows, ops in groups))
 

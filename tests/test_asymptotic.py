@@ -857,3 +857,21 @@ class TestOneRowRoutine:
         with pytest.raises(ExactSolverCapError, match="above the cap"):
             _cover(masks, "exact")
         assert len(_cover(masks, "greedy")[0]) == len(masks)
+
+    @pytest.mark.parametrize("solver", ["closed_form", "auto"])
+    def test_a_sweep_checks_the_letter_matrix_once(self, monkeypatch, solver):
+        checked = []
+        letter_matrix = asymptotic._letter_matrix
+
+        def counted(channel):
+            checked.append(channel)
+            return letter_matrix(channel)
+
+        monkeypatch.setattr(asymptotic, "_letter_matrix", counted)
+        ch = make_erasure(2, 0.9)
+        # past k = 11 the auto rows are closed-form too
+        sweep = delta_estimate(ch, 0.2, 14, solver)
+        assert len(checked) == 1
+        monkeypatch.undo()
+        assert [r.block_count for r in sweep.results] == [
+            gamma_k(ch, 0.2, k, solver).block_count for k in range(1, 15)]

@@ -459,6 +459,28 @@ class TestCliQuantum:
         assert json.loads(capsys.readouterr().out)["kernel_dim"] == 3
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("data", [
+        {"type": "erasure", "r": 2, "eta": 0.5},
+        {"input_labels": ["a", "b"], "output_labels": ["u"], "matrix": [[1.0], [1.0]]},
+    ], ids=["shorthand", "full-matrix"])
+    def test_kraus_route_refuses_a_classical_channel(self, tmp_path, capsys, data):
+        path = write_json(tmp_path, "ch.json", data)
+        assert main(["quantum-compress", "--kraus", path, "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} holds a classical channel; this command needs a Kraus channel\n")
+
+    def test_kraus_file_without_operators_names_the_field(self, tmp_path, capsys):
+        path = write_json(tmp_path, "q.json", {"in_dim": 2, "out_dim": 3})
+        assert main(["quantum-compress", "--kraus", path, "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: Kraus channel file is missing required field 'kraus'\n")
+
+    def test_classical_commands_refuse_a_kraus_channel(self, tmp_path, capsys):
+        path = write_json(tmp_path, "q.json", io.kraus_to_data(make_quantum_erasure(2, 0.5)))
+        assert main(["compress", "--channel", path, "--epsilon", "0.2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} holds a Kraus channel; this command needs a classical channel\n")
+
     def test_needs_exactly_one_route(self, tmp_path, capsys):
         assert main(["quantum-compress", "--dim", "4"]) == 2
         path = write_json(tmp_path, "q.json", io.kraus_to_data(make_quantum_erasure(2, 0.5)))
@@ -716,6 +738,10 @@ class TestCliArgumentChecks:
          "--seed must be >= 0, got -1"),
         (["quantum-compress", "--dim", "4", "--blocks", "0,1;2,3,3"],
          "partition block repeats element 3"),
+        (["quantum-compress", "--dim", "3", "--blocks", "0,1;5"],
+         "partition member 5 is outside range(3)"),
+        (["quantum-compress", "--dim", "3", "--blocks", "0,1"],
+         "partition element 2 of range(3) is in no block"),
         (["quantum-compress", "--dim", "0", "--blocks", "0"], "--dim must be >= 1, got 0"),
         (["quantum-compress", "--dim", "-2", "--blocks", "0"], "--dim must be >= 1, got -2"),
     ])

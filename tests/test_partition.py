@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -154,6 +155,21 @@ class TestPartition:
         assert Partition(((0, 1), (2,))).covers(3)
         assert not Partition(((0, 1),)).covers(3)
         assert not Partition(((0, 3),)).covers(2)
+
+    @pytest.mark.parametrize("blocks, n, defect", [
+        (((0, 1), (2,)), 3, None),
+        ((), 0, None),
+        (((0, 1), (5,)), 3, "member 5 is outside range(3)"),
+        (((0, 4), (1, 3)), 3, "member 4 is outside range(3)"),
+        (((0, 1),), 3, "element 2 of range(3) is in no block"),
+        (((1,), (3,)), 4, "element 0 of range(4) is in no block"),
+        (((0,), (2,)), 2, "member 2 is outside range(2)"),
+        ((), 2, "element 0 of range(2) is in no block"),
+    ])
+    def test_cover_defect_names_the_first_stray_or_missing_element(self, blocks, n, defect):
+        part = Partition(blocks)
+        assert part.cover_defect(n) == defect
+        assert part.covers(n) == (defect is None)
 
     def test_block_index(self):
         p = Partition(((0, 2), (1,)))
@@ -405,3 +421,15 @@ class TestDecompression:
         report = compress(make_erasure(3, 0.5), 0.8)
         with pytest.raises(ReportMismatchError):
             decompression_channel(report, make_identity(4))
+
+    @pytest.mark.parametrize("blocks, message", [
+        (((0,), (1,), (5,)), "report partition member 5 is outside range(3)"),
+        (((0, 1),), "report partition element 2 of range(3) is in no block"),
+    ])
+    def test_partition_off_the_inputs_is_named(self, blocks, message):
+        ch = make_erasure(3, 0.5)
+        part = Partition(blocks)
+        report = dataclasses.replace(compress(ch, 0.0), partition=part,
+                                     representatives=part.representatives())
+        with pytest.raises(ReportMismatchError, match="^" + re.escape(message) + "$"):
+            decompression_channel(report, ch)

@@ -533,15 +533,29 @@ class TestSupportGroups:
 
     def test_groups_are_built_once_on_first_use(self):
         ch = make_quantum_erasure(4, 0.5)
-        # the five images of a pure probe fit in the five output rows with no
-        # fold, and a single input takes the tile path: neither builds groups
+        # a single input takes every operator in Kraus order: no groups
         pure = np.eye(4, dtype=complex)[:, :, None]
-        assert quantum._output_factors(ch, pure).shape == (4, 5, 5)
+        assert quantum._output_factors(ch, pure[:1]).shape == (1, 5, 5)
         two = np.eye(4, dtype=complex).reshape(4, 2, 2).swapaxes(0, 1)
         assert quantum._output_factors(ch, two[:1]).shape == (1, 5, 5)
         assert "support_groups" not in vars(ch)
+        # the first stack builds them: the kept state, and the flag folded to
+        # one column
+        assert quantum._output_factors(ch, pure).shape == (4, 5, 2)
+        groups = vars(ch)["support_groups"]
         assert quantum._output_factors(ch, two).shape == (2, 5, 3)
-        assert vars(ch)["support_groups"] is ch.support_groups
+        assert vars(ch)["support_groups"] is groups
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_sparse_channels(), st.integers(2, 5), st.integers(1, 400),
+           st.integers(0, 2 ** 32 - 1))
+    def test_stacks_of_pure_inputs_come_out_output_width_wide(self, ch, count, tile, seed):
+        # the width that sizes every probe tile is the width the factor gets
+        v = quantum._random_pure_states(count, ch.in_dim, np.random.default_rng(seed))[:, :, None]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quantum, "IMAGE_TILE_ENTRIES", tile)
+            out = quantum._output_factors(ch, v)
+        assert out.shape == (count, ch.out_dim, quantum._output_width(ch))
 
     @settings(max_examples=200, deadline=None)
     @given(row_sparse_channels(), st.data())
@@ -574,12 +588,8 @@ class TestSupportGroups:
         v = np.concatenate(list(quantum._probe_chunks(dim, 50, np.random.default_rng(dim))))
         v = v[:, :, None]
         assert quantum._output_factors(composed, v).shape == (len(v), dim + 1, 2)
-        # the erasure's own d + 1 images fit the output with no fold: in an
-        # eighth of a tile they are one product, in more they are grouped
-        wide = len(v) * (dim + 1) ** 2 <= quantum.IMAGE_TILE_ENTRIES // 8
-        assert wide == (dim < 12)
-        assert quantum._output_factors(erasure, v).shape == (len(v), dim + 1,
-                                                             dim + 1 if wide else 2)
+        # the erasure's own d + 1 images fold to the same two columns
+        assert quantum._output_factors(erasure, v).shape == (len(v), dim + 1, 2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quantum, "IMAGE_TILE_ENTRIES", 1)
             assert quantum._output_factors(erasure, v).shape == (len(v), dim + 1, 2)
@@ -588,14 +598,16 @@ class TestSupportGroups:
     @pytest.mark.parametrize("dim", [2, 5, 12])
     def test_groups_that_would_not_narrow_take_the_tile_path(self, dim):
         # through the erasure, a d-column input keeps d columns in the kept
-        # rows and folds to 1 in the flag row: d + 1, no narrower than the
-        # tile path's factor
+        # rows and folds to 1 in the flag row: d + 1, no narrower than every
+        # image folded together, and still a factor of the output
         erasure = make_quantum_erasure(dim, 0.6)
         rng = np.random.default_rng(dim)
         factors = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
         got = quantum._output_factors(erasure, factors)
-        want = tiled_output_factors(erasure, factors, quantum.IMAGE_TILE_ENTRIES)
-        assert got.shape == (3, dim + 1, dim + 1) and got.tobytes() == want.tobytes()
+        assert got.shape == (3, dim + 1, dim + 1)
+        for p in range(3):
+            want = kraus_sum(erasure, factors[p] @ factors[p].conj().T)
+            assert np.max(np.abs(got[p] @ got[p].conj().T - want)) < 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 9), st.integers(1, 8),
@@ -614,6 +626,14 @@ class TestSupportGroups:
 
 
 class TestCoarseGraining:
+    @pytest.mark.parametrize("blocks, message", [
+        (((0, 1), (5,)), "partition member 5 is outside range(3)"),
+        (((0, 1),), "partition element 2 of range(3) is in no block"),
+    ])
+    def test_partition_off_the_inputs_is_named(self, blocks, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            make_coarse_graining(Partition(blocks), 3, embed_dim=3)
+
     def test_kraus_are_block_projectors(self):
         part = Partition(((0, 1), (2,)))
         comp = make_coarse_graining(part, 3)
@@ -956,12 +976,14 @@ class TestProbes:
         # the probe tiles, then one solve to validate the witness DensityMatrix
         assert len(batches) in (2, 3) and sum(batches[:-1]) == 476 and batches[-1] == 1
 
-    @pytest.mark.parametrize("pair", ["erasure", "dense", "few-many"])
+    @pytest.mark.parametrize("pair", ["erasure", "erasure-2", "erasure-3", "erasure-4",
+                                      "erasure-5", "erasure-6", "dense", "few-many"])
     def test_tiles_match_one_probe_at_a_time(self, pair):
         rng = np.random.default_rng(53)
-        if pair == "erasure":
-            a = make_quantum_erasure(12, 0.9)
-            full = make_coarse_graining(Partition.single_block(12), 12, embed_dim=12)
+        if pair.startswith("erasure"):
+            dim = int(pair[8:] or 12)
+            a = make_quantum_erasure(dim, 0.9)
+            full = make_coarse_graining(Partition.single_block(dim), dim, embed_dim=dim)
             b, n_random = compose_channels(full.channel, a), 200
         else:
             a = random_kraus_channel(16, 16, 64, np.random.default_rng(47))
