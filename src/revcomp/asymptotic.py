@@ -2,8 +2,9 @@
 
 Everything here reports finite-k evidence.  The infinite-use limit is
 never extrapolated; beyond exact feasibility the functions return valid
-partitions whose compressibility is a lower bound on the true value, and
-they say so in their method tags.
+partitions whose compressibility is a lower bound on the true value, or a
+value the letter graph proves optimal, and they say which in their method
+tags and ``proved`` flags.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .partition import (
     _cover,
     _exact_coloring,
     _integer,
+    _max_clique_size,
     _partition_of,
     compressibility,
     default_exact_cap,
@@ -153,20 +155,24 @@ def _sequence_masks(base: np.ndarray, epsilon: float, k: int,
 class GammaKResult:
     """Compressibility of ``k`` channel uses plus how it was obtained.
 
-    ``method`` is ``"exact"`` for solved instances, ``"greedy_lower_bound"``
-    for a first-fit cover of the materialized sequence graph, and
-    ``"closed_form"`` for the per-letter-threshold product construction.
-    Non-exact values are lower bounds on the true compressibility.
+    ``method`` is ``"exact"`` for solved instances, ``"letter_product"``
+    for a row the letter graph proves (:func:`_letter_product_theta`),
+    ``"greedy_lower_bound"`` for a first-fit cover of the materialized
+    sequence graph, and ``"closed_form"`` for the per-letter-threshold
+    product construction.  ``proved`` is true for exact and letter-product
+    rows, whose values are the true compressibility; greedy and closed-form
+    values are lower bounds on it.
     """
 
     k: int
     block_count: int
     gamma: float
     method: str
+    proved: bool
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "gamma": self.gamma, "method": self.method,
-                "blocks": self.block_count}
+                "blocks": self.block_count, "proved": self.proved}
 
 
 def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: int) -> Partition:
@@ -214,14 +220,52 @@ def _letter_certificate(fid: np.ndarray, blocks: Sequence[Sequence[int]],
     return worst, math.prod([worst] * k)
 
 
+def _letter_product_theta(base: np.ndarray, epsilon: float, cap: int) -> int:
+    """Minimum clique cover size ``theta`` of the letter graph when it proves
+    every sequence row of the letter matrix ``base`` at ``n**(k - 1) *
+    theta`` blocks, else 0.
+
+    Let ``M`` be the largest off-diagonal letter value and ``t = 1 -
+    epsilon``.  When ``M * M < t`` in float, a pair of sequences that
+    differ in two or more letters is never joined: its running product is
+    exactly 1.0 up to its first differing letter, exactly that letter's
+    value ``w`` there, at most ``w * w' <= M * M`` at the second (rounding
+    is monotone), and later letters in [0, 1] never raise a float.  So the
+    length-``k`` graph joins exactly the pairs that differ in one letter
+    whose letter pair is joined in the letter graph ``G_1``.  Three such
+    sequences that are pairwise joined differ in the same place, so a
+    clique holds at most ``omega(G_1)`` sequences and a cover needs at least
+    ``n**k / omega`` blocks; fixing the first ``k - 1`` letters and covering
+    the last one with ``theta`` cliques of ``G_1`` is a cover of ``n**(k -
+    1) * theta`` blocks, each pair's product exactly one letter value
+    ``>= t``.  The two meet when ``theta * omega == n``.  Both come from the
+    exact searches, so only for ``n <= cap`` letters.
+    """
+    n = base.shape[0]
+    if n > cap:
+        return 0
+    t = 1.0 - epsilon
+    top = float(base[~np.eye(n, dtype=bool)].max())
+    if not top * top < t:
+        return 0
+    masks = _bits(base >= t)
+    theta = len(_exact_coloring(masks))
+    omega = _max_clique_size([mask & ~(1 << v) for v, mask in enumerate(masks)], n)
+    return theta if theta * omega == n else 0
+
+
 def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
           solver: str) -> list[GammaKResult]:
     """The :func:`gamma_k` row at each length in ``ks``: the one row routine.
 
-    Every ``k`` is checked before any row runs.  A row is the closed form
-    (asked for, or past the graph cap) or the cover of its sequence graph
-    (:func:`_sequence_masks`, one memo for all rows), and its gamma is
-    :func:`compressibility` of its block count.
+    Every ``k`` is checked before any row runs.  On ``"auto"``, a row of
+    more sequences than the exact cap is first offered to the letter graph
+    (:func:`_letter_product_theta`, built once per call on the first such
+    row); when that proves it, the row is ``n**(k - 1) * theta`` blocks,
+    ``"letter_product"`` and proved, with no graph.  Any other row is the
+    closed form (asked for, or past the graph cap) or the cover of its
+    sequence graph (:func:`_sequence_masks`, one memo for all rows), and its
+    gamma is :func:`compressibility` of its block count.
     """
     cap = default_exact_cap()
     if solver not in ("auto", "exact", "greedy", "closed_form"):
@@ -245,15 +289,22 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
                                   "decimal digits, past Python's int-to-string limit")
     base = _letter_matrix(channel)
     memo: dict[tuple[int, float], list[int]] = {}
+    theta = None
     rows = []
     for k in ks:
         total = n ** k
-        if solver == "closed_form" or total > DEFAULT_GRAPH_CAP:
-            blocks, method = _closed_form_partition(base, epsilon, k).num_blocks ** k, "closed_form"
+        past_exact = solver == "auto" and total > cap
+        if past_exact and theta is None:
+            theta = _letter_product_theta(base, epsilon, cap)
+        if past_exact and theta:
+            blocks, method, proved = n ** (k - 1) * theta, "letter_product", True
+        elif solver == "closed_form" or total > DEFAULT_GRAPH_CAP:
+            blocks = _closed_form_partition(base, epsilon, k).num_blocks ** k
+            method, proved = "closed_form", False
         else:
-            cover, optimal = _cover(_sequence_masks(base, epsilon, k, memo), solver)
-            blocks, method = len(cover), "exact" if optimal else "greedy_lower_bound"
-        rows.append(GammaKResult(k, blocks, compressibility(total, blocks), method))
+            cover, proved = _cover(_sequence_masks(base, epsilon, k, memo), solver)
+            blocks, method = len(cover), "exact" if proved else "greedy_lower_bound"
+        rows.append(GammaKResult(k, blocks, compressibility(total, blocks), method, proved))
     return rows
 
 
@@ -262,13 +313,15 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     """Compressibility of ``k`` independent uses of a channel (:func:`_rows`).
 
     ``solver="auto"`` picks the exact solver while the sequence count fits
-    the exact cap, first-fit on the materialized graph up to
-    ``DEFAULT_GRAPH_CAP``, and the closed-form product construction beyond
-    that.  Requesting ``"exact"`` above the exact cap raises
-    :class:`ExactSolverCapError`; requesting ``"exact"`` or ``"greedy"``
-    above the graph cap raises :class:`ValidationError`, whatever the
-    exact cap, as does a ``k`` whose sequence count Python cannot print in
-    decimal.  A materialized row's graph is bitmasks built from shorter
+    the exact cap.  Above it, a row the letter graph proves is
+    ``"letter_product"``, an optimum at any ``k`` with no graph built
+    (:func:`_letter_product_theta`); any other row is first-fit on the
+    materialized graph up to ``DEFAULT_GRAPH_CAP`` and the closed-form
+    product construction beyond that.  Requesting ``"exact"`` above the
+    exact cap raises :class:`ExactSolverCapError`; requesting ``"exact"`` or
+    ``"greedy"`` above the graph cap raises :class:`ValidationError`,
+    whatever the exact cap, as does a ``k`` whose sequence count Python
+    cannot print in decimal.  A materialized row's graph is bitmasks built from shorter
     running-product graphs (:func:`_sequence_masks`), which decide each pair
     exactly as :func:`product_fidelity_matrix` would; only its cover's
     blocks are counted.
@@ -280,8 +333,9 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
 class AsymptoticSweep:
     """Per-k compressibility values with method tags and an observed trend.
 
-    ``trend`` describes the computed values only; exact entries and lower
-    bounds are mixed, so it is evidence about the limit, not the limit.
+    ``trend`` describes the computed values only; proved entries (exact and
+    letter-product) and lower bounds are mixed, so it is evidence about the
+    limit, not the limit.
     """
 
     epsilon: float

@@ -229,8 +229,9 @@ def _cmd_asymptotic(args: argparse.Namespace):
 
     def table() -> str:
         text = _rows_table(
-            ["k", "gamma", "method", "blocks"],
-            [[str(r.k), repr(r.gamma), r.method, str(r.block_count)] for r in sweep.results],
+            ["k", "gamma", "method", "blocks", "proved"],
+            [[str(r.k), repr(r.gamma), r.method, str(r.block_count), str(r.proved)]
+             for r in sweep.results],
         )
         return text + f"\nobserved trend: {sweep.trend} (finite-k evidence, not a limit)"
     return data, table

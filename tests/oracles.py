@@ -104,11 +104,14 @@ def kron_chain(base: np.ndarray, k: int) -> np.ndarray:
     return fid
 
 
-def product_partition(letter_blocks, alphabet_size: int, k: int) -> list[tuple[int, ...]]:
+def product_partition(letter_blocks, alphabet_size: int, k: int,
+                      last_blocks=None) -> list[tuple[int, ...]]:
     """Blocks of the ``k``-fold product of a letter partition, as indices of
-    lexicographically ordered length-``k`` sequences."""
+    lexicographically ordered length-``k`` sequences.  With ``last_blocks``,
+    the last letter is partitioned by those blocks instead."""
+    positions = [letter_blocks] * (k - 1) + [letter_blocks if last_blocks is None else last_blocks]
     blocks = []
-    for choice in itertools.product(letter_blocks, repeat=k):
+    for choice in itertools.product(*positions):
         blocks.append(tuple(
             sum(x * alphabet_size ** (k - 1 - j) for j, x in enumerate(seq))
             for seq in itertools.product(*choice)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import sys
@@ -6,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from revcomp import (
@@ -130,7 +131,12 @@ class TestProductFidelityMatrix:
                             lambda ch: calls.append(ch) or original(ch))
         ch = make_erasure(2, 0.9)
         sweep = delta_estimate(ch, 0.2, 12)
-        assert {r.method for r in sweep.results} == {"exact", "greedy_lower_bound", "closed_form"}
+        assert {r.method for r in sweep.results} == {"exact", "letter_product"}
+        # The graph rows and the closed-form rows of the same channel.
+        assert {r.method for r in delta_estimate(ch, 0.2, 11, solver="greedy").results} == {
+            "greedy_lower_bound"}
+        assert {r.method for r in delta_estimate(ch, 0.2, 12, solver="closed_form").results} == {
+            "closed_form"}
         assert calls == [ch]
         assert ch.fidelity_matrix.tobytes() == original(ch).tobytes()
         assert not ch.fidelity_matrix.flags.writeable
@@ -211,7 +217,7 @@ class TestProductAdjacency:
         # The 2048-sequence float product alone is 32 MiB.
         tracemalloc.start()
         try:
-            result = gamma_k(make_erasure(2, 0.9), 0.2, 11)
+            result = gamma_k(make_erasure(2, 0.9), 0.2, 11, solver="greedy")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,20 +262,25 @@ class TestProductAdjacency:
         assert [gamma_k(ch, 0.2, k) for k in range(1, 12)] == list(sweep.results)
 
     def test_sweep_past_the_cap_never_holds_the_product(self):
-        # Rows past k = 11 are closed form and add nothing to the memo.
+        # Rows past k = 11 are closed form and add nothing to the memo.  At
+        # epsilon 0.35 two differing letters merge (0.81**2 >= 0.65), so the
+        # letter graph proves nothing and the auto sweep builds its graphs;
+        # at epsilon 0.2 the letter graph proves every row past the exact cap.
         tracemalloc.start()
         try:
-            sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 13)
+            sweep = delta_estimate(make_erasure(2, 0.9), 0.35, 13)
+            proved = delta_estimate(make_erasure(2, 0.9), 0.2, 13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [r.method for r in sweep.results][-3:] == [
             "greedy_lower_bound", "closed_form", "closed_form"]
+        assert [r.method for r in proved.results][-3:] == ["letter_product"] * 3
         assert peak < 20 << 20
 
     @pytest.mark.parametrize("row", [
-        lambda: delta_estimate(make_erasure(2, 0.9), 0.2, 13).results[10],
-        lambda: gamma_k(make_erasure(2, 0.9), 0.2, 11),
+        lambda: delta_estimate(make_erasure(2, 0.9), 0.2, 11, solver="greedy").results[10],
+        lambda: gamma_k(make_erasure(2, 0.9), 0.2, 11, solver="greedy"),
     ], ids=["sweep", "standalone"])
     def test_rows_at_the_cap_hold_only_their_masks(self, row):
         # The k = 11 graph's 2048 masks of 2048 bits are 0.5 MiB, and its
@@ -287,7 +298,7 @@ class TestProductAdjacency:
         # 3000 levels of memo entries, built without recursion.
         ch = make_identity(1)
         assert gamma_k(ch, 0.2, 3000) == GammaKResult(k=3000, block_count=1, gamma=1.0,
-                                                      method="exact")
+                                                      method="exact", proved=True)
         sweep = delta_estimate(ch, 0.2, 3000)
         assert [r.block_count for r in sweep.results] == [1] * 3000
         assert sweep.trend == "constant"
@@ -373,7 +384,8 @@ class TestLetterMatrixCheck:
     @pytest.mark.parametrize("kind", ["symmetric", "diagonal", "range"])
     def test_gamma_k_and_sweeps_reject_the_letter_matrix(self, kind):
         bad = self.bad_matrices()[kind]
-        # k = 2 is exact, k = 5 greedy and k = 8 closed form.
+        # k = 2 is within the exact cap, k = 5 and k = 8 past it and the
+        # last past the graph cap.
         for call in (lambda ch: gamma_k(ch, 0.2, 2), lambda ch: gamma_k(ch, 0.2, 5),
                      lambda ch: gamma_k(ch, 0.2, 8), lambda ch: delta_estimate(ch, 0.2, 3),
                      lambda ch: delta_estimate(ch, 0.2, 3, solver="closed_form")):
@@ -421,11 +433,15 @@ class TestGammaK:
 
     def test_erasure_sweep_frozen_values(self):
         sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 5)
-        gammas = [r.gamma for r in sweep.results]
-        assert gammas == [1.0, 2 / 3, 4 / 7, 8 / 15, 16 / 31]
-        assert [r.block_count for r in sweep.results] == [1, 2, 4, 8, 16]
-        assert [r.method for r in sweep.results] == ["exact"] * 4 + ["greedy_lower_bound"]
-        assert sweep.trend == "nonincreasing"
+        greedy = delta_estimate(make_erasure(2, 0.9), 0.2, 5, solver="greedy")
+        for rows in (sweep.results, greedy.results):
+            assert [r.gamma for r in rows] == [1.0, 2 / 3, 4 / 7, 8 / 15, 16 / 31]
+            assert [r.block_count for r in rows] == [1, 2, 4, 8, 16]
+        assert [r.method for r in sweep.results] == ["exact"] * 4 + ["letter_product"]
+        assert [r.proved for r in sweep.results] == [True] * 5
+        assert [r.method for r in greedy.results] == ["greedy_lower_bound"] * 5
+        assert [r.proved for r in greedy.results] == [False] * 5
+        assert sweep.trend == greedy.trend == "nonincreasing"
 
     def test_erasure_sweep_below_threshold(self):
         # 0.25 < 1 - 0.5, nothing ever merges
@@ -494,8 +510,8 @@ class TestGammaK:
         sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 2)
         data = sweep.to_json_data()
         assert data == [
-            {"k": 1, "gamma": 1.0, "method": "exact", "blocks": 1},
-            {"k": 2, "gamma": 2 / 3, "method": "exact", "blocks": 2},
+            {"k": 1, "gamma": 1.0, "method": "exact", "blocks": 1, "proved": True},
+            {"k": 2, "gamma": 2 / 3, "method": "exact", "blocks": 2, "proved": True},
         ]
 
     def test_parameter_validation(self):
@@ -779,7 +795,16 @@ class TestEveryRegimeCovers:
                 continue
             row = _partition_of(_cover(_sequence_masks(ch.fidelity_matrix, eps, k, {}),
                                        solver)[0])
-            assert row.num_blocks == gamma_k(ch, eps, k, solver).block_count, solver
+            got = gamma_k(ch, eps, k, solver)
+            if got.method == "letter_product":
+                # A proved optimum, which first fit need not reach: the
+                # prefix grouping times a minimum cover of the last letter.
+                best = Partition(tuple(product_partition(
+                    [(x,) for x in range(n)], n, k, solve_exact(letters).blocks)))
+                assert got.block_count == best.num_blocks <= row.num_blocks
+                covers.append(best)
+            else:
+                assert row.num_blocks == got.block_count, solver
             covers.append(row)
         for part in covers:
             assert partition_is_clique_cover(part, graph)
@@ -844,10 +869,14 @@ class TestOneRowRoutine:
         if not digits:
             pytest.skip("this Python prints ints of any length")
         k = (10 ** digits).bit_length()  # the least k with 2**k >= 10**digits
-        with pytest.raises(ValidationError, match=f"^k={k}: the sequence count 2\\*\\*{k} "):
-            gamma_k(make_erasure(2, 0.9), 0.2, k)
-        row = gamma_k(make_erasure(2, 0.9), 0.2, k - 1)
+        for solver in ("auto", "closed_form"):
+            with pytest.raises(ValidationError, match=f"^k={k}: the sequence count 2\\*\\*{k} "):
+                gamma_k(make_erasure(2, 0.9), 0.2, k, solver)
+        row = gamma_k(make_erasure(2, 0.9), 0.2, k - 1, solver="closed_form")
         assert row.method == "closed_form" and str(row.block_count)
+        row = gamma_k(make_erasure(2, 0.9), 0.2, k - 1)
+        assert (row.method, row.block_count) == ("letter_product", 2 ** (k - 2))
+        assert str(row.block_count)
 
     def test_exact_cap_is_checked_before_the_search(self, monkeypatch):
         def unreachable(masks):
@@ -869,9 +898,175 @@ class TestOneRowRoutine:
 
         monkeypatch.setattr(asymptotic, "_letter_matrix", counted)
         ch = make_erasure(2, 0.9)
-        # past k = 11 the auto rows are closed-form too
+        # past the exact cap the auto rows are letter products
         sweep = delta_estimate(ch, 0.2, 14, solver)
         assert len(checked) == 1
         monkeypatch.undo()
         assert [r.block_count for r in sweep.results] == [
             gamma_k(ch, 0.2, k, solver).block_count for k in range(1, 15)]
+
+
+# Product graphs up to this many sequences are checked against the
+# exhaustive set-partition oracle, which takes seconds on 32 erasure sequences.
+BRUTE_SEQUENCES = 16
+
+
+@st.composite
+def letter_check_instances(draw):
+    """A channel on 2 to 5 letters (random rows with some repeated, an
+    erasure, or a two-group generalized erasure) and an epsilon whose
+    ``1 - eps`` is one letter value or the float square of the largest
+    off-diagonal one, or one float either side of either."""
+    n = draw(st.integers(2, 5), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    kind = draw(st.sampled_from(["random", "erasure", "grouped"]), label="kind")
+    if kind == "random":
+        ch = random_channel(rng, n, draw(st.integers(1, 4), label="outputs"))
+        copies = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="rows")
+        ch = ClassicalChannel(ch.input, ch.output, ch.matrix[copies])
+    elif kind == "erasure":
+        ch = make_erasure(n, float(rng.uniform(0.5, 1.0)))
+    else:
+        ch = grouped_erasure(n, rng)
+    fid = ch.fidelity_matrix
+    top = float(fid[~np.eye(n, dtype=bool)].max())
+    t = draw(st.one_of(st.just(top * top), st.sampled_from(sorted({float(v) for v in fid.flat}))),
+             label="t")
+    t = draw(st.sampled_from([float(np.nextafter(t, 0.0)), t, float(np.nextafter(t, 2.0))]),
+             label="ulp")
+    return ch, min(max(1.0 - t, 0.0), 1.0)
+
+
+class TestLetterProductRows:
+    """Rows past the exact cap that the letter graph proves: blocks
+    ``n**(k - 1) * theta`` when ``M * M < 1 - eps`` and ``theta * omega == n``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(letter_check_instances())
+    def test_letter_product_rows_are_proved_optima(self, instance):
+        ch, eps = instance
+        n = ch.num_inputs
+        fid = ch.fidelity_matrix
+        t = 1.0 - eps
+        letters = graph_from_fidelity_matrix(fid, eps)
+        theta = min_clique_cover_brute(letters.adjacency)
+        omega = max(len(c) for size in range(1, n + 1)
+                    for c in itertools.combinations(range(n), size)
+                    if letters.adjacency[np.ix_(c, c)].all())
+        top = float(fid[~np.eye(n, dtype=bool)].max())
+        proved = top * top < t and theta * omega == n
+        event("letter product" if proved else "M * M >= 1 - eps" if top * top >= t
+              else "theta * omega != n")
+        k_max = max(k for k in range(1, 7) if n ** k <= 64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REVCOMP_EXACT_CAP", str(n))  # every row past k = 1 is past the cap
+            rows = delta_estimate(ch, eps, k_max).results
+            greedy = delta_estimate(ch, eps, k_max, solver="greedy").results
+        assert (rows[0].method, rows[0].proved) == ("exact", True)
+        assert rows[0].block_count == theta
+        letter_cover = solve_exact(letters).blocks
+        for row, plain in zip(rows[1:], greedy[1:]):
+            k = row.k
+            if not proved:  # the sequence graph was built and covered
+                assert row == plain
+                continue
+            assert (row.method, row.proved) == ("letter_product", True)
+            cover = Partition(tuple(product_partition(
+                [(x,) for x in range(n)], n, k, letter_cover)))
+            graph = graph_from_fidelity_matrix(product_fidelity_matrix(ch, k), eps)
+            assert partition_is_clique_cover(cover, graph)
+            assert row.block_count == cover.num_blocks == n ** (k - 1) * theta
+            assert row.block_count <= plain.block_count
+            if n ** k <= BRUTE_SEQUENCES:
+                assert row.block_count == min_clique_cover_brute(graph.adjacency)
+
+    @staticmethod
+    def graph_rows(monkeypatch, ch, eps, k_max):
+        """The auto sweep's rows and how many sequence graphs it built."""
+        built = []
+        sequence_masks = asymptotic._sequence_masks
+
+        def counted(base, epsilon, k, memo):
+            built.append(k)
+            return sequence_masks(base, epsilon, k, memo)
+
+        monkeypatch.setattr(asymptotic, "_sequence_masks", counted)
+        rows = delta_estimate(ch, eps, k_max).results
+        monkeypatch.undo()
+        return rows, built
+
+    def test_duplicate_letters_build_the_graph(self, monkeypatch):
+        # Two equal rows have letter fidelity exactly 1.0, so M * M = 1.0
+        # is never below 1 - eps.
+        matrix = np.array([[0.7, 0.3], [0.7, 0.3], [0.1, 0.9]])
+        ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(2), matrix)
+        assert ch.fidelity_matrix[0, 1] == 1.0
+        rows, built = self.graph_rows(monkeypatch, ch, 0.05, 4)
+        assert built == [1, 2, 3, 4]
+        assert [r.method for r in rows] == ["exact"] * 2 + ["greedy_lower_bound"] * 2
+        assert rows[2:] == delta_estimate(ch, 0.05, 4, solver="greedy").results[2:]
+
+    def test_path_letter_graph_builds_the_graph(self, monkeypatch):
+        # Letters 0 - 1 - 2 form a path at 1 - eps = 0.45 (fidelities
+        # 0.557 and 0.48, and 0.04 between the ends), and M * M = 0.310 is
+        # below it, but theta * omega = 2 * 2 != 3.
+        matrix = np.array([[0.8, 0.2, 0.0, 0.0], [0.2, 0.6, 0.2, 0.0], [0.0, 0.2, 0.6, 0.2]])
+        ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(4), matrix)
+        fid = ch.fidelity_matrix
+        assert fid[0, 1] ** 2 < 0.45 <= min(fid[0, 1], fid[1, 2]) and fid[0, 2] < 0.45
+        rows, built = self.graph_rows(monkeypatch, ch, 0.55, 4)
+        assert built == [1, 2, 3, 4]
+        assert [r.method for r in rows] == ["exact"] * 2 + ["greedy_lower_bound"] * 2
+        assert [r.proved for r in rows] == [True] * 2 + [False] * 2
+
+    def test_proved_rows_build_no_graph(self, monkeypatch):
+        # Past the exact cap no sequence graph, cover or closed form runs,
+        # past the graph cap included, and the erasure optimum 2**(k - 1)
+        # holds on every row.
+        def refuse(*args):
+            raise AssertionError("a letter-product row built a graph or a closed form")
+
+        ch = make_erasure(2, 0.9)
+        within = delta_estimate(ch, 0.2, 4).results
+        for name in ("_sequence_masks", "_cover", "_closed_form_partition"):
+            monkeypatch.setattr(asymptotic, name, refuse)
+        past = [gamma_k(ch, 0.2, k) for k in range(5, 15)]
+        assert [r.block_count for r in within + tuple(past)] == [2 ** (k - 1) for k in range(1, 15)]
+        assert [(r.method, r.proved) for r in past] == [("letter_product", True)] * 10
+        assert past[-1].gamma == compressibility(2 ** 14, 2 ** 13)
+
+    def test_letter_graph_is_checked_once_per_call(self, monkeypatch):
+        calls = []
+        theta = asymptotic._letter_product_theta
+
+        def counted(*args):
+            calls.append(args)
+            return theta(*args)
+
+        monkeypatch.setattr(asymptotic, "_letter_product_theta", counted)
+        ch = make_erasure(3, 0.9)
+        assert [r.method for r in delta_estimate(ch, 0.2, 7).results].count("letter_product") == 5
+        assert len(calls) == 1
+        # A check that proves nothing is also made once: 0.81**2 >= 0.65.
+        assert "letter_product" not in {r.method for r in delta_estimate(ch, 0.35, 7).results}
+        assert len(calls) == 2
+        # Rows within the exact cap and every explicit solver make none.
+        delta_estimate(ch, 0.2, 2)
+        for solver in ("exact", "greedy", "closed_form"):
+            delta_estimate(ch, 0.2, 2 if solver == "exact" else 6, solver)
+        assert len(calls) == 2
+
+    def test_table_and_json_carry_proved(self, tmp_path, capsys):
+        path = tmp_path / "ch.json"
+        path.write_text('{"type": "erasure", "r": 2, "eta": 0.9}')
+        argv = ["asymptotic", "--channel", str(path), "--epsilon", "0.2", "--k-max", "13"]
+        assert cli.main([*argv, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [(r["blocks"], r["method"], r["proved"]) for r in data[-2:]] == [
+            (2048, "letter_product", True), (4096, "letter_product", True)]
+        assert cli.main([*argv, "--solver", "greedy", "--format", "json"]) == 2
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["k", "gamma", "method", "blocks", "proved"]
+        assert lines[14].split()[2:] == ["letter_product", "4096", "True"]
