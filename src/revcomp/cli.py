@@ -209,6 +209,8 @@ def _cmd_gen_erasure(args: argparse.Namespace):
 
 
 def _cmd_conjecture(args: argparse.Namespace):
+    if args.max_sequences < 1:
+        raise ValidationError(f"--max-sequences must be >= 1, got {args.max_sequences}")
     rows = asymptotic.conjecture_report(args.alphabet_size, args.k,
                                         max_sequences=args.max_sequences)
     data = {

@@ -52,6 +52,11 @@ def _check_finite(m: np.ndarray, what: str) -> None:
                               f"{complex(m[p, i, j])!r}, not a finite number")
 
 
+def _squared_norms(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm ``||M||_F^2`` of each matrix of a ``(P, i, j)`` stack."""
+    return np.einsum("pij,pij->p", m.real, m.real) + np.einsum("pij,pij->p", m.imag, m.imag)
+
+
 def _check_traces(traces: np.ndarray) -> None:
     worst = float(traces[np.argmax(np.abs(traces - 1.0))])
     if abs(worst - 1.0) > TRACE_TOL:
@@ -91,8 +96,7 @@ def _checked_factors(factors: np.ndarray) -> np.ndarray:
     a violation raises the messages of :func:`_checked_states`.
     """
     _check_finite(factors, "density matrix factor")
-    traces = (np.einsum("pij,pij->p", factors.real, factors.real)
-              + np.einsum("pij,pij->p", factors.imag, factors.imag))
+    traces = _squared_norms(factors)
     _check_traces(traces)
     return traces
 
@@ -257,13 +261,18 @@ def _fold(blocks, height: int) -> np.ndarray:
     then has more than ``height`` columns it is folded through the
     triangular QR factor ``R`` of its transpose: ``F = R^T Q^T`` with
     ``Q^T conj(Q)`` the identity, so ``R^T`` is a factor of ``F F^dagger``
-    with at most ``height`` columns.
+    with at most ``height`` columns.  A one-row ``F`` folds to its norm
+    ``||F||``, one column: ``F F^dagger`` is ``||F||^2``, and ``R^T`` is
+    that norm times a phase.
     """
     out = None
     for block in blocks:
         out = block if out is None else np.concatenate([out, block], axis=2)
         if out.shape[2] > height:
-            out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
+            if height == 1:
+                out = np.sqrt(_squared_norms(out))[:, None, None].astype(complex)
+            else:
+                out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
     return out
 
 
@@ -367,12 +376,27 @@ def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Whatever factors are given, the fidelity is ``(tr |A^dagger B|)^2``
     (Jozsa 1994), the squared sum of the singular values of
-    ``M = A^dagger B``.  They are the square roots of the eigenvalues of
-    the smaller Gram form, ``M M^dagger`` or ``M^dagger M``, from one
-    batched ``eigvalsh``.  Eigenvalues below ``EIG_CLAMP`` are treated as
-    zero and each result is clamped to at most 1.
+    ``M = A^dagger B``.  A ``2 x 2`` ``M`` takes it in closed form: it has
+    ``s_1^2 + s_2^2 = ||M||_F^2`` and ``s_1 s_2 = |det M|``, so the fidelity
+    is ``||M||_F^2 + 2 |det M|``.  Any other ``M`` takes the square roots of
+    the eigenvalues of its smaller Gram form, ``M M^dagger`` or
+    ``M^dagger M``, from one batched ``eigvalsh``, with eigenvalues below
+    ``EIG_CLAMP`` treated as zero.  Each result is clamped to at most 1.
+
+    The closed form is exact up to rounding and clamps nothing, so it
+    differs from the eigenvalue route only where a singular value of ``M``
+    lies below ``sqrt(EIG_CLAMP) = 1e-6``, which that route drops, and
+    there by at most ``2e-6 s_max``.  The route follows the shape of ``M``,
+    not the states: padding a factor with zero columns leaves ``A A^dagger``
+    as it is but can move ``M`` off ``2 x 2``, and so switch the clamp on.
+    (``tr G + 2 sqrt(det G)`` of the Gram form ``G`` of a wider ``M`` would
+    cancel to about 1e-8, the noise the clamp hides; ``|det M|`` of a
+    ``2 x 2`` ``M`` is good to about 1e-16.)
     """
     m = _adjoint(a) @ b
+    if m.shape[1:] == (2, 2):
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        return np.minimum(1.0, _squared_norms(m) + 2.0 * np.abs(det))
     gram = m @ _adjoint(m) if m.shape[1] <= m.shape[2] else _adjoint(m) @ m
     w = np.linalg.eigvalsh(gram)
     w = np.where(w < EIG_CLAMP, 0.0, w)
@@ -392,7 +416,10 @@ def quantum_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Both states are factored by :func:`_psd_factor`, so eigenvalues below
     ``EIG_CLAMP`` count as zero, and :func:`_fidelities` returns the
-    result clamped into [0, 1].
+    result clamped into [0, 1].  Its route follows the factor width, here
+    the dimension: two-dimensional states take the unclamped ``2 x 2``
+    closed form, so a singular value of ``A^dagger B`` below ``1e-6``
+    counts there and is dropped at every other dimension.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(
@@ -652,9 +679,10 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
     probe and both outputs are validated by :func:`_checked_factors` (a
     factor ``L`` makes ``L L^dagger`` Hermitian and positive semidefinite by
     construction, with trace ``||L||_F^2``), and the outputs are scaled to
-    unit trace.  The fidelities of a tile then take one ``eigvalsh``, in
-    :func:`_fidelities`, and no matrix square root.  The witness is the first
-    probe, in probe order, that attains the minimum.
+    unit trace.  The fidelities of a tile then take one :func:`_fidelities`
+    call and no matrix square root: a closed form for the erasure
+    criterion's two-column outputs, one ``eigvalsh`` for any other width.  The
+    witness is the first probe, in probe order, that attains the minimum.
     """
     if a.in_dim != b.in_dim or a.out_dim != b.out_dim:
         raise DimensionMismatchError(

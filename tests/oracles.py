@@ -124,16 +124,23 @@ def min_clique_cover_brute(adjacency) -> int:
 
     Restricted-growth enumeration with sound pruning: a branch is cut only
     when it already uses at least as many blocks as the best complete
-    partition found, so the minimum is exact.
+    partition found, and the search stops once that best is the size of an
+    independent set taken first fit in label order.  No block holds two
+    vertices of an independent set, so its size is a lower bound and the
+    minimum is exact.
     """
     adj = np.asarray(adjacency, dtype=bool)
     n = adj.shape[0]
+    independent: list[int] = []
+    for v in range(n):
+        if not any(adj[v, u] for u in independent):
+            independent.append(v)
     best = n
     blocks: list[list[int]] = []
 
     def place(i: int) -> None:
         nonlocal best
-        if len(blocks) >= best:
+        if len(blocks) >= best or best == len(independent):
             return
         if i == n:
             best = len(blocks)
@@ -246,7 +253,9 @@ def tiled_output_factors(channel, factors: np.ndarray, tile_entries: int) -> np.
     """Output factors of a ``(P, in_dim, r)`` factor stack with every Kraus
     operator taken in Kraus order, ``max(1, out_dim // r, tile_entries //
     (P r out_dim))`` per product, the running factor folded through the QR
-    factor of its transpose whenever it is wider than ``out_dim``."""
+    factor of its transpose whenever it is wider than ``out_dim``; a one-row
+    running factor folds to its norm instead, the sum of its squared real
+    and imaginary parts by ``einsum``, then ``sqrt``."""
     count, in_dim, width = factors.shape
     out_dim = channel.out_dim
     step = max(1, out_dim // width, tile_entries // (count * width * out_dim))
@@ -257,7 +266,11 @@ def tiled_output_factors(channel, factors: np.ndarray, tile_entries: int) -> np.
         images = (rows @ tile.reshape(-1, in_dim).T).reshape(count, width, len(tile), -1)
         images = images.transpose(0, 3, 2, 1).reshape(count, out_dim, -1)
         out = images if out is None else np.concatenate([out, images], axis=2)
-        if out.shape[2] > out_dim:
+        if out.shape[2] > out_dim and out_dim == 1:
+            squares = (np.einsum("pij,pij->p", out.real, out.real)
+                       + np.einsum("pij,pij->p", out.imag, out.imag))
+            out = np.sqrt(squares)[:, None, None].astype(complex)
+        elif out.shape[2] > out_dim:
             out = np.linalg.qr(out.swapaxes(1, 2), mode="r").swapaxes(1, 2)
     return out
 

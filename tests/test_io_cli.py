@@ -734,6 +734,10 @@ class TestCliArgumentChecks:
          "--k-max must be >= 1, got 0"),
         (["gen-erasure", "--blocks", "1;2", "--etas", "0.9,0.95", "--k-max", "-3"],
          "--k-max must be >= 1, got -3"),
+        (["conjecture", "--alphabet-size", "2", "--k", "3", "--max-sequences", "-5"],
+         "--max-sequences must be >= 1, got -5"),
+        (["conjecture", "--alphabet-size", "2", "--k", "3", "--max-sequences", "0"],
+         "--max-sequences must be >= 1, got 0"),
         (["quantum-verify", "--dim", "4", "--eta", "0.9", "--epsilon", "0.3", "--seed", "-1"],
          "--seed must be >= 0, got -1"),
         (["quantum-compress", "--dim", "4", "--blocks", "0,1;2,3,3"],

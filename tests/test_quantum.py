@@ -473,6 +473,45 @@ class TestFactorFidelities:
             assert ab[p] == pytest.approx(jozsa_fidelity(rho, sigma), abs=1e-9)
 
 
+@st.composite
+def narrow_factor_pairs(draw):
+    """Factor stacks ``a`` and ``b`` whose ``A^dagger B`` is ``1 x r``
+    (eigenvalue route), ``r x 1`` (eigenvalue route) or ``2 x 2`` (closed
+    form) with chosen singular values: zero (a rank-deficient pair), near
+    ``sqrt(EIG_CLAMP) = 1e-6``, or of order one."""
+    shape = draw(st.sampled_from(["1 x r", "r x 1", "2 x 2"]))
+    rows = 1 if shape != "2 x 2" else 2
+    cols = draw(st.integers(1, 6)) if shape != "2 x 2" else 2
+    dim = draw(st.integers(rows, 6))
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gauss(*size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    def singular_value():
+        kind = draw(st.sampled_from(["zero", "near 1e-6", "order one"]))
+        if kind == "zero":
+            return 0.0
+        if kind == "near 1e-6":
+            return 1e-6 * 10 ** draw(st.floats(-1, 1))
+        return draw(st.floats(1e-3, 1.0))
+
+    svals = sorted((singular_value() for _ in range(min(rows, cols))), reverse=True)
+    a, b = [], []
+    for _ in range(count):
+        # the first ``rows`` columns of q span a; b's part outside them adds
+        # nothing to A^dagger B = N, whose singular values are svals
+        q = np.linalg.qr(gauss(dim, dim))[0]
+        u = np.linalg.qr(gauss(rows, rows))[0]
+        v = np.linalg.qr(gauss(cols, cols))[0]
+        n = u[:, :len(svals)] @ np.diag(svals) @ v[:, :len(svals)].conj().T
+        a.append(q[:, :rows])
+        b.append(q[:, :rows] @ n + q[:, rows:] @ gauss(dim - rows, cols) / 3.0)
+    a, b = np.stack(a), np.stack(b)
+    return (b, a) if shape == "r x 1" else (a, b)
+
+
 def _random_partition(rng, n):
     blocks = {}
     for x, z in enumerate(rng.integers(0, n, size=n)):
@@ -520,6 +559,34 @@ def row_sparse_channels(draw):
     then = draw(st.sampled_from([make_quantum_erasure(in_dim, eta),
                                  _masked_channel(rng, in_dim, draw(st.integers(1, 5)), 3)]))
     return compose_channels(first, then)
+
+
+class TestNarrowFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(narrow_factor_pairs())
+    def test_match_the_unclamped_nuclear_norm(self, pair):
+        a, b = pair
+        m = quantum._adjoint(a) @ b
+        assert min(m.shape[1:]) == 1 or m.shape[1:] == (2, 2)
+        nuclear = np.linalg.svd(m, compute_uv=False).sum(axis=1)
+        want = np.minimum(1.0, nuclear * nuclear)
+        ab, ba = quantum._fidelities(a, b), quantum._fidelities(b, a)
+        assert np.max(np.abs(ab - want)) <= 1e-12
+        assert np.max(np.abs(ab - ba)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_one_row_fold_has_the_gram_form_of_the_qr_fold(self, widths, count, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.normal(size=(count, 1, w)) + 1j * rng.normal(size=(count, 1, w))
+                  for w in widths]
+        got = quantum._fold(iter(blocks), 1)
+        whole = np.concatenate(blocks, axis=2)
+        qr = np.linalg.qr(whole.swapaxes(1, 2), mode="r").swapaxes(1, 2)
+        assert got.shape == (count, 1, 1) and got.dtype == complex
+        gram = got @ quantum._adjoint(got) - qr @ quantum._adjoint(qr)
+        assert np.max(np.abs(gram)) <= 1e-12
 
 
 class TestSupportGroups:
@@ -934,47 +1001,56 @@ class TestProbes:
             result = channel_indistinguishability(a, b, n_random=300, seed=3)
             assert result.min_fidelity == pytest.approx(0.81, abs=1e-9)
 
-    def test_probe_loop_runs_one_eigvalsh_per_chunk(self, monkeypatch):
+    @staticmethod
+    def count_batches(monkeypatch):
+        """Batch sizes of every ``_fidelities`` and every ``eigvalsh`` call."""
+        fidelities, eigvalsh = quantum._fidelities, np.linalg.eigvalsh
+        tiles, solves = [], []
+
+        def counted_fidelities(a, b):
+            tiles.append(len(a))
+            return fidelities(a, b)
+
+        def counted_eigvalsh(m, *args, **kwargs):
+            solves.append(len(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(quantum, "_fidelities", counted_fidelities)
+        monkeypatch.setattr(quantum.np.linalg, "eigvalsh", counted_eigvalsh)
+        return tiles, solves
+
+    def test_probe_loop_runs_one_fidelity_call_per_chunk(self, monkeypatch):
         erasure = make_quantum_erasure(5, 0.9)
         full = make_coarse_graining(Partition.single_block(5), 5, embed_dim=5)
         composed = compose_channels(full.channel, erasure)
         many = random_kraus_channel(16, 16, 64, np.random.default_rng(47))
         few = make_coarse_graining(Partition.single_block(16), 16, embed_dim=16).channel
-        eigvalsh = np.linalg.eigvalsh
-        batches = []
-
-        def counted(m, *args, **kwargs):
-            batches.append(len(m))
-            return eigvalsh(m, *args, **kwargs)
-
-        monkeypatch.setattr(quantum.np.linalg, "eigvalsh", counted)
+        tiles, solves = self.count_batches(monkeypatch)
         # a tile takes in_dim entries per probe plus out_dim times each
         # channel's output width: 2 for the erasure criterion's channels, 1
         # for the full coarse graining and 16 for the dense channel
         for a, b, widths in ((erasure, composed, 2 + 2), (composed, erasure, 2 + 2),
                              (few, many, 1 + 16)):
-            batches.clear()
+            tiles.clear()
+            solves.clear()
             result = channel_indistinguishability(a, b, n_random=300, seed=3)
             tile = quantum.PROBE_TILE_ENTRIES // (a.in_dim + a.out_dim * widths)
             chunks = [min(tile, result.probe_count - start)
                       for start in range(0, result.probe_count, tile)]
-            # one solve per chunk, then one to validate the witness DensityMatrix
-            assert batches == chunks + [1]
+            assert tiles == chunks
+            # the erasure criterion's fidelities are 2 x 2, in closed form; the
+            # one-row by 16-column products of the last pair take one solve per
+            # chunk; the last solve validates the witness DensityMatrix
+            assert solves == (chunks if widths == 1 + 16 else []) + [1]
 
     def test_erasure_criterion_family_at_dim_12_takes_one_or_two_tiles(self, monkeypatch):
         # 12 + 264 fixed probes and 200 random ones: 476 probes, 4 tiles of 128 before
-        eigvalsh = np.linalg.eigvalsh
-        batches = []
-
-        def counted(m, *args, **kwargs):
-            batches.append(len(m))
-            return eigvalsh(m, *args, **kwargs)
-
-        monkeypatch.setattr(quantum.np.linalg, "eigvalsh", counted)
+        tiles, solves = self.count_batches(monkeypatch)
         verdict = verify_erasure_theorem(12, 0.9, 0.3, seed=1, n_random=200)
         assert verdict.compressible and verdict.probe_count == 476
-        # the probe tiles, then one solve to validate the witness DensityMatrix
-        assert len(batches) in (2, 3) and sum(batches[:-1]) == 476 and batches[-1] == 1
+        assert len(tiles) in (1, 2) and sum(tiles) == 476
+        # one solve, to validate the witness DensityMatrix
+        assert solves == [1]
 
     @pytest.mark.parametrize("pair", ["erasure", "erasure-2", "erasure-3", "erasure-4",
                                       "erasure-5", "erasure-6", "dense", "few-many"])
