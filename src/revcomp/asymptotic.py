@@ -8,6 +8,7 @@ tags and ``proved`` flags.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -156,7 +157,11 @@ class GammaKResult:
     """Compressibility of ``k`` channel uses plus how it was obtained.
 
     ``method`` is ``"exact"`` for solved instances, ``"letter_product"``
-    for a row the letter graph proves (:func:`_letter_product_theta`),
+    for a row the letter graph proves (:func:`_letter_product`): ``n**(k -
+    1) * theta`` blocks when two differing letters never join (``M * M < 1
+    - epsilon``) and ``theta * omega == n``, or ``c**k`` blocks when the
+    letter graph is ``c`` disjoint cliques whose worst in-class value,
+    multiplied ``k`` times, still reaches ``1 - epsilon``;
     ``"greedy_lower_bound"`` for a first-fit cover of the materialized
     sequence graph, and ``"closed_form"`` for the per-letter-threshold
     product construction.  ``proved`` is true for exact and letter-product
@@ -220,38 +225,73 @@ def _letter_certificate(fid: np.ndarray, blocks: Sequence[Sequence[int]],
     return worst, math.prod([worst] * k)
 
 
-def _letter_product_theta(base: np.ndarray, epsilon: float, cap: int) -> int:
-    """Minimum clique cover size ``theta`` of the letter graph when it proves
-    every sequence row of the letter matrix ``base`` at ``n**(k - 1) *
-    theta`` blocks, else 0.
+def _letter_product(base: np.ndarray, epsilon: float, cap: int,
+                    k_top: int) -> tuple[int, int, int]:
+    """``(first, step, last)`` such that the letter graph proves every
+    sequence row of the letter matrix ``base`` of length ``k <= last`` at
+    ``first * step**(k - 1)`` blocks, its minimum clique cover; ``last`` is
+    at most ``k_top``, and 0 when no row is proved.  Let ``t = 1 -
+    epsilon`` and ``G_1`` the letter graph ``base >= t``.  Two certificates,
+    tried in this order:
 
-    Let ``M`` be the largest off-diagonal letter value and ``t = 1 -
-    epsilon``.  When ``M * M < t`` in float, a pair of sequences that
-    differ in two or more letters is never joined: its running product is
-    exactly 1.0 up to its first differing letter, exactly that letter's
-    value ``w`` there, at most ``w * w' <= M * M`` at the second (rounding
-    is monotone), and later letters in [0, 1] never raise a float.  So the
-    length-``k`` graph joins exactly the pairs that differ in one letter
-    whose letter pair is joined in the letter graph ``G_1``.  Three such
-    sequences that are pairwise joined differ in the same place, so a
-    clique holds at most ``omega(G_1)`` sequences and a cover needs at least
-    ``n**k / omega`` blocks; fixing the first ``k - 1`` letters and covering
-    the last one with ``theta`` cliques of ``G_1`` is a cover of ``n**(k -
-    1) * theta`` blocks, each pair's product exactly one letter value
-    ``>= t``.  The two meet when ``theta * omega == n``.  Both come from the
-    exact searches, so only for ``n <= cap`` letters.
+    * **One differing letter** (``(theta, n, k_top)``).  Let ``M`` be the
+      largest off-diagonal letter value.  When ``M * M < t`` in float, a
+      pair of sequences that differ in two or more letters is never joined:
+      its running product is exactly 1.0 up to its first differing letter,
+      exactly that letter's value ``w`` there, at most ``w * w' <= M * M``
+      at the second (rounding is monotone), and later letters in [0, 1]
+      never raise a float.  So the length-``k`` graph joins exactly the
+      pairs that differ in one letter whose letter pair ``G_1`` joins.
+      Three such sequences that are pairwise joined differ in the same
+      place, so a clique holds at most ``omega(G_1)`` sequences and a cover
+      needs at least ``n**k / omega`` blocks; fixing the first ``k - 1``
+      letters and covering the last one with ``theta`` cliques of ``G_1``
+      is a cover of ``n**(k - 1) * theta`` blocks, each pair's product
+      exactly one letter value ``>= t``.  The two meet at every ``k`` when
+      ``theta * omega == n``.  Both come from the exact searches, so only
+      for ``n <= cap`` letters.
+    * **Letter classes** (``(c, c, last)``).  ``G_1`` is a disjoint union of
+      ``c`` cliques exactly when its distinct masks are pairwise disjoint,
+      that is when their popcounts sum to ``n``.  Let ``w`` be the worst
+      letter value inside a clique, the least entry of ``base`` that
+      ``G_1`` joins: the one :func:`_letter_certificate` takes over these
+      classes (1.0 when every class is one letter).  A
+      pair of sequences whose letters lie pairwise in one class multiplies
+      values ``>= w``, so its product is at least ``math.prod([w] * k)``
+      under monotone rounding; a pair with a letter pair across two classes
+      has a running product at most that letter's value ``< t`` there, and
+      later letters keep it below.  So while ``math.prod([w] * k) >= t``
+      the length-``k`` graph is the ``c**k`` disjoint cliques of class
+      sequences.  That product never grows with ``k``, so the proved rows
+      are ``k = 1 .. last``, and one multiply per length forms it as
+      ``math.prod`` does.  Only popcounts and one minimum, at any ``n``.
     """
     n = base.shape[0]
-    if n > cap:
-        return 0
     t = 1.0 - epsilon
-    top = float(base[~np.eye(n, dtype=bool)].max())
-    if not top * top < t:
-        return 0
-    masks = _bits(base >= t)
-    theta = len(_exact_coloring(masks))
-    omega = _max_clique_size([mask & ~(1 << v) for v, mask in enumerate(masks)], n)
-    return theta if theta * omega == n else 0
+    hits = base >= t
+    masks = _bits(hits)
+    if n <= cap:
+        top = float(base[~np.eye(n, dtype=bool)].max())
+        if top * top < t:
+            theta = len(_exact_coloring(masks))
+            omega = _max_clique_size([mask & ~(1 << v) for v, mask in enumerate(masks)], n)
+            if theta * omega == n:
+                return theta, n, k_top
+    classes = set(masks)
+    if sum(mask.bit_count() for mask in classes) != n:
+        return 0, 0, 0
+    worst = float(base[hits].min())
+    last, product = 0, 1.0
+    while last < k_top and product * worst >= t:
+        last, product = last + 1, product * worst
+    return len(classes), len(classes), last
+
+
+@functools.cache
+def _decimal_limit(digits: int) -> int:
+    """``10**digits``, the least int Python will not print at that many
+    decimal digits, built once per limit."""
+    return 10 ** digits
 
 
 def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
@@ -260,12 +300,14 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
 
     Every ``k`` is checked before any row runs.  On ``"auto"``, a row of
     more sequences than the exact cap is first offered to the letter graph
-    (:func:`_letter_product_theta`, built once per call on the first such
-    row); when that proves it, the row is ``n**(k - 1) * theta`` blocks,
-    ``"letter_product"`` and proved, with no graph.  Any other row is the
-    closed form (asked for, or past the graph cap) or the cover of its
-    sequence graph (:func:`_sequence_masks`, one memo for all rows), and its
-    gamma is :func:`compressibility` of its block count.
+    (:func:`_letter_product`, checked once per call on the first such row,
+    one differing letter first, then letter classes); when that proves it,
+    the row is ``n**(k - 1) * theta`` or ``c**k`` blocks,
+    ``"letter_product"`` and proved, with no graph.  Rows within the exact
+    cap stay ``"exact"``.  Any other row is the closed form (asked for, or
+    past the graph cap) or the cover of its sequence graph
+    (:func:`_sequence_masks`, one memo for all rows), and its gamma is
+    :func:`compressibility` of its block count.
     """
     cap = default_exact_cap()
     if solver not in ("auto", "exact", "greedy", "closed_form"):
@@ -275,7 +317,6 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
     n = channel.num_inputs
     # Block counts are printed in decimal, which Python refuses past this many digits.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    too_long = 10 ** digits
     for k in ks:
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -284,20 +325,20 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
             raise ExactSolverCapError(f"{total} sequences exceed the exact cap {cap} for k={k}")
         if solver in ("exact", "greedy") and total > DEFAULT_GRAPH_CAP:
             raise ValidationError(f"{total} sequences exceed the graph cap {DEFAULT_GRAPH_CAP} for k={k}")
-        if digits and total >= too_long:
+        if digits and total >= _decimal_limit(digits):
             raise ValidationError(f"k={k}: the sequence count {n}**{k} has more than {digits} "
                                   "decimal digits, past Python's int-to-string limit")
     base = _letter_matrix(channel)
     memo: dict[tuple[int, float], list[int]] = {}
-    theta = None
+    last = None
     rows = []
     for k in ks:
         total = n ** k
         past_exact = solver == "auto" and total > cap
-        if past_exact and theta is None:
-            theta = _letter_product_theta(base, epsilon, cap)
-        if past_exact and theta:
-            blocks, method, proved = n ** (k - 1) * theta, "letter_product", True
+        if past_exact and last is None:
+            first, step, last = _letter_product(base, epsilon, cap, max(ks))
+        if past_exact and k <= last:
+            blocks, method, proved = first * step ** (k - 1), "letter_product", True
         elif solver == "closed_form" or total > DEFAULT_GRAPH_CAP:
             blocks = _closed_form_partition(base, epsilon, k).num_blocks ** k
             method, proved = "closed_form", False
@@ -314,9 +355,13 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
 
     ``solver="auto"`` picks the exact solver while the sequence count fits
     the exact cap.  Above it, a row the letter graph proves is
-    ``"letter_product"``, an optimum at any ``k`` with no graph built
-    (:func:`_letter_product_theta`); any other row is first-fit on the
-    materialized graph up to ``DEFAULT_GRAPH_CAP`` and the closed-form
+    ``"letter_product"``, an optimum with no graph built
+    (:func:`_letter_product`): ``n**(k - 1) * theta`` blocks at any ``k``
+    when two differing letters never join and ``theta * omega == n``, and
+    ``c**k`` blocks, the ``k``-fold products of the cliques, when the letter
+    graph is ``c`` disjoint cliques and the worst in-class value multiplied
+    ``k`` times still reaches ``1 - epsilon``; any other row is first-fit on
+    the materialized graph up to ``DEFAULT_GRAPH_CAP`` and the closed-form
     product construction beyond that.  Requesting ``"exact"`` above the
     exact cap raises :class:`ExactSolverCapError`; requesting ``"exact"`` or
     ``"greedy"`` above the graph cap raises :class:`ValidationError`,
@@ -376,6 +421,11 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
 # structured partitions of erasure-channel sequence spaces
 # ---------------------------------------------------------------------------
 
+def _check_max_sequences(max_sequences: int) -> None:
+    if max_sequences < 1:
+        raise ValidationError(f"max_sequences must be >= 1, got {max_sequences}")
+
+
 def _check_s_bound_args(alphabet_size: int, k: int, s: int) -> None:
     if alphabet_size < 1:
         raise ValidationError(f"alphabet size must be >= 1, got {alphabet_size}")
@@ -407,8 +457,9 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
     A minimum clique cover of the graph joining length-``k`` sequences at
     Hamming distance ``<= s``, counted by :func:`_exact_coloring` on its
     bitmasks.  The cap is checked before anything of size
-    ``alphabet_size ** k`` is built.
+    ``alphabet_size ** k`` is built, and a cap below 1 is refused first.
     """
+    _check_max_sequences(max_sequences)
     _check_s_bound_args(alphabet_size, k, s)
     total = alphabet_size ** k
     if total > max_sequences:
@@ -445,7 +496,9 @@ def conjecture_report(alphabet_size: int, k: int, s_values: Sequence[int] | None
     counterexample and is reported as data, never raised.  Equality fails at
     ``alphabet_size=2, k=5, s=2``, where the minimum is 7 rather than 8, and
     at ``k=6`` with ``s=2`` (12 rather than 16) and ``s=3`` (7 rather than 8).
+    A cap below 1 is refused before any row runs.
     """
+    _check_max_sequences(max_sequences)
     if s_values is None:
         s_values = range(k + 1)
     return [

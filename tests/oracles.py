@@ -119,6 +119,19 @@ def product_partition(letter_blocks, alphabet_size: int, k: int,
     return blocks
 
 
+def clique_classes(adjacency) -> list[tuple[int, ...]] | None:
+    """The classes of a reflexive graph that is a disjoint union of cliques,
+    each in label order and sorted by first member, else ``None``.  Such a
+    graph is one where every edge joins two vertices of equal
+    neighbourhood, checked edge by edge over neighbourhood sets."""
+    adj = np.asarray(adjacency, dtype=bool)
+    neighbourhoods = [frozenset(np.flatnonzero(row).tolist()) for row in adj]
+    for u, near in enumerate(neighbourhoods):
+        if any(neighbourhoods[v] != near for v in near):
+            return None
+    return sorted({tuple(sorted(near)) for near in neighbourhoods})
+
+
 def min_clique_cover_brute(adjacency) -> int:
     """Exhaustive minimum clique cover over all set partitions.
 

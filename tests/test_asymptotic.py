@@ -51,6 +51,7 @@ from revcomp.partition import _bits, _cover, _partition_of, default_exact_cap
 
 from oracles import (
     adjacency_bitmasks,
+    clique_classes,
     kron_chain,
     min_clique_cover_brute,
     product_partition,
@@ -151,6 +152,24 @@ def grouped_erasure(n, rng):
     half = (n + 1) // 2
     blocks = [labels[:half], labels[half:]] if n > 1 else [labels]
     return make_generalized_erasure(blocks, [float(e) for e in rng.uniform(0.6, 0.95, len(blocks))])
+
+
+def class_product_cover(fid, eps, k):
+    """The ``k``-fold product of the letter classes when the letter graph at
+    ``eps`` is a disjoint union of cliques whose worst in-class letter
+    value, multiplied ``k`` times from 1.0, still reaches ``1 - eps``;
+    else ``None``.  Such a product is a minimum clique cover of the
+    length-``k`` sequence graph."""
+    classes = clique_classes(graph_from_fidelity_matrix(fid, eps).adjacency)
+    if classes is None:
+        return None
+    worst = min(float(fid[i, j]) for c in classes for i in c for j in c)
+    product = 1.0
+    for _ in range(k):
+        product *= worst
+    if product < 1.0 - eps:
+        return None
+    return Partition(tuple(product_partition(classes, fid.shape[0], k)))
 
 
 def tie_epsilons(fid, base):
@@ -425,11 +444,14 @@ class TestGammaK:
         ch = make_constant(3)
         assert gamma_k(ch, 0.0, 2).method == "exact"
         assert gamma_k(ch, 0.0, 2).gamma == 1.0
-        # 27 sequences exceed the exact cap, 2187 exceed the graph cap
-        assert gamma_k(ch, 0.0, 3).method == "greedy_lower_bound"
-        assert gamma_k(ch, 0.0, 3).gamma == 1.0
-        assert gamma_k(ch, 0.0, 7).method == "closed_form"
-        assert gamma_k(ch, 0.0, 7).gamma == 1.0
+        # 27 sequences exceed the exact cap, 2187 exceed the graph cap; on
+        # "auto" the one-clique letter graph proves both rows at 1**k blocks
+        assert gamma_k(ch, 0.0, 3, solver="greedy").method == "greedy_lower_bound"
+        assert gamma_k(ch, 0.0, 3, solver="greedy").gamma == 1.0
+        assert gamma_k(ch, 0.0, 7, solver="closed_form").method == "closed_form"
+        assert gamma_k(ch, 0.0, 7, solver="closed_form").gamma == 1.0
+        for k in (3, 7):
+            assert gamma_k(ch, 0.0, k) == GammaKResult(k, 1, 1.0, "letter_product", True)
 
     def test_erasure_sweep_frozen_values(self):
         sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 5)
@@ -611,6 +633,21 @@ class TestSBoundedPartitions:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_a_cap_below_one_is_refused_by_name(self, monkeypatch, cap):
+        def unreachable(masks):
+            raise AssertionError("a search started under a cap below 1")
+
+        monkeypatch.setattr(asymptotic, "_exact_coloring", unreachable)
+        message = f"^max_sequences must be >= 1, got {cap}$"
+        with pytest.raises(ValidationError, match=message):
+            min_s_bounded_partition_size(2, 3, 1, max_sequences=cap)
+        with pytest.raises(ValidationError, match=message):
+            conjecture_report(2, 3, max_sequences=cap)
+        # refused before any row, even when no row would run
+        with pytest.raises(ValidationError, match=message):
+            conjecture_report(2, 3, s_values=[], max_sequences=cap)
 
     def test_conjecture_rows_binary(self):
         rows = conjecture_report(2, 3)
@@ -798,9 +835,12 @@ class TestEveryRegimeCovers:
             got = gamma_k(ch, eps, k, solver)
             if got.method == "letter_product":
                 # A proved optimum, which first fit need not reach: the
-                # prefix grouping times a minimum cover of the last letter.
-                best = Partition(tuple(product_partition(
-                    [(x,) for x in range(n)], n, k, solve_exact(letters).blocks)))
+                # product of the letter classes, or else the prefix grouping
+                # times a minimum cover of the last letter.
+                best = class_product_cover(ch.fidelity_matrix, eps, k)
+                if best is None:
+                    best = Partition(tuple(product_partition(
+                        [(x,) for x in range(n)], n, k, solve_exact(letters).blocks)))
                 assert got.block_count == best.num_blocks <= row.num_blocks
                 covers.append(best)
             else:
@@ -939,14 +979,57 @@ def letter_check_instances(draw):
     return ch, min(max(1.0 - t, 0.0), 1.0)
 
 
+@st.composite
+def class_check_instances(draw):
+    """A channel on 2 to 5 letters and an epsilon at a letter-class boundary.
+
+    The channel is a block channel (the letters of one block share an
+    output support that no other block uses, each row its block's row
+    scaled by up to ``noise``, so letters of one block have fidelity near
+    or exactly 1 and letters of different blocks exactly 0), a random
+    channel, or a random channel with repeated rows.  ``1 - eps`` is the
+    ``k``-fold product of one letter value, for a ``k`` with ``n**k <= 64``,
+    or one float either side of it; or ``eps`` is 1."""
+    n = draw(st.integers(2, 5), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    kind = draw(st.sampled_from(["blocks", "random", "duplicates"]), label="kind")
+    if kind == "blocks":
+        blocks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="blocks")
+        noise = draw(st.sampled_from([0.0, 0.02, 0.3]), label="noise")
+        shapes = rng.random((n, 3)) + 0.1
+        matrix = np.zeros((n, 3 * n))
+        for i, b in enumerate(blocks):
+            row = shapes[b] * (1.0 + noise * rng.random(3))
+            matrix[i, 3 * b:3 * b + 3] = row / row.sum()
+        ch = ClassicalChannel(Alphabet.numbered(n), Alphabet.numbered(3 * n), matrix)
+    else:
+        ch = random_channel(rng, n, draw(st.integers(1, 4), label="outputs"))
+        if kind == "duplicates":
+            copies = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="rows")
+            ch = ClassicalChannel(ch.input, ch.output, ch.matrix[copies])
+    if draw(st.booleans(), label="eps = 1"):
+        return ch, 1.0
+    w = draw(st.sampled_from(sorted({float(v) for v in ch.fidelity_matrix.flat})), label="w")
+    k = draw(st.integers(1, max(k for k in range(1, 7) if n ** k <= 64)), label="k")
+    t = math.prod([w] * k)
+    t = draw(st.sampled_from([float(np.nextafter(t, 0.0)), t, float(np.nextafter(t, 2.0))]),
+             label="ulp")
+    return ch, min(max(1.0 - t, 0.0), 1.0)
+
+
 class TestLetterProductRows:
     """Rows past the exact cap that the letter graph proves: blocks
-    ``n**(k - 1) * theta`` when ``M * M < 1 - eps`` and ``theta * omega == n``."""
+    ``n**(k - 1) * theta`` when ``M * M < 1 - eps`` and ``theta * omega == n``,
+    and ``c**k`` when the letter graph is ``c`` disjoint cliques whose worst
+    in-class value multiplied ``k`` times reaches ``1 - eps``."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(letter_check_instances())
-    def test_letter_product_rows_are_proved_optima(self, instance):
-        ch, eps = instance
+    @staticmethod
+    def assert_letter_rows(ch, eps):
+        """Every auto row past k = 1, with the exact cap at ``n``, is the
+        greedy row unless an oracle proves it; a proved row is
+        ``letter_product`` at the oracle's count, and that oracle's cover is
+        a clique cover of the thresholded product matrix and, up to
+        ``BRUTE_SEQUENCES``, the exhaustive minimum."""
         n = ch.num_inputs
         fid = ch.fidelity_matrix
         t = 1.0 - eps
@@ -957,8 +1040,6 @@ class TestLetterProductRows:
                     if letters.adjacency[np.ix_(c, c)].all())
         top = float(fid[~np.eye(n, dtype=bool)].max())
         proved = top * top < t and theta * omega == n
-        event("letter product" if proved else "M * M >= 1 - eps" if top * top >= t
-              else "theta * omega != n")
         k_max = max(k for k in range(1, 7) if n ** k <= 64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REVCOMP_EXACT_CAP", str(n))  # every row past k = 1 is past the cap
@@ -967,20 +1048,48 @@ class TestLetterProductRows:
         assert (rows[0].method, rows[0].proved) == ("exact", True)
         assert rows[0].block_count == theta
         letter_cover = solve_exact(letters).blocks
+        kinds = []
         for row, plain in zip(rows[1:], greedy[1:]):
             k = row.k
-            if not proved:  # the sequence graph was built and covered
+            classes = class_product_cover(fid, eps, k)
+            if not proved and classes is None:  # the sequence graph was built and covered
                 assert row == plain
+                kinds.append("graph")
                 continue
             assert (row.method, row.proved) == ("letter_product", True)
-            cover = Partition(tuple(product_partition(
-                [(x,) for x in range(n)], n, k, letter_cover)))
+            covers = []
+            if proved:
+                covers.append(Partition(tuple(product_partition(
+                    [(x,) for x in range(n)], n, k, letter_cover))))
+                assert row.block_count == covers[-1].num_blocks == n ** (k - 1) * theta
+            if classes is not None:
+                covers.append(classes)
+                assert row.block_count == classes.num_blocks == theta ** k
+            kinds.append("one letter" if proved else "classes")
             graph = graph_from_fidelity_matrix(product_fidelity_matrix(ch, k), eps)
-            assert partition_is_clique_cover(cover, graph)
-            assert row.block_count == cover.num_blocks == n ** (k - 1) * theta
+            for cover in covers:
+                assert partition_is_clique_cover(cover, graph)
             assert row.block_count <= plain.block_count
             if n ** k <= BRUTE_SEQUENCES:
                 assert row.block_count == min_clique_cover_brute(graph.adjacency)
+        return kinds
+
+    @settings(max_examples=200, deadline=None)
+    @given(letter_check_instances())
+    def test_letter_product_rows_are_proved_optima(self, instance):
+        ch, eps = instance
+        for kind in set(self.assert_letter_rows(ch, eps)):
+            event(kind)
+
+    @settings(max_examples=200, deadline=None)
+    @given(class_check_instances())
+    def test_letter_class_rows_are_proved_optima(self, instance):
+        ch, eps = instance
+        kinds = self.assert_letter_rows(ch, eps)
+        for kind in set(kinds):
+            event(kind)
+        if eps == 1.0:  # one class: every pair is joined
+            assert set(kinds) == {"classes"}
 
     @staticmethod
     def graph_rows(monkeypatch, ch, eps, k_max):
@@ -999,14 +1108,32 @@ class TestLetterProductRows:
 
     def test_duplicate_letters_build_the_graph(self, monkeypatch):
         # Two equal rows have letter fidelity exactly 1.0, so M * M = 1.0
-        # is never below 1 - eps.
+        # is never below 1 - eps, and at 1 - eps = 0.9 letter 2 (0.958 to
+        # both) joins letter 3 (0.933), which they do not (0.797): no
+        # disjoint cliques either.
+        matrix = np.array([[0.7, 0.3], [0.7, 0.3], [0.5, 0.5], [0.25, 0.75]])
+        ch = ClassicalChannel(Alphabet.numbered(4), Alphabet.numbered(2), matrix)
+        fid = ch.fidelity_matrix
+        assert fid[0, 1] == 1.0 and min(fid[0, 2], fid[2, 3]) >= 0.9 > fid[0, 3]
+        rows, built = self.graph_rows(monkeypatch, ch, 0.1, 4)
+        assert built == [1, 2, 3, 4]
+        assert [r.method for r in rows] == ["exact"] * 2 + ["greedy_lower_bound"] * 2
+        assert rows[2:] == delta_estimate(ch, 0.1, 4, solver="greedy").results[2:]
+
+    def test_duplicate_letters_in_classes_build_no_graph(self, monkeypatch):
+        # Two equal rows and a far one are the classes {0, 1} and {2} at
+        # 1 - eps = 0.95, with worst in-class value exactly 1.0, so every
+        # row past the exact cap is 2**k blocks, past the graph cap too.
         matrix = np.array([[0.7, 0.3], [0.7, 0.3], [0.1, 0.9]])
         ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(2), matrix)
         assert ch.fidelity_matrix[0, 1] == 1.0
-        rows, built = self.graph_rows(monkeypatch, ch, 0.05, 4)
-        assert built == [1, 2, 3, 4]
-        assert [r.method for r in rows] == ["exact"] * 2 + ["greedy_lower_bound"] * 2
-        assert rows[2:] == delta_estimate(ch, 0.05, 4, solver="greedy").results[2:]
+        rows, built = self.graph_rows(monkeypatch, ch, 0.05, 9)
+        assert built == [1, 2]
+        assert [(r.method, r.proved) for r in rows] == (
+            [("exact", True)] * 2 + [("letter_product", True)] * 7)
+        assert [r.block_count for r in rows] == [2 ** k for k in range(1, 10)]
+        greedy = delta_estimate(ch, 0.05, 6, solver="greedy").results
+        assert [r.block_count for r in rows[:6]] == [r.block_count for r in greedy]
 
     def test_path_letter_graph_builds_the_graph(self, monkeypatch):
         # Letters 0 - 1 - 2 form a path at 1 - eps = 0.45 (fidelities
@@ -1039,13 +1166,13 @@ class TestLetterProductRows:
 
     def test_letter_graph_is_checked_once_per_call(self, monkeypatch):
         calls = []
-        theta = asymptotic._letter_product_theta
+        letter_product = asymptotic._letter_product
 
         def counted(*args):
             calls.append(args)
-            return theta(*args)
+            return letter_product(*args)
 
-        monkeypatch.setattr(asymptotic, "_letter_product_theta", counted)
+        monkeypatch.setattr(asymptotic, "_letter_product", counted)
         ch = make_erasure(3, 0.9)
         assert [r.method for r in delta_estimate(ch, 0.2, 7).results].count("letter_product") == 5
         assert len(calls) == 1
