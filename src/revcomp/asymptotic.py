@@ -156,17 +156,19 @@ def _sequence_masks(base: np.ndarray, epsilon: float, k: int,
 class GammaKResult:
     """Compressibility of ``k`` channel uses plus how it was obtained.
 
-    ``method`` is ``"exact"`` for solved instances, ``"letter_product"``
-    for a row the letter graph proves (:func:`_letter_product`): ``n**(k -
-    1) * theta`` blocks when two differing letters never join (``M * M < 1
-    - epsilon``) and ``theta * omega == n``, or ``c**k`` blocks when the
-    letter graph is ``c`` disjoint cliques whose worst in-class value,
-    multiplied ``k`` times, still reaches ``1 - epsilon``;
-    ``"greedy_lower_bound"`` for a first-fit cover of the materialized
-    sequence graph, and ``"closed_form"`` for the per-letter-threshold
-    product construction.  ``proved`` is true for exact and letter-product
-    rows, whose values are the true compressibility; greedy and closed-form
-    values are lower bounds on it.
+    ``method`` is ``"exact"`` for a row within the exact cap, whose value is
+    the exact minimum: on ``solver="auto"`` it may come from the letter
+    graph (:func:`_letter_product`) with no sequence graph built, otherwise
+    from the exact search.  ``"letter_product"`` is a row past the exact cap
+    that the letter graph proves: ``n**(k - 1) * theta`` blocks when two
+    differing letters never join (``M * M < 1 - epsilon``) and ``theta *
+    omega == n``, or ``c**k`` blocks when the letter graph is ``c`` disjoint
+    cliques whose worst in-class value, multiplied ``k`` times, still
+    reaches ``1 - epsilon``.  ``"greedy_lower_bound"`` is a first-fit cover
+    of the materialized sequence graph, and ``"closed_form"`` the
+    per-letter-threshold product construction.  ``proved`` is true for
+    exact and letter-product rows, whose values are the true
+    compressibility; greedy and closed-form values are lower bounds on it.
     """
 
     k: int
@@ -230,9 +232,10 @@ def _letter_product(base: np.ndarray, epsilon: float, cap: int,
     """``(first, step, last)`` such that the letter graph proves every
     sequence row of the letter matrix ``base`` of length ``k <= last`` at
     ``first * step**(k - 1)`` blocks, its minimum clique cover; ``last`` is
-    at most ``k_top``, and 0 when no row is proved.  Let ``t = 1 -
-    epsilon`` and ``G_1`` the letter graph ``base >= t``.  Two certificates,
-    tried in this order:
+    at most ``k_top``, and 0 when no row is proved.  :func:`_rows` asks once
+    per ``solver="auto"`` call, for rows within the exact cap too.  Let ``t
+    = 1 - epsilon`` and ``G_1`` the letter graph ``base >= t``.  Two
+    certificates, tried in this order:
 
     * **One differing letter** (``(theta, n, k_top)``).  Let ``M`` be the
       largest off-diagonal letter value.  When ``M * M < t`` in float, a
@@ -249,7 +252,8 @@ def _letter_product(base: np.ndarray, epsilon: float, cap: int,
       is a cover of ``n**(k - 1) * theta`` blocks, each pair's product
       exactly one letter value ``>= t``.  The two meet at every ``k`` when
       ``theta * omega == n``.  Both come from the exact searches, so only
-      for ``n <= cap`` letters.
+      for ``n <= cap`` letters, and only for ``n >= 2``: one letter has no
+      differing pair, and the letter classes prove its rows.
     * **Letter classes** (``(c, c, last)``).  ``G_1`` is a disjoint union of
       ``c`` cliques exactly when its distinct masks are pairwise disjoint,
       that is when their popcounts sum to ``n``.  Let ``w`` be the worst
@@ -270,7 +274,7 @@ def _letter_product(base: np.ndarray, epsilon: float, cap: int,
     t = 1.0 - epsilon
     hits = base >= t
     masks = _bits(hits)
-    if n <= cap:
+    if 1 < n <= cap:
         top = float(base[~np.eye(n, dtype=bool)].max())
         if top * top < t:
             theta = len(_exact_coloring(masks))
@@ -298,16 +302,16 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
           solver: str) -> list[GammaKResult]:
     """The :func:`gamma_k` row at each length in ``ks``: the one row routine.
 
-    Every ``k`` is checked before any row runs.  On ``"auto"``, a row of
-    more sequences than the exact cap is first offered to the letter graph
-    (:func:`_letter_product`, checked once per call on the first such row,
-    one differing letter first, then letter classes); when that proves it,
-    the row is ``n**(k - 1) * theta`` or ``c**k`` blocks,
-    ``"letter_product"`` and proved, with no graph.  Rows within the exact
-    cap stay ``"exact"``.  Any other row is the closed form (asked for, or
-    past the graph cap) or the cover of its sequence graph
-    (:func:`_sequence_masks`, one memo for all rows), and its gamma is
-    :func:`compressibility` of its block count.
+    Every ``k`` is checked before any row runs.  On ``"auto"``, the letter
+    graph is then checked once (:func:`_letter_product`, one differing
+    letter first, then letter classes), and every row it proves is ``n**(k
+    - 1) * theta`` or ``c**k`` blocks and proved, with no sequence graph and
+    no search: ``"exact"`` within the exact cap, since that count is the
+    exact minimum, and ``"letter_product"`` past it.  Explicit solvers never
+    ask.  Any other row is the closed form (asked for, or past the graph
+    cap) or the cover of its sequence graph (:func:`_sequence_masks`, one
+    memo for all rows), and its gamma is :func:`compressibility` of its
+    block count.
     """
     cap = default_exact_cap()
     if solver not in ("auto", "exact", "greedy", "closed_form"):
@@ -330,15 +334,15 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
                                   "decimal digits, past Python's int-to-string limit")
     base = _letter_matrix(channel)
     memo: dict[tuple[int, float], list[int]] = {}
-    last = None
+    last = 0
+    if solver == "auto":
+        first, step, last = _letter_product(base, epsilon, cap, max(ks))
     rows = []
     for k in ks:
         total = n ** k
-        past_exact = solver == "auto" and total > cap
-        if past_exact and last is None:
-            first, step, last = _letter_product(base, epsilon, cap, max(ks))
-        if past_exact and k <= last:
-            blocks, method, proved = first * step ** (k - 1), "letter_product", True
+        if k <= last:
+            blocks, proved = first * step ** (k - 1), True
+            method = "exact" if total <= cap else "letter_product"
         elif solver == "closed_form" or total > DEFAULT_GRAPH_CAP:
             blocks = _closed_form_partition(base, epsilon, k).num_blocks ** k
             method, proved = "closed_form", False
@@ -353,16 +357,17 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
             solver: str = "auto") -> GammaKResult:
     """Compressibility of ``k`` independent uses of a channel (:func:`_rows`).
 
-    ``solver="auto"`` picks the exact solver while the sequence count fits
-    the exact cap.  Above it, a row the letter graph proves is
-    ``"letter_product"``, an optimum with no graph built
-    (:func:`_letter_product`): ``n**(k - 1) * theta`` blocks at any ``k``
-    when two differing letters never join and ``theta * omega == n``, and
-    ``c**k`` blocks, the ``k``-fold products of the cliques, when the letter
-    graph is ``c`` disjoint cliques and the worst in-class value multiplied
-    ``k`` times still reaches ``1 - epsilon``; any other row is first-fit on
-    the materialized graph up to ``DEFAULT_GRAPH_CAP`` and the closed-form
-    product construction beyond that.  Requesting ``"exact"`` above the
+    On ``solver="auto"`` a row the letter graph proves is an optimum with no
+    graph built (:func:`_letter_product`): ``n**(k - 1) * theta`` blocks at
+    any ``k`` when two differing letters never join and ``theta * omega ==
+    n``, and ``c**k`` blocks, the ``k``-fold products of the cliques, when
+    the letter graph is ``c`` disjoint cliques and the worst in-class value
+    multiplied ``k`` times still reaches ``1 - epsilon``.  Such a row is
+    ``"exact"`` while the sequence count fits the exact cap and
+    ``"letter_product"`` above it.  Any other auto row is solved exactly
+    within the exact cap, by first fit on the materialized graph up to
+    ``DEFAULT_GRAPH_CAP`` and by the closed-form product construction
+    beyond that.  Requesting ``"exact"`` above the
     exact cap raises :class:`ExactSolverCapError`; requesting ``"exact"`` or
     ``"greedy"`` above the graph cap raises :class:`ValidationError`,
     whatever the exact cap, as does a ``k`` whose sequence count Python
@@ -455,9 +460,18 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
     """Minimum block count over all partitions with Hamming diameter <= s.
 
     A minimum clique cover of the graph joining length-``k`` sequences at
-    Hamming distance ``<= s``, counted by :func:`_exact_coloring` on its
-    bitmasks.  The cap is checked before anything of size
-    ``alphabet_size ** k`` is built, and a cap below 1 is refused first.
+    Hamming distance ``<= s``.  A cap below 1 is refused first, then the
+    cap is checked before anything of size ``alphabet_size ** k`` is built.
+
+    With ``q = alphabet_size``, the anticode bound answers without a graph
+    when ``s`` is 0, 1 or ``k``, or ``q >= k - s + 2``: a block of diameter
+    ``<= s`` is a ``(k - s)``-intersecting family of words, which holds at
+    most ``q**s`` words for ``q >= k - s + 2`` (Frankl and Furedi 1980; see
+    Ahlswede and Khachatrian 1998), and for ``s = 1`` at most ``q``, since
+    all its pairs differ in the same position.  So ``q**(k - s)`` blocks
+    are needed, and the prefix grouping (:func:`s_bound_partition`) reaches
+    that count.  Any other case, binary words with ``2 <= s < k`` among
+    them, is counted by :func:`_exact_coloring` on the graph's bitmasks.
     """
     _check_max_sequences(max_sequences)
     _check_s_bound_args(alphabet_size, k, s)
@@ -466,6 +480,8 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
         raise ValidationError(
             f"{total} sequences exceed the exhaustive-search cap {max_sequences}"
         )
+    if s in (0, 1, k) or alphabet_size >= k - s + 2:
+        return alphabet_size ** (k - s)
     seqs = np.array(list(itertools.product(range(alphabet_size), repeat=k))).reshape(total, k)
     dist = (seqs[:, None, :] != seqs[None, :, :]).sum(axis=2)
     return len(_exact_coloring(_bits(dist <= s)))
@@ -492,7 +508,10 @@ def conjecture_report(alphabet_size: int, k: int, s_values: Sequence[int] | None
                       max_sequences: int = 10) -> list[ConjectureRow]:
     """Compare exhaustive minima against ``alphabet_size ** (k - s)``.
 
-    The equality is conjectured, not proven; a row with ``equal=False`` is a
+    Equality is a theorem where :func:`min_s_bounded_partition_size`'s
+    anticode condition holds (``s`` in 0, 1 or ``k``, or ``alphabet_size >=
+    k - s + 2``), and those rows are answered by it with no search.
+    Elsewhere it is conjectured, not proven; a row with ``equal=False`` is a
     counterexample and is reported as data, never raised.  Equality fails at
     ``alphabet_size=2, k=5, s=2``, where the minimum is 7 rather than 8, and
     at ``k=6`` with ``s=2`` (12 rather than 16) and ``s=3`` (7 rather than 8).

@@ -47,7 +47,7 @@ from revcomp.asymptotic import (
     _observed_trend,
     _sequence_masks,
 )
-from revcomp.partition import _bits, _cover, _partition_of, default_exact_cap
+from revcomp.partition import _bits, _cover, _exact_coloring, _partition_of, default_exact_cap
 
 from oracles import (
     adjacency_bitmasks,
@@ -314,10 +314,12 @@ class TestProductAdjacency:
         assert peak < 4 << 20
 
     def test_one_letter_rows_reach_deep_k(self):
-        # 3000 levels of memo entries, built without recursion.
+        # The exact solver builds 3000 levels of memo entries, without
+        # recursion; the auto row is proved by the letter classes.
         ch = make_identity(1)
-        assert gamma_k(ch, 0.2, 3000) == GammaKResult(k=3000, block_count=1, gamma=1.0,
-                                                      method="exact", proved=True)
+        for solver in ("exact", "auto"):
+            assert gamma_k(ch, 0.2, 3000, solver) == GammaKResult(
+                k=3000, block_count=1, gamma=1.0, method="exact", proved=True)
         sweep = delta_estimate(ch, 0.2, 3000)
         assert [r.block_count for r in sweep.results] == [1] * 3000
         assert sweep.trend == "constant"
@@ -620,6 +622,40 @@ class TestSBoundedPartitions:
         graph = IndistinguishabilityGraph(hamming_graph(2, 5, 2))
         assert partition_is_clique_cover(cover, graph)
         assert cover.num_blocks == 7 < 2 ** (5 - 2)
+
+    def test_anticode_condition_gives_the_prefix_bound_without_a_search(self, monkeypatch):
+        # Where s is 0, 1 or k, or q >= k - s + 2 (Frankl-Furedi), a block
+        # of diameter <= s holds at most q**s words, so q**(k - s) blocks are
+        # the minimum; the search on the Hamming graph agrees on every such
+        # case of at most 81 words.
+        cases = [(q, k, s) for q in range(2, 11) for k in range(1, 7) if q ** k <= 81
+                 for s in range(k + 1) if s in (0, 1, k) or q >= k - s + 2]
+        assert len(cases) == 66
+        for q, k, s in cases:
+            assert len(_exact_coloring(_bits(hamming_graph(q, k, s)))) == q ** (k - s), (q, k, s)
+
+        def unreachable(masks):
+            raise AssertionError("a search ran on a row the anticode bound proves")
+
+        monkeypatch.setattr(asymptotic, "_exact_coloring", unreachable)
+        for q, k, s in cases:
+            assert min_s_bounded_partition_size(q, k, s, q ** k) == q ** (k - s)
+        rows = conjecture_report(5, 4, max_sequences=625)
+        assert [(r.s, r.minimum, r.equal) for r in rows] == [
+            (s, 5 ** (4 - s), True) for s in range(5)]
+
+    def test_rows_outside_the_condition_search_once(self, monkeypatch):
+        # q = 2 < k - s + 2 = 4 at (2, 4, 2): the Hamming graph is searched.
+        calls = []
+        exact_coloring = asymptotic._exact_coloring
+
+        def counted(masks):
+            calls.append(len(masks))
+            return exact_coloring(masks)
+
+        monkeypatch.setattr(asymptotic, "_exact_coloring", counted)
+        assert min_s_bounded_partition_size(2, 4, 2, 16) == 4
+        assert calls == [16]
 
     def test_minimum_cap(self):
         with pytest.raises(ValidationError):
@@ -1017,6 +1053,88 @@ def class_check_instances(draw):
     return ch, min(max(1.0 - t, 0.0), 1.0)
 
 
+def one_letter_oracle(fid, eps):
+    """``theta`` of the letter graph at ``eps`` by brute force, and whether
+    the one-differing-letter certificate holds: the largest off-diagonal
+    letter value squared is below ``1 - eps`` and ``theta * omega == n``."""
+    n = fid.shape[0]
+    letters = graph_from_fidelity_matrix(fid, eps).adjacency
+    theta = min_clique_cover_brute(letters)
+    omega = max(len(c) for size in range(1, n + 1)
+                for c in itertools.combinations(range(n), size)
+                if letters[np.ix_(c, c)].all())
+    top = float(fid[~np.eye(n, dtype=bool)].max())
+    return theta, top * top < 1.0 - eps and theta * omega == n
+
+
+@st.composite
+def in_cap_instances(draw):
+    """A channel on 1 to 5 letters (random rows, rows copied with tiny
+    noise or none, or an erasure), the longest sweep within the exact cap,
+    and an epsilon whose ``1 - eps`` is a letter value, the ``k``-fold
+    product of one, or the float square of the largest off-diagonal one,
+    or one float either side of it."""
+    n = draw(st.integers(1, 5), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    kind = draw(st.sampled_from(["random", "near-duplicate", "erasure"]), label="kind")
+    if kind == "erasure":
+        ch = make_erasure(n, float(rng.uniform(0.5, 1.0)))
+    else:
+        ch = random_channel(rng, n, draw(st.integers(1, 4), label="outputs"))
+        if kind == "near-duplicate":
+            copies = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="rows")
+            noise = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]), label="noise")
+            matrix = ch.matrix[copies] * (1.0 + noise * rng.random(ch.matrix.shape))
+            ch = ClassicalChannel(ch.input, ch.output, matrix / matrix.sum(axis=1, keepdims=True))
+    k_max = max(k for k in range(1, 7) if n ** k <= default_exact_cap())
+    fid = ch.fidelity_matrix
+    w = draw(st.sampled_from(sorted({float(v) for v in fid.flat})), label="w")
+    candidates = [w, math.prod([w] * draw(st.integers(2, 6), label="power"))]
+    if n > 1:
+        top = float(fid[~np.eye(n, dtype=bool)].max())
+        candidates.append(top * top)
+    t = draw(st.sampled_from(candidates), label="t")
+    t = draw(st.sampled_from([float(np.nextafter(t, 0.0)), t, float(np.nextafter(t, 2.0))]),
+             label="ulp")
+    return ch, min(max(1.0 - t, 0.0), 1.0), k_max
+
+
+class TestProvedRowsWithinTheCap:
+    """Auto rows within the exact cap that a letter certificate proves take
+    its count and build no sequence graph; every auto row there equals the
+    exact solver's row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(in_cap_instances())
+    def test_auto_rows_equal_the_exact_rows(self, instance):
+        ch, eps, k_max = instance
+        n = ch.num_inputs
+        fid = ch.fidelity_matrix
+        one_letter = n > 1 and one_letter_oracle(fid, eps)[1]
+        proved = [k for k in range(1, k_max + 1)
+                  if one_letter or class_product_cover(fid, eps, k) is not None]
+        built, covered = [], []
+        sequence_masks, cover = asymptotic._sequence_masks, asymptotic._cover
+
+        def counted_masks(base, epsilon, k, memo):
+            built.append(k)
+            return sequence_masks(base, epsilon, k, memo)
+
+        def counted_cover(masks, solver):
+            covered.append(len(masks))
+            return cover(masks, solver)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(asymptotic, "_sequence_masks", counted_masks)
+            mp.setattr(asymptotic, "_cover", counted_cover)
+            rows = delta_estimate(ch, eps, k_max).results
+        assert rows == delta_estimate(ch, eps, k_max, solver="exact").results
+        assert all((r.method, r.proved) == ("exact", True) for r in rows)
+        assert built == [k for k in range(1, k_max + 1) if k not in proved]
+        assert covered == [n ** k for k in built]
+        event(f"{len(proved)} of {k_max} rows proved")
+
+
 class TestLetterProductRows:
     """Rows past the exact cap that the letter graph proves: blocks
     ``n**(k - 1) * theta`` when ``M * M < 1 - eps`` and ``theta * omega == n``,
@@ -1032,14 +1150,8 @@ class TestLetterProductRows:
         ``BRUTE_SEQUENCES``, the exhaustive minimum."""
         n = ch.num_inputs
         fid = ch.fidelity_matrix
-        t = 1.0 - eps
         letters = graph_from_fidelity_matrix(fid, eps)
-        theta = min_clique_cover_brute(letters.adjacency)
-        omega = max(len(c) for size in range(1, n + 1)
-                    for c in itertools.combinations(range(n), size)
-                    if letters.adjacency[np.ix_(c, c)].all())
-        top = float(fid[~np.eye(n, dtype=bool)].max())
-        proved = top * top < t and theta * omega == n
+        theta, proved = one_letter_oracle(fid, eps)
         k_max = max(k for k in range(1, 7) if n ** k <= 64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REVCOMP_EXACT_CAP", str(n))  # every row past k = 1 is past the cap
@@ -1123,12 +1235,13 @@ class TestLetterProductRows:
     def test_duplicate_letters_in_classes_build_no_graph(self, monkeypatch):
         # Two equal rows and a far one are the classes {0, 1} and {2} at
         # 1 - eps = 0.95, with worst in-class value exactly 1.0, so every
-        # row past the exact cap is 2**k blocks, past the graph cap too.
+        # row is 2**k blocks, within the exact cap and past the graph cap
+        # alike, and no row builds its graph.
         matrix = np.array([[0.7, 0.3], [0.7, 0.3], [0.1, 0.9]])
         ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(2), matrix)
         assert ch.fidelity_matrix[0, 1] == 1.0
         rows, built = self.graph_rows(monkeypatch, ch, 0.05, 9)
-        assert built == [1, 2]
+        assert built == []
         assert [(r.method, r.proved) for r in rows] == (
             [("exact", True)] * 2 + [("letter_product", True)] * 7)
         assert [r.block_count for r in rows] == [2 ** k for k in range(1, 10)]
@@ -1179,11 +1292,13 @@ class TestLetterProductRows:
         # A check that proves nothing is also made once: 0.81**2 >= 0.65.
         assert "letter_product" not in {r.method for r in delta_estimate(ch, 0.35, 7).results}
         assert len(calls) == 2
-        # Rows within the exact cap and every explicit solver make none.
+        # An auto sweep within the exact cap makes one check too.
         delta_estimate(ch, 0.2, 2)
+        assert len(calls) == 3
+        # Every explicit solver makes none.
         for solver in ("exact", "greedy", "closed_form"):
             delta_estimate(ch, 0.2, 2 if solver == "exact" else 6, solver)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_table_and_json_carry_proved(self, tmp_path, capsys):
         path = tmp_path / "ch.json"

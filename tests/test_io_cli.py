@@ -389,6 +389,17 @@ class TestCliQueries:
         assert [r["k"] for r in data] == [1, 2, 3]
         assert [r["gamma"] for r in data] == [1.0, 2 / 3, 4 / 7]
 
+    def test_asymptotic_on_a_one_letter_channel(self, tmp_path, capsys):
+        # One letter has no off-diagonal fidelity; the letter classes prove
+        # every row at one block.
+        path = write_json(tmp_path, "ch.json", {"type": "identity", "n": 1})
+        code = main(["asymptotic", "--channel", path, "--epsilon", "0.2",
+                     "--k-max", "5", "--format", "json"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [(r["k"], r["blocks"], r["method"], r["proved"]) for r in data] == [
+            (k, 1, "exact", True) for k in range(1, 6)]
+
     def test_asymptotic_table_shows_trend(self, tmp_path, capsys):
         path = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 2, "eta": 0.9})
         assert main(["asymptotic", "--channel", path, "--epsilon", "0.2",
