@@ -269,11 +269,16 @@ def _letter_product(base: np.ndarray, epsilon: float, cap: int,
       sequences.  That product never grows with ``k``, so the proved rows
       are ``k = 1 .. last``, and one multiply per length forms it as
       ``math.prod`` does.  Only popcounts and one minimum, at any ``n``.
+
+    When neither holds but the first one searched ``theta``, row 1 alone is
+    proved (``(theta, n, 1)``): its graph is ``G_1``, and ``theta`` is its
+    exact minimum, so the auto ``k = 1`` row never searches ``G_1`` again.
     """
     n = base.shape[0]
     t = 1.0 - epsilon
     hits = base >= t
     masks = _bits(hits)
+    theta = 0
     if 1 < n <= cap:
         top = float(base[~np.eye(n, dtype=bool)].max())
         if top * top < t:
@@ -283,12 +288,26 @@ def _letter_product(base: np.ndarray, epsilon: float, cap: int,
                 return theta, n, k_top
     classes = set(masks)
     if sum(mask.bit_count() for mask in classes) != n:
-        return 0, 0, 0
+        return (theta, n, 1) if theta else (0, 0, 0)
     worst = float(base[hits].min())
     last, product = 0, 1.0
     while last < k_top and product * worst >= t:
         last, product = last + 1, product * worst
     return len(classes), len(classes), last
+
+
+def _isolated_letters(base: np.ndarray, epsilon: float) -> tuple[int, np.ndarray]:
+    """``(S, rest)``: the number ``S`` of isolated letters of the letter
+    matrix ``base``, those below ``1 - epsilon`` to every other letter, and
+    the letter matrix of the others in their order, when ``0 < S < n``;
+    otherwise ``(0, base)``.  No other letter is isolated in ``rest``: a
+    letter joined to another is joined to one that is not isolated.
+    """
+    alone = np.count_nonzero(base >= 1.0 - epsilon, axis=1) == 1  # the diagonal only
+    isolated = int(np.count_nonzero(alone))
+    if not 0 < isolated < len(base):
+        return 0, base
+    return isolated, base[np.ix_(~alone, ~alone)]
 
 
 @functools.cache
@@ -309,9 +328,24 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
     no search: ``"exact"`` within the exact cap, since that count is the
     exact minimum, and ``"letter_product"`` past it.  Explicit solvers never
     ask.  Any other row is the closed form (asked for, or past the graph
-    cap) or the cover of its sequence graph (:func:`_sequence_masks`, one
-    memo for all rows), and its gamma is :func:`compressibility` of its
-    block count.
+    cap) or a cover of its sequence graph ``G_k``, and its gamma is
+    :func:`compressibility` of its block count.
+
+    The first such graph row splits off the ``S`` isolated letters
+    (:func:`_isolated_letters`), and ``G'_j`` is the length-``j`` sequence
+    graph of the other letters (:func:`_sequence_masks`, one memo for all
+    rows).  A pair that differs at a position holding an isolated letter has
+    a running product below ``1 - epsilon`` there, and later letters never
+    raise a float; equal letters multiply by exactly 1.0.  So ``G_k`` is
+    the disjoint union of ``C(k, j) * S**(k - j)`` copies of ``G'_j``, each
+    with ``G'_j``'s pairs and label order, and the row is ``sum(C(k, j) *
+    S**(k - j) * blocks(G'_j))`` over ``j = 0 .. k``, ``blocks(G'_0) = 1``.
+    The exact minimum sums over the parts, and so does first fit, which
+    builds each block among its first vertex's neighbours.  The regime is
+    still ``G_k``'s: the exact search on every part within the exact cap
+    of ``n**k``, first fit on every part above it.  With no isolated letter,
+    or every letter isolated, the only part is ``G_k`` itself.  Each part's
+    count is kept per regime, so a sweep covers it once.
     """
     cap = default_exact_cap()
     if solver not in ("auto", "exact", "greedy", "closed_form"):
@@ -333,10 +367,12 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
             raise ValidationError(f"k={k}: the sequence count {n}**{k} has more than {digits} "
                                   "decimal digits, past Python's int-to-string limit")
     base = _letter_matrix(channel)
-    memo: dict[tuple[int, float], list[int]] = {}
     last = 0
     if solver == "auto":
         first, step, last = _letter_product(base, epsilon, cap, max(ks))
+    rest = None  # the letter matrix without the isolated letters, found at the first graph row
+    memo: dict[tuple[int, float], list[int]] = {}
+    parts: dict[tuple[int, str], int] = {}  # blocks(G'_j) per (j, regime)
     rows = []
     for k in ks:
         total = n ** k
@@ -347,8 +383,16 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
             blocks = _closed_form_partition(base, epsilon, k).num_blocks ** k
             method, proved = "closed_form", False
         else:
-            cover, proved = _cover(_sequence_masks(base, epsilon, k, memo), solver)
-            blocks, method = len(cover), "exact" if proved else "greedy_lower_bound"
+            if rest is None:
+                isolated, rest = _isolated_letters(base, epsilon)
+            regime = "exact" if solver != "greedy" and total <= cap else "greedy"
+            blocks = isolated ** k  # the j = 0 term, with blocks(G'_0) = 1
+            for j in range(1, k + 1) if isolated else (k,):
+                if (j, regime) not in parts:
+                    parts[j, regime] = len(_cover(_sequence_masks(rest, epsilon, j, memo), regime)[0])
+                blocks += math.comb(k, j) * isolated ** (k - j) * parts[j, regime]
+            proved = regime == "exact"
+            method = "exact" if proved else "greedy_lower_bound"
         rows.append(GammaKResult(k, blocks, compressibility(total, blocks), method, proved))
     return rows
 
@@ -374,7 +418,11 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     cannot print in decimal.  A materialized row's graph is bitmasks built from shorter
     running-product graphs (:func:`_sequence_masks`), which decide each pair
     exactly as :func:`product_fidelity_matrix` would; only its cover's
-    blocks are counted.
+    blocks are counted.  When some but not every letter is isolated, below
+    ``1 - epsilon`` to every other letter, those letters never merge, and
+    the row is ``sum(C(k, j) * S**(k - j) * blocks(G'_j))`` over covers of
+    the other letters' shorter graphs ``G'_j`` (:func:`_rows`), the same
+    count as the cover of the whole graph.
     """
     return _rows(channel, epsilon, [k], solver)[0]
 

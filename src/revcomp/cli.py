@@ -324,8 +324,9 @@ def run(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing does not change it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built once
+    per process; parsing does not change them."""
     parser = argparse.ArgumentParser(
         prog="revcomp",
         description="Reverse compression of classical and quantum channels.",
@@ -403,12 +404,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probes", type=int, default=1000)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` parsed as ``parse_args`` on the full parser parses it.
+
+    That parser hands every word after a subcommand's name to the
+    subcommand's parser and refuses what it leaves over, so an ``argv``
+    that starts with a name goes to that parser directly; any other
+    ``argv`` takes the full parser.
+    """
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return run(args)
     except ValidationError as exc:

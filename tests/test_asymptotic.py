@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from revcomp import (
@@ -1053,6 +1053,12 @@ def class_check_instances(draw):
     return ch, min(max(1.0 - t, 0.0), 1.0)
 
 
+def isolated_oracle(fid, eps):
+    """How many letters the letter graph at ``eps`` joins to no other letter."""
+    letters = graph_from_fidelity_matrix(fid, eps).adjacency
+    return int((letters.sum(axis=1) == 1).sum())
+
+
 def one_letter_oracle(fid, eps):
     """``theta`` of the letter graph at ``eps`` by brute force, and whether
     the one-differing-letter certificate holds: the largest off-diagonal
@@ -1111,8 +1117,14 @@ class TestProvedRowsWithinTheCap:
         n = ch.num_inputs
         fid = ch.fidelity_matrix
         one_letter = n > 1 and one_letter_oracle(fid, eps)[1]
+        # The one-letter check searches the letter graph when M * M < 1 - eps,
+        # and that count is row 1 even when the certificate fails.
+        searched = n > 1 and float(fid[~np.eye(n, dtype=bool)].max()) ** 2 < 1.0 - eps
         proved = [k for k in range(1, k_max + 1)
-                  if one_letter or class_product_cover(fid, eps, k) is not None]
+                  if one_letter or class_product_cover(fid, eps, k) is not None
+                  or (k == 1 and searched)]
+        graph_rows = [k for k in range(1, k_max + 1) if k not in proved]
+        isolated = isolated_oracle(fid, eps)
         built, covered = [], []
         sequence_masks, cover = asymptotic._sequence_masks, asymptotic._cover
 
@@ -1130,9 +1142,133 @@ class TestProvedRowsWithinTheCap:
             rows = delta_estimate(ch, eps, k_max).results
         assert rows == delta_estimate(ch, eps, k_max, solver="exact").results
         assert all((r.method, r.proved) == ("exact", True) for r in rows)
-        assert built == [k for k in range(1, k_max + 1) if k not in proved]
-        assert covered == [n ** k for k in built]
+        if 0 < isolated < n:  # G'_1 .. G'_k of the other letters, each built and covered once
+            assert built == list(range(1, max(graph_rows, default=0) + 1))
+            assert covered == [(n - isolated) ** j for j in built]
+            event("isolated letters factored out")
+        else:
+            assert built == graph_rows
+            assert covered == [n ** k for k in built]
         event(f"{len(proved)} of {k_max} rows proved")
+
+
+@st.composite
+def isolated_instances(draw):
+    """A channel on 3 to 5 letters whose letter graph at ``eps`` has between
+    1 and ``n - 1`` isolated letters.  Its rows are random, some of them
+    repeated, and some moved mostly onto an output of their own; ``1 -
+    eps`` is an off-diagonal letter value or one float either side of it."""
+    n = draw(st.integers(3, 5), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    matrix = random_channel(rng, n, draw(st.integers(1, 4), label="outputs")).matrix
+    matrix = matrix[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="rows")]
+    far = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n), label="far"))
+    matrix = np.hstack([np.where(far[:, None], 0.1, 1.0) * matrix, 0.9 * np.diag(far)])
+    ch = ClassicalChannel(Alphabet.numbered(n), Alphabet.numbered(matrix.shape[1]), matrix)
+    fid = ch.fidelity_matrix
+    t = draw(st.sampled_from(sorted({float(v) for v in fid[~np.eye(n, dtype=bool)]})), label="t")
+    t = draw(st.sampled_from([float(np.nextafter(t, 0.0)), t, float(np.nextafter(t, 2.0))]),
+             label="ulp")
+    eps = min(max(1.0 - t, 0.0), 1.0)
+    isolated = isolated_oracle(fid, eps)
+    assume(0 < isolated < n)
+    return ch, eps, isolated
+
+
+class TestIsolatedLetters:
+    """A letter below ``1 - eps`` to every other letter never merges, so a
+    materialized row is ``sum(C(k, j) * S**(k - j) * blocks(G'_j))`` over
+    covers of the other letters' sequence graphs ``G'_j``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(isolated_instances())
+    def test_factored_rows_equal_covers_of_the_product(self, instance):
+        ch, eps, isolated = instance
+        n = ch.num_inputs
+        cap = default_exact_cap()
+        covered = []
+        cover = asymptotic._cover
+
+        def counted(masks, solver):
+            covered.append(len(masks))
+            return cover(masks, solver)
+
+        for k in range(1, max(k for k in range(1, 6) if n ** k <= 256) + 1):
+            graph = graph_from_fidelity_matrix(product_fidelity_matrix(ch, k), eps)
+            greedy = solve_greedy(graph).num_blocks
+            exact = solve_exact(graph).num_blocks if n ** k <= cap else None
+            for solver in ("auto", "greedy", "exact"):
+                if solver == "exact" and exact is None:
+                    continue
+                covered.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(asymptotic, "_cover", counted)
+                    row = gamma_k(ch, eps, k, solver)
+                assert all(size <= (n - isolated) ** k for size in covered)
+                if row.method == "letter_product":
+                    assert solver == "auto" and row.proved and covered == []
+                    assert row.block_count <= greedy
+                elif solver == "greedy" or n ** k > cap:
+                    assert (row.method, row.block_count) == ("greedy_lower_bound", greedy)
+                else:
+                    assert (row.method, row.block_count) == ("exact", exact)
+        event(f"{isolated} of {n} letters isolated")
+
+    @staticmethod
+    def random3_shape():
+        # The shape the bench's random3-1 channel is drawn around: at
+        # 1 - eps = 0.7 letters 0 and 1 join (about 0.87) and letter 2
+        # (about 0.47 and 0.50 to them) is isolated.
+        matrix = np.array([[0.7, 0.2, 0.1], [0.37, 0.53, 0.1], [0.1, 0.1, 0.8]])
+        ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(3), matrix)
+        fid = ch.fidelity_matrix
+        assert fid[0, 1] >= 0.7 > max(fid[0, 2], fid[1, 2])
+        return ch
+
+    @staticmethod
+    def covers(monkeypatch, ch, *args):
+        covered = []
+        cover = asymptotic._cover
+
+        def counted(masks, solver):
+            covered.append((len(masks), solver))
+            return cover(masks, solver)
+
+        monkeypatch.setattr(asymptotic, "_cover", counted)
+        rows = delta_estimate(ch, *args).results
+        monkeypatch.undo()
+        return rows, covered
+
+    def test_random3_rows_cover_only_the_other_letters_graphs(self, monkeypatch):
+        ch = self.random3_shape()
+        rows, covered = self.covers(monkeypatch, ch, 0.3, 8)
+        # Rows 1-2 are the letter classes {0, 1} and {2} (0.87**2 >= 0.7);
+        # rows 3-6 run first fit on G'_1 to G'_6 (2 to 64 sequences), never
+        # on their 27- to 729-sequence graphs.  Rows 7-8 cover only the
+        # closed form's 3-letter graph.
+        assert covered == [(2 ** j, "greedy") for j in range(1, 7)] + [(3, "auto")] * 2
+        assert [(r.block_count, r.method) for r in rows] == (
+            [(2, "exact"), (4, "exact")]
+            + [(b, "greedy_lower_bound") for b in (9, 23, 64, 186)]
+            + [(3 ** k, "closed_form") for k in (7, 8)])
+        for row in rows[2:6]:
+            graph = graph_from_fidelity_matrix(product_fidelity_matrix(ch, row.k), 0.3)
+            assert row.block_count == solve_greedy(graph).num_blocks
+
+    def test_exact_row_at_81_sequences_searches_16(self, monkeypatch):
+        ch = self.random3_shape()
+        monkeypatch.setenv("REVCOMP_EXACT_CAP", "100")
+        rows, covered = self.covers(monkeypatch, ch, 0.3, 4, "exact")
+        assert covered == [(2 ** j, "exact") for j in range(1, 5)]
+        assert [(r.k, r.block_count, r.method, r.proved) for r in rows] == [
+            (1, 2, "exact", True), (2, 4, "exact", True), (3, 9, "exact", True),
+            (4, 23, "exact", True)]
+
+    def test_no_or_every_letter_isolated_builds_the_full_graph(self, monkeypatch):
+        ch = self.random3_shape()
+        for eps, size in ((0.6, 3), (0.05, 3)):  # every letter joined / none joined
+            rows, covered = self.covers(monkeypatch, ch, eps, 3, "greedy")
+            assert covered == [(size ** k, "greedy") for k in (1, 2, 3)]
 
 
 class TestLetterProductRows:
@@ -1251,13 +1387,15 @@ class TestLetterProductRows:
     def test_path_letter_graph_builds_the_graph(self, monkeypatch):
         # Letters 0 - 1 - 2 form a path at 1 - eps = 0.45 (fidelities
         # 0.557 and 0.48, and 0.04 between the ends), and M * M = 0.310 is
-        # below it, but theta * omega = 2 * 2 != 3.
+        # below it, but theta * omega = 2 * 2 != 3.  Row 1 takes the theta
+        # that check searched, so only rows 2 to 4 build their graphs.
         matrix = np.array([[0.8, 0.2, 0.0, 0.0], [0.2, 0.6, 0.2, 0.0], [0.0, 0.2, 0.6, 0.2]])
         ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(4), matrix)
         fid = ch.fidelity_matrix
         assert fid[0, 1] ** 2 < 0.45 <= min(fid[0, 1], fid[1, 2]) and fid[0, 2] < 0.45
         rows, built = self.graph_rows(monkeypatch, ch, 0.55, 4)
-        assert built == [1, 2, 3, 4]
+        assert built == [2, 3, 4]
+        assert rows[0].block_count == 2
         assert [r.method for r in rows] == ["exact"] * 2 + ["greedy_lower_bound"] * 2
         assert [r.proved for r in rows] == [True] * 2 + [False] * 2
 
@@ -1299,6 +1437,28 @@ class TestLetterProductRows:
         for solver in ("exact", "greedy", "closed_form"):
             delta_estimate(ch, 0.2, 2 if solver == "exact" else 6, solver)
         assert len(calls) == 3
+
+    def test_letter_graph_is_searched_once(self, monkeypatch):
+        # The path channel at 1 - eps = 0.45: the one-letter check searches
+        # the letter graph (theta = 2) and fails (omega = 2), and row 1 takes
+        # that count, so only row 2's 9-sequence graph is searched again.
+        matrix = np.array([[0.8, 0.2, 0.0, 0.0], [0.2, 0.6, 0.2, 0.0], [0.0, 0.2, 0.6, 0.2]])
+        ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(4), matrix)
+        searched = []
+
+        def counted(masks):
+            searched.append(len(masks))
+            return _exact_coloring(masks)
+
+        monkeypatch.setattr(asymptotic, "_exact_coloring", counted)
+        monkeypatch.setattr(partition, "_exact_coloring", counted)
+        rows = delta_estimate(ch, 0.55, 2).results
+        assert searched == [3, 9]
+        assert [(r.block_count, r.method, r.proved) for r in rows] == [
+            (2, "exact", True), (5, "exact", True)]
+        searched.clear()
+        assert delta_estimate(ch, 0.55, 2, "exact").results == rows
+        assert searched == [3, 9]  # the explicit solver makes no letter check
 
     def test_table_and_json_carry_proved(self, tmp_path, capsys):
         path = tmp_path / "ch.json"

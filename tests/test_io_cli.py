@@ -801,6 +801,46 @@ class TestCliInProcess:
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
 
+    def test_subcommand_dispatch_matches_the_full_parser(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        channel = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 2, "eta": 0.9})
+        compress = ["compress", "--channel", channel, "--epsilon", "0.2"]
+        argvs = [
+            [], ["-h"], ["--help"], ["compress", "-h"], ["asymptotic", "--help"],
+            ["compress", "--channel", channel],  # a required flag missing
+            [*compress, "--solver", "fastest"],  # a bad choice
+            [*compress, "--bogus"], [*compress, "stray", "--bogus", "1"],  # unknown words
+            ["compres", *compress[1:]],  # an unknown command
+            ["--format", "json", *compress],  # an option before the command
+            [*compress, "--format", "json"], [*compress, "--form", "table"],
+            ["erasure", "--r", "two", "--eta", "0.9"],  # a bad type
+            ["erasure", "--r", "2", "--eta", "0.9", "--epsilon", "-0.5"],
+            ["product", "--channel", channel, "--xs", "0", "--xhats", "1", "--x", "0"],
+            ["conjecture", "--alphabet-size", "2", "--k", "2", "--", "x"],
+            ["conjecture", "--alphabet-size", "2", "--k", "2", "--format=json"],
+        ]
+
+        def outcomes():
+            seen = []
+            for argv in argvs:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err))
+            return seen
+
+        dispatched = outcomes()
+        parser = _build_parser()[0]
+        monkeypatch.setattr(cli, "_parse", parser.parse_args)
+        assert dispatched == outcomes()
+        assert {code for code, _, _ in dispatched} == {0, 2}
+        # A named subcommand never reaches the full parser.
+        monkeypatch.undo()
+        monkeypatch.setattr(parser, "parse_known_args", None)
+        assert main([*compress, "--format", "json"]) == 0
+
     def test_repeated_main_matches_separate_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         channel = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 2, "eta": 0.9})
