@@ -23,6 +23,7 @@ from .errors import ExactSolverCapError, ValidationError
 from .partition import (
     Partition,
     _bits,
+    _complement,
     _cover,
     _exact_coloring,
     _integer,
@@ -158,17 +159,25 @@ class GammaKResult:
 
     ``method`` is ``"exact"`` for a row within the exact cap, whose value is
     the exact minimum: on ``solver="auto"`` it may come from the letter
-    graph (:func:`_letter_product`) with no sequence graph built, otherwise
+    graph (:class:`_LetterGraph`) with no sequence graph built, otherwise
     from the exact search.  ``"letter_product"`` is a row past the exact cap
-    that the letter graph proves: ``n**(k - 1) * theta`` blocks when two
-    differing letters never join (``M * M < 1 - epsilon``) and ``theta *
-    omega == n``, or ``c**k`` blocks when the letter graph is ``c`` disjoint
+    that the letter graph proves: ``ceil(n**k / omega)`` blocks when two
+    differing letters never join (``M * M < 1 - epsilon``) and the letter
+    graph has a cover by cliques of size ``omega`` with at most one
+    singleton, or ``c**k`` blocks when the letter graph is ``c`` disjoint
     cliques whose worst in-class value, multiplied ``k`` times, still
     reaches ``1 - epsilon``.  ``"greedy_lower_bound"`` is a first-fit cover
-    of the materialized sequence graph, and ``"closed_form"`` the
-    per-letter-threshold product construction.  ``proved`` is true for
-    exact and letter-product rows, whose values are the true
-    compressibility; greedy and closed-form values are lower bounds on it.
+    of the materialized sequence graph, and ``"closed_form"`` a product
+    construction: the per-letter-threshold partition to the ``k``-th power,
+    or, when two differing letters never join, the prefix grouping times a
+    minimum cover of the last letter.  ``lower`` is a lower bound on the
+    minimum block count (:func:`_bracket`), ``block_count`` itself on a
+    proved row and 1 on an explicit ``"greedy"`` or ``"closed_form"`` row.
+    ``proved`` says the value is the true compressibility: it is true on
+    exact and letter-product rows, and on an auto first-fit or closed-form
+    row exactly when ``lower == block_count``; an explicit ``"greedy"`` or
+    ``"closed_form"`` row is never proved.  Any other value is a lower bound
+    on the compressibility.
     """
 
     k: int
@@ -176,10 +185,11 @@ class GammaKResult:
     gamma: float
     method: str
     proved: bool
+    lower: int = 1
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "gamma": self.gamma, "method": self.method,
-                "blocks": self.block_count, "proved": self.proved}
+                "blocks": self.block_count, "lower": self.lower, "proved": self.proved}
 
 
 def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: int) -> Partition:
@@ -227,87 +237,171 @@ def _letter_certificate(fid: np.ndarray, blocks: Sequence[Sequence[int]],
     return worst, math.prod([worst] * k)
 
 
-def _letter_product(base: np.ndarray, epsilon: float, cap: int,
-                    k_top: int) -> tuple[int, int, int]:
-    """``(first, step, last)`` such that the letter graph proves every
-    sequence row of the letter matrix ``base`` of length ``k <= last`` at
-    ``first * step**(k - 1)`` blocks, its minimum clique cover; ``last`` is
-    at most ``k_top``, and 0 when no row is proved.  :func:`_rows` asks once
-    per ``solver="auto"`` call, for rows within the exact cap too.  Let ``t
-    = 1 - epsilon`` and ``G_1`` the letter graph ``base >= t``.  Two
-    certificates, tried in this order:
+class _LetterGraph:
+    """The letter graph ``G_1`` of one :func:`_rows` call, the pairs of the
+    letter matrix ``base`` at or above ``t = 1 - epsilon``, thresholded
+    once, and what it proves about the length-``k`` sequence graphs ``G_k``.
 
-    * **One differing letter** (``(theta, n, k_top)``).  Let ``M`` be the
-      largest off-diagonal letter value.  When ``M * M < t`` in float, a
-      pair of sequences that differ in two or more letters is never joined:
-      its running product is exactly 1.0 up to its first differing letter,
-      exactly that letter's value ``w`` there, at most ``w * w' <= M * M``
-      at the second (rounding is monotone), and later letters in [0, 1]
-      never raise a float.  So the length-``k`` graph joins exactly the
-      pairs that differ in one letter whose letter pair ``G_1`` joins.
-      Three such sequences that are pairwise joined differ in the same
-      place, so a clique holds at most ``omega(G_1)`` sequences and a cover
-      needs at least ``n**k / omega`` blocks; fixing the first ``k - 1``
-      letters and covering the last one with ``theta`` cliques of ``G_1``
-      is a cover of ``n**(k - 1) * theta`` blocks, each pair's product
-      exactly one letter value ``>= t``.  The two meet at every ``k`` when
-      ``theta * omega == n``.  Both come from the exact searches, so only
-      for ``n <= cap`` letters, and only for ``n >= 2``: one letter has no
-      differing pair, and the letter classes prove its rows.
-    * **Letter classes** (``(c, c, last)``).  ``G_1`` is a disjoint union of
+    Built with the call: the masks of ``G_1`` (self bits set) and whether
+    two differing letters never join (``cartesian``).  For ``2 <= n <=
+    cap`` letters in that regime also ``cover``, a minimum clique cover of
+    ``G_1`` (``theta`` blocks), its largest clique size ``omega``, and
+    whether ``G_1`` has a cover by cliques of size ``omega`` with at most
+    one singleton (``tight``, see :func:`_tight`); ``cover`` is empty and
+    ``omega`` 0 otherwise.  Found on first use, at most once: the letter
+    classes, ``alpha`` (the largest independent set, ``n <= cap`` only) and
+    the isolated letters.  :func:`_bracket` reads it to answer a row; an
+    explicit solver passes ``cap = 0`` and ``k_top = 0`` and reads only the
+    isolated letters.
+
+    * **Two differing letters never join** (``cartesian``).  Let ``M`` be
+      the largest off-diagonal letter value, and ``n >= 2``.  When ``M * M <
+      t`` in float, a pair of sequences that differ in two or more letters
+      is never joined: its running product is exactly 1.0 up to its first
+      differing letter, exactly that letter's value ``w`` there, at most
+      ``w * w' <= M * M`` at the second (rounding is monotone), and later
+      letters in [0, 1] never raise a float.  So ``G_k`` joins exactly the
+      pairs that differ in one letter whose letter pair ``G_1`` joins: the
+      Cartesian power of ``G_1`` (Imrich and Klavzar, *Handbook of Product
+      Graphs*).
+    * **Letter classes** (``classes``).  ``G_1`` is a disjoint union of
       ``c`` cliques exactly when its distinct masks are pairwise disjoint,
       that is when their popcounts sum to ``n``.  Let ``w`` be the worst
       letter value inside a clique, the least entry of ``base`` that
       ``G_1`` joins: the one :func:`_letter_certificate` takes over these
-      classes (1.0 when every class is one letter).  A
-      pair of sequences whose letters lie pairwise in one class multiplies
-      values ``>= w``, so its product is at least ``math.prod([w] * k)``
-      under monotone rounding; a pair with a letter pair across two classes
-      has a running product at most that letter's value ``< t`` there, and
-      later letters keep it below.  So while ``math.prod([w] * k) >= t``
-      the length-``k`` graph is the ``c**k`` disjoint cliques of class
-      sequences.  That product never grows with ``k``, so the proved rows
-      are ``k = 1 .. last``, and one multiply per length forms it as
-      ``math.prod`` does.  Only popcounts and one minimum, at any ``n``.
-
-    When neither holds but the first one searched ``theta``, row 1 alone is
-    proved (``(theta, n, 1)``): its graph is ``G_1``, and ``theta`` is its
-    exact minimum, so the auto ``k = 1`` row never searches ``G_1`` again.
+      classes (1.0 when every class is one letter).  A pair of sequences
+      whose letters lie pairwise in one class multiplies values ``>= w``, so
+      its product is at least ``math.prod([w] * k)`` under monotone
+      rounding; a pair with a letter pair across two classes has a running
+      product at most that letter's value ``< t`` there, and later letters
+      keep it below.  So while ``math.prod([w] * k) >= t`` the length-``k``
+      graph is the ``c**k`` disjoint cliques of class sequences.  That
+      product never grows with ``k``, so these are the rows ``k = 1 ..
+      last``, with ``last`` at most ``k_top``, and one multiply per length
+      forms it as ``math.prod`` does.
+    * **Isolated letters** (``isolated``).  Those joined to no other letter;
+      :func:`_rows` factors them out of every sequence graph it builds.
     """
-    n = base.shape[0]
-    t = 1.0 - epsilon
-    hits = base >= t
-    masks = _bits(hits)
-    theta = 0
-    if 1 < n <= cap:
-        top = float(base[~np.eye(n, dtype=bool)].max())
-        if top * top < t:
-            theta = len(_exact_coloring(masks))
-            omega = _max_clique_size([mask & ~(1 << v) for v, mask in enumerate(masks)], n)
-            if theta * omega == n:
-                return theta, n, k_top
-    classes = set(masks)
-    if sum(mask.bit_count() for mask in classes) != n:
-        return (theta, n, 1) if theta else (0, 0, 0)
-    worst = float(base[hits].min())
-    last, product = 0, 1.0
-    while last < k_top and product * worst >= t:
-        last, product = last + 1, product * worst
-    return len(classes), len(classes), last
+
+    def __init__(self, base: np.ndarray, epsilon: float, cap: int, k_top: int) -> None:
+        n = base.shape[0]
+        self.base, self.n, self.t, self.cap, self.k_top = base, n, 1.0 - epsilon, cap, k_top
+        self.hits = base >= self.t
+        self.masks = _bits(self.hits)
+        top = float(base[~np.eye(n, dtype=bool)].max()) if n > 1 else 1.0
+        self.cartesian = top * top < self.t
+        self.cover, self.omega, self.tight = [], 0, False
+        if self.cartesian and n <= cap:
+            self.cover = _exact_coloring(self.masks)
+            self.omega = _max_clique_size([m & ~(1 << v) for v, m in enumerate(self.masks)], n)
+            self.tight = _tight(self.masks, self.cover, self.omega)
+
+    @functools.cached_property
+    def classes(self) -> tuple[int, int]:
+        """``(c, last)``: rows ``1 .. last`` are ``c**k`` class sequences,
+        ``last`` 0 when ``G_1`` is not disjoint cliques."""
+        classes = set(self.masks)
+        if sum(mask.bit_count() for mask in classes) != self.n:
+            return 0, 0
+        worst, last, product = float(self.base[self.hits].min()), 0, 1.0
+        while last < self.k_top and product * worst >= self.t:
+            last, product = last + 1, product * worst
+        return len(classes), last
+
+    @functools.cached_property
+    def alpha(self) -> int:
+        return _max_clique_size(_complement(self.masks), self.n)
+
+    @functools.cached_property
+    def isolated(self) -> tuple[int, np.ndarray]:
+        """``(S, rest)``: the number ``S`` of isolated letters and the letter
+        matrix of the others in their order, when ``0 < S < n``; otherwise
+        ``(0, base)``.  No other letter is isolated in ``rest``: a letter
+        joined to another is joined to one that is not isolated."""
+        alone = np.count_nonzero(self.hits, axis=1) == 1  # the diagonal only
+        isolated = int(np.count_nonzero(alone))
+        if not 0 < isolated < self.n:
+            return 0, self.base
+        return isolated, self.base[np.ix_(~alone, ~alone)]
 
 
-def _isolated_letters(base: np.ndarray, epsilon: float) -> tuple[int, np.ndarray]:
-    """``(S, rest)``: the number ``S`` of isolated letters of the letter
-    matrix ``base``, those below ``1 - epsilon`` to every other letter, and
-    the letter matrix of the others in their order, when ``0 < S < n``;
-    otherwise ``(0, base)``.  No other letter is isolated in ``rest``: a
-    letter joined to another is joined to one that is not isolated.
+def _tight(masks: list[int], cover: list[int], omega: int) -> bool:
+    """Whether the graph with reflexive ``masks`` and minimum clique
+    ``cover`` has a cover whose blocks all have size ``omega`` but at most
+    one singleton.  Such a cover is a minimum one, of ``theta`` blocks with
+    ``excess = omega * theta - n`` of 0 (no singleton) or ``omega - 1``
+    (one).  For ``omega <= 2`` that excess is enough.  For larger
+    ``omega`` and excess ``omega - 1``, a minimum cover with a singleton has
+    every other block of size ``omega``; failing that, one exists exactly
+    when some vertex ``v`` leaves ``(n - 1) / omega`` cliques covering the
+    graph without it, which then all have size ``omega``.
     """
-    alone = np.count_nonzero(base >= 1.0 - epsilon, axis=1) == 1  # the diagonal only
-    isolated = int(np.count_nonzero(alone))
-    if not 0 < isolated < len(base):
-        return 0, base
-    return isolated, base[np.ix_(~alone, ~alone)]
+    n = len(masks)
+    excess = omega * len(cover) - n
+    if excess == 0 or (omega == 2 and excess == 1):
+        return True
+    if omega < 3 or excess != omega - 1:
+        return False
+    if any(block & (block - 1) == 0 for block in cover):
+        return True
+    for v in range(n):
+        low = (1 << v) - 1  # drop bit v from every other mask
+        rest = [mask & low | mask >> 1 & ~low for u, mask in enumerate(masks) if u != v]
+        if len(_exact_coloring(rest)) == (n - 1) // omega:
+            return True
+    return False
+
+
+def _bracket(letters: _LetterGraph, k: int) -> tuple[int, int | None, bool]:
+    """``(lower, upper, proved)`` for the length-``k`` sequence row of the
+    letter graph ``letters``, from its certificates alone: ``lower`` bounds
+    the minimum clique cover from below, ``upper`` is the block count of a
+    cover built from the letters (``None`` when none is known), and
+    ``proved`` is ``lower == upper``, the row's minimum.  The searches on
+    ``G_1`` run only for ``n <= cap`` letters; above that only the letter
+    classes answer.
+
+    * **Cartesian power.**  When two differing letters never join, ``G_k``
+      is the Cartesian power of ``G_1``.  Three sequences that are pairwise
+      joined differ in the same place, so a clique holds at most ``omega``
+      sequences and a cover needs at least ``ceil(n**k / omega)`` blocks.
+      Fixing the first ``k - 1`` letters and covering the last one with
+      ``cover`` gives ``n**(k - 1) * theta`` blocks, each pair's product
+      exactly one letter value ``>= t``.  When ``G_1`` has a cover of
+      blocks of size ``omega`` with at most one singleton (``tight``),
+      ``ceil(n**k / omega)`` blocks suffice, by induction on ``k``: cover
+      each first-letter copy of ``G_(k - 1)`` the same way, ``(n**(k - 1) -
+      1) / omega`` cliques of size ``omega`` and one singleton ``u``; the
+      ``n`` leftover sequences ``(a, u)`` form a copy of ``G_1``, covered
+      by that letter cover.  That is ``(n**k - 1) / omega + 1`` blocks,
+      since ``n**k`` is 1 mod ``omega``, again with one singleton, and
+      ``n**k / omega`` with none.  Every in-block pair differs in one
+      letter, so its running product is exactly that letter's value, ``>=
+      t``.  Row 1 is ``theta``, the exact minimum of ``G_1``.
+    * **Letter classes.**  For ``k <= last`` the row is ``c**k``.
+    * **Strong power.**  A running product never exceeds any of its factors,
+      so ``G_k`` lies in the strong power of ``G_1``, and a product of
+      independent sets of ``G_1`` is independent in ``G_k``: at least
+      ``alpha**k`` blocks (Shannon 1956).
+    """
+    n = letters.n
+    if letters.tight:
+        clique = -(-n ** k // letters.omega)
+        return clique, clique, True
+    c, last = letters.classes
+    if k <= last:
+        return c ** k, c ** k, True
+    if n > letters.cap:
+        return 1, None, False
+    theta = len(letters.cover)
+    if letters.cartesian and k == 1:
+        return theta, theta, True
+    lower = letters.alpha ** k
+    if not letters.cartesian:
+        return lower, None, False
+    upper = n ** (k - 1) * theta
+    lower = max(lower, -(-n ** k // letters.omega))
+    return lower, upper, lower == upper
 
 
 @functools.cache
@@ -321,18 +415,28 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
           solver: str) -> list[GammaKResult]:
     """The :func:`gamma_k` row at each length in ``ks``: the one row routine.
 
-    Every ``k`` is checked before any row runs.  On ``"auto"``, the letter
-    graph is then checked once (:func:`_letter_product`, one differing
-    letter first, then letter classes), and every row it proves is ``n**(k
-    - 1) * theta`` or ``c**k`` blocks and proved, with no sequence graph and
-    no search: ``"exact"`` within the exact cap, since that count is the
-    exact minimum, and ``"letter_product"`` past it.  Explicit solvers never
-    ask.  Any other row is the closed form (asked for, or past the graph
-    cap) or a cover of its sequence graph ``G_k``, and its gamma is
-    :func:`compressibility` of its block count.
+    Every ``k`` is checked before any row runs.  The letter matrix is then
+    thresholded once into a :class:`_LetterGraph`.  On ``"auto"``,
+    :func:`_bracket` answers each row from it first, and every row it
+    proves takes its count with no sequence graph and no search:
+    ``"exact"`` within the exact cap, since that count is the exact
+    minimum, and ``"letter_product"`` past it.  Explicit solvers never ask.
+    Any other row is a product construction (``"closed_form"``, asked for or
+    past the graph cap) or a cover of its sequence graph ``G_k``, and its
+    gamma is :func:`compressibility` of its block count.  Past the graph
+    cap, an auto row whose letters never join in pairs takes the bracket's
+    cover, ``n**(k - 1) * theta`` blocks; there the per-letter closed form
+    would merge nothing, since its letters' product must reach ``1 -
+    epsilon`` ``k >= 2`` times over.  Every other closed-form row is
+    :func:`_closed_form_partition` to the ``k``-th power.
 
-    The first such graph row splits off the ``S`` isolated letters
-    (:func:`_isolated_letters`), and ``G'_j`` is the length-``j`` sequence
+    An auto row carries the bracket's ``lower``, and is proved exactly when
+    its count meets it, a first fit or closed form included (its method
+    stays).  An exact row's ``lower`` is its count; an explicit greedy or
+    closed-form row carries ``lower`` 1 and is never proved.
+
+    A graph row splits off the ``S`` isolated letters (``isolated`` of the
+    :class:`_LetterGraph`), and ``G'_j`` is the length-``j`` sequence
     graph of the other letters (:func:`_sequence_masks`, one memo for all
     rows).  A pair that differs at a position holding an isolated letter has
     a running product below ``1 - epsilon`` there, and later letters never
@@ -367,33 +471,33 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
             raise ValidationError(f"k={k}: the sequence count {n}**{k} has more than {digits} "
                                   "decimal digits, past Python's int-to-string limit")
     base = _letter_matrix(channel)
-    last = 0
-    if solver == "auto":
-        first, step, last = _letter_product(base, epsilon, cap, max(ks))
-    rest = None  # the letter matrix without the isolated letters, found at the first graph row
+    auto = solver == "auto"  # explicit solvers search no letter graph
+    letters = _LetterGraph(base, epsilon, cap if auto else 0, max(ks) if auto else 0)
     memo: dict[tuple[int, float], list[int]] = {}
     parts: dict[tuple[int, str], int] = {}  # blocks(G'_j) per (j, regime)
     rows = []
     for k in ks:
         total = n ** k
-        if k <= last:
-            blocks, proved = first * step ** (k - 1), True
-            method = "exact" if total <= cap else "letter_product"
+        lower, upper, proved = _bracket(letters, k) if auto else (1, None, False)
+        if proved:
+            blocks, method = upper, "exact" if total <= cap else "letter_product"
         elif solver == "closed_form" or total > DEFAULT_GRAPH_CAP:
-            blocks = _closed_form_partition(base, epsilon, k).num_blocks ** k
-            method, proved = "closed_form", False
+            if upper is None:
+                upper = _closed_form_partition(base, epsilon, k).num_blocks ** k
+            blocks, method = upper, "closed_form"
         else:
-            if rest is None:
-                isolated, rest = _isolated_letters(base, epsilon)
+            isolated, rest = letters.isolated
             regime = "exact" if solver != "greedy" and total <= cap else "greedy"
             blocks = isolated ** k  # the j = 0 term, with blocks(G'_0) = 1
             for j in range(1, k + 1) if isolated else (k,):
                 if (j, regime) not in parts:
                     parts[j, regime] = len(_cover(_sequence_masks(rest, epsilon, j, memo), regime)[0])
                 blocks += math.comb(k, j) * isolated ** (k - j) * parts[j, regime]
-            proved = regime == "exact"
-            method = "exact" if proved else "greedy_lower_bound"
-        rows.append(GammaKResult(k, blocks, compressibility(total, blocks), method, proved))
+            if regime == "exact":
+                lower = blocks
+            method = "exact" if regime == "exact" else "greedy_lower_bound"
+        proved = lower == blocks and solver in ("auto", "exact")
+        rows.append(GammaKResult(k, blocks, compressibility(total, blocks), method, proved, lower))
     return rows
 
 
@@ -402,15 +506,22 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     """Compressibility of ``k`` independent uses of a channel (:func:`_rows`).
 
     On ``solver="auto"`` a row the letter graph proves is an optimum with no
-    graph built (:func:`_letter_product`): ``n**(k - 1) * theta`` blocks at
-    any ``k`` when two differing letters never join and ``theta * omega ==
-    n``, and ``c**k`` blocks, the ``k``-fold products of the cliques, when
-    the letter graph is ``c`` disjoint cliques and the worst in-class value
-    multiplied ``k`` times still reaches ``1 - epsilon``.  Such a row is
-    ``"exact"`` while the sequence count fits the exact cap and
-    ``"letter_product"`` above it.  Any other auto row is solved exactly
-    within the exact cap, by first fit on the materialized graph up to
-    ``DEFAULT_GRAPH_CAP`` and by the closed-form product construction
+    graph built (:func:`_bracket`): when two differing letters never join,
+    ``ceil(n**k / omega)`` blocks at any ``k`` if the letter graph has a
+    cover by cliques of size ``omega`` with at most one singleton (a
+    perfect or near-perfect clique cover), and ``c**k`` blocks, the
+    ``k``-fold products of the cliques, when the letter graph is ``c``
+    disjoint cliques and the worst in-class value multiplied ``k`` times
+    still reaches ``1 - epsilon``.  Such a row is ``"exact"`` while the
+    sequence count fits the exact cap and ``"letter_product"`` above it.
+    Any other auto row is solved exactly within the exact cap, by first fit
+    on the materialized graph up to ``DEFAULT_GRAPH_CAP`` and by a product
+    construction (``"closed_form"``) beyond that: the prefix grouping times
+    a minimum letter cover, ``n**(k - 1) * theta`` blocks, when two
+    differing letters never join, else the per-letter closed form.  The
+    row's ``lower`` is the bracket's bound, ``ceil(n**k / omega)`` in that
+    Cartesian regime and ``alpha**k`` within the exact cap of letters, and
+    a first-fit or closed-form row that meets it is proved.
     beyond that.  Requesting ``"exact"`` above the
     exact cap raises :class:`ExactSolverCapError`; requesting ``"exact"`` or
     ``"greedy"`` above the graph cap raises :class:`ValidationError`,

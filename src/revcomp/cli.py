@@ -231,8 +231,8 @@ def _cmd_asymptotic(args: argparse.Namespace):
 
     def table() -> str:
         text = _rows_table(
-            ["k", "gamma", "method", "blocks", "proved"],
-            [[str(r.k), repr(r.gamma), r.method, str(r.block_count), str(r.proved)]
+            ["k", "gamma", "method", "blocks", "lower", "proved"],
+            [[str(r.k), repr(r.gamma), r.method, str(r.block_count), str(r.lower), str(r.proved)]
              for r in sweep.results],
         )
         return text + f"\nobserved trend: {sweep.trend} (finite-k evidence, not a limit)"

@@ -119,6 +119,26 @@ def product_partition(letter_blocks, alphabet_size: int, k: int,
     return blocks
 
 
+def cartesian_power_cover(letter_blocks, alphabet_size: int, k: int) -> list[tuple[int, ...]]:
+    """A clique cover of the ``k``-th Cartesian power of a letter graph from
+    a clique cover ``letter_blocks`` of it whose blocks all have the largest
+    size ``omega`` but at most one singleton, as indices of lexicographically
+    ordered length-``k`` sequences.  Each first-letter copy of the
+    ``(k - 1)``-fold cover is kept but for its singleton ``u``, and the
+    ``alphabet_size`` leftover sequences ``(a, u)`` are covered like the
+    letters, so the cover again has at most one singleton."""
+    if k == 1:
+        return [tuple(b) for b in letter_blocks]
+    omega = max(map(len, letter_blocks))
+    shorter = cartesian_power_cover(letter_blocks, alphabet_size, k - 1)
+    step = alphabet_size ** (k - 1)
+    blocks = [tuple(a * step + x for x in b)
+              for a in range(alphabet_size) for b in shorter if len(b) == omega]
+    for (u,) in (b for b in shorter if len(b) < omega):
+        blocks.extend(tuple(a * step + u for a in b) for b in letter_blocks)
+    return blocks
+
+
 def clique_classes(adjacency) -> list[tuple[int, ...]] | None:
     """The classes of a reflexive graph that is a disjoint union of cliques,
     each in label order and sorted by first member, else ``None``.  Such a

@@ -51,6 +51,7 @@ from revcomp.partition import _bits, _cover, _exact_coloring, _partition_of, def
 
 from oracles import (
     adjacency_bitmasks,
+    cartesian_power_cover,
     clique_classes,
     kron_chain,
     min_clique_cover_brute,
@@ -534,8 +535,8 @@ class TestGammaK:
         sweep = delta_estimate(make_erasure(2, 0.9), 0.2, 2)
         data = sweep.to_json_data()
         assert data == [
-            {"k": 1, "gamma": 1.0, "method": "exact", "blocks": 1, "proved": True},
-            {"k": 2, "gamma": 2 / 3, "method": "exact", "blocks": 2, "proved": True},
+            {"k": 1, "gamma": 1.0, "method": "exact", "blocks": 1, "lower": 1, "proved": True},
+            {"k": 2, "gamma": 2 / 3, "method": "exact", "blocks": 2, "lower": 2, "proved": True},
         ]
 
     def test_parameter_validation(self):
@@ -871,12 +872,11 @@ class TestEveryRegimeCovers:
             got = gamma_k(ch, eps, k, solver)
             if got.method == "letter_product":
                 # A proved optimum, which first fit need not reach: the
-                # product of the letter classes, or else the prefix grouping
-                # times a minimum cover of the last letter.
+                # product of the letter classes, or else the recursive cover
+                # of the Cartesian power from a minimum letter cover.
                 best = class_product_cover(ch.fidelity_matrix, eps, k)
                 if best is None:
-                    best = Partition(tuple(product_partition(
-                        [(x,) for x in range(n)], n, k, solve_exact(letters).blocks)))
+                    best = Partition(tuple(cartesian_power_cover(solve_exact(letters).blocks, n, k)))
                 assert got.block_count == best.num_blocks <= row.num_blocks
                 covers.append(best)
             else:
@@ -1059,18 +1059,40 @@ def isolated_oracle(fid, eps):
     return int((letters.sum(axis=1) == 1).sum())
 
 
-def one_letter_oracle(fid, eps):
-    """``theta`` of the letter graph at ``eps`` by brute force, and whether
-    the one-differing-letter certificate holds: the largest off-diagonal
-    letter value squared is below ``1 - eps`` and ``theta * omega == n``."""
+def tight_letter_cover(adj, omega):
+    """A clique cover of the reflexive graph ``adj`` whose blocks all have
+    size ``omega`` but at most one singleton, found by exhaustive search,
+    or ``None`` when there is none."""
+    def place(rest, singleton):
+        if not rest:
+            return []
+        v = rest[0]
+        for size in sorted({omega} if singleton else {omega, 1}, reverse=True):
+            for others in itertools.combinations(rest[1:], size - 1):
+                block = (v, *others)
+                if adj[np.ix_(block, block)].all():
+                    tail = place([u for u in rest if u not in block], singleton or size < omega)
+                    if tail is not None:
+                        return [block, *tail]
+        return None
+
+    return place(list(range(len(adj))), False)
+
+
+def cartesian_oracle(fid, eps):
+    """``theta`` and ``omega`` of the letter graph at ``eps`` by brute
+    force, a cover of it by cliques of size ``omega`` with at most one
+    singleton (``None`` when there is none), and whether the Cartesian
+    certificate holds: the largest off-diagonal letter value squared is
+    below ``1 - eps`` and that cover exists."""
     n = fid.shape[0]
-    letters = graph_from_fidelity_matrix(fid, eps).adjacency
-    theta = min_clique_cover_brute(letters)
+    adj = graph_from_fidelity_matrix(fid, eps).adjacency
+    theta = min_clique_cover_brute(adj)
     omega = max(len(c) for size in range(1, n + 1)
-                for c in itertools.combinations(range(n), size)
-                if letters[np.ix_(c, c)].all())
-    top = float(fid[~np.eye(n, dtype=bool)].max())
-    return theta, top * top < 1.0 - eps and theta * omega == n
+                for c in itertools.combinations(range(n), size) if adj[np.ix_(c, c)].all())
+    cover = tight_letter_cover(adj, omega)
+    top = float(fid[~np.eye(n, dtype=bool)].max()) if n > 1 else 1.0
+    return theta, omega, cover, top * top < 1.0 - eps and cover is not None
 
 
 @st.composite
@@ -1116,7 +1138,7 @@ class TestProvedRowsWithinTheCap:
         ch, eps, k_max = instance
         n = ch.num_inputs
         fid = ch.fidelity_matrix
-        one_letter = n > 1 and one_letter_oracle(fid, eps)[1]
+        one_letter = cartesian_oracle(fid, eps)[3]
         # The one-letter check searches the letter graph when M * M < 1 - eps,
         # and that count is row 1 even when the certificate fails.
         searched = n > 1 and float(fid[~np.eye(n, dtype=bool)].max()) ** 2 < 1.0 - eps
@@ -1280,14 +1302,13 @@ class TestLetterProductRows:
     @staticmethod
     def assert_letter_rows(ch, eps):
         """Every auto row past k = 1, with the exact cap at ``n``, is the
-        greedy row unless an oracle proves it; a proved row is
+        greedy row's cover unless an oracle proves it; a proved row is
         ``letter_product`` at the oracle's count, and that oracle's cover is
         a clique cover of the thresholded product matrix and, up to
         ``BRUTE_SEQUENCES``, the exhaustive minimum."""
         n = ch.num_inputs
         fid = ch.fidelity_matrix
-        letters = graph_from_fidelity_matrix(fid, eps)
-        theta, proved = one_letter_oracle(fid, eps)
+        theta, omega, letter_cover, proved = cartesian_oracle(fid, eps)
         k_max = max(k for k in range(1, 7) if n ** k <= 64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("REVCOMP_EXACT_CAP", str(n))  # every row past k = 1 is past the cap
@@ -1295,21 +1316,19 @@ class TestLetterProductRows:
             greedy = delta_estimate(ch, eps, k_max, solver="greedy").results
         assert (rows[0].method, rows[0].proved) == ("exact", True)
         assert rows[0].block_count == theta
-        letter_cover = solve_exact(letters).blocks
         kinds = []
         for row, plain in zip(rows[1:], greedy[1:]):
             k = row.k
             classes = class_product_cover(fid, eps, k)
             if not proved and classes is None:  # the sequence graph was built and covered
-                assert row == plain
+                assert (row.block_count, row.method) == (plain.block_count, plain.method)
                 kinds.append("graph")
                 continue
             assert (row.method, row.proved) == ("letter_product", True)
             covers = []
             if proved:
-                covers.append(Partition(tuple(product_partition(
-                    [(x,) for x in range(n)], n, k, letter_cover))))
-                assert row.block_count == covers[-1].num_blocks == n ** (k - 1) * theta
+                covers.append(Partition(tuple(cartesian_power_cover(letter_cover, n, k))))
+                assert row.block_count == covers[-1].num_blocks == -(-n ** k // omega)
             if classes is not None:
                 covers.append(classes)
                 assert row.block_count == classes.num_blocks == theta ** k
@@ -1366,7 +1385,8 @@ class TestLetterProductRows:
         rows, built = self.graph_rows(monkeypatch, ch, 0.1, 4)
         assert built == [1, 2, 3, 4]
         assert [r.method for r in rows] == ["exact"] * 2 + ["greedy_lower_bound"] * 2
-        assert rows[2:] == delta_estimate(ch, 0.1, 4, solver="greedy").results[2:]
+        greedy = delta_estimate(ch, 0.1, 4, solver="greedy").results[2:]
+        assert [r.block_count for r in rows[2:]] == [r.block_count for r in greedy]
 
     def test_duplicate_letters_in_classes_build_no_graph(self, monkeypatch):
         # Two equal rows and a far one are the classes {0, 1} and {2} at
@@ -1384,20 +1404,20 @@ class TestLetterProductRows:
         greedy = delta_estimate(ch, 0.05, 6, solver="greedy").results
         assert [r.block_count for r in rows[:6]] == [r.block_count for r in greedy]
 
-    def test_path_letter_graph_builds_the_graph(self, monkeypatch):
+    def test_path_letter_graph_builds_no_graph(self, monkeypatch):
         # Letters 0 - 1 - 2 form a path at 1 - eps = 0.45 (fidelities
         # 0.557 and 0.48, and 0.04 between the ends), and M * M = 0.310 is
-        # below it, but theta * omega = 2 * 2 != 3.  Row 1 takes the theta
-        # that check searched, so only rows 2 to 4 build their graphs.
+        # below it: theta = omega = 2, a near-perfect matching, so every row
+        # is ceil(3**k / 2) blocks, proved, and no row builds its graph.
         matrix = np.array([[0.8, 0.2, 0.0, 0.0], [0.2, 0.6, 0.2, 0.0], [0.0, 0.2, 0.6, 0.2]])
         ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(4), matrix)
         fid = ch.fidelity_matrix
         assert fid[0, 1] ** 2 < 0.45 <= min(fid[0, 1], fid[1, 2]) and fid[0, 2] < 0.45
-        rows, built = self.graph_rows(monkeypatch, ch, 0.55, 4)
-        assert built == [2, 3, 4]
-        assert rows[0].block_count == 2
-        assert [r.method for r in rows] == ["exact"] * 2 + ["greedy_lower_bound"] * 2
-        assert [r.proved for r in rows] == [True] * 2 + [False] * 2
+        rows, built = self.graph_rows(monkeypatch, ch, 0.55, 8)
+        assert built == []
+        assert [r.block_count for r in rows] == [(3 ** k + 1) // 2 for k in range(1, 9)]
+        assert [(r.method, r.proved) for r in rows] == (
+            [("exact", True)] * 2 + [("letter_product", True)] * 6)
 
     def test_proved_rows_build_no_graph(self, monkeypatch):
         # Past the exact cap no sequence graph, cover or closed form runs,
@@ -1416,32 +1436,34 @@ class TestLetterProductRows:
         assert past[-1].gamma == compressibility(2 ** 14, 2 ** 13)
 
     def test_letter_graph_is_checked_once_per_call(self, monkeypatch):
-        calls = []
-        letter_product = asymptotic._letter_product
+        built = []
+        letter_graph = asymptotic._LetterGraph
 
-        def counted(*args):
-            calls.append(args)
-            return letter_product(*args)
+        class Counted(letter_graph):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
 
-        monkeypatch.setattr(asymptotic, "_letter_product", counted)
+        monkeypatch.setattr(asymptotic, "_LetterGraph", Counted)
         ch = make_erasure(3, 0.9)
         assert [r.method for r in delta_estimate(ch, 0.2, 7).results].count("letter_product") == 5
-        assert len(calls) == 1
+        assert len(built) == 1
         # A check that proves nothing is also made once: 0.81**2 >= 0.65.
         assert "letter_product" not in {r.method for r in delta_estimate(ch, 0.35, 7).results}
-        assert len(calls) == 2
+        assert len(built) == 2
         # An auto sweep within the exact cap makes one check too.
         delta_estimate(ch, 0.2, 2)
-        assert len(calls) == 3
-        # Every explicit solver makes none.
+        assert len(built) == 3
+        # Every explicit solver thresholds the letters once and searches no letter graph.
         for solver in ("exact", "greedy", "closed_form"):
             delta_estimate(ch, 0.2, 2 if solver == "exact" else 6, solver)
-        assert len(calls) == 3
+        assert len(built) == 6
+        assert all(g.cover == [] and {"classes", "alpha"}.isdisjoint(vars(g)) for g in built[3:])
 
     def test_letter_graph_is_searched_once(self, monkeypatch):
         # The path channel at 1 - eps = 0.45: the one-letter check searches
-        # the letter graph (theta = 2) and fails (omega = 2), and row 1 takes
-        # that count, so only row 2's 9-sequence graph is searched again.
+        # the letter graph once (theta = 2, a near-perfect matching), and
+        # every row is proved from it, so no sequence graph is searched.
         matrix = np.array([[0.8, 0.2, 0.0, 0.0], [0.2, 0.6, 0.2, 0.0], [0.0, 0.2, 0.6, 0.2]])
         ch = ClassicalChannel(Alphabet.numbered(3), Alphabet.numbered(4), matrix)
         searched = []
@@ -1453,7 +1475,7 @@ class TestLetterProductRows:
         monkeypatch.setattr(asymptotic, "_exact_coloring", counted)
         monkeypatch.setattr(partition, "_exact_coloring", counted)
         rows = delta_estimate(ch, 0.55, 2).results
-        assert searched == [3, 9]
+        assert searched == [3]
         assert [(r.block_count, r.method, r.proved) for r in rows] == [
             (2, "exact", True), (5, "exact", True)]
         searched.clear()
@@ -1472,5 +1494,157 @@ class TestLetterProductRows:
         capsys.readouterr()
         assert cli.main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].split() == ["k", "gamma", "method", "blocks", "proved"]
-        assert lines[14].split()[2:] == ["letter_product", "4096", "True"]
+        assert lines[0].split() == ["k", "gamma", "method", "blocks", "lower", "proved"]
+        assert lines[14].split()[2:] == ["letter_product", "4096", "4096", "True"]
+
+
+def graph_channel(n, edges, rng=None):
+    """A channel on ``n`` letters whose letter fidelities are ``a_i * a_j``
+    on the pairs in ``edges`` and 0 on every other pair: letter ``i`` puts
+    mass ``a_i`` on one output per edge it lies on and the rest on an output
+    of its own.  ``a_i`` is ``1 / (d + 1)`` for the largest degree ``d``,
+    times a factor in [0.6, 1] drawn from ``rng`` when one is given, so
+    every joined pair lies above the largest letter value squared."""
+    degree = max([sum(i in e for e in edges) for i in range(n)])
+    a = np.full(n, 1.0 / (degree + 1))
+    if rng is not None:
+        a *= rng.uniform(0.6, 1.0, n)
+    matrix = np.zeros((n, len(edges) + n))
+    for col, (i, j) in enumerate(edges):
+        matrix[i, col], matrix[j, col] = a[i], a[j]
+    matrix[np.arange(n), len(edges) + np.arange(n)] = 1.0 - matrix.sum(axis=1)
+    return ClassicalChannel(Alphabet.numbered(n), Alphabet.numbered(matrix.shape[1]), matrix)
+
+
+@st.composite
+def cartesian_instances(draw):
+    """A channel on 2 to 5 letters and an epsilon at which two differing
+    letters never join: ``fl(M * M) < 1 - eps`` for the largest
+    off-diagonal letter value ``M``.  The channel is a drawn letter graph
+    (:func:`graph_channel`) or a random channel; ``1 - eps`` is an
+    off-diagonal letter value above ``M * M``, ``M * M`` itself or 0.5, or
+    one float either side of it."""
+    n = draw(st.integers(2, 5), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if draw(st.booleans(), label="drawn graph"):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+        ch = graph_channel(n, sorted(edges), rng)
+    else:
+        ch = random_channel(rng, n, draw(st.integers(2, 4), label="outputs"))
+    fid = ch.fidelity_matrix
+    values = sorted({float(v) for v in fid[~np.eye(n, dtype=bool)]})
+    top = values[-1]
+    t = draw(st.sampled_from([v for v in values if v > top * top] + [top * top, 0.5]), label="t")
+    t = draw(st.sampled_from([float(np.nextafter(t, 0.0)), t, float(np.nextafter(t, 2.0))]),
+             label="ulp")
+    eps = min(max(1.0 - t, 0.0), 1.0)
+    assume(top * top < 1.0 - eps)
+    return ch, eps
+
+
+class TestCartesianPowerRows:
+    """When two differing letters never join (``fl(M * M) < 1 - eps``), the
+    length-``k`` graph is the Cartesian power of the letter graph ``G_1``:
+    a row needs at least ``ceil(n**k / omega)`` blocks, and it is exactly
+    that, proved, when the minimum letter cover is cliques of size
+    ``omega`` with at most one singleton.  Past the graph cap any other
+    row is the prefix grouping times that letter cover."""
+
+    @staticmethod
+    def assert_cartesian_rows(ch, eps, k_max, cap):
+        """Checks every auto row to ``k_max`` with the exact cap at ``cap``
+        and returns each row's method."""
+        n = ch.num_inputs
+        fid = ch.fidelity_matrix
+        theta, omega, letter_cover, certified = cartesian_oracle(fid, eps)
+        letters = graph_from_fidelity_matrix(fid, eps).adjacency
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REVCOMP_EXACT_CAP", str(cap))
+            rows = delta_estimate(ch, eps, k_max).results
+        assert (rows[0].block_count, rows[0].method, rows[0].proved) == (theta, "exact", True)
+        power = letters
+        for row in rows[1:]:
+            k = row.k
+            clique = -(-n ** k // omega)
+            power = (np.kron(np.eye(n, dtype=bool), power)
+                     | np.kron(letters, np.eye(n ** (k - 1), dtype=bool)))
+            graph = None
+            if n ** k <= 512:  # the thresholded products are the Cartesian power, bit for bit
+                graph = graph_from_fidelity_matrix(product_fidelity_matrix(ch, k), eps)
+                assert np.array_equal(graph.adjacency, power)
+            assert clique <= row.lower <= row.block_count
+            if certified:
+                assert (row.block_count, row.proved) == (clique, True)
+                assert row.method == ("exact" if n ** k <= cap else "letter_product")
+                if graph is not None:
+                    cover = Partition(tuple(cartesian_power_cover(letter_cover, n, k)))
+                    assert cover.num_blocks == clique
+                    assert partition_is_clique_cover(cover, graph)
+            elif n ** k > DEFAULT_GRAPH_CAP:
+                assert (row.method, row.block_count) == ("closed_form", n ** (k - 1) * theta)
+            else:
+                assert row.method == ("exact" if n ** k <= cap else "greedy_lower_bound")
+            if n ** k <= 16:
+                best = min_clique_cover_brute(power)
+                assert row.lower <= best <= row.block_count
+                if row.proved:
+                    assert row.block_count == best
+        return [row.method for row in rows]
+
+    @settings(max_examples=150, deadline=None)
+    @given(cartesian_instances())
+    def test_rows_equal_exact_covers_of_the_product(self, instance):
+        ch, eps = instance
+        n = ch.num_inputs
+        k_max = max(k for k in range(1, 7) if n ** k <= 256)
+        for cap in (n, default_exact_cap()):  # every row past k = 1 past the cap, then the default
+            self.assert_cartesian_rows(ch, eps, k_max, cap)
+        event("certified" if cartesian_oracle(ch.fidelity_matrix, eps)[3] else "bracketed")
+
+    @staticmethod
+    def graph_case(n, edges):
+        """The :func:`graph_channel` of ``edges`` and an epsilon that joins
+        exactly those pairs."""
+        ch = graph_channel(n, edges)
+        t = min(float(ch.fidelity_matrix[i, j]) for i, j in edges)
+        return ch, 1.0 - 0.999 * t
+
+    def test_triangles_and_one_singleton_are_proved(self):
+        # omega = 3: one triangle and a singleton, and two triangles and a
+        # singleton joined to one of them, are ceil(n**k / 3) blocks at
+        # every k, past the graph cap (7**4 = 2401) too.
+        for n, edges, k_max in ((4, [(0, 1), (0, 2), (1, 2)], 6),
+                                (7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (3, 6)], 5)):
+            ch, eps = self.graph_case(n, edges)
+            assert cartesian_oracle(ch.fidelity_matrix, eps)[1:4:2] == (3, True)
+            methods = self.assert_cartesian_rows(ch, eps, k_max, default_exact_cap())
+            assert set(methods[1:]) <= {"exact", "letter_product"}
+            assert [r.block_count for r in delta_estimate(ch, eps, k_max).results] == [
+                -(-n ** k // 3) for k in range(1, k_max + 1)]
+
+    def test_triangle_and_two_edges_builds_the_graph(self):
+        # theta = 3 = ceil(7 / 3), but no cover is triangles and one
+        # singleton: rows 2 and 3 are first fit, row 4 the bracket
+        # [ceil(7**4 / 3), 7**3 * 3] = [801, 1029].
+        ch, eps = self.graph_case(7, [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6)])
+        methods = self.assert_cartesian_rows(ch, eps, 4, default_exact_cap())
+        assert methods == ["exact", "greedy_lower_bound", "greedy_lower_bound", "closed_form"]
+        row = gamma_k(ch, eps, 4)
+        assert (row.lower, row.block_count, row.proved) == (801, 1029, False)
+
+    def test_star_builds_the_graph_then_takes_the_bracket(self, monkeypatch):
+        # K_{1,4}: theta = 4, omega = 2, neither a perfect nor a near-perfect
+        # matching.  Rows 2-4 build and cover their graphs; rows 5 and 6,
+        # past the graph cap, are the prefix grouping times the letter
+        # cover, with no closed-form partition.
+        ch, eps = self.graph_case(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        methods = self.assert_cartesian_rows(ch, eps, 6, default_exact_cap())
+        assert methods == ["exact"] + ["greedy_lower_bound"] * 3 + ["closed_form"] * 2
+
+        def refuse(*args):
+            raise AssertionError("a bracketed row ran the closed form")
+
+        monkeypatch.setattr(asymptotic, "_closed_form_partition", refuse)
+        rows = [gamma_k(ch, eps, k) for k in (5, 6)]
+        assert [(r.lower, r.block_count) for r in rows] == [(1563, 2500), (7813, 12500)]
