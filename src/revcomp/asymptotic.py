@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,15 @@ DEFAULT_GRAPH_CAP = 2048
 LEAF_TILE_ENTRIES = 2 ** 16
 
 
+def _positive_int(value: object, what: str) -> int:
+    """``value`` as an int (:func:`partition._integer`, so never a bool or
+    a float) that is at least 1."""
+    value = _integer(value, what)
+    if value < 1:
+        raise ValidationError(f"{what} must be >= 1, got {value}")
+    return value
+
+
 def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     """Pairwise reverse fidelities of all length-``k`` input sequences.
 
@@ -52,8 +61,7 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     graphs are built from running products (:func:`_sequence_masks`), which
     decide ``>= 1 - epsilon`` exactly as this matrix's entries would.
     """
-    if k < 1:
-        raise ValidationError(f"sequence length must be >= 1, got {k}")
+    k = _positive_int(k, "sequence length")
     total = channel.num_inputs ** k
     if total > DEFAULT_GRAPH_CAP:
         raise ValidationError(
@@ -82,6 +90,29 @@ def _letter_matrix(channel: ClassicalChannel) -> np.ndarray:
     if not np.all(np.diag(base) == 1.0):
         raise ValidationError("letter fidelity matrix must have a diagonal of exactly 1.0")
     return base
+
+
+def _least_passing(values: Iterable[float], t: float, k: int) -> float:
+    """The least of the letter ``values`` (floats in [0, 1]) whose
+    ``k``-fold product reaches ``t``, or 1.0 when no smaller one does.
+
+    This is the one rule every letter certificate asks.  The product is
+    multiplied left to right from 1.0 as :func:`product_fidelity_matrix`
+    multiplies, so it is ``math.prod([v] * k)``.  Float products are
+    monotone and never grow, so a letter value passes at ``k`` exactly when
+    it is at least the one returned, and 1.0 always passes (``t <= 1``).
+    Values are tried from the smallest up, each only until its running
+    product falls below ``t``, and 1.0 is never multiplied.
+    """
+    for v in sorted(set(values)):
+        product = 1.0
+        for _ in range(k if v < 1.0 else 0):
+            product *= v
+            if product < t:
+                break
+        else:
+            return v
+    return 1.0
 
 
 def _sequence_masks(base: np.ndarray, epsilon: float, k: int,
@@ -158,26 +189,15 @@ class GammaKResult:
     """Compressibility of ``k`` channel uses plus how it was obtained.
 
     ``method`` is ``"exact"`` for a row within the exact cap, whose value is
-    the exact minimum: on ``solver="auto"`` it may come from the letter
-    graph (:class:`_LetterGraph`) with no sequence graph built, otherwise
-    from the exact search.  ``"letter_product"`` is a row past the exact cap
-    that the letter graph proves: ``ceil(n**k / omega)`` blocks when two
-    differing letters never join (``M * M < 1 - epsilon``) and the letter
-    graph has a cover by cliques of size ``omega`` with at most one
-    singleton, or ``c**k`` blocks when the letter graph is ``c`` disjoint
-    cliques whose worst in-class value, multiplied ``k`` times, still
-    reaches ``1 - epsilon``.  ``"greedy_lower_bound"`` is a first-fit cover
-    of the materialized sequence graph, and ``"closed_form"`` a product
-    construction: the per-letter-threshold partition to the ``k``-th power,
-    or, when two differing letters never join, the prefix grouping times a
-    minimum cover of the last letter.  ``lower`` is a lower bound on the
-    minimum block count (:func:`_bracket`), ``block_count`` itself on a
-    proved row and 1 on an explicit ``"greedy"`` or ``"closed_form"`` row.
-    ``proved`` says the value is the true compressibility: it is true on
-    exact and letter-product rows, and on an auto first-fit or closed-form
-    row exactly when ``lower == block_count``; an explicit ``"greedy"`` or
-    ``"closed_form"`` row is never proved.  Any other value is a lower bound
-    on the compressibility.
+    the exact minimum, ``"letter_product"`` for an auto row past the exact
+    cap that the letter graph proves (:func:`_bracket`),
+    ``"greedy_lower_bound"`` for a first-fit cover of the materialized
+    sequence graph and ``"closed_form"`` for a product construction.
+    Every row, whatever its solver, keeps one invariant: ``1 <= lower <=
+    block_count``, where ``lower`` is a lower bound on the minimum block
+    count, and ``proved``, that the value is the true compressibility, is
+    ``lower == block_count``.  Any other value is a lower bound on the
+    compressibility.
     """
 
     k: int
@@ -195,52 +215,33 @@ class GammaKResult:
 def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: int) -> Partition:
     """Single-letter partition whose ``k``-fold product covers length-``k`` sequences.
 
-    Per the factorization, letters merged at per-letter fidelity
-    ``>= (1 - eps)^(1/k)`` keep length-``k`` sequences within ``1 - eps``.
-    That threshold is rounded, so the partition is certified in the
-    library's own arithmetic by :func:`_letter_certificate`: its worst
-    in-block fidelity ``c``, multiplied ``k`` times as
-    :func:`product_fidelity_matrix` does, must reach ``1 - epsilon``.  When
-    it falls short, the threshold steps just past ``c`` with
-    ``np.nextafter`` and the letters are partitioned again.
-    :func:`_letter_matrix` proves each letter graph symmetric and reflexive,
-    so it is covered as bitmasks (:func:`_bits`).
+    Letters are joined when their fidelity passes at ``k``
+    (:func:`_least_passing`): multiplied ``k`` times as
+    :func:`product_fidelity_matrix` multiplies, it still reaches ``1 -
+    epsilon``.  Every in-block pair of the product then multiplies ``k``
+    values at least that large, so it reaches ``1 - epsilon`` too.
+    ``k`` must be an int of at least 1 and ``epsilon`` lie in [0, 1].
     """
+    k = _positive_int(k, "k")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     return _closed_form_partition(_letter_matrix(channel), epsilon, k)
 
 
 def _closed_form_partition(fid: np.ndarray, epsilon: float, k: int) -> Partition:
     """:func:`closed_form_letter_partition` of a letter matrix already
-    checked by :func:`_letter_matrix`."""
-    # One minus the tightened epsilon, rounded as graph_from_fidelity_matrix
-    # rounds ``1 - epsilon``.
-    threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
-    while True:
-        single = _partition_of(_cover(_bits(fid >= threshold), "auto")[0])
-        worst, product = _letter_certificate(fid, single.blocks, k)
-        if product >= 1.0 - epsilon:
-            return single
-        threshold = float(np.nextafter(worst, 2.0))
-
-
-def _letter_certificate(fid: np.ndarray, blocks: Sequence[Sequence[int]],
-                        k: int) -> tuple[float, float]:
-    """The worst in-block letter fidelity of ``blocks`` (1.0 on the exact
-    diagonal, so for singletons), and it multiplied ``k`` times left to right
-    from 1.0 as :func:`product_fidelity_matrix` multiplies.  Float products
-    are monotone, so this bounds every pair of the ``k``-fold block product.
-    """
-    label = np.empty(len(fid), dtype=np.intp)
-    for b, members in enumerate(blocks):
-        label[list(members)] = b
-    worst = float(fid[label[:, None] == label].min())
-    return worst, math.prod([worst] * k)
+    checked by :func:`_letter_matrix`, whose letter graphs are therefore
+    symmetric and reflexive and are covered as bitmasks (:func:`_bits`)."""
+    least = _least_passing(np.unique(fid).tolist(), 1.0 - epsilon, k)
+    return _partition_of(_cover(_bits(fid >= least), "auto")[0])
 
 
 class _LetterGraph:
     """The letter graph ``G_1`` of one :func:`_rows` call, the pairs of the
     letter matrix ``base`` at or above ``t = 1 - epsilon``, thresholded
     once, and what it proves about the length-``k`` sequence graphs ``G_k``.
+    Every solver builds it the same way; :func:`_bracket` reads it to
+    answer a row.
 
     Built with the call: the masks of ``G_1`` (self bits set) and whether
     two differing letters never join (``cartesian``).  For ``2 <= n <=
@@ -250,46 +251,40 @@ class _LetterGraph:
     one singleton (``tight``, see :func:`_tight`); ``cover`` is empty and
     ``omega`` 0 otherwise.  Found on first use, at most once: the letter
     classes, ``alpha`` (the largest independent set, ``n <= cap`` only) and
-    the isolated letters.  :func:`_bracket` reads it to answer a row; an
-    explicit solver passes ``cap = 0`` and ``k_top = 0`` and reads only the
-    isolated letters.
+    the isolated letters.
 
     * **Two differing letters never join** (``cartesian``).  Let ``M`` be
-      the largest off-diagonal letter value, and ``n >= 2``.  When ``M * M <
-      t`` in float, a pair of sequences that differ in two or more letters
-      is never joined: its running product is exactly 1.0 up to its first
-      differing letter, exactly that letter's value ``w`` there, at most
-      ``w * w' <= M * M`` at the second (rounding is monotone), and later
-      letters in [0, 1] never raise a float.  So ``G_k`` joins exactly the
-      pairs that differ in one letter whose letter pair ``G_1`` joins: the
-      Cartesian power of ``G_1`` (Imrich and Klavzar, *Handbook of Product
-      Graphs*).
+      the largest off-diagonal letter value, and ``n >= 2``.  When ``M``
+      fails at ``k = 2`` (:func:`_least_passing`), a pair of sequences that
+      differ in two or more letters is never joined: its running product is
+      exactly 1.0 up to its first differing letter, exactly that letter's
+      value ``w`` there, at most ``w * w' <= M * M < t`` at the second
+      (rounding is monotone), and later letters in [0, 1] never raise a
+      float.  So ``G_k`` joins exactly the pairs that differ in one letter
+      whose letter pair ``G_1`` joins: the Cartesian power of ``G_1``
+      (Imrich and Klavzar, *Handbook of Product Graphs*).
     * **Letter classes** (``classes``).  ``G_1`` is a disjoint union of
       ``c`` cliques exactly when its distinct masks are pairwise disjoint,
       that is when their popcounts sum to ``n``.  Let ``w`` be the worst
       letter value inside a clique, the least entry of ``base`` that
-      ``G_1`` joins: the one :func:`_letter_certificate` takes over these
-      classes (1.0 when every class is one letter).  A pair of sequences
-      whose letters lie pairwise in one class multiplies values ``>= w``, so
-      its product is at least ``math.prod([w] * k)`` under monotone
-      rounding; a pair with a letter pair across two classes has a running
+      ``G_1`` joins (1.0 when every class is one letter).  A pair of
+      sequences whose letters lie pairwise in one class multiplies values
+      ``>= w``, so its product reaches ``t`` whenever ``w`` passes at
+      ``k``; a pair with a letter pair across two classes has a running
       product at most that letter's value ``< t`` there, and later letters
-      keep it below.  So while ``math.prod([w] * k) >= t`` the length-``k``
-      graph is the ``c**k`` disjoint cliques of class sequences.  That
-      product never grows with ``k``, so these are the rows ``k = 1 ..
-      last``, with ``last`` at most ``k_top``, and one multiply per length
-      forms it as ``math.prod`` does.
+      keep it below.  So while ``w`` passes, the length-``k`` graph is the
+      ``c**k`` disjoint cliques of class sequences.
     * **Isolated letters** (``isolated``).  Those joined to no other letter;
       :func:`_rows` factors them out of every sequence graph it builds.
     """
 
-    def __init__(self, base: np.ndarray, epsilon: float, cap: int, k_top: int) -> None:
+    def __init__(self, base: np.ndarray, epsilon: float, cap: int) -> None:
         n = base.shape[0]
-        self.base, self.n, self.t, self.cap, self.k_top = base, n, 1.0 - epsilon, cap, k_top
+        self.base, self.n, self.t, self.cap = base, n, 1.0 - epsilon, cap
         self.hits = base >= self.t
         self.masks = _bits(self.hits)
         top = float(base[~np.eye(n, dtype=bool)].max()) if n > 1 else 1.0
-        self.cartesian = top * top < self.t
+        self.cartesian = top < _least_passing([top], self.t, 2)
         self.cover, self.omega, self.tight = [], 0, False
         if self.cartesian and n <= cap:
             self.cover = _exact_coloring(self.masks)
@@ -297,16 +292,13 @@ class _LetterGraph:
             self.tight = _tight(self.masks, self.cover, self.omega)
 
     @functools.cached_property
-    def classes(self) -> tuple[int, int]:
-        """``(c, last)``: rows ``1 .. last`` are ``c**k`` class sequences,
-        ``last`` 0 when ``G_1`` is not disjoint cliques."""
+    def classes(self) -> tuple[int, float]:
+        """``(c, w)``: ``G_1`` is ``c`` disjoint cliques whose worst
+        in-class value is ``w``; ``c`` is 0 when it is not disjoint cliques."""
         classes = set(self.masks)
         if sum(mask.bit_count() for mask in classes) != self.n:
-            return 0, 0
-        worst, last, product = float(self.base[self.hits].min()), 0, 1.0
-        while last < self.k_top and product * worst >= self.t:
-            last, product = last + 1, product * worst
-        return len(classes), last
+            return 0, 1.0
+        return len(classes), float(self.base[self.hits].min())
 
     @functools.cached_property
     def alpha(self) -> int:
@@ -378,7 +370,8 @@ def _bracket(letters: _LetterGraph, k: int) -> tuple[int, int | None, bool]:
       ``n**k / omega`` with none.  Every in-block pair differs in one
       letter, so its running product is exactly that letter's value, ``>=
       t``.  Row 1 is ``theta``, the exact minimum of ``G_1``.
-    * **Letter classes.**  For ``k <= last`` the row is ``c**k``.
+    * **Letter classes.**  While the worst in-class value passes at ``k``
+      the row is ``c**k``.
     * **Strong power.**  A running product never exceeds any of its factors,
       so ``G_k`` lies in the strong power of ``G_1``, and a product of
       independent sets of ``G_1`` is independent in ``G_k``: at least
@@ -388,8 +381,8 @@ def _bracket(letters: _LetterGraph, k: int) -> tuple[int, int | None, bool]:
     if letters.tight:
         clique = -(-n ** k // letters.omega)
         return clique, clique, True
-    c, last = letters.classes
-    if k <= last:
+    c, worst = letters.classes
+    if c and worst >= _least_passing([worst], letters.t, k):
         return c ** k, c ** k, True
     if n > letters.cap:
         return 1, None, False
@@ -415,25 +408,23 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
           solver: str) -> list[GammaKResult]:
     """The :func:`gamma_k` row at each length in ``ks``: the one row routine.
 
-    Every ``k`` is checked before any row runs.  The letter matrix is then
-    thresholded once into a :class:`_LetterGraph`.  On ``"auto"``,
-    :func:`_bracket` answers each row from it first, and every row it
-    proves takes its count with no sequence graph and no search:
-    ``"exact"`` within the exact cap, since that count is the exact
-    minimum, and ``"letter_product"`` past it.  Explicit solvers never ask.
-    Any other row is a product construction (``"closed_form"``, asked for or
-    past the graph cap) or a cover of its sequence graph ``G_k``, and its
-    gamma is :func:`compressibility` of its block count.  Past the graph
+    Every ``k`` is checked before any row runs, and the exact cap is read
+    once.  The letter matrix is then thresholded once into a
+    :class:`_LetterGraph`, the same for every solver, and :func:`_bracket`
+    answers each row from it.  Every row takes its ``lower`` from the
+    bracket, or its count on an exact row, and is ``proved`` exactly when
+    ``lower`` equals its count.  On ``"auto"`` a row the bracket proves takes
+    that count with no sequence graph and no search: ``"exact"`` within the
+    exact cap, since that count is the exact minimum, and
+    ``"letter_product"`` past it.  Any other row, and every row of an
+    explicit solver, is a product construction (``"closed_form"``, asked
+    for or past the graph cap) or a cover of its sequence graph ``G_k``, and
+    its gamma is :func:`compressibility` of its block count.  Past the graph
     cap, an auto row whose letters never join in pairs takes the bracket's
     cover, ``n**(k - 1) * theta`` blocks; there the per-letter closed form
     would merge nothing, since its letters' product must reach ``1 -
     epsilon`` ``k >= 2`` times over.  Every other closed-form row is
     :func:`_closed_form_partition` to the ``k``-th power.
-
-    An auto row carries the bracket's ``lower``, and is proved exactly when
-    its count meets it, a first fit or closed form included (its method
-    stays).  An exact row's ``lower`` is its count; an explicit greedy or
-    closed-form row carries ``lower`` 1 and is never proved.
 
     A graph row splits off the ``S`` isolated letters (``isolated`` of the
     :class:`_LetterGraph`), and ``G'_j`` is the length-``j`` sequence
@@ -459,9 +450,8 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
     n = channel.num_inputs
     # Block counts are printed in decimal, which Python refuses past this many digits.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    ks = [_positive_int(k, "k") for k in ks]
     for k in ks:
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
         total = n ** k
         if solver == "exact" and total > cap:
             raise ExactSolverCapError(f"{total} sequences exceed the exact cap {cap} for k={k}")
@@ -471,18 +461,17 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
             raise ValidationError(f"k={k}: the sequence count {n}**{k} has more than {digits} "
                                   "decimal digits, past Python's int-to-string limit")
     base = _letter_matrix(channel)
-    auto = solver == "auto"  # explicit solvers search no letter graph
-    letters = _LetterGraph(base, epsilon, cap if auto else 0, max(ks) if auto else 0)
+    letters = _LetterGraph(base, epsilon, cap)
     memo: dict[tuple[int, float], list[int]] = {}
     parts: dict[tuple[int, str], int] = {}  # blocks(G'_j) per (j, regime)
     rows = []
     for k in ks:
         total = n ** k
-        lower, upper, proved = _bracket(letters, k) if auto else (1, None, False)
-        if proved:
+        lower, upper, proved = _bracket(letters, k)
+        if proved and solver == "auto":
             blocks, method = upper, "exact" if total <= cap else "letter_product"
         elif solver == "closed_form" or total > DEFAULT_GRAPH_CAP:
-            if upper is None:
+            if solver == "closed_form" or upper is None:
                 upper = _closed_form_partition(base, epsilon, k).num_blocks ** k
             blocks, method = upper, "closed_form"
         else:
@@ -496,8 +485,8 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
             if regime == "exact":
                 lower = blocks
             method = "exact" if regime == "exact" else "greedy_lower_bound"
-        proved = lower == blocks and solver in ("auto", "exact")
-        rows.append(GammaKResult(k, blocks, compressibility(total, blocks), method, proved, lower))
+        rows.append(GammaKResult(k, blocks, compressibility(total, blocks), method,
+                                 lower == blocks, lower))
     return rows
 
 
@@ -511,29 +500,29 @@ def gamma_k(channel: ClassicalChannel, epsilon: float, k: int,
     cover by cliques of size ``omega`` with at most one singleton (a
     perfect or near-perfect clique cover), and ``c**k`` blocks, the
     ``k``-fold products of the cliques, when the letter graph is ``c``
-    disjoint cliques and the worst in-class value multiplied ``k`` times
-    still reaches ``1 - epsilon``.  Such a row is ``"exact"`` while the
-    sequence count fits the exact cap and ``"letter_product"`` above it.
-    Any other auto row is solved exactly within the exact cap, by first fit
-    on the materialized graph up to ``DEFAULT_GRAPH_CAP`` and by a product
+    disjoint cliques whose worst in-class value passes at ``k``
+    (:func:`_least_passing`).  Such a row is ``"exact"`` while the sequence
+    count fits the exact cap and ``"letter_product"`` above it.  Any other
+    auto row is solved exactly within the exact cap, by first fit on the
+    materialized graph up to ``DEFAULT_GRAPH_CAP`` and by a product
     construction (``"closed_form"``) beyond that: the prefix grouping times
     a minimum letter cover, ``n**(k - 1) * theta`` blocks, when two
-    differing letters never join, else the per-letter closed form.  The
-    row's ``lower`` is the bracket's bound, ``ceil(n**k / omega)`` in that
-    Cartesian regime and ``alpha**k`` within the exact cap of letters, and
-    a first-fit or closed-form row that meets it is proved.
-    beyond that.  Requesting ``"exact"`` above the
-    exact cap raises :class:`ExactSolverCapError`; requesting ``"exact"`` or
-    ``"greedy"`` above the graph cap raises :class:`ValidationError`,
-    whatever the exact cap, as does a ``k`` whose sequence count Python
-    cannot print in decimal.  A materialized row's graph is bitmasks built from shorter
-    running-product graphs (:func:`_sequence_masks`), which decide each pair
-    exactly as :func:`product_fidelity_matrix` would; only its cover's
-    blocks are counted.  When some but not every letter is isolated, below
-    ``1 - epsilon`` to every other letter, those letters never merge, and
-    the row is ``sum(C(k, j) * S**(k - j) * blocks(G'_j))`` over covers of
-    the other letters' shorter graphs ``G'_j`` (:func:`_rows`), the same
-    count as the cover of the whole graph.
+    differing letters never join, else the per-letter closed form.  Every
+    row, on every solver, carries the bracket's ``lower`` (its count on an
+    exact row) and is proved exactly when its count meets it.  Requesting
+    ``"exact"`` above the exact cap raises :class:`ExactSolverCapError`;
+    requesting ``"exact"`` or ``"greedy"`` above the graph cap raises
+    :class:`ValidationError`, whatever the exact cap, as does a ``k`` that
+    is not an int of at least 1 or whose sequence count Python cannot
+    print in decimal.  A materialized row's graph is bitmasks built from
+    shorter running-product graphs (:func:`_sequence_masks`), which decide
+    each pair exactly as :func:`product_fidelity_matrix` would; only its
+    cover's blocks are counted.  When some but not every letter is
+    isolated, below ``1 - epsilon`` to every other letter, those letters
+    never merge, and the row is ``sum(C(k, j) * S**(k - j) *
+    blocks(G'_j))`` over covers of the other letters' shorter graphs
+    ``G'_j`` (:func:`_rows`), the same count as the cover of the whole
+    graph.
     """
     return _rows(channel, epsilon, [k], solver)[0]
 
@@ -574,9 +563,7 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
     equals the :func:`gamma_k` row at its ``k``; every row's caps are
     checked before any row runs.
     """
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    results = _rows(channel, epsilon, range(1, k_max + 1), solver)
+    results = _rows(channel, epsilon, range(1, _positive_int(k_max, "k_max") + 1), solver)
     return AsymptoticSweep(epsilon=float(epsilon), results=tuple(results),
                            trend=_observed_trend([r.gamma for r in results]))
 
@@ -590,13 +577,14 @@ def _check_max_sequences(max_sequences: int) -> None:
         raise ValidationError(f"max_sequences must be >= 1, got {max_sequences}")
 
 
-def _check_s_bound_args(alphabet_size: int, k: int, s: int) -> None:
-    if alphabet_size < 1:
-        raise ValidationError(f"alphabet size must be >= 1, got {alphabet_size}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+def _check_s_bound_args(alphabet_size: int, k: int, s: int) -> tuple[int, int, int]:
+    """The arguments as ints, ``alphabet_size`` and ``k`` at least 1 and
+    ``s`` in ``[0, k]``."""
+    alphabet_size, k = _positive_int(alphabet_size, "alphabet size"), _positive_int(k, "k")
+    s = _integer(s, "s")
     if not 0 <= s <= k:
         raise ValidationError(f"s must lie in [0, {k}], got {s}")
+    return alphabet_size, k, s
 
 
 def s_bound_partition(alphabet_size: int, k: int, s: int) -> Partition:
@@ -606,7 +594,7 @@ def s_bound_partition(alphabet_size: int, k: int, s: int) -> Partition:
     most ``s`` positions, so for an erasure channel every in-block pair has
     reverse fidelity at least ``eta ** (2 * s)``.
     """
-    _check_s_bound_args(alphabet_size, k, s)
+    alphabet_size, k, s = _check_s_bound_args(alphabet_size, k, s)
     block_size = alphabet_size ** s
     num_blocks = alphabet_size ** (k - s)
     return Partition(tuple(
@@ -633,7 +621,7 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
     them, is counted by :func:`_exact_coloring` on the graph's bitmasks.
     """
     _check_max_sequences(max_sequences)
-    _check_s_bound_args(alphabet_size, k, s)
+    alphabet_size, k, s = _check_s_bound_args(alphabet_size, k, s)
     total = alphabet_size ** k
     if total > max_sequences:
         raise ValidationError(
@@ -678,7 +666,7 @@ def conjecture_report(alphabet_size: int, k: int, s_values: Sequence[int] | None
     """
     _check_max_sequences(max_sequences)
     if s_values is None:
-        s_values = range(k + 1)
+        s_values = range(_positive_int(k, "k") + 1)
     return [
         ConjectureRow(
             s=s,
@@ -703,19 +691,17 @@ def generalized_erasure_gamma_bound(block_sizes: Sequence[int], k: int) -> float
     bound on gamma wherever that partition is feasible, not gamma itself;
     see that function for when it is feasible.
     """
-    sizes = _block_sizes(block_sizes, k)
+    sizes, k = _block_sizes(block_sizes, k)
     total = sum(sizes) ** k
     return compressibility(total, total - sum(a ** k for a in sizes) + len(sizes))
 
 
-def _block_sizes(block_sizes: Sequence[int], k: int) -> list[int]:
-    """Group sizes as ints, each a positive integer (no float or bool), and ``k >= 1``."""
+def _block_sizes(block_sizes: Sequence[int], k: int) -> tuple[list[int], int]:
+    """Group sizes and ``k`` as ints, each a positive integer (no float or bool)."""
     sizes = [_integer(a, f"block size {i}") for i, a in enumerate(block_sizes)]
     if len(sizes) == 0 or any(a < 1 for a in sizes):
         raise ValidationError(f"block sizes must be positive integers, got {block_sizes!r}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return sizes
+    return sizes, _positive_int(k, "k")
 
 
 def generalized_erasure_bound_partition(block_sizes: Sequence[int], k: int,
@@ -728,7 +714,7 @@ def generalized_erasure_bound_partition(block_sizes: Sequence[int], k: int,
     when ``eta_i ** (2k)`` still clears the threshold; the closed form
     assumes the most favorable case.
     """
-    sizes = _block_sizes(block_sizes, k)
+    sizes, k = _block_sizes(block_sizes, k)
     n = sum(sizes)
     total = n ** k
     if total > max_sequences:

@@ -189,10 +189,12 @@ def _cmd_gen_erasure(args: argparse.Namespace):
             for k in range(1, args.k_max + 1)
         ]
         if args.epsilon is not None:
-            groups = [range(e - a, e) for a, e in zip(sizes, itertools.accumulate(sizes))]
+            fid = channel.fidelity_matrix
+            worsts = [float(fid[e - a:e, e - a:e].min())
+                      for a, e in zip(sizes, itertools.accumulate(sizes))]
             for row in data["gamma_bound"]:
-                product = asymptotic._letter_certificate(channel.fidelity_matrix, groups, row["k"])[1]
-                row["feasible"] = product >= 1.0 - args.epsilon
+                least = asymptotic._least_passing(worsts, 1.0 - args.epsilon, row["k"])
+                row["feasible"] = min(worsts) >= least
 
     def table() -> str:
         lines = [f"generalized erasure on {channel.num_inputs} inputs, "

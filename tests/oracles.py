@@ -23,6 +23,7 @@ from revcomp import (
     ValidationError,
     probe_states,
 )
+from revcomp.partition import _bits, _cover, _partition_of
 from revcomp.quantum import _random_pure_states
 
 
@@ -137,6 +138,24 @@ def cartesian_power_cover(letter_blocks, alphabet_size: int, k: int) -> list[tup
     for (u,) in (b for b in shorter if len(b) < omega):
         blocks.extend(tuple(a * step + u for a in b) for b in letter_blocks)
     return blocks
+
+
+def closed_form_count_by_stepping(fid: np.ndarray, epsilon: float, k: int) -> int:
+    """Block count of the closed-form letter partition found by certify and
+    step: cover the letters joined at the tightened threshold ``(1 -
+    epsilon) ** (1 / k)``, multiply the worst in-block letter value ``k``
+    times left to right from 1.0, and while that product falls short of
+    ``1 - epsilon`` step the threshold just past that value with
+    ``np.nextafter`` and cover again.  The cover is the library's own, exact
+    up to the exact cap and first fit above it; the worst value is taken
+    block by block over submatrices."""
+    threshold = 1.0 - (1.0 - (1.0 - epsilon) ** (1.0 / k))
+    while True:
+        blocks = _partition_of(_cover(_bits(fid >= threshold), "auto")[0]).blocks
+        worst = min(float(fid[np.ix_(b, b)].min()) for b in blocks)
+        if math.prod([worst] * k) >= 1.0 - epsilon:
+            return len(blocks)
+        threshold = float(np.nextafter(worst, 2.0))
 
 
 def clique_classes(adjacency) -> list[tuple[int, ...]] | None:

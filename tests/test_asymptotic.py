@@ -43,7 +43,7 @@ from revcomp import (
 from revcomp import asymptotic, channels, cli, partition
 from revcomp.asymptotic import (
     DEFAULT_GRAPH_CAP,
-    _letter_certificate,
+    _least_passing,
     _observed_trend,
     _sequence_masks,
 )
@@ -53,6 +53,7 @@ from oracles import (
     adjacency_bitmasks,
     cartesian_power_cover,
     clique_classes,
+    closed_form_count_by_stepping,
     kron_chain,
     min_clique_cover_brute,
     product_partition,
@@ -464,8 +465,10 @@ class TestGammaK:
             assert [r.block_count for r in rows] == [1, 2, 4, 8, 16]
         assert [r.method for r in sweep.results] == ["exact"] * 4 + ["letter_product"]
         assert [r.proved for r in sweep.results] == [True] * 5
+        # The greedy rows meet the letter graph's bound 2**(k - 1), so they are proved too.
         assert [r.method for r in greedy.results] == ["greedy_lower_bound"] * 5
-        assert [r.proved for r in greedy.results] == [False] * 5
+        assert [(r.lower, r.proved) for r in greedy.results] == [(2 ** (k - 1), True)
+                                                                 for k in range(1, 6)]
         assert sweep.trend == greedy.trend == "nonincreasing"
 
     def test_erasure_sweep_below_threshold(self):
@@ -554,6 +557,57 @@ class TestGammaK:
         assert _observed_trend([0.9, 0.5, 0.5]) == "nonincreasing"
         assert _observed_trend([0.1, 0.5, 0.5]) == "nondecreasing"
         assert _observed_trend([0.1, 0.5, 0.2]) == "mixed"
+
+
+class TestArgumentChecks:
+    """Integer arguments of the asymptotic API are ints of the right range,
+    never a float or a bool, and the closed form checks its arguments
+    before any work."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: gamma_k(make_erasure(2, 0.9), 0.2, 2.5), "^k must be an integer, got 2.5$"),
+        (lambda: gamma_k(make_erasure(2, 0.9), 0.2, True), "^k must be an integer, got True$"),
+        (lambda: gamma_k(make_erasure(2, 0.9), 0.2, 2.0, "closed_form"), "^k must be an integer"),
+        (lambda: delta_estimate(make_erasure(2, 0.9), 0.2, 2.5), "^k_max must be an integer"),
+        (lambda: delta_estimate(make_erasure(2, 0.9), 0.2, False), "^k_max must be an integer"),
+        (lambda: product_fidelity_matrix(make_erasure(2, 0.9), 2.5),
+         "^sequence length must be an integer"),
+        (lambda: product_fidelity_matrix(make_erasure(2, 0.9), 0),
+         "^sequence length must be >= 1, got 0$"),
+        (lambda: min_s_bounded_partition_size(2, 2.5, 1), "^k must be an integer"),
+        (lambda: min_s_bounded_partition_size(2.0, 2, 1), "^alphabet size must be an integer"),
+        (lambda: min_s_bounded_partition_size(2, 3, 1.0), "^s must be an integer"),
+        (lambda: min_s_bounded_partition_size(True, 2, 1), "^alphabet size must be an integer"),
+        (lambda: s_bound_partition(2, 3, True), "^s must be an integer"),
+        (lambda: conjecture_report(2, 2.5), "^k must be an integer"),
+        (lambda: conjecture_report(2, 0), "^k must be >= 1, got 0$"),
+        (lambda: generalized_erasure_gamma_bound((2, 2), 2.5), "^k must be an integer"),
+    ])
+    def test_integer_arguments_refuse_floats_and_bools(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+    def test_numpy_integers_are_ints(self):
+        row = gamma_k(make_erasure(2, 0.9), 0.2, np.int64(3))
+        assert type(row.k) is int and row.block_count == 4
+        assert min_s_bounded_partition_size(np.int64(2), np.int64(3), np.int64(1)) == 4
+        assert len(delta_estimate(make_erasure(2, 0.9), 0.2, np.int32(2)).results) == 2
+
+    @pytest.mark.parametrize("epsilon, k, message", [
+        (-0.5, 2, r"^epsilon must lie in \[0, 1\], got -0.5$"),
+        (float("nan"), 2, r"^epsilon must lie in \[0, 1\], got nan$"),
+        (1.5, 2, r"^epsilon must lie in \[0, 1\], got 1.5$"),
+        (0.2, 0, "^k must be >= 1, got 0$"),
+        (0.2, -1, "^k must be >= 1, got -1$"),
+        (0.2, 2.5, "^k must be an integer, got 2.5$"),
+    ])
+    def test_closed_form_checks_its_arguments_first(self, monkeypatch, epsilon, k, message):
+        def refuse(channel):
+            raise AssertionError("the letter matrix was read before the arguments were checked")
+
+        monkeypatch.setattr(asymptotic, "_letter_matrix", refuse)
+        with pytest.raises(ValidationError, match=message):
+            closed_form_letter_partition(make_erasure(2, 0.9), epsilon, k)
 
 
 class TestSBoundedPartitions:
@@ -886,22 +940,62 @@ class TestEveryRegimeCovers:
             assert partition_is_clique_cover(part, graph)
 
 
-class TestLetterCertificate:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 12))
-    def test_matches_the_per_block_minimum(self, seed, n, k):
-        # The labelled mask takes the same minimum as one submatrix per
-        # block, with 1.0 when every block is a singleton.
+def kfold_passes(v, t, k):
+    """Whether ``math.prod([v] * k)``, the ``k``-fold product multiplied left
+    to right from 1.0, reaches ``t``."""
+    return math.prod([v] * k) >= t
+
+
+class TestLeastPassing:
+    """One rule decides every k-fold letter question: a letter value passes
+    at ``k`` exactly when its ``k``-fold float product reaches ``t``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           st.integers(1, 1200), st.data())
+    def test_least_passing_is_the_least_product_at_or_above_t(self, values, k, data):
+        # k up to 1200 takes 0.5**k and other products through the subnormal
+        # range to zero; t is a product, one float either side of it, 0 or
+        # any float in [0, 1].
+        v = data.draw(st.sampled_from(values), label="v")
+        product = math.prod([v] * k)
+        t = data.draw(st.sampled_from([product, float(np.nextafter(product, 0.0)),
+                                       min(float(np.nextafter(product, 2.0)), 1.0), 0.0]), label="t")
+        t = data.draw(st.one_of(st.just(t), st.floats(0.0, 1.0)), label="t or any")
+        least = _least_passing(values, t, k)
+        assert least == min([w for w in values if kfold_passes(w, t, k)], default=1.0)
+        for w in values:
+            assert (w >= least) == kfold_passes(w, t, k) == (w >= _least_passing([w], t, k))
+        if product == 0.0 or 0.0 < product < sys.float_info.min:
+            event("subnormal or zero product")
+
+    def test_one_always_passes_without_a_product(self):
+        assert _least_passing([1.0], 1.0, 10 ** 9) == 1.0
+        assert _least_passing([0.5], 1.0, 1) == 1.0
+        assert _least_passing([1.0, 0.9, 0.9, 1.0], 0.8, 2) == 0.9
+        assert _least_passing([0.9, 1.0], 0.8, 3) == 1.0  # 0.9**3 = 0.729
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 29), st.integers(1, 12),
+           st.integers(-1, 1), st.sampled_from([0.0, 1e-9, 1e-3, None]))
+    def test_closed_form_count_equals_the_stepping_oracle(self, seed, n, k, ulps, noise):
+        # n up to 29 covers the letters exactly up to the exact cap of 20 and
+        # by first fit above it.  Rows copied with small noise give letter
+        # values near 1, which pass at larger k; 1 - eps is one letter value
+        # multiplied k times, or one float either side of it.
         rng = np.random.default_rng(seed)
         ch = random_channel(rng, n, 3)
-        ch = ClassicalChannel(ch.input, ch.output, ch.matrix[rng.integers(0, n, n)])
+        if noise is not None:
+            matrix = ch.matrix[rng.integers(0, n, n)] * (1.0 + noise * rng.random((n, 3)))
+            ch = ClassicalChannel(ch.input, ch.output, matrix / matrix.sum(axis=1, keepdims=True))
         fid = ch.fidelity_matrix
-        labels = rng.integers(0, n, n)
-        blocks = [tuple(np.flatnonzero(labels == b).tolist()) for b in np.unique(labels)]
-        want = min(float(fid[np.ix_(b, b)].min()) for b in blocks)
-        worst, product = _letter_certificate(fid, blocks, k)
-        assert worst == want
-        assert product == math.prod([want] * k)
+        t = math.prod([float(rng.choice(fid.ravel()))] * k)
+        for _ in range(abs(ulps)):
+            t = float(np.nextafter(t, 2.0 if ulps > 0 else 0.0))
+        eps = min(max(1.0 - t, 0.0), 1.0)
+        letter = closed_form_letter_partition(ch, eps, k)
+        assert letter.num_blocks == closed_form_count_by_stepping(fid, eps, k)
+        event("first fit" if n > default_exact_cap() else "exact")
 
 
 @st.composite
@@ -939,6 +1033,23 @@ class TestOneRowRoutine:
             assert [r.k for r in sweep] == list(range(1, top + 1))
             for k in range(1, top + 1):
                 assert gamma_k(ch, eps, k, solver) == sweep[k - 1], (solver, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(router_instances())
+    def test_every_solver_bounds_the_minimum_from_below(self, instance):
+        # Every solver's lower bound is at most the exhaustive minimum, and
+        # a proved row is that minimum.
+        ch, eps, K = instance
+        n = ch.num_inputs
+        for k in range(1, K + 1):
+            if n ** k > 16:
+                break
+            graph = graph_from_fidelity_matrix(product_fidelity_matrix(ch, k), eps)
+            best = min_clique_cover_brute(graph.adjacency)
+            for solver in ("auto", "exact", "greedy", "closed_form"):
+                row = gamma_k(ch, eps, k, solver)
+                assert row.lower <= best <= row.block_count, (solver, row)
+                assert not row.proved or row.block_count == best, (solver, row)
 
     def test_gamma_k_refuses_the_first_unprintable_k(self):
         digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -1454,11 +1565,11 @@ class TestLetterProductRows:
         # An auto sweep within the exact cap makes one check too.
         delta_estimate(ch, 0.2, 2)
         assert len(built) == 3
-        # Every explicit solver thresholds the letters once and searches no letter graph.
+        # Every explicit solver builds the same record once: K_3, a perfect cover.
         for solver in ("exact", "greedy", "closed_form"):
             delta_estimate(ch, 0.2, 2 if solver == "exact" else 6, solver)
         assert len(built) == 6
-        assert all(g.cover == [] and {"classes", "alpha"}.isdisjoint(vars(g)) for g in built[3:])
+        assert [(g.cover, g.omega, g.tight) for g in built[3:]] == [([0b111], 3, True)] * 3
 
     def test_letter_graph_is_searched_once(self, monkeypatch):
         # The path channel at 1 - eps = 0.45: the one-letter check searches
@@ -1480,7 +1591,9 @@ class TestLetterProductRows:
             (2, "exact", True), (5, "exact", True)]
         searched.clear()
         assert delta_estimate(ch, 0.55, 2, "exact").results == rows
-        assert searched == [3, 9]  # the explicit solver makes no letter check
+        # The explicit solver searches the letter graph once for the record,
+        # then runs its own search on every row.
+        assert searched == [3, 3, 9]
 
     def test_table_and_json_carry_proved(self, tmp_path, capsys):
         path = tmp_path / "ch.json"
