@@ -19,14 +19,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import ClassicalChannel
-from .errors import ExactSolverCapError, ValidationError
+from .errors import ExactSolverCapError, ValidationError, integer, unit_interval
 from .partition import (
     Partition,
     _bits,
     _complement,
     _cover,
     _exact_coloring,
-    _integer,
     _max_clique_size,
     _partition_of,
     compressibility,
@@ -41,15 +40,6 @@ DEFAULT_GRAPH_CAP = 2048
 LEAF_TILE_ENTRIES = 2 ** 16
 
 
-def _positive_int(value: object, what: str) -> int:
-    """``value`` as an int (:func:`partition._integer`, so never a bool or
-    a float) that is at least 1."""
-    value = _integer(value, what)
-    if value < 1:
-        raise ValidationError(f"{what} must be >= 1, got {value}")
-    return value
-
-
 def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     """Pairwise reverse fidelities of all length-``k`` input sequences.
 
@@ -61,7 +51,7 @@ def product_fidelity_matrix(channel: ClassicalChannel, k: int) -> np.ndarray:
     graphs are built from running products (:func:`_sequence_masks`), which
     decide ``>= 1 - epsilon`` exactly as this matrix's entries would.
     """
-    k = _positive_int(k, "sequence length")
+    k = integer(k, "sequence length", 1)
     total = channel.num_inputs ** k
     if total > DEFAULT_GRAPH_CAP:
         raise ValidationError(
@@ -222,9 +212,8 @@ def closed_form_letter_partition(channel: ClassicalChannel, epsilon: float, k: i
     values at least that large, so it reaches ``1 - epsilon`` too.
     ``k`` must be an int of at least 1 and ``epsilon`` lie in [0, 1].
     """
-    k = _positive_int(k, "k")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    k = integer(k, "k", 1)
+    unit_interval(epsilon, "epsilon")
     return _closed_form_partition(_letter_matrix(channel), epsilon, k)
 
 
@@ -445,12 +434,11 @@ def _rows(channel: ClassicalChannel, epsilon: float, ks: Sequence[int],
     cap = default_exact_cap()
     if solver not in ("auto", "exact", "greedy", "closed_form"):
         raise ValidationError(f"unknown solver {solver!r}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    unit_interval(epsilon, "epsilon")
     n = channel.num_inputs
     # Block counts are printed in decimal, which Python refuses past this many digits.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    ks = [_positive_int(k, "k") for k in ks]
+    ks = [integer(k, "k", 1) for k in ks]
     for k in ks:
         total = n ** k
         if solver == "exact" and total > cap:
@@ -563,7 +551,7 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
     equals the :func:`gamma_k` row at its ``k``; every row's caps are
     checked before any row runs.
     """
-    results = _rows(channel, epsilon, range(1, _positive_int(k_max, "k_max") + 1), solver)
+    results = _rows(channel, epsilon, range(1, integer(k_max, "k_max", 1) + 1), solver)
     return AsymptoticSweep(epsilon=float(epsilon), results=tuple(results),
                            trend=_observed_trend([r.gamma for r in results]))
 
@@ -572,16 +560,11 @@ def delta_estimate(channel: ClassicalChannel, epsilon: float, k_max: int,
 # structured partitions of erasure-channel sequence spaces
 # ---------------------------------------------------------------------------
 
-def _check_max_sequences(max_sequences: int) -> None:
-    if max_sequences < 1:
-        raise ValidationError(f"max_sequences must be >= 1, got {max_sequences}")
-
-
 def _check_s_bound_args(alphabet_size: int, k: int, s: int) -> tuple[int, int, int]:
     """The arguments as ints, ``alphabet_size`` and ``k`` at least 1 and
     ``s`` in ``[0, k]``."""
-    alphabet_size, k = _positive_int(alphabet_size, "alphabet size"), _positive_int(k, "k")
-    s = _integer(s, "s")
+    alphabet_size, k = integer(alphabet_size, "alphabet size", 1), integer(k, "k", 1)
+    s = integer(s, "s")
     if not 0 <= s <= k:
         raise ValidationError(f"s must lie in [0, {k}], got {s}")
     return alphabet_size, k, s
@@ -620,7 +603,7 @@ def min_s_bounded_partition_size(alphabet_size: int, k: int, s: int,
     that count.  Any other case, binary words with ``2 <= s < k`` among
     them, is counted by :func:`_exact_coloring` on the graph's bitmasks.
     """
-    _check_max_sequences(max_sequences)
+    max_sequences = integer(max_sequences, "max_sequences", 1)
     alphabet_size, k, s = _check_s_bound_args(alphabet_size, k, s)
     total = alphabet_size ** k
     if total > max_sequences:
@@ -664,9 +647,9 @@ def conjecture_report(alphabet_size: int, k: int, s_values: Sequence[int] | None
     at ``k=6`` with ``s=2`` (12 rather than 16) and ``s=3`` (7 rather than 8).
     A cap below 1 is refused before any row runs.
     """
-    _check_max_sequences(max_sequences)
+    integer(max_sequences, "max_sequences", 1)
     if s_values is None:
-        s_values = range(_positive_int(k, "k") + 1)
+        s_values = range(integer(k, "k", 1) + 1)
     return [
         ConjectureRow(
             s=s,
@@ -698,10 +681,10 @@ def generalized_erasure_gamma_bound(block_sizes: Sequence[int], k: int) -> float
 
 def _block_sizes(block_sizes: Sequence[int], k: int) -> tuple[list[int], int]:
     """Group sizes and ``k`` as ints, each a positive integer (no float or bool)."""
-    sizes = [_integer(a, f"block size {i}") for i, a in enumerate(block_sizes)]
+    sizes = [integer(a, f"block size {i}") for i, a in enumerate(block_sizes)]
     if len(sizes) == 0 or any(a < 1 for a in sizes):
         raise ValidationError(f"block sizes must be positive integers, got {block_sizes!r}")
-    return sizes, _positive_int(k, "k")
+    return sizes, integer(k, "k", 1)
 
 
 def generalized_erasure_bound_partition(block_sizes: Sequence[int], k: int,
@@ -715,6 +698,7 @@ def generalized_erasure_bound_partition(block_sizes: Sequence[int], k: int,
     assumes the most favorable case.
     """
     sizes, k = _block_sizes(block_sizes, k)
+    max_sequences = integer(max_sequences, "max_sequences", 1)
     n = sum(sizes)
     total = n ** k
     if total > max_sequences:

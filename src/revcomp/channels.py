@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnknownLabelError, ValidationError
+from .errors import DimensionMismatchError, UnknownLabelError, ValidationError, integer, unit_interval
 
 # Stochasticity is validated to this tolerance, then rows are renormalized.
 STOCHASTIC_TOL = 1e-9
@@ -48,8 +48,7 @@ class Alphabet:
     @classmethod
     def numbered(cls, n: int) -> "Alphabet":
         """Alphabet with labels ``"1" .. str(n)``."""
-        if n < 1:
-            raise ValidationError(f"alphabet size must be >= 1, got {n}")
+        n = integer(n, "alphabet size", 1)
         return cls(tuple(str(i) for i in range(1, n + 1)))
 
     @property
@@ -305,6 +304,7 @@ def compose(first: ClassicalChannel, then: ClassicalChannel) -> ClassicalChannel
 
 def make_identity(n: int, labels: Sequence[str] | None = None) -> ClassicalChannel:
     """Noiseless channel: each input maps to its own output symbol."""
+    n = integer(n, "n", 1)
     alphabet = Alphabet(tuple(labels)) if labels is not None else Alphabet.numbered(n)
     if alphabet.size != n:
         raise DimensionMismatchError(f"{len(alphabet.labels)} labels given for identity of size {n}")
@@ -318,8 +318,7 @@ def make_constant(n: int, masses: Sequence[float] | None = None,
     With no ``masses`` the output alphabet is a single symbol hit with
     probability one.
     """
-    if n < 1:
-        raise ValidationError(f"constant channel needs >= 1 inputs, got {n}")
+    n = integer(n, "n", 1)
     if masses is None:
         masses = [1.0]
     masses = np.asarray(masses, dtype=float)
@@ -336,10 +335,9 @@ def make_erasure(r: int, eta: float) -> ClassicalChannel:
     Each input passes through unchanged with probability ``1 - eta`` and is
     replaced by the erasure symbol with probability ``eta``.
     """
-    if r < 1:
+    if integer(r, "r") < 1:
         raise ValidationError(f"erasure channel needs >= 1 symbols, got {r}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"erasure probability must lie in [0, 1], got {eta!r}")
+    unit_interval(eta, "erasure probability")
     inp = Alphabet.numbered(r)
     out = Alphabet(inp.labels + (ERASURE_SYMBOL,))
     matrix = np.zeros((r, r + 1))
@@ -363,8 +361,7 @@ def make_generalized_erasure(blocks: Sequence[Sequence[str]],
     if len(etas) != len(blocks):
         raise DimensionMismatchError(f"{len(blocks)} blocks but {len(etas)} erasure probabilities")
     for eta in etas:
-        if not 0.0 <= eta <= 1.0:
-            raise ValidationError(f"erasure probability must lie in [0, 1], got {eta!r}")
+        unit_interval(eta, "erasure probability")
     flat: list[str] = []
     for block in blocks:
         if len(block) == 0:
@@ -422,10 +419,8 @@ def erasure_sequence_fidelity(eta: float, differences: int) -> float:
     contributes one factor of ``eta**2`` (overlap on the erasure symbol
     only) and agreeing positions contribute 1.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"erasure probability must lie in [0, 1], got {eta!r}")
-    if differences < 0:
-        raise ValidationError(f"difference count must be >= 0, got {differences}")
+    unit_interval(eta, "erasure probability")
+    differences = integer(differences, "difference count", 0)
     return float(eta) ** (2 * differences)
 
 
@@ -444,17 +439,19 @@ def erasure_epsilon_threshold(eta: float, differences: int = 1) -> float:
 def erasure_max_mergeable_differences(eta: float, epsilon: float, limit: int) -> int:
     """Largest number of differing positions (up to ``limit``) still mergeable.
 
-    Scans integers instead of inverting the power so boundary cases are
-    decided by the same ``>=`` comparison the graph builder uses.
+    Decided as every sequence graph decides it: the kernel's fidelity of two
+    erasure inputs, multiplied ``d`` times left to right from 1.0 as
+    :func:`product_reverse_fidelity` multiplies, must reach ``1 - epsilon``.
+    The closed form ``eta ** (2 * d)`` of :func:`erasure_sequence_fidelity`
+    can round to the other side of ``1 - epsilon``, so it is not used here.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    if limit < 0:
-        raise ValidationError(f"limit must be >= 0, got {limit}")
-    best = 0
-    for s in range(limit + 1):
-        if erasure_sequence_fidelity(eta, s) >= 1.0 - epsilon:
-            best = s
-        else:
+    unit_interval(epsilon, "epsilon")
+    limit = integer(limit, "limit", 0)
+    letter = reverse_fidelity(make_erasure(2, eta), "1", "2")
+    best, product = 0, 1.0
+    for d in range(1, limit + 1):
+        product *= letter
+        if product < 1.0 - epsilon:
             break
+        best = d
     return best

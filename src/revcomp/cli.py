@@ -23,7 +23,7 @@ from .channels import (
     product_reverse_fidelity,
     reverse_fidelity,
 )
-from .errors import ExactSolverCapError, ValidationError
+from .errors import ExactSolverCapError, ValidationError, integer
 
 ERASURE_THRESHOLD_NOTE = (
     "epsilon thresholds come from the closed form 1 - eta**(2*differences); "
@@ -135,8 +135,7 @@ def _cmd_product(args: argparse.Namespace):
 
 
 def _cmd_erasure(args: argparse.Namespace):
-    if args.max_differences < 0:
-        raise ValidationError(f"--max-differences must be >= 0, got {args.max_differences}")
+    integer(args.max_differences, "--max-differences", 0)
     channel = make_erasure(args.r, args.eta)
     thresholds = [
         {"differences": s,
@@ -168,8 +167,8 @@ def _cmd_erasure(args: argparse.Namespace):
 
 
 def _cmd_gen_erasure(args: argparse.Namespace):
-    if args.k_max is not None and args.k_max < 1:
-        raise ValidationError(f"--k-max must be >= 1, got {args.k_max}")
+    if args.k_max is not None:
+        integer(args.k_max, "--k-max", 1)
     etas = [_parse_float(e, "--etas entry") for e in _split_csv(args.etas, "--etas")]
     label_blocks = _split_blocks(args.blocks, "--blocks")
     io._check_labels(list(itertools.chain.from_iterable(label_blocks)), "--blocks")
@@ -211,8 +210,7 @@ def _cmd_gen_erasure(args: argparse.Namespace):
 
 
 def _cmd_conjecture(args: argparse.Namespace):
-    if args.max_sequences < 1:
-        raise ValidationError(f"--max-sequences must be >= 1, got {args.max_sequences}")
+    integer(args.max_sequences, "--max-sequences", 1)
     rows = asymptotic.conjecture_report(args.alphabet_size, args.k,
                                         max_sequences=args.max_sequences)
     data = {
@@ -250,8 +248,8 @@ def _cmd_quantum_compress(args: argparse.Namespace):
         raise ValidationError(
             "quantum-compress needs either --kraus, or both --dim and --blocks"
         )
-    if args.dim is not None and args.dim < 1:
-        raise ValidationError(f"--dim must be >= 1, got {args.dim}")
+    if args.dim is not None:
+        integer(args.dim, "--dim", 1)
     blocks = None if args.blocks is None else tuple(
         tuple(_parse_int(i, "--blocks entry") for i in b)
         for b in _split_blocks(args.blocks, "--blocks"))
@@ -274,10 +272,8 @@ def _cmd_quantum_compress(args: argparse.Namespace):
 
 
 def _cmd_quantum_verify(args: argparse.Namespace):
-    if args.probes < 0:
-        raise ValidationError(f"--probes must be >= 0, got {args.probes}")
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    integer(args.probes, "--probes", 0)
+    integer(args.seed, "--seed", 0)
     verdict = quantum.verify_erasure_theorem(args.dim, args.eta, args.epsilon,
                                              seed=args.seed, n_random=args.probes)
     data = io.verdict_to_data(verdict)

@@ -24,7 +24,7 @@ from .channels import (
     make_generalized_erasure,
     make_identity,
 )
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .quantum import DensityMatrix, ErasureVerdict, KrausChannel
 
 SHORTHAND_TYPES = ("identity", "constant", "erasure", "generalized_erasure")
@@ -44,10 +44,8 @@ def _check_fields(data: dict, fields: tuple[str, ...], what: str) -> None:
 
 
 def _int_field(data: dict, field: str, what: str) -> int:
-    value = _require(data, field, what)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"field {field!r} of {what} must be an integer, got {value!r}")
-    return value
+    """An integer field of at least 1: each counts symbols or dimensions."""
+    return integer(_require(data, field, what), f"field {field!r} of {what}", 1)
 
 
 def _finite_number(value: Any) -> float | None:
@@ -297,9 +295,6 @@ def parse_kraus_data(data: dict) -> KrausChannel:
     _check_fields(data, ("in_dim", "out_dim", "kraus"), "Kraus channel file")
     in_dim = _int_field(data, "in_dim", "Kraus channel file")
     out_dim = _int_field(data, "out_dim", "Kraus channel file")
-    for field, value in (("in_dim", in_dim), ("out_dim", out_dim)):
-        if value < 1:
-            raise ValidationError(f"field {field!r} of Kraus channel file must be >= 1, got {value}")
     raw_ops = _require(data, "kraus", "Kraus channel file")
     if not isinstance(raw_ops, list) or len(raw_ops) == 0:
         raise ValidationError("field 'kraus' must be a nonempty list of operators")

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .channels import ROW_TILE, Alphabet, ClassicalChannel, _pair_fidelities, _snap_cut
-from .errors import ExactSolverCapError, ReportMismatchError, ValidationError
+from .errors import ExactSolverCapError, ReportMismatchError, ValidationError, integer, unit_interval
 
 DEFAULT_EXACT_CAP = 20
 EXACT_CAP_ENV = "REVCOMP_EXACT_CAP"
@@ -42,13 +42,6 @@ def _bits(adj: np.ndarray) -> list[int]:
     """Boolean rows as bitmasks: bit ``j`` of mask ``i`` is ``adj[i, j]``."""
     packed = np.packbits(adj, axis=1, bitorder="little")
     return list(map(int.from_bytes, packed, itertools.repeat("little")))
-
-
-def _integer(value: object, what: str) -> int:
-    """``value`` as an int: a Python or numpy integer, never a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -88,6 +81,9 @@ class IndistinguishabilityGraph:
         return self.adjacency.shape[0]
 
     def are_adjacent(self, i: int, j: int) -> bool:
+        for v in (i, j):
+            if not 0 <= integer(v, "vertex") < self.size:
+                raise ValidationError(f"vertex {v} not in [0, {self.size})")
         return bool(self.adjacency[i, j])
 
 
@@ -97,8 +93,7 @@ def graph_from_fidelity_matrix(fidelities: np.ndarray, epsilon: float) -> Indist
     The comparison is ``>=`` on the raw float values; no rounding is
     applied before thresholding.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    unit_interval(epsilon, "epsilon")
     fid = np.asarray(fidelities, dtype=float)
     return IndistinguishabilityGraph(fid >= 1.0 - epsilon)
 
@@ -116,7 +111,7 @@ class Partition:
     def __post_init__(self) -> None:
         blocks = self.blocks
         if not set(map(type, itertools.chain.from_iterable(blocks))) <= {int}:
-            blocks = [[_integer(x, f"partition block {b} member") for x in block]
+            blocks = [[integer(x, f"partition block {b} member") for x in block]
                       for b, block in enumerate(blocks)]
         canon = [tuple(sorted(block)) for block in blocks]
         flat = list(itertools.chain.from_iterable(canon))
@@ -141,7 +136,7 @@ class Partition:
 
     @classmethod
     def single_block(cls, n: int) -> "Partition":
-        return cls((tuple(range(n)),))
+        return cls((tuple(range(integer(n, "n", 1))),))
 
     @property
     def num_blocks(self) -> int:
@@ -163,6 +158,7 @@ class Partition:
         members are distinct and non-negative, so once none is outside, the
         blocks tile ``range(n)`` exactly when they hold ``n`` members.
         """
+        n = integer(n, "n")
         outside = next((x for b in self.blocks for x in b if x >= n), None)
         if outside is not None:
             return f"member {outside} is outside range({n})"
@@ -385,9 +381,8 @@ def compressibility(num_inputs: int, num_blocks: int) -> float:
     0 means no two inputs merged, 1 means everything merged.  A one-symbol
     alphabet compresses trivially, so it is defined as 1.
     """
-    if num_inputs < 1:
-        raise ValidationError(f"need >= 1 inputs, got {num_inputs}")
-    if not 1 <= num_blocks <= num_inputs:
+    num_inputs = integer(num_inputs, "num_inputs", 1)
+    if not 1 <= integer(num_blocks, "num_blocks") <= num_inputs:
         raise ValidationError(f"block count {num_blocks} not in [1, {num_inputs}]")
     if num_inputs == 1:
         return 1.0
@@ -552,8 +547,7 @@ def compress(channel: ClassicalChannel, epsilon: float, solver: str = "auto") ->
     """
     if solver not in ("exact", "greedy", "auto"):
         raise ValidationError(f"unknown solver {solver!r}, expected exact, greedy or auto")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    unit_interval(epsilon, "epsilon")
     rows = channel.matrix
     masks = _screened_masks(rows, epsilon)
     blocks, optimal = _cover(masks, solver)

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
-from .partition import Partition, _integer
+from .errors import DimensionMismatchError, ValidationError, integer, unit_interval
+from .partition import Partition
 
 # Validation tolerances for states and channels.
 HERMITIAN_TOL = 1e-9
@@ -134,7 +134,8 @@ class DensityMatrix:
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityMatrix":
-        if not 0 <= index < dim:
+        dim = integer(dim, "dim", 1)
+        if not 0 <= integer(index, "basis index") < dim:
             raise ValidationError(f"basis index {index} not in [0, {dim})")
         v = np.zeros(dim, dtype=complex)
         v[index] = 1.0
@@ -146,6 +147,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        dim = integer(dim, "dim", 1)
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
@@ -484,13 +486,12 @@ def make_coarse_graining(partition: Partition, in_dim: int,
     embed the block labels back into a larger space, which is the
     convention under which compressibility is read off the kernel.
     """
-    if in_dim < 1:
-        raise ValidationError(f"input dimension must be >= 1, got {in_dim}")
+    in_dim = integer(in_dim, "input dimension", 1)
     defect = partition.cover_defect(in_dim)
     if defect:
         raise ValidationError(f"partition {defect}")
     m = partition.num_blocks
-    target = m if embed_dim is None else embed_dim
+    target = m if embed_dim is None else integer(embed_dim, "embedding dimension")
     if target < m:
         raise ValidationError(f"embedding dimension {target} is below the block count {m}")
     labels = [z for z, block in enumerate(partition.blocks) for _ in block]
@@ -506,8 +507,7 @@ def partial_trace_coarse_graining(dim_z: int, dim_w: int) -> CoarseGraining:
     Kraus operators ``I_Z (x) <w|``; classically this is the partition of
     the product alphabet grouping all pairs with the same first component.
     """
-    if dim_z < 1 or dim_w < 1:
-        raise ValidationError(f"factor dimensions must be >= 1, got {dim_z} and {dim_w}")
+    dim_z, dim_w = integer(dim_z, "dim_z", 1), integer(dim_w, "dim_w", 1)
     eye = np.eye(dim_z, dtype=complex)
     ops = []
     for w in range(dim_w):
@@ -521,7 +521,7 @@ def partial_trace_coarse_graining(dim_z: int, dim_w: int) -> CoarseGraining:
 
 def embed_density(rho: DensityMatrix, dim: int) -> DensityMatrix:
     """View a state inside a larger space, padding with zero rows/columns."""
-    if dim < rho.dim:
+    if integer(dim, "dim") < rho.dim:
         raise DimensionMismatchError(f"cannot embed a dim-{rho.dim} state into dim {dim}")
     m = np.zeros((dim, dim), dtype=complex)
     m[: rho.dim, : rho.dim] = rho.matrix
@@ -534,11 +534,8 @@ def make_quantum_erasure(in_dim: int, eta: float) -> KrausChannel:
 
     Output dimension is ``in_dim + 1``; the flag occupies the extra level.
     """
-    if in_dim < 1:
-        raise ValidationError(f"input dimension must be >= 1, got {in_dim}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"erasure probability must lie in [0, 1], got {eta!r}")
-    d = in_dim
+    d = integer(in_dim, "input dimension", 1)
+    unit_interval(eta, "erasure probability")
     ops = np.zeros((d + 1, d + 1, d), dtype=complex)
     ops[0, :d] = np.sqrt(1.0 - eta) * np.eye(d)
     ops[np.arange(1, d + 1), d, np.arange(d)] = np.sqrt(eta)
@@ -567,8 +564,7 @@ def erasure_output_fidelity(eta: float, input_fidelity: float) -> float:
     have fidelity ``((1 - eta) * sqrt(F) + eta) ** 2``: the kept parts
     overlap through ``sqrt(F)`` and the flag parts overlap perfectly.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"erasure probability must lie in [0, 1], got {eta!r}")
+    unit_interval(eta, "erasure probability")
     if not 0.0 <= input_fidelity <= 1.0 + 1e-12:
         raise ValidationError(f"fidelity must lie in [0, 1], got {input_fidelity!r}")
     root = np.sqrt(min(1.0, input_fidelity))
@@ -586,12 +582,6 @@ def _random_pure_states(count: int, dim: int, rng: np.random.Generator) -> np.nd
     g = rng.normal(size=(count, 2, dim))
     v = g[:, 0] + 1j * g[:, 1]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _check_count(name: str, value: int) -> None:
-    """Reject a probe count or seed that is not a non-negative integer."""
-    if _integer(value, name) < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value}")
 
 
 def _output_width(channel: KrausChannel) -> int:
@@ -620,7 +610,7 @@ def _probe_chunks(dim: int, n_random: int, rng: np.random.Generator,
     no probe is held outside its tile; consecutive draws from one generator
     equal a single draw of their total size.
     """
-    _check_count("n_random", n_random)
+    n_random = integer(n_random, "n_random", 0)
     size = max(1, PROBE_TILE_ENTRIES // (dim + sum(c.out_dim * _output_width(c) for c in channels)))
     coef = np.array((1.0, -1.0, 1j, -1j)) / np.sqrt(2.0)
     # index of the first pair (i, i + 1) of each row i
@@ -648,6 +638,7 @@ def probe_states(dim: int, n_random: int, rng: np.random.Generator) -> list[Dens
     Basis states, the four standard two-level superpositions of every
     basis pair, then ``n_random`` random pure states.
     """
+    dim = integer(dim, "dim", 1)
     return [DensityMatrix.pure(v) for chunk in _probe_chunks(dim, n_random, rng) for v in chunk]
 
 
@@ -688,7 +679,7 @@ def channel_indistinguishability(a: KrausChannel, b: KrausChannel,
         raise DimensionMismatchError(
             f"channels have different shapes ({a.in_dim}->{a.out_dim} vs {b.in_dim}->{b.out_dim})"
         )
-    _check_count("seed", seed)
+    seed = integer(seed, "seed", 0)
     best, witness, count = np.inf, None, 0
     for v in _probe_chunks(a.in_dim, n_random, np.random.default_rng(seed), (a, b)):
         v = v[:, :, None]
@@ -710,7 +701,7 @@ def erasure_compressor_suite(dim: int) -> list[CoarseGraining]:
     reset the top level), so the converse direction is exercised beyond
     partition-shaped maps.
     """
-    if dim < 2:
+    if integer(dim, "dim") < 2:
         raise ValidationError(f"compressor suite needs dimension >= 2, got {dim}")
     suite = [make_coarse_graining(Partition.single_block(dim), dim, embed_dim=dim)]
     if dim >= 3:
@@ -764,12 +755,11 @@ class ErasureVerdict:
 def verify_erasure_theorem(dim: int, eta: float, epsilon: float,
                            seed: int = 0, n_random: int = 200) -> ErasureVerdict:
     """Run the erasure compressibility criterion and collect the evidence."""
-    _check_count("n_random", n_random)
-    _check_count("seed", seed)
+    integer(n_random, "n_random", 0)
+    seed, dim = integer(seed, "seed", 0), integer(dim, "dim")
     if dim < 2:
         raise ValidationError(f"criterion needs input dimension >= 2, got {dim}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    unit_interval(epsilon, "epsilon")
     erasure = make_quantum_erasure(dim, eta)
     threshold = eta * eta
     compressible = threshold >= 1.0 - epsilon

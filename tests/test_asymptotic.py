@@ -610,6 +610,33 @@ class TestArgumentChecks:
             closed_form_letter_partition(make_erasure(2, 0.9), epsilon, k)
 
 
+    @pytest.mark.parametrize("call, valid", [
+        (lambda v: min_s_bounded_partition_size(2, 3, 1, max_sequences=v), 8),
+        (lambda v: conjecture_report(2, 3, max_sequences=v), 8),
+        (lambda v: generalized_erasure_bound_partition((2, 2), 2, max_sequences=v), 16),
+    ], ids=["min-s-bounded", "conjecture", "generalized-erasure"])
+    def test_max_sequences(self, refuses_bad_integers, call, valid):
+        # 8.5 once returned 4, True read "exceed the cap True" and 0 "exceed the cap 0"
+        refuses_bad_integers(call, valid, "max_sequences", 0, "max_sequences must be >= 1, got 0")
+
+    @pytest.mark.parametrize("call", [
+        lambda v: gamma_k(make_erasure(2, 0.9), v, 2),
+        lambda v: delta_estimate(make_erasure(2, 0.9), v, 2),
+        lambda v: closed_form_letter_partition(make_erasure(2, 0.9), v, 2),
+    ], ids=["gamma-k", "delta-estimate", "closed-form"])
+    def test_epsilon(self, refuses_outside_unit_interval, call):
+        refuses_outside_unit_interval(call, "epsilon")
+
+    @pytest.mark.parametrize("s", [-1, 4])
+    def test_s_outside_zero_to_k_is_refused(self, s):
+        with pytest.raises(ValidationError, match=rf"^s must lie in \[0, 3\], got {s}$"):
+            min_s_bounded_partition_size(2, 3, s, max_sequences=8)
+
+    def test_generalized_erasure_partition_over_its_cap_is_refused(self):
+        with pytest.raises(ValidationError, match="^64 sequences exceed the cap 10$"):
+            generalized_erasure_bound_partition((2, 2), 3, max_sequences=10)
+
+
 class TestSBoundedPartitions:
     def test_prefix_grouping_shape(self):
         p = s_bound_partition(2, 3, 1)
@@ -1761,3 +1788,24 @@ class TestCartesianPowerRows:
         monkeypatch.setattr(asymptotic, "_closed_form_partition", refuse)
         rows = [gamma_k(ch, eps, k) for k in (5, 6)]
         assert [(r.lower, r.block_count) for r in rows] == [(1563, 2500), (7813, 12500)]
+
+
+class TestLettersAboveTheExactCap:
+    """A letter graph of more letters than the exact cap answers no row: the
+    bracket is ``lower`` 1 with no cover, so graph rows are first fit and
+    rows past the graph cap the per-letter closed form."""
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.3])
+    def test_rows_are_first_fit_then_closed_form(self, epsilon):
+        rng = np.random.default_rng(1)
+        ch = ClassicalChannel(Alphabet.numbered(21), Alphabet.numbered(4),
+                              rng.dirichlet(np.full(4, 0.7), size=21))
+        assert default_exact_cap() < ch.num_inputs
+        rows = delta_estimate(ch, epsilon, 3).results
+        for row in rows[:2]:
+            graph = graph_from_fidelity_matrix(product_fidelity_matrix(ch, row.k), epsilon)
+            assert (row.method, row.lower, row.proved) == ("greedy_lower_bound", 1, False)
+            assert row.block_count == solve_greedy(graph).num_blocks
+        assert 21 ** 3 > DEFAULT_GRAPH_CAP
+        assert (rows[2].method, rows[2].lower, rows[2].proved) == ("closed_form", 1, False)
+        assert rows[2].block_count == closed_form_letter_partition(ch, epsilon, 3).num_blocks ** 3

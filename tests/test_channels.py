@@ -317,3 +317,91 @@ class TestNonFiniteRejected:
     def test_distribution_entry(self, bad):
         with pytest.raises(ValidationError, match="entry 0 .*not a finite"):
             Distribution(Alphabet.numbered(2), np.array([bad, 1.0]))
+
+
+def _plain(channel):
+    return channel.input.labels, channel.output.labels, channel.matrix.tolist()
+
+
+class TestArgumentChecks:
+    """Each integer argument of the channel API refuses a float, a bool and
+    an int below its range by name and takes a numpy int
+    (``errors.integer``); each [0, 1] argument refuses NaN
+    (``errors.unit_interval``)."""
+
+    @pytest.mark.parametrize("call, valid, name, below, message", [
+        (lambda v: Alphabet.numbered(v).labels, 3, "alphabet size", 0,
+         "alphabet size must be >= 1, got 0"),
+        (lambda v: _plain(make_identity(v)), 3, "n", 0, "n must be >= 1, got 0"),
+        (lambda v: _plain(make_constant(v)), 3, "n", -1, "n must be >= 1, got -1"),
+        (lambda v: _plain(make_erasure(v, 0.9)), 3, "r", 0,
+         "erasure channel needs >= 1 symbols, got 0"),
+        (lambda v: erasure_sequence_fidelity(0.9, v), 2, "difference count", -1,
+         "difference count must be >= 0, got -1"),
+        (lambda v: erasure_epsilon_threshold(0.9, v), 2, "difference count", -1,
+         "difference count must be >= 0, got -1"),
+        (lambda v: erasure_max_mergeable_differences(0.9, 0.5, v), 4, "limit", -1,
+         "limit must be >= 0, got -1"),
+    ], ids=["numbered", "identity", "constant", "erasure", "sequence-fidelity",
+            "epsilon-threshold", "max-mergeable"])
+    def test_integer_argument(self, refuses_bad_integers, call, valid, name, below, message):
+        refuses_bad_integers(call, valid, name, below, message)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: make_erasure(2, v), "erasure probability"),
+        (lambda v: make_generalized_erasure((("1",), ("2",)), (0.5, v)), "erasure probability"),
+        (lambda v: erasure_sequence_fidelity(v, 1), "erasure probability"),
+        (lambda v: erasure_epsilon_threshold(v, 1), "erasure probability"),
+        (lambda v: erasure_max_mergeable_differences(v, 0.5, 3), "erasure probability"),
+        (lambda v: erasure_max_mergeable_differences(0.9, v, 3), "epsilon"),
+    ], ids=["erasure", "generalized-erasure", "sequence-fidelity", "epsilon-threshold",
+            "max-mergeable-eta", "max-mergeable-epsilon"])
+    def test_unit_interval_argument(self, refuses_outside_unit_interval, call, name):
+        refuses_outside_unit_interval(call, name)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Alphabet(()), "^alphabet must contain at least one symbol$"),
+        (lambda: Alphabet(("a", "b", "a")), "^alphabet labels must be distinct$"),
+        (lambda: Distribution(Alphabet.numbered(2), np.eye(2)),
+         r"^distribution must be a vector, got shape \(2, 2\)$"),
+        (lambda: make_constant(2, masses=[]),
+         "^constant channel output distribution must have at least one entry$"),
+        (lambda: Distribution(Alphabet.numbered(3), np.array([0.5, 0.5])),
+         "^distribution has 2 masses for alphabet of size 3$"),
+        (lambda: ClassicalChannel(Alphabet.numbered(2), Alphabet.numbered(2), np.full(4, 0.5)),
+         r"^channel matrix must be 2-dimensional, got shape \(4,\)$"),
+        (lambda: make_identity(3, labels=["a", "b"]), "^2 labels given for identity of size 3$"),
+        (lambda: make_generalized_erasure((), ()), "^generalized erasure needs at least one block$"),
+        (lambda: make_generalized_erasure((("1",), ()), (0.5, 0.5)),
+         "^generalized erasure blocks must be nonempty$"),
+    ], ids=["empty-alphabet", "duplicate-labels", "masses-not-a-vector", "no-masses",
+            "distribution-size", "channel-not-2d", "identity-labels", "no-blocks", "empty-block"])
+    def test_malformed_input_is_refused(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
+class TestErasureMergeCount:
+    """``erasure_max_mergeable_differences`` counts with the product every
+    sequence graph compares, not with the closed form ``eta ** (2 * d)``."""
+
+    def test_boundary_case_agrees_with_the_product(self):
+        eta, epsilon = 0.9536156242276501, 0.17302299804988008
+        ch = make_erasure(2, eta)
+        assert erasure_sequence_fidelity(eta, 2) >= 1.0 - epsilon
+        assert product_reverse_fidelity(ch, "11", "22") < 1.0 - epsilon
+        assert erasure_max_mergeable_differences(eta, epsilon, 5) == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(eta=st.floats(0.0, 1.0), d=st.integers(1, 5), ulps=st.integers(-1, 1),
+           limit=st.integers(0, 6))
+    def test_count_is_the_largest_passing_product(self, eta, d, ulps, limit):
+        # epsilon on a closed-form threshold, or one ulp either side of it
+        epsilon = 1.0 - erasure_sequence_fidelity(eta, d)
+        if ulps:
+            epsilon = float(np.nextafter(epsilon, np.inf if ulps > 0 else -np.inf))
+        epsilon = min(max(epsilon, 0.0), 1.0)
+        ch = make_erasure(2, eta)
+        passing = [j for j in range(1, limit + 1)
+                   if product_reverse_fidelity(ch, "1" * j, "2" * j) >= 1.0 - epsilon]
+        assert erasure_max_mergeable_differences(eta, epsilon, limit) == max(passing, default=0)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -759,6 +760,12 @@ class TestCliArgumentChecks:
          "partition element 2 of range(3) is in no block"),
         (["quantum-compress", "--dim", "0", "--blocks", "0"], "--dim must be >= 1, got 0"),
         (["quantum-compress", "--dim", "-2", "--blocks", "0"], "--dim must be >= 1, got -2"),
+        (["quantum-verify", "--dim", "4", "--eta", "0.9", "--epsilon", "0.3", "--probes", "-1"],
+         "--probes must be >= 0, got -1"),
+        (["quantum-verify", "--dim", "1", "--eta", "0.9", "--epsilon", "0.3"],
+         "criterion needs input dimension >= 2, got 1"),
+        (["erasure", "--r", "0", "--eta", "0.5"], "erasure channel needs >= 1 symbols, got 0"),
+        (["erasure", "--r", "2", "--eta", "nan"], "erasure probability must lie in [0, 1], got nan"),
     ])
     def test_argument_error_exits_2(self, tmp_path, capsys, argv, message):
         files = {"CHANNEL": write_json(tmp_path, "ch.json", {"type": "identity", "n": 2}),
@@ -869,3 +876,89 @@ class TestCliInProcess:
                 separate[argv] = (proc.returncode, proc.stdout, proc.stderr)
         assert in_process == [separate[tuple(argv)] for argv in runs]
         assert [code for code, _, _ in in_process] == [0, 2, 0, 2, 0]
+
+
+class TestMalformedFileMessages:
+    """Each malformed channel or Kraus file is refused by its own message."""
+
+    HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"input_labels": ["a"], "output_labels": ["u"], "matrix": [[%s]]}' % HUGE,
+         "field 'matrix' of channel file must contain finite numbers"),
+        ('{"type": "erasure", "r": 2, "eta": %s}' % HUGE,
+         f"field 'eta' of erasure shorthand must be a finite number, got {HUGE}"),
+        ('{"input_labels": ["a"], "output_labels": ["u"], "matrix": [1.0]}',
+         "field 'matrix' of channel file must be a list of rows"),
+        ('{"type": "generalized_erasure", "blocks": ["1", ["2"]], "etas": [0.5, 0.5]}',
+         "field 'blocks' of generalized erasure shorthand must be a list of label lists"),
+        ('{"in_dim": 1, "out_dim": 1, "kraus": [[[1.0]]]}',
+         "Kraus operator 0 must be an object with 're' and 'im' parts"),
+        ('{"type": "identity", "n": 0}', "field 'n' of identity shorthand must be >= 1, got 0"),
+        ('{"type": "erasure", "r": 0, "eta": 0.5}',
+         "field 'r' of erasure shorthand must be >= 1, got 0"),
+        ('{"in_dim": 0, "out_dim": 1, "kraus": []}',
+         "field 'in_dim' of Kraus channel file must be >= 1, got 0"),
+    ], ids=["matrix-overflow", "number-overflow", "matrix-not-rows", "blocks-not-lists",
+            "operator-not-an-object", "identity-n", "erasure-r", "kraus-in-dim"])
+    def test_refused_by_its_message(self, tmp_path, capsys, text, message):
+        path = write_text(tmp_path, "ch.json", text)
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            io.parse_channel_file(path)
+        assert main(["quantum-compress", "--kraus", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestCliTables:
+    """The table layout of each report, line for line."""
+
+    def run(self, capsys, argv):
+        assert main([*argv, "--format", "table"]) == 0
+        return capsys.readouterr().out
+
+    def test_conjecture(self, capsys):
+        assert self.run(capsys, ["conjecture", "--alphabet-size", "2", "--k", "2",
+                                 "--max-sequences", "4"]) == (
+            "s  minimum  bound  equal\n"
+            "-  -------  -----  -----\n"
+            "0  4        4      True\n"
+            "1  2        2      True\n"
+            "2  1        1      True\n")
+
+    def test_product(self, tmp_path, capsys):
+        path = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 2, "eta": 0.5})
+        assert self.run(capsys, ["product", "--channel", path, "--xs", "1,1",
+                                 "--xhats", "2,1"]) == (
+            "k                 2\n"
+            "xs                1,1\n"
+            "xhats             2,1\n"
+            "reverse_fidelity  0.25\n")
+
+    def test_quantum_compress_blocks(self, capsys):
+        assert self.run(capsys, ["quantum-compress", "--dim", "4", "--blocks", "0,1;2,3"]) == (
+            "dim              4\n"
+            "blocks           {0, 1} | {2, 3}\n"
+            "kernel_dim       2\n"
+            "compressibility  0.6666666666666666\n")
+
+    def test_erasure_with_epsilon(self, capsys):
+        assert self.run(capsys, ["erasure", "--r", "2", "--eta", "0.5", "--epsilon", "0.75",
+                                 "--max-differences", "2"]) == (
+            "differences  fidelity  epsilon_threshold\n"
+            "-----------  --------  -----------------\n"
+            "0            1.0       0.0\n"
+            "1            0.25      0.75\n"
+            "2            0.0625    0.9375\n"
+            "max mergeable differences at epsilon=0.75: 1\n"
+            f"note: {cli.ERASURE_THRESHOLD_NOTE}\n")
+
+    def test_erasure_count_agrees_with_the_sweep_at_a_boundary(self, tmp_path, capsys):
+        # The closed form eta**4 passes 1 - epsilon here; the product of the
+        # letter fidelity, which every graph compares, does not.
+        eta, epsilon = "0.9536156242276501", "0.17302299804988008"
+        out = self.run(capsys, ["erasure", "--r", "2", "--eta", eta, "--epsilon", epsilon])
+        assert f"max mergeable differences at epsilon={epsilon}: 1\n" in out
+        path = write_json(tmp_path, "ch.json", {"type": "erasure", "r": 2, "eta": float(eta)})
+        assert main(["asymptotic", "--channel", path, "--epsilon", epsilon, "--k-max", "2",
+                     "--format", "json"]) == 0
+        assert [row["blocks"] for row in json.loads(capsys.readouterr().out)] == [1, 2]

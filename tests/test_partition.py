@@ -433,3 +433,57 @@ class TestDecompression:
                                      representatives=part.representatives())
         with pytest.raises(ReportMismatchError, match="^" + re.escape(message) + "$"):
             decompression_channel(report, ch)
+
+
+class TestArgumentChecks:
+    """Each integer argument of the partition API refuses a float, a bool and
+    an int below its range by name and takes a numpy int; each epsilon
+    refuses NaN; and each malformed input is refused by its own message."""
+
+    @pytest.mark.parametrize("call, valid, name, below, message", [
+        (lambda v: compressibility(v, 2), 4, "num_inputs", 0, "num_inputs must be >= 1, got 0"),
+        (lambda v: compressibility(4, v), 2, "num_blocks", 0, "block count 0 not in [1, 4]"),
+        (lambda v: Partition.single_block(v).blocks, 3, "n", 0, "n must be >= 1, got 0"),
+        (lambda v: IndistinguishabilityGraph(np.eye(3, dtype=bool)).are_adjacent(v, 0), 2,
+         "vertex", -1, "vertex -1 not in [0, 3)"),
+        (lambda v: IndistinguishabilityGraph(np.eye(3, dtype=bool)).are_adjacent(0, v), 2,
+         "vertex", 3, "vertex 3 not in [0, 3)"),
+    ], ids=["num-inputs", "num-blocks", "single-block", "adjacent-i", "adjacent-j"])
+    def test_integer_argument(self, refuses_bad_integers, call, valid, name, below, message):
+        refuses_bad_integers(call, valid, name, below, message)
+
+    def test_cover_size_is_an_integer(self):
+        part = Partition(((0, 1), (2,)))
+        for bad in (3.5, 3.0, True):
+            with pytest.raises(ValidationError, match=f"^n must be an integer, got {bad!r}$"):
+                part.covers(bad)
+        assert part.covers(np.int64(3)) and part.cover_defect(2) == "member 2 is outside range(2)"
+
+    @pytest.mark.parametrize("call", [
+        lambda v: graph_from_fidelity_matrix(np.eye(2), v),
+        lambda v: compress(make_identity(2), v),
+    ], ids=["graph", "compress"])
+    def test_epsilon(self, refuses_outside_unit_interval, call):
+        refuses_outside_unit_interval(call, "epsilon")
+
+    def test_exact_cap_below_one_is_refused(self, monkeypatch):
+        monkeypatch.setenv("REVCOMP_EXACT_CAP", "0")
+        with pytest.raises(ValidationError, match="^REVCOMP_EXACT_CAP must be >= 1, got 0$"):
+            default_exact_cap()
+
+    def test_graph_without_vertices_is_refused(self):
+        with pytest.raises(ValidationError, match="^graph must have at least one vertex$"):
+            IndistinguishabilityGraph(np.zeros((0, 0), dtype=bool))
+
+    def test_negative_member_is_refused(self):
+        with pytest.raises(ValidationError, match="^partition members must be >= 0, got -1$"):
+            Partition(((0, 1), (-1, 2)))
+
+    def test_report_with_other_representatives_is_refused(self):
+        ch = make_erasure(3, 0.5)
+        report = compress(ch, 0.8)
+        assert report.partition.blocks == ((0, 1, 2),)
+        wrong = dataclasses.replace(report, representatives=(2,))
+        with pytest.raises(ReportMismatchError,
+                           match="^report representatives do not match its partition$"):
+            decompression_channel(wrong, ch)

@@ -1229,3 +1229,60 @@ class TestNonFiniteRejected:
         op[0, 1] = bad
         with pytest.raises(ValidationError, match=r"Kraus operator 0 entry \(0, 1\).*not a finite"):
             KrausChannel((op,))
+
+
+def _verdict(v):
+    verdict = verify_erasure_theorem(v, 0.9, 0.3, n_random=5)
+    return verdict.dim, verdict.min_fidelity, verdict.probe_count, verdict.compressible
+
+
+class TestArgumentChecks:
+    """Each integer argument of the quantum API refuses a float, a bool and
+    an int below its range by name and takes a numpy int
+    (``errors.integer``); each [0, 1] argument refuses NaN
+    (``errors.unit_interval``)."""
+
+    @pytest.mark.parametrize("call, valid, name, below, message", [
+        (lambda v: DensityMatrix.basis_state(v, 0).matrix.tolist(), 3, "dim", 0,
+         "dim must be >= 1, got 0"),
+        (lambda v: DensityMatrix.basis_state(3, v).matrix.tolist(), 1, "basis index", -1,
+         "basis index -1 not in [0, 3)"),
+        (lambda v: DensityMatrix.maximally_mixed(v).matrix.tolist(), 3, "dim", 0,
+         "dim must be >= 1, got 0"),
+        (lambda v: make_coarse_graining(Partition(((0, 1), (2,))), v).channel.kraus.tolist(),
+         3, "input dimension", 0, "input dimension must be >= 1, got 0"),
+        (lambda v: make_coarse_graining(Partition(((0, 1), (2,))), 3, v).channel.kraus.tolist(),
+         3, "embedding dimension", 1, "embedding dimension 1 is below the block count 2"),
+        (lambda v: partial_trace_coarse_graining(v, 2).channel.kraus.tolist(), 2, "dim_z", 0,
+         "dim_z must be >= 1, got 0"),
+        (lambda v: partial_trace_coarse_graining(2, v).channel.kraus.tolist(), 2, "dim_w", 0,
+         "dim_w must be >= 1, got 0"),
+        (lambda v: embed_density(DensityMatrix.maximally_mixed(2), v).matrix.tolist(), 3, "dim", 1,
+         "cannot embed a dim-2 state into dim 1"),
+        (lambda v: make_quantum_erasure(v, 0.5).kraus.tolist(), 2, "input dimension", 0,
+         "input dimension must be >= 1, got 0"),
+        (lambda v: [(c.kind, c.kernel_dim) for c in erasure_compressor_suite(v)], 3, "dim", 1,
+         "compressor suite needs dimension >= 2, got 1"),
+        (_verdict, 2, "dim", 1, "criterion needs input dimension >= 2, got 1"),
+        (lambda v: [p.matrix.tolist() for p in probe_states(v, 2, np.random.default_rng(0))],
+         2, "dim", 0, "dim must be >= 1, got 0"),
+        (lambda v: channel_indistinguishability(make_quantum_erasure(2, 0.5),
+                                                make_quantum_erasure(2, 0.5), n_random=v).min_fidelity,
+         5, "n_random", -1, "n_random must be >= 0, got -1"),
+    ], ids=["basis-dim", "basis-index", "maximally-mixed", "coarse-graining-in-dim",
+            "coarse-graining-embed-dim", "partial-trace-z", "partial-trace-w", "embed-density",
+            "quantum-erasure", "compressor-suite", "verify", "probe-states", "n-random"])
+    def test_integer_argument(self, refuses_bad_integers, call, valid, name, below, message):
+        refuses_bad_integers(call, valid, name, below, message)
+
+    def test_verdict_dimension_is_an_int(self):
+        assert type(verify_erasure_theorem(np.int64(2), 0.9, 0.3, n_random=0).dim) is int
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: make_quantum_erasure(2, v), "erasure probability"),
+        (lambda v: erasure_output_fidelity(v, 0.5), "erasure probability"),
+        (lambda v: verify_erasure_theorem(2, v, 0.3, n_random=0), "erasure probability"),
+        (lambda v: verify_erasure_theorem(2, 0.9, v, n_random=0), "epsilon"),
+    ], ids=["quantum-erasure", "output-fidelity", "verify-eta", "verify-epsilon"])
+    def test_unit_interval_argument(self, refuses_outside_unit_interval, call, name):
+        refuses_outside_unit_interval(call, name)
