@@ -47,10 +47,11 @@ def integer(value: object, what: str, low: int | None = None) -> int:
     return value
 
 
-def unit_interval(value: object, what: str) -> None:
+def unit_interval(value: object, what: str, slack: float = 0.0) -> None:
     """Refuse ``value`` unless it is a real number in [0, 1], not a bool;
-    NaN lies in no interval.  ``what`` names the argument in the
+    NaN lies in no interval.  ``slack`` lets a value computed in floating
+    point exceed 1 by that much.  ``what`` names the argument in the
     :class:`ValidationError`."""
     real = not isinstance(value, bool) and isinstance(value, (float, numbers.Real))  # float first
-    if not (real and 0.0 <= value <= 1.0):
+    if not (real and 0.0 <= value <= 1.0 + slack):
         raise ValidationError(f"{what} must lie in [0, 1], got {value!r}")

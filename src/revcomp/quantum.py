@@ -59,7 +59,7 @@ def _squared_norms(m: np.ndarray) -> np.ndarray:
 
 def _check_traces(traces: np.ndarray) -> None:
     worst = float(traces[np.argmax(np.abs(traces - 1.0))])
-    if abs(worst - 1.0) > TRACE_TOL:
+    if not abs(worst - 1.0) <= TRACE_TOL:
         raise ValidationError(f"density matrix has trace {worst!r}, outside {TRACE_TOL} of 1")
 
 
@@ -67,17 +67,20 @@ def _checked_states(m: np.ndarray) -> np.ndarray:
     """Validate a ``(P, d, d)`` stack of density matrices.
 
     Each must be finite, Hermitian, positive semidefinite and of unit trace
-    within the module tolerances; the first violation found is raised.
-    Returns the stack symmetrized and trace normalized.
+    within the module tolerances; the first violation found is raised.  A
+    deviation that overflows to NaN is refused too, and the stack is halved
+    before it is added to its adjoint, so symmetrizing finite entries cannot
+    overflow.  Returns the stack symmetrized and trace normalized.
     """
     _check_finite(m, "density matrix")
     adj = _adjoint(m)
     herm_dev = float(np.max(np.abs(m - adj)))
-    if herm_dev > HERMITIAN_TOL:
+    if not herm_dev <= HERMITIAN_TOL:
         raise ValidationError(f"density matrix deviates from Hermitian by {herm_dev:.3e}")
-    m = (m + adj) / 2.0
+    half = m / 2.0
+    m = half + _adjoint(half)
     low = float(np.min(np.linalg.eigvalsh(m)[:, 0]))
-    if low < -PSD_TOL:
+    if not low >= -PSD_TOL:
         raise ValidationError(f"density matrix has negative eigenvalue {low:.3e}")
     traces = np.real(np.trace(m, axis1=1, axis2=2))
     _check_traces(traces)
@@ -151,49 +154,55 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
+def _walked_operators(given) -> np.ndarray:
+    """Stack of operators that do not stack in one ``np.array`` call.
+
+    Walks them in order and raises the first defect: an operator that is not
+    a matrix, then one with an entry that is not finite, then one not of the
+    first one's shape, then one with no entries.  Operators that have none,
+    such as a generator's, are stacked.
+    """
+    ops = []
+    for i, k in enumerate(given):
+        k = np.asarray(k, dtype=complex)
+        if k.ndim != 2:
+            raise ValidationError(f"Kraus operator {i} must be a matrix, got shape {k.shape}")
+        _check_finite(k[None], f"Kraus operator {i}")
+        if ops and k.shape != ops[0].shape:
+            raise DimensionMismatchError(
+                f"Kraus operator {i} has shape {k.shape}, expected {ops[0].shape}")
+        if not k.size:
+            raise ValidationError(f"Kraus operator {i} has shape {k.shape}, with no entries")
+        ops.append(k)
+    if not ops:
+        raise ValidationError("channel needs at least one Kraus operator")
+    return np.stack(ops)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Completely positive trace-preserving map in Kraus form.
 
     ``kraus`` is given as any sequence of equal-shape matrices and stored as
-    one read-only ``(n, out_dim, in_dim)`` complex array.  Each operator
-    must be a finite, nonempty matrix of the first one's shape, and the
-    first defect in operator order is reported.  Completeness (sum of
-    K^dagger K equal to the identity) is validated within
-    ``COMPLETENESS_TOL``.
+    one read-only ``(n, out_dim, in_dim)`` complex array, made by one
+    ``np.array`` call.  Each operator must be a finite, nonempty matrix of
+    the first one's shape, and the first defect in operator order is
+    reported: when the call gives no nonempty 3-D stack,
+    :func:`_walked_operators` names it.  Completeness (sum of K^dagger K
+    equal to the identity) is validated within ``COMPLETENESS_TOL``.
     """
 
     kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        given = self.kraus
-        if isinstance(given, np.ndarray) and given.ndim == 3 and given.size:
-            # one stack of nonempty operators of one shape: one copy, no shape loop
-            kraus = np.array(given, dtype=complex)
+        try:
+            kraus = np.array(self.kraus, dtype=complex)
+        except (ValueError, TypeError):  # operators of unequal shapes, or a generator
+            kraus = None
+        if kraus is not None and kraus.ndim == 3 and kraus.size:
             _check_finite(kraus, "Kraus operator {}")
         else:
-            ops = [np.asarray(k, dtype=complex) for k in given]
-            if not ops:
-                raise ValidationError("channel needs at least one Kraus operator")
-            # Shapes are checked operator by operator; the entries of the operators
-            # before the first misshapen one, then its own, are checked in one pass.
-            shape = ops[0].shape
-            end = next((i for i, k in enumerate(ops)
-                        if k.ndim != 2 or k.shape != shape or k.size == 0), len(ops))
-            if end:
-                kraus = np.stack(ops[:end])
-                _check_finite(kraus, "Kraus operator {}")
-            if end < len(ops):
-                k = ops[end]
-                if k.ndim != 2:
-                    raise ValidationError(
-                        f"Kraus operator {end} must be a matrix, got shape {k.shape}")
-                _check_finite(k[None], f"Kraus operator {end}")
-                if k.shape != shape:
-                    raise DimensionMismatchError(
-                        f"Kraus operator {end} has shape {k.shape}, expected {shape}"
-                    )
-                raise ValidationError(f"Kraus operator {end} has shape {k.shape}, with no entries")
+            kraus = _walked_operators(self.kraus)
         # Stacked row-wise, the operators form one matrix whose Gram form is the
         # completeness sum.  Its rows that are exactly zero add exactly zero, so
         # when there are any, only the others are gathered and summed.  The sum
@@ -207,7 +216,7 @@ class KrausChannel:
         step = out_dim * max(1, IMAGE_TILE_ENTRIES // kraus[0].size)
         total = sum(_adjoint(t) @ t for t in (rows[s:s + step] for s in range(0, len(rows), step)))
         dev = float(np.max(np.abs(total - np.eye(in_dim))))
-        if dev > COMPLETENESS_TOL:
+        if not dev <= COMPLETENESS_TOL:  # NaN from overflow deviates too
             raise ValidationError(
                 f"Kraus operators deviate from completeness by {dev:.3e}"
             )
@@ -508,13 +517,10 @@ def partial_trace_coarse_graining(dim_z: int, dim_w: int) -> CoarseGraining:
     the product alphabet grouping all pairs with the same first component.
     """
     dim_z, dim_w = integer(dim_z, "dim_z", 1), integer(dim_w, "dim_w", 1)
-    eye = np.eye(dim_z, dtype=complex)
-    ops = []
-    for w in range(dim_w):
-        bra = np.zeros((1, dim_w), dtype=complex)
-        bra[0, w] = 1.0
-        ops.append(np.kron(eye, bra))
-    channel = KrausChannel(tuple(ops))
+    w, z = np.arange(dim_w)[:, None], np.arange(dim_z)
+    ops = np.zeros((dim_w, dim_z, dim_z * dim_w), dtype=complex)
+    ops[w, z, z * dim_w + w] = 1.0
+    channel = KrausChannel(ops)
     blocks = tuple(tuple(z * dim_w + w for w in range(dim_w)) for z in range(dim_z))
     return CoarseGraining.of(channel, Partition(blocks))
 
@@ -563,10 +569,10 @@ def erasure_output_fidelity(eta: float, input_fidelity: float) -> float:
     For any two states with fidelity ``F``, their erasure-channel images
     have fidelity ``((1 - eta) * sqrt(F) + eta) ** 2``: the kept parts
     overlap through ``sqrt(F)`` and the flag parts overlap perfectly.
+    ``F`` may exceed 1 by ``1e-12`` of rounding, and is then read as 1.
     """
     unit_interval(eta, "erasure probability")
-    if not 0.0 <= input_fidelity <= 1.0 + 1e-12:
-        raise ValidationError(f"fidelity must lie in [0, 1], got {input_fidelity!r}")
+    unit_interval(input_fidelity, "fidelity", slack=1e-12)
     root = np.sqrt(min(1.0, input_fidelity))
     val = ((1.0 - eta) * root + eta) ** 2
     return float(min(1.0, val))

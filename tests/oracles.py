@@ -254,6 +254,14 @@ def kernel_via_operator_images(channel) -> tuple[int, np.ndarray]:
     return basis.shape[1], basis
 
 
+def partial_trace_kraus(dim_z: int, dim_w: int) -> np.ndarray:
+    """Kraus operators ``I_Z (x) <w|`` of the partial trace over the second
+    factor, one Kronecker product per ``w``."""
+    eye = np.eye(dim_z, dtype=complex)
+    bras = np.eye(dim_w, dtype=complex)
+    return np.stack([np.kron(eye, bras[w:w + 1]) for w in range(dim_w)])
+
+
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     w = np.where(w < 1e-12, 0.0, w)

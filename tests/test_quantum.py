@@ -38,6 +38,7 @@ from oracles import (
     jozsa_fidelity,
     kernel_via_operator_images,
     kraus_sum,
+    partial_trace_kraus,
     plain_fidelity,
     probe_family,
     probe_fidelities,
@@ -64,6 +65,22 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.eye(2))
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.5, 1e308], [1e308, 0.5]],
+        np.diag([1e308, 1e308, -1e308, -1e308, 1.0]),
+    ], ids=["off-diagonal", "diagonal"])
+    def test_entries_near_overflow_are_refused(self, matrix):
+        # (m + m^dagger) / 2 would overflow these finite entries to inf, after
+        # which eigvalsh gives NaN or raises LinAlgError
+        with pytest.raises(ValidationError, match="^density matrix has negative eigenvalue"):
+            DensityMatrix(matrix)
+
+    def test_a_nan_trace_is_refused(self):
+        # a NaN trace fails every comparison, so only a test that it lies
+        # within the tolerance refuses it
+        with pytest.raises(ValidationError, match="^density matrix has trace nan"):
+            quantum._check_traces(np.array([1.0, np.nan, 1.0]))
 
     def test_small_drift_cleaned_up(self):
         m = np.array([[0.5, 1e-10 * 1j], [0.0, 0.5]], dtype=complex)
@@ -170,6 +187,37 @@ class TestKrausChannel:
         assert not ch.kraus.flags.writeable
         assert ops.flags.writeable and not np.shares_memory(ops, ch.kraus)
         assert np.array_equal(KrausChannel(list(ops)).kraus, ch.kraus)
+
+    def test_every_input_form_stacks_to_the_same_bytes(self):
+        stack = np.array(random_kraus_channel(3, 4, 5, np.random.default_rng(40)).kraus)
+        mixed = (np.array([[1, 0], [0, 0]]), np.array([[0.0, 0.0], [0.0, 0.6]]),
+                 np.array([[0, 0], [0, 0.8j]]))
+        mixed_stack = np.stack([np.asarray(k, dtype=complex) for k in mixed])
+        cases = [(stack, (k for k in stack)), (stack, stack.tolist()), (stack, list(stack)),
+                 (mixed_stack, mixed), (mixed_stack, (k for k in mixed)),
+                 (mixed_stack, [k.tolist() for k in mixed])]
+        for array, form in cases:
+            assert KrausChannel(form).kraus.tobytes() == KrausChannel(array).kraus.tobytes()
+
+    def test_a_generator_is_walked_for_its_first_defect(self):
+        bad = np.eye(2, dtype=complex)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"^Kraus operator 1 entry \(0, 1\)"):
+            KrausChannel(k for k in (np.eye(2), bad, np.eye(3)))
+        with pytest.raises(DimensionMismatchError, match=re.escape(
+                "Kraus operator 2 has shape (3, 3), expected (2, 2)")):
+            KrausChannel(k for k in (np.eye(2), np.eye(2), np.eye(3)))
+        with pytest.raises(ValidationError, match="^channel needs at least one Kraus operator$"):
+            KrausChannel(k for k in ())
+
+    def test_a_completeness_sum_that_overflows_is_refused(self):
+        # in K^dagger K the real part overflows to inf and the imaginary part
+        # is inf - inf = NaN; a NaN deviation is no deviation within tolerance
+        k = np.array([[1e200 + 1e200j, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError,
+                               match="^Kraus operators deviate from completeness by nan$"):
+                KrausChannel([k])
 
     def test_a_stacked_array_is_checked_as_its_operators(self):
         stack = np.array(random_kraus_channel(3, 4, 5, np.random.default_rng(39)).kraus)
@@ -770,6 +818,13 @@ class TestCoarseGraining:
         reduced = partial_trace_coarse_graining(2, 3).channel.apply(joint)
         assert np.max(np.abs(reduced.matrix - rho.matrix)) < 1e-12
 
+    @pytest.mark.parametrize("dim_z", range(1, 6))
+    def test_partial_trace_stack_is_the_kronecker_construction(self, dim_z):
+        for dim_w in range(1, 6):
+            got = partial_trace_coarse_graining(dim_z, dim_w).channel.kraus
+            want = partial_trace_kraus(dim_z, dim_w)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_partial_trace_dim_validation(self):
         with pytest.raises(ValidationError):
             partial_trace_coarse_graining(0, 2)
@@ -843,6 +898,16 @@ class TestErasureOutputFidelity:
             erasure_output_fidelity(1.5, 0.5)
         with pytest.raises(ValidationError):
             erasure_output_fidelity(0.5, 1.5)
+
+    def test_input_fidelity_is_a_real_number(self):
+        for bad in (True, False, "x", 0.5j, None):
+            with pytest.raises(ValidationError,
+                               match=f"^fidelity must lie in \\[0, 1\\], got {re.escape(repr(bad))}$"):
+                erasure_output_fidelity(0.5, bad)
+        assert erasure_output_fidelity(0.5, 1.0 + 1e-12) == 1.0
+        assert erasure_output_fidelity(0.5, np.float64(0.0)) == 0.25
+        with pytest.raises(ValidationError, match="fidelity must lie in"):
+            erasure_output_fidelity(0.5, 1.0 + 2e-12)
 
 
 class TestProbes:
